@@ -191,9 +191,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "checkpoint: %d from store, %d computed, %d records in %s\n",
 				eng.DiskHits(), stats.Puts, stats.Records, *checkpoint)
 			if ss := eng.StageStats(); ss.BuildHits+ss.BuildComputes+ss.PlaceHits+ss.PlaceComputes+ss.SimHits+ss.SimComputes > 0 {
-				fmt.Fprintf(os.Stderr, "stages: build %d reused / %d computed, place %d/%d, sim %d/%d (%d stage artifacts)\n",
+				fmt.Fprintf(os.Stderr, "stages: build %d reused / %d computed, place %d/%d, sim %d/%d (%d stage artifacts, %d failed writes)\n",
 					ss.BuildHits, ss.BuildComputes, ss.PlaceHits, ss.PlaceComputes, ss.SimHits, ss.SimComputes,
-					stats.StageRecords)
+					stats.StageRecords, eng.PutFailures())
 			}
 			if err := st.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -17,7 +17,6 @@ import (
 	"magicstate/internal/mesh"
 	"magicstate/internal/resource"
 	"magicstate/internal/stitch"
-	"magicstate/internal/sweep/memo"
 )
 
 // Strategy selects a mapping procedure.
@@ -70,15 +69,16 @@ type Config struct {
 	Seed int64
 	// Cost overrides the gate cost model (zero value = defaults).
 	Cost resource.CostModel
-	// Mesh overrides simulator knobs other than Cost. RouteMargin follows
-	// mesh.Config's convention: 0 means the default margin of 2, and
-	// mesh.ZeroRouteMargin (-1) requests a true zero-margin box.
-	MeshMode    mesh.RouteMode
+	// MeshMode overrides the simulator's braid routing mode.
+	MeshMode mesh.RouteMode
+	// RouteMargin follows mesh.Config's convention: 0 means the default
+	// margin of 2, and mesh.ZeroRouteMargin (-1) requests a true
+	// zero-margin box.
 	RouteMargin int
 	// Style selects the surface-code interaction discipline (§IX); the
-	// zero value is the paper's braiding model. Distance feeds the
-	// distance-sensitive styles (zero means 7).
-	Style    mesh.InteractionStyle
+	// zero value is the paper's braiding model.
+	Style mesh.InteractionStyle
+	// Distance feeds the distance-sensitive styles (zero means 7).
 	Distance int
 	// RecordPaths keeps braid paths in the simulation result so callers
 	// can audit overlaps or draw congestion maps.
@@ -107,25 +107,33 @@ type Config struct {
 
 // Report is the outcome of a run.
 type Report struct {
-	Config   Config
+	// Config is the run's configuration.
+	Config Config
+	// Strategy is the mapper's Table I row label.
 	Strategy string
-	// Latency, Area and Volume are the simulated cost of the mapped
-	// factory (Volume = Latency x Area, the paper's quantum volume).
+	// Latency is the cycle at which the mapped factory's last gate
+	// finishes in simulation.
 	Latency int
-	Area    int
-	Volume  float64
-	// CriticalLatency and CriticalVolume are the dependency-limited lower
-	// bounds (Fig. 7's "theoretical lower bound", Table I "Critical").
+	// Area is the bounding-box tile area of the mapped factory.
+	Area int
+	// Volume is Latency x Area, the paper's quantum volume.
+	Volume float64
+	// CriticalLatency is the dependency-limited lower bound on Latency
+	// (Fig. 7's "theoretical lower bound", Table I "Critical").
 	CriticalLatency int
-	CriticalVolume  float64
+	// CriticalVolume is CriticalLatency x Area.
+	CriticalVolume float64
 	// PermLatency is the round-2 permutation window for multi-level runs.
 	PermLatency int
 	// Stalls counts rejected braid attempts (congestion diagnostic).
 	Stalls int
 
-	Factory   *bravyi.Factory
+	// Factory is the built factory circuit.
+	Factory *bravyi.Factory
+	// Placement maps the factory's qubits onto the grid.
 	Placement *layout.Placement
-	Sim       *mesh.Result
+	// Sim is the mesh simulation the scalar outcomes come from.
+	Sim *mesh.Result
 }
 
 // Run executes the full pipeline for cfg.
@@ -136,66 +144,76 @@ func Run(cfg Config) (*Report, error) { return RunContext(context.Background(), 
 // abandoned by its caller — a vanished HTTP client, an expired request
 // deadline — stops costing compute at the next boundary instead of
 // running to completion. Cancellation returns ctx.Err(); partial work
-// is discarded, never reported.
-//
-// RunContext is the monolithic serial composition of the pipeline's
-// explicit stages (BuildStage, PlaceStage, SimStage, Assemble); caching
-// layers that replay individual stage artifacts (internal/sweep's stage
-// tier) reproduce this exact composition, which is what the
-// stage-equivalence harness pins byte-identical.
+// is discarded, never reported. It is Compose with the zero
+// StageResolver: every stage is computed.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
+	return Compose(ctx, cfg, StageResolver{})
+}
+
+// Resolve answers one stage of Compose. compute produces the stage's
+// artifact from scratch; a resolver may answer from a cache tier
+// instead of calling it, and may persist what compute returns. A nil
+// Resolve computes.
+type Resolve[T any] func(ctx context.Context, cfg Config, compute func() (T, error)) (T, error)
+
+// run resolves through r, or computes when r is nil.
+func (r Resolve[T]) run(ctx context.Context, cfg Config, compute func() (T, error)) (T, error) {
+	if r == nil {
+		return compute()
+	}
+	return r(ctx, cfg, compute)
+}
+
+// StageResolver is Compose's seam for caching tiers: one Resolve per
+// cacheable stage. The zero value computes every stage.
+type StageResolver struct {
+	// Build resolves the BuildStage artifact.
+	Build Resolve[*BuildArtifact]
+	// Place resolves the PlaceStage artifact of non-stitching strategies.
+	Place Resolve[*PlaceArtifact]
+	// Sim resolves the SimStage result when placement did not already
+	// simulate its winner.
+	Sim Resolve[*mesh.Result]
+}
+
+// Compose is the pipeline's only composition: BuildStage → PlaceStage
+// → SimStage → Assemble, with each stage answered through r. It checks
+// ctx at entry and again after placement — placement dominates the
+// annealed strategies, so an abandoned caller is noticed there even
+// when the placement already carries its simulation. Stitching's
+// placement comes with its build artifact and is never resolved, and a
+// placement that carries a simulation (force-directed's byproduct)
+// skips sim resolution.
+func Compose(ctx context.Context, cfg Config, r StageResolver) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b, err := BuildStage(ctx, cfg)
+	b, err := r.Build.run(ctx, cfg, func() (*BuildArtifact, error) { return BuildStage(ctx, cfg) })
 	if err != nil {
 		return nil, err
 	}
-	p, err := PlaceStage(ctx, cfg, b)
+	place := func() (*PlaceArtifact, error) { return PlaceStage(ctx, cfg, b) }
+	var p *PlaceArtifact
+	if cfg.Strategy == StrategyStitch {
+		p, err = place()
+	} else {
+		p, err = r.Place.run(ctx, cfg, place)
+	}
 	if err != nil {
 		return nil, err
 	}
-	sim, err := SimStage(ctx, cfg, b, p)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	sim := p.Sim
+	if sim == nil {
+		sim, err = r.Sim.run(ctx, cfg, func() (*mesh.Result, error) { return SimStage(ctx, cfg, b, p) })
+		if err != nil {
+			return nil, err
+		}
 	}
 	return Assemble(cfg, b, p, sim), nil
 }
-
-// fdKey identifies one force-directed candidate evaluation: everything
-// that deterministically fixes the init/annealed placements and their
-// simulation outcomes. bravyi.Params itself is spelled out as scalars
-// because its Assigner func field makes the struct unhashable (FD runs
-// never set it).
-type fdKey struct {
-	K, Levels       int
-	Reuse, Barriers bool
-	// Workload and WorkloadSource pin the circuit for frontend
-	// workloads, where K/Levels are zero and say nothing about it.
-	Workload, WorkloadSource string
-	Mesh                     mesh.Config
-	Seed                     int64
-	FD                       force.Options
-}
-
-// fdChoice is the memoized outcome: the winning placement and its
-// simulation. Both are shared across callers and must be treated as
-// read-only.
-type fdChoice struct {
-	pl  *layout.Placement
-	sim *mesh.Result
-}
-
-// fdMemo caches force-directed candidate evaluations. The annealer plus
-// the two candidate simulations dominate an FD run, and sweep grids
-// (Table I's best-of-reuse scan, Fig. 7/10 sharing capacity points)
-// evaluate the same key repeatedly; routing the candidates through the
-// sweep engine's memo cache computes each once per process. Each entry
-// retains a full placement and simulation, so the limit is kept small:
-// the complete paper evaluation needs ~15 distinct FD keys, while a
-// long-running caller with endlessly varying configs re-derives evicted
-// entries instead of holding their simulations forever.
-var fdMemo = memo.New(64)
 
 // fdAnnealer is the process-wide annealing engine behind force-directed
 // placements. Like the mesh simulator pool, its scratch arenas carry
@@ -210,51 +228,39 @@ var fdAnnealer = force.NewAnnealer()
 func placeFD(cfg Config, f *bravyi.Factory, mcfg mesh.Config) (*layout.Placement, *mesh.Result, error) {
 	opt := cfg.FD
 	opt.Seed = cfg.Seed
-	key := fdKey{
-		K: cfg.K, Levels: cfg.Levels, Reuse: cfg.Reuse, Barriers: !cfg.NoBarriers,
-		Workload: cfg.Workload, WorkloadSource: cfg.WorkloadSource,
-		Mesh: mcfg, Seed: cfg.Seed, FD: opt,
-	}
-	v, err := fdMemo.Do(key, func() (any, error) {
-		dm, err := layout.ParseDefects(mcfg.Defects)
-		if err != nil {
-			return nil, err
-		}
-		g := graph.FromCircuit(f.Circuit)
-		init := initialPlacement(f)
-		if err := layout.AvoidDefects(init, dm); err != nil {
-			return nil, err
-		}
-		annealed := fdAnnealer.Anneal(g, f.Circuit, init, opt)
-		// The annealer knows nothing about defects; pull any qubit it
-		// parked on a dead tile back onto healthy ground before the
-		// candidates are scored, so the memoized simulation always
-		// matches the placement it is stored with.
-		if err := layout.AvoidDefects(annealed, dm); err != nil {
-			return nil, err
-		}
-		// Both candidates are evaluated on one reusable simulator: the
-		// second run reuses the first's arenas and cached dependency DAG
-		// (same circuit), paying only for the Result it returns.
-		sim := mesh.NewSimulator()
-		ri, err1 := sim.Simulate(f.Circuit, init, mcfg)
-		ra, err2 := sim.Simulate(f.Circuit, annealed, mcfg)
-		if err1 != nil {
-			return nil, err1
-		}
-		if err2 != nil {
-			return nil, err2
-		}
-		if ra.Volume().SpaceTime() <= ri.Volume().SpaceTime() {
-			return fdChoice{pl: annealed, sim: ra}, nil
-		}
-		return fdChoice{pl: init, sim: ri}, nil
-	})
+	dm, err := layout.ParseDefects(mcfg.Defects)
 	if err != nil {
 		return nil, nil, err
 	}
-	c := v.(fdChoice)
-	return c.pl, c.sim, nil
+	g := graph.FromCircuit(f.Circuit)
+	init := initialPlacement(f)
+	if err := layout.AvoidDefects(init, dm); err != nil {
+		return nil, nil, err
+	}
+	annealed := fdAnnealer.Anneal(g, f.Circuit, init, opt)
+	// The annealer knows nothing about defects; pull any qubit it
+	// parked on a dead tile back onto healthy ground before the
+	// candidates are scored, so the returned simulation always matches
+	// the placement it comes with.
+	if err := layout.AvoidDefects(annealed, dm); err != nil {
+		return nil, nil, err
+	}
+	// Both candidates are evaluated on one reusable simulator: the
+	// second run reuses the first's arenas and cached dependency DAG
+	// (same circuit), paying only for the Result it returns.
+	sim := mesh.NewSimulator()
+	ri, err1 := sim.Simulate(f.Circuit, init, mcfg)
+	ra, err2 := sim.Simulate(f.Circuit, annealed, mcfg)
+	if err1 != nil {
+		return nil, nil, err1
+	}
+	if err2 != nil {
+		return nil, nil, err2
+	}
+	if ra.Volume().SpaceTime() <= ri.Volume().SpaceTime() {
+		return annealed, ra, nil
+	}
+	return init, ri, nil
 }
 
 // Strategies lists every mapping strategy applicable to the given level

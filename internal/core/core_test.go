@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"magicstate/internal/mesh"
 )
 
 func TestRunAllStrategiesSingleLevel(t *testing.T) {
@@ -57,19 +59,33 @@ func TestStrategyOrderingTwoLevel(t *testing.T) {
 	}
 }
 
+// TestFDNeverWorseThanLine pins the force-directed mapper's
+// keep-the-better-candidate rule: the linear mapping is one of its two
+// candidates, so FD may tie Line but never lose to it — including on
+// defective meshes, where both candidates are relocated off dead tiles
+// before they are scored.
 func TestFDNeverWorseThanLine(t *testing.T) {
-	for _, levels := range []int{1, 2} {
-		line, err := Run(Config{K: 2, Levels: levels, Strategy: StrategyLinear, Seed: 4})
+	for _, base := range []Config{
+		{K: 2, Levels: 1, Seed: 4},
+		{K: 2, Levels: 2, Seed: 4},
+		{K: 2, Levels: 2, Reuse: true, Seed: 4},
+		{K: 4, Levels: 1, Style: mesh.StyleTeleportation},
+		{K: 4, Levels: 2, Reuse: true, Seed: 7, Defects: "3,0;8,0"},
+		{K: 2, Levels: 1, MeshMode: mesh.RouteBox},
+	} {
+		lineCfg, fdCfg := base, base
+		lineCfg.Strategy, fdCfg.Strategy = StrategyLinear, StrategyForceDirected
+		line, err := Run(lineCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fd, err := Run(Config{K: 2, Levels: levels, Strategy: StrategyForceDirected, Seed: 4})
+		fd, err := Run(fdCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fd.Volume > line.Volume {
-			t.Errorf("L=%d: FD volume %.3g exceeds Line %.3g (FD must keep the better candidate)",
-				levels, fd.Volume, line.Volume)
+			t.Errorf("%+v: FD volume %.3g exceeds Line %.3g (FD must keep the better candidate)",
+				base, fd.Volume, line.Volume)
 		}
 	}
 }

@@ -63,6 +63,7 @@ func Stages() []Stage { return []Stage{StageBuild, StagePlace, StageSim} }
 // across pipeline runs by the caching tiers and must be treated as
 // read-only by every consumer.
 type BuildArtifact struct {
+	// Factory is the generated factory circuit.
 	Factory *bravyi.Factory
 	// Placement is non-nil exactly for StrategyStitch builds.
 	Placement *layout.Placement
@@ -75,8 +76,10 @@ type BuildArtifact struct {
 // PlaceArtifact keeps just the placement, and a replayed artifact
 // recomputes the simulation deterministically in StageSim.
 type PlaceArtifact struct {
+	// Placement maps the factory's qubits onto the grid.
 	Placement *layout.Placement
-	Sim       *mesh.Result
+	// Sim is the winning candidate's simulation, or nil.
+	Sim *mesh.Result
 }
 
 // CostModelOf resolves cfg's gate cost model (zero value = defaults).
@@ -170,9 +173,9 @@ func PlaceStage(ctx context.Context, cfg Config, b *BuildArtifact) (*PlaceArtifa
 	if err != nil {
 		return nil, err
 	}
-	// The force-directed mapper relocates inside its own (memoized)
-	// candidate evaluation so its simulation matches its placement;
-	// every other mapper returns a fresh placement we fix up here.
+	// The force-directed mapper relocates inside its own candidate
+	// evaluation so its simulation matches its placement; every other
+	// mapper returns a fresh placement we fix up here.
 	if cfg.Strategy != StrategyForceDirected {
 		if err := layout.AvoidDefects(pl, dm); err != nil {
 			return nil, err
@@ -184,9 +187,9 @@ func PlaceStage(ctx context.Context, cfg Config, b *BuildArtifact) (*PlaceArtifa
 // SimStage runs the routing/simulation stage. When the placement stage
 // already simulated the winning candidate (p.Sim non-nil) that result
 // is the stage's output; otherwise the mapped circuit executes on the
-// mesh. The context check at entry is the pipeline's post-placement
-// cancellation boundary: placement dominates annealed strategies, so an
-// abandoned caller must be noticed here, not just before placement.
+// mesh. Like every stage it checks ctx at entry; Compose holds the
+// post-placement boundary itself, since it skips SimStage when the
+// placement already carries the simulation.
 func SimStage(ctx context.Context, cfg Config, b *BuildArtifact, p *PlaceArtifact) (*mesh.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

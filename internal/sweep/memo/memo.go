@@ -1,14 +1,14 @@
 // Package memo is the sweep engine's result cache: a concurrency-safe
 // memoization table with singleflight semantics. Keys are arbitrary
-// comparable values (the engine keys by core.Config; internal/core keys
-// force-directed candidate evaluations by their deterministic inputs),
-// and concurrent callers asking for the same key share one computation
-// instead of racing to repeat it.
+// comparable values (the engine keys final reports by core.Config and
+// stage artifacts by their stage-scoped content key), and concurrent
+// callers asking for the same key share one computation instead of
+// racing to repeat it.
 //
 // The package sits below every layer that needs caching — it depends on
-// nothing but the standard library, so both the engine (which depends on
-// core) and core itself can route repeated work through it without an
-// import cycle.
+// nothing but the standard library, so packages beneath the engine
+// (internal/stitch memoizes its block embeddings) can route repeated work
+// through it without an import cycle.
 package memo
 
 import (

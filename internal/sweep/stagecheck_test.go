@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"magicstate/internal/core"
+	"magicstate/internal/force"
 	"magicstate/internal/store"
 )
 
@@ -209,5 +210,21 @@ func TestStagedReuseCountsFactoryHits(t *testing.T) {
 	}
 	if ss.SimComputes != 1 {
 		t.Errorf("style sibling: sim computes = %d, want 1 (style is simulated state)", ss.SimComputes)
+	}
+
+	// A cold force-directed point computes its build and placement, and
+	// the placement's simulation byproduct answers the sim stage: no sim
+	// is resolved at all.
+	fdSt, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fdSt.Close()
+	fd := New(Options{Store: fdSt, Workers: 1})
+	if _, err := fd.RunOne(core.Config{K: 2, Levels: 1, Strategy: core.StrategyForceDirected, Seed: 1, FD: force.Options{Iterations: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fd.StageStats(), (StageStats{BuildComputes: 1, PlaceComputes: 1}); got != want {
+		t.Errorf("cold FD point: stage stats %+v, want %+v", got, want)
 	}
 }

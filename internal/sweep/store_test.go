@@ -187,3 +187,46 @@ func TestDeriveSharesCacheAndClampsWorkers(t *testing.T) {
 		t.Fatalf("shared cache stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 }
+
+// TestPersistFailuresCounted pins that a failed durable write is
+// counted, not dropped, and never fails the point. A serial Linear
+// point appends four records — build, place and sim artifacts, then the
+// final record — each as a log write followed by an index write, so
+// write 1 is the build artifact's and write 7 the final record's.
+func TestPersistFailuresCounted(t *testing.T) {
+	cfg := core.Config{K: 2, Levels: 1, Strategy: core.StrategyLinear, Seed: 1}
+	want, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		op        int64
+		wantPuts  int64
+		wantStage int64
+	}{
+		{"stage artifact", 1, 1, 2},
+		{"final record", 7, 0, 3},
+	} {
+		st, err := store.OpenWithFaults(t.TempDir(), &store.FaultPlan{FailWriteOp: tc.op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(Options{Store: st, Workers: 1})
+		rep, err := eng.Derive(Options{}).RunOne(cfg)
+		if err != nil {
+			t.Fatalf("%s: a failed write failed the point: %v", tc.name, err)
+		}
+		if rep.Volume != want.Volume || rep.Latency != want.Latency {
+			t.Errorf("%s: report %+v, want %+v", tc.name, rep, want)
+		}
+		if got := eng.PutFailures(); got != 1 {
+			t.Errorf("%s: PutFailures = %d, want 1", tc.name, got)
+		}
+		if s := st.Stats(); s.Puts != tc.wantPuts || s.StagePuts != tc.wantStage {
+			t.Errorf("%s: stored %d final / %d stage records, want %d / %d",
+				tc.name, s.Puts, s.StagePuts, tc.wantPuts, tc.wantStage)
+		}
+		st.Close()
+	}
+}

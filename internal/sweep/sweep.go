@@ -55,6 +55,7 @@ type Engine struct {
 	remote     func(ctx context.Context, cfg core.Config) (*core.Report, bool)
 	diskHits   *atomic.Int64 // shared by every engine Derive produces
 	remoteHits *atomic.Int64 // points served by the remote tier
+	putFails   *atomic.Int64 // failed durable writes, shared via Derive
 }
 
 // New builds an engine.
@@ -73,6 +74,7 @@ func New(opts Options) *Engine {
 		remote:     opts.Remote,
 		diskHits:   new(atomic.Int64),
 		remoteHits: new(atomic.Int64),
+		putFails:   new(atomic.Int64),
 	}
 }
 
@@ -98,6 +100,7 @@ func (e *Engine) Derive(opts Options) *Engine {
 		remote:     e.remote,
 		diskHits:   e.diskHits,
 		remoteHits: e.remoteHits,
+		putFails:   e.putFails,
 	}
 }
 
@@ -122,6 +125,20 @@ func (e *Engine) DiskHits() int64 { return e.diskHits.Load() }
 // engine sharing its cache via Derive.
 func (e *Engine) RemoteHits() int64 { return e.remoteHits.Load() }
 
+// PutFailures reports how many durable writes (final records and stage
+// artifacts) failed, across this engine and every engine sharing its
+// cache via Derive. Persistence is an optimization, not a correctness
+// step: a failed write — a full disk, say — never fails the point,
+// which keeps its result, but it is counted here instead of dropped.
+func (e *Engine) PutFailures() int64 { return e.putFails.Load() }
+
+// persisted counts err, the outcome of one durable write, if it failed.
+func (e *Engine) persisted(err error) {
+	if err != nil {
+		e.putFails.Add(1)
+	}
+}
+
 // Run executes every Config point and returns the reports in input
 // order. Identical points are computed once (reports are shared — treat
 // them as read-only). On failure Run stops dispatching further points
@@ -145,7 +162,7 @@ func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 }
 
 // RunOneContext is RunOne with cooperative cancellation: ctx reaches
-// core.RunContext, which checks it at pipeline stage boundaries, so a
+// core.Compose, which checks it at pipeline stage boundaries, so a
 // caller that goes away stops costing compute. When concurrent callers
 // share one computation through the memo, the context that counts is
 // the first caller's — a cancellation is returned to every waiter but
@@ -169,25 +186,25 @@ func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Repo
 			if rep, ok := e.remote(ctx, cfg); ok {
 				e.remoteHits.Add(1)
 				if e.store != nil {
-					_ = e.store.PutReport(cfg, rep)
+					e.persisted(e.store.PutReport(cfg, rep))
 				}
 				return rep, nil
 			}
 		}
-		// A full miss computes through the stage tier: each pipeline
-		// stage resolved memory → disk → compute (see stages.go), so a
-		// point sharing upstream axes with earlier work replays the
-		// shared artifacts instead of recomputing them. The composition
-		// is byte-identical to core.RunContext.
-		rep, err := e.runStaged(ctx, cfg)
+		// A full miss computes through the stage tier: core.Compose
+		// with each stage resolved memory → disk → compute (see
+		// stages.go), so a point sharing upstream axes with earlier work
+		// replays the shared artifacts instead of recomputing them.
+		rep, err := core.Compose(ctx, cfg, core.StageResolver{
+			Build: resolve(e, core.StageBuild, core.EncodeBuildArtifact, core.DecodeBuildArtifact),
+			Place: resolve(e, core.StagePlace, core.EncodePlaceArtifact, core.DecodePlaceArtifact),
+			Sim:   resolve(e, core.StageSim, core.EncodeSimArtifact, core.DecodeSimArtifact),
+		})
 		if err != nil {
 			return nil, err
 		}
 		if e.store != nil {
-			// Persistence is an optimization, not a correctness step: a
-			// full disk fails the Put but the sweep still has its result,
-			// so the error is dropped rather than failing the point.
-			_ = e.store.PutReport(cfg, rep)
+			e.persisted(e.store.PutReport(cfg, rep))
 		}
 		return rep, nil
 	})
