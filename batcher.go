@@ -221,6 +221,8 @@ func (b *Batcher) OptimizeBatch(points []BatchPoint, opts BatchOptions) ([]*Resu
 // CacheStats reports how a Batcher's cache tier has performed.
 type CacheStats struct {
 	// MemoryHits and MemoryMisses count lookups in the in-process memo.
+	// A Lookup answered from the memo is a hit; one that is not moves
+	// neither counter.
 	MemoryHits, MemoryMisses int64
 	// DiskHits counts points served from the checkpoint store instead
 	// of recomputed (always zero without a checkpoint). Points the

@@ -126,6 +126,39 @@ func TestOptimizeBatchCheckpointOption(t *testing.T) {
 // TestBatcherLookupAndPointKey covers the admission-free service fast
 // path: Lookup answers only already-paid points, and PointKey is stable
 // for identical points and distinct for different ones.
+// TestBatcherLookupCountsMemoryHits: a Lookup answered from the
+// in-memory memo is a memory hit in Stats, as a repeat Optimize is. A
+// Lookup that finds nothing moves no counter.
+func TestBatcherLookupCountsMemoryHits(t *testing.T) {
+	b, err := NewBatcher(BatcherOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	spec := FactorySpec{Capacity: 4, Levels: 1}
+	if _, ok := b.Lookup(spec, Options{}); ok {
+		t.Fatal("Lookup hit before any computation")
+	}
+	if _, err := b.Optimize(spec, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Stats()
+	if before.MemoryHits != 0 || before.MemoryMisses != 1 {
+		t.Fatalf("after one Optimize: hits/misses %d/%d, want 0/1", before.MemoryHits, before.MemoryMisses)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, ok := b.Lookup(spec, Options{}); !ok {
+			t.Fatal("Lookup missed a computed point")
+		}
+		st := b.Stats()
+		if st.MemoryHits != before.MemoryHits+int64(i) || st.MemoryMisses != before.MemoryMisses {
+			t.Fatalf("after %d repeat Lookups: hits/misses %d/%d, want %d/%d",
+				i, st.MemoryHits, st.MemoryMisses, before.MemoryHits+int64(i), before.MemoryMisses)
+		}
+	}
+}
+
 func TestBatcherLookupAndPointKey(t *testing.T) {
 	b, err := NewBatcher(BatcherOptions{Parallelism: 1})
 	if err != nil {

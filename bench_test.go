@@ -17,6 +17,7 @@ import (
 	"magicstate/internal/layout"
 	"magicstate/internal/mesh"
 	"magicstate/internal/partition"
+	"magicstate/internal/plan"
 	"magicstate/internal/stats"
 	"magicstate/internal/stitch"
 )
@@ -327,6 +328,19 @@ func BenchmarkStitchBuildK36(b *testing.B) {
 func BenchmarkFactoryGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bravyi.Build(bravyi.Params{K: 10, Levels: 2, Barriers: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanDeepScan prices the planner's deepest candidate scan:
+// T = 1e7 builds and critical-paths three-level factories for every
+// candidate K before choosing one, serially so the number is per CPU.
+func BenchmarkPlanDeepScan(b *testing.B) {
+	b.ReportAllocs()
+	req := plan.Requirements{TCount: 1e7, ErrorBudget: 0.01, DemandRate: 0.02, Workers: 1}
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Plan(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@ package bravyi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"magicstate/internal/circuit"
 )
@@ -62,14 +62,26 @@ func Build(p Params) (*Factory, error) {
 	k := p.K
 	f := &Factory{Params: p, Circuit: circuit.New(0)}
 	c := f.Circuit
+	gates, moves := p.gateCounts()
+	c.Gates = make([]circuit.Gate, 0, gates)
+	f.Modules = make([]Module, 0, p.TotalModules())
+	f.Wires = make([]Wire, 0, moves)
 
-	// freed accumulates measured/consumed qubit ids available for reuse.
+	// freed accumulates measured/consumed qubit ids available for reuse;
+	// freedSet[q] marks membership, indexed by qubit id. Granting ids
+	// keeps the pool's order, so it needs re-sorting only after free has
+	// added to it: once per round, not once per register.
 	var freed []circuit.Qubit
-	freedSet := make(map[circuit.Qubit]bool)
+	var freedSet []bool
+	sorted := true
 	free := func(q circuit.Qubit) {
+		if int(q) >= len(freedSet) {
+			freedSet = append(freedSet, make([]bool, c.NumQubits-len(freedSet))...)
+		}
 		if !freedSet[q] {
 			freedSet[q] = true
 			freed = append(freed, q)
+			sorted = false
 		}
 	}
 	assigner := p.Assigner
@@ -84,18 +96,29 @@ func Build(p Params) (*Factory, error) {
 	alloc := func(round, inRound, n int, fresh *[]circuit.Qubit) []circuit.Qubit {
 		qs := make([]circuit.Qubit, 0, n)
 		if p.Reuse && round > 1 {
-			sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
+			if !sorted {
+				slices.Sort(freed)
+				sorted = true
+			}
 			reused := assigner(round, inRound, n, freed)
 			for _, q := range reused {
 				if len(qs) == n {
 					break
 				}
-				if freedSet[q] {
-					delete(freedSet, q)
+				if q >= 0 && int(q) < len(freedSet) && freedSet[q] {
+					freedSet[q] = false
 					qs = append(qs, q)
 				}
 			}
-			if len(qs) > 0 {
+			// Drop the granted ids from the pool, keeping it sorted. The
+			// default assigner grants a prefix, which trims in O(granted);
+			// only grants from mid-pool pay for a full compaction.
+			head := 0
+			for head < len(freed) && !freedSet[freed[head]] {
+				head++
+			}
+			freed = freed[head:]
+			if head < len(qs) {
 				still := freed[:0]
 				for _, q := range freed {
 					if freedSet[q] {
@@ -117,8 +140,8 @@ func Build(p Params) (*Factory, error) {
 	prevOuts := [][]circuit.Qubit(nil)
 	prevModules := []int(nil)
 	for r := 1; r <= p.Levels; r++ {
-		round := Round{Index: r, GateStart: len(c.Gates)}
 		nMods := p.ModulesInRound(r)
+		round := Round{Index: r, GateStart: len(c.Gates), Modules: make([]int, 0, nMods)}
 
 		// Allocate every module's registers first so the permutation
 		// phase can target the slots.
@@ -167,25 +190,23 @@ func Build(p Params) (*Factory, error) {
 		}
 		round.PermEnd = len(c.Gates)
 
-		// Module bodies.
-		var roundFreed []circuit.Qubit
-		var thisOuts [][]circuit.Qubit
-		var thisModules []int
+		// Module bodies. Slot states are consumed by injection and
+		// ancillas measured by MeasX: both become reusable in the next
+		// round (no allocation happens before then).
+		thisOuts := make([][]circuit.Qubit, 0, nMods)
 		for im := 0; im < nMods; im++ {
 			m := &f.Modules[base+im]
 			emitModule(c, m)
 			thisOuts = append(thisOuts, m.Out)
-			thisModules = append(thisModules, m.Index)
-			// Slot states are consumed by injection and ancillas measured
-			// by MeasX: both become reusable in the next round.
-			roundFreed = append(roundFreed, m.Raw...)
-			roundFreed = append(roundFreed, m.Anc...)
+			for _, q := range m.Raw {
+				free(q)
+			}
+			for _, q := range m.Anc {
+				free(q)
+			}
 		}
 		round.GateEnd = len(c.Gates)
 		f.Rounds = append(f.Rounds, round)
-		for _, q := range roundFreed {
-			free(q)
-		}
 
 		if p.Barriers && r < p.Levels {
 			all := make([]circuit.Qubit, c.NumQubits)
@@ -196,7 +217,7 @@ func Build(p Params) (*Factory, error) {
 			c.Gates[len(c.Gates)-1].Round = r
 		}
 		prevOuts = thisOuts
-		prevModules = thisModules
+		prevModules = round.Modules
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("bravyi: generated circuit invalid: %w", err)

@@ -454,6 +454,57 @@ func TestCustomAssigner(t *testing.T) {
 	}
 }
 
+// TestBuildPresizesExactly pins Build's closed-form presizing to what
+// emitModule and the permutation phase actually emit: every slice ends
+// exactly full, so the closed form cannot drift from the generator.
+func TestBuildPresizesExactly(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 6} {
+		for levels := 1; levels <= 3; levels++ {
+			for _, reuse := range []bool{false, true} {
+				for _, barriers := range []bool{false, true} {
+					p := Params{K: k, Levels: levels, Reuse: reuse, Barriers: barriers}
+					f := mustBuild(t, p)
+					if g := f.Circuit.Gates; len(g) != cap(g) {
+						t.Errorf("%+v: %d gates in capacity %d", p, len(g), cap(g))
+					}
+					if len(f.Modules) != cap(f.Modules) || len(f.Wires) != cap(f.Wires) {
+						t.Errorf("%+v: modules %d/%d, wires %d/%d", p,
+							len(f.Modules), cap(f.Modules), len(f.Wires), cap(f.Wires))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAssignerSeesSortedPool checks that every assigner call receives the
+// reuse pool in ascending id order, including calls after Build has
+// granted ids from it and after a round has freed more.
+func TestAssignerSeesSortedPool(t *testing.T) {
+	calls := 0
+	p := Params{K: 2, Levels: 3, Reuse: true, Barriers: true,
+		Assigner: func(round, im, need int, pool []circuit.Qubit) []circuit.Qubit {
+			calls++
+			for i := 1; i < len(pool); i++ {
+				if pool[i-1] >= pool[i] {
+					t.Fatalf("round %d module %d: pool not sorted at %d: %v", round, im, i, pool)
+				}
+			}
+			// Take from the back so granted ids leave holes mid-pool.
+			if need > len(pool) {
+				need = len(pool)
+			}
+			return append([]circuit.Qubit(nil), pool[len(pool)-need:]...)
+		}}
+	f := mustBuild(t, p)
+	if want := 3 * (p.ModulesInRound(2) + p.ModulesInRound(3)); calls != want {
+		t.Errorf("assigner called %d times, want %d", calls, want)
+	}
+	if err := f.Circuit.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: for arbitrary small parameters, applying hops to every wire
 // preserves circuit validity, gate-range tagging and the wiring bijection.
 func TestApplyHopsPreservesStructure(t *testing.T) {

@@ -94,3 +94,22 @@ func emitModule(c *circuit.Circuit, m *Module) {
 // (3+k) H + (2+4k) CNOT + 2 CXX + (2k+4) injectT + (k+4) injectTdag +
 // (k+5) MeasX = 9k + 20.
 func GatesPerModule(k int) int { return 9*k + 20 }
+
+// gateCounts returns the exact length of Build's gate list and how many
+// of those gates are permutation Moves: every module body, 3K+8 Moves
+// feeding each module after round 1, and one barrier between consecutive
+// rounds when Barriers is set.
+func (p Params) gateCounts() (gates, moves int) {
+	for r := 1; r <= p.Levels; r++ {
+		mods := p.ModulesInRound(r)
+		gates += mods * GatesPerModule(p.K)
+		if r > 1 {
+			moves += mods * (3*p.K + 8)
+		}
+	}
+	gates += moves
+	if p.Barriers {
+		gates += p.Levels - 1
+	}
+	return gates, moves
+}

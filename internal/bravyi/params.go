@@ -32,10 +32,12 @@ type Params struct {
 }
 
 // ReuseAssigner picks `need` qubit ids from pool (ids already measured and
-// safe to rename) for the module with the given round and in-round index.
-// Implementations must return ids drawn from pool without repetition; the
-// returned slice length may be shorter than need, in which case fresh
-// qubits cover the remainder. Hierarchical stitching supplies a
+// safe to rename, in ascending order) for the module with the given round
+// and in-round index. Implementations must return ids drawn from pool
+// without repetition; the returned slice length may be shorter than need,
+// in which case fresh qubits cover the remainder. pool is Build's own
+// state: an assigner must not reorder or modify it, and must copy it
+// before sorting by another key. Hierarchical stitching supplies a
 // placement-aware assigner (§VII.B.1).
 type ReuseAssigner func(round, moduleInRound, need int, pool []circuit.Qubit) []circuit.Qubit
 

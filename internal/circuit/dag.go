@@ -29,32 +29,24 @@ func Deps(c *Circuit) *DAG {
 		last[i] = -1
 	}
 	// Pass 1: collect deduplicated (pred, gate) edges in discovery order
-	// and count out-degrees. A gate's distinct predecessors are bounded by
-	// its operand count, so an O(k^2) scan over a small buffer replaces the
-	// per-gate map.
+	// and count out-degrees. A gate's predecessors are deduplicated with a
+	// stamp per gate: seen[p] == i+1 iff p is already recorded as a
+	// predecessor of gate i. A barrier spans every qubit and can have as
+	// many distinct predecessors as operands, so the check must be O(1)
+	// rather than a scan over the predecessors found so far.
 	type edge struct{ p, i int }
 	edges := make([]edge, 0, 2*n)
 	outdeg := make([]int, n)
+	seen := make([]int, n)
 	var ops []Qubit
-	var pbuf []int
 	for i := range c.Gates {
 		ops = c.Gates[i].AppendOperands(ops[:0])
-		pbuf = pbuf[:0]
 		for _, q := range ops {
-			if p := last[q]; p >= 0 && p != i {
-				dup := false
-				for _, e := range pbuf {
-					if e == p {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					pbuf = append(pbuf, p)
-					edges = append(edges, edge{p, i})
-					outdeg[p]++
-					d.preds[i]++
-				}
+			if p := last[q]; p >= 0 && p != i && seen[p] != i+1 {
+				seen[p] = i + 1
+				edges = append(edges, edge{p, i})
+				outdeg[p]++
+				d.preds[i]++
 			}
 			last[q] = i
 		}
@@ -104,25 +96,4 @@ func (d *DAG) Levels() []int {
 		}
 	}
 	return lvl
-}
-
-// LongestPath returns, for a per-gate weight function, the weight of the
-// heaviest dependency chain in the DAG (the critical path). This is the
-// paper's "theoretical lower bound" latency when weights are gate cycle
-// counts.
-func (d *DAG) LongestPath(weight func(i int) float64) float64 {
-	finish := make([]float64, d.NumGates)
-	var best float64
-	for i := 0; i < d.NumGates; i++ {
-		finish[i] += weight(i)
-		if finish[i] > best {
-			best = finish[i]
-		}
-		for _, s := range d.Succ[i] {
-			if finish[i] > finish[s] {
-				finish[s] = finish[i]
-			}
-		}
-	}
-	return best
 }

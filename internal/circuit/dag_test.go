@@ -62,32 +62,23 @@ func TestBarrierSerializes(t *testing.T) {
 	}
 }
 
-func TestLongestPathUnitWeights(t *testing.T) {
+func TestLevelsChain(t *testing.T) {
 	c := New(2)
 	c.H(0)
 	c.CNOT(0, 1)
 	c.MeasX(1)
-	d := Deps(c)
-	if got := d.LongestPath(func(int) float64 { return 1 }); got != 3 {
-		t.Errorf("chain of 3 unit gates: critical path %v, want 3", got)
+	lvl := Deps(c).Levels()
+	for i, w := range []int{0, 1, 2} {
+		if lvl[i] != w {
+			t.Errorf("chain of 3 gates: level[%d] = %d, want %d", i, lvl[i], w)
+		}
 	}
 }
 
-func TestLongestPathWeighted(t *testing.T) {
-	c := New(3)
-	c.H(0)       // weight 1
-	c.H(1)       // weight 10 — heavier independent branch
-	c.CNOT(0, 2) // weight 1: path through gate 0 = 2
-	d := Deps(c)
-	w := []float64{1, 10, 1}
-	if got := d.LongestPath(func(i int) float64 { return w[i] }); got != 10 {
-		t.Errorf("critical path %v, want 10", got)
-	}
-}
-
-// Property: critical path with unit weights equals 1 + max ASAP level, and
-// every gate's level is at least its predecessor's + 1.
-func TestLevelsConsistentWithLongestPath(t *testing.T) {
+// Property: Levels is the unit-weight longest path into each gate. Every
+// gate sits at least one level above each predecessor, and a gate above
+// level 0 has a predecessor exactly one level below it.
+func TestLevelsAreLongestChains(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
@@ -103,18 +94,23 @@ func TestLevelsConsistentWithLongestPath(t *testing.T) {
 		}
 		d := Deps(c)
 		lvl := d.Levels()
-		maxLvl := 0
+		tight := make([]bool, d.NumGates)
 		for i, l := range lvl {
-			if l > maxLvl {
-				maxLvl = l
-			}
 			for _, s := range d.Succ[i] {
 				if lvl[s] < l+1 {
 					return false
 				}
+				if lvl[s] == l+1 {
+					tight[s] = true
+				}
 			}
 		}
-		return d.LongestPath(func(int) float64 { return 1 }) == float64(maxLvl+1)
+		for i, l := range lvl {
+			if l > 0 && !tight[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"magicstate/internal/bravyi"
 	"magicstate/internal/resource"
 )
 
@@ -158,4 +160,45 @@ func math10(e int) float64 {
 		r *= 10
 	}
 	return r
+}
+
+// TestPlanProvisionsUnchanged pins the planner's full answer for the
+// benchmark's four application sizes at fixed demand rates, plus the
+// K=2 candidate that loses to K=1 at T = 1e7. The literals
+// were captured from the DAG-based critical-path implementation, so any
+// pricing change that is not output-identical fails here.
+func TestPlanProvisionsUnchanged(t *testing.T) {
+	l3 := bravyi.Params{K: 1, Levels: 3, Reuse: true, Barriers: true}
+	cases := []struct {
+		tcount, rate float64
+		ks           []int
+		want         Provision
+	}{
+		{1e7, 0.02, nil, Provision{Params: l3, TargetPerState: 1e-09, OutputError: 6.400000000000001e-15,
+			BatchLatency: 720, SuccessProb: 0.001051939548227095, Factories: 16427, BufferSize: 257,
+			PhysicalQubits: 7542654174, RunCycles: 5e+08, RawStates: 1.2652818332034617e+13}},
+		{1e8, 0.021, nil, Provision{Params: l3, TargetPerState: 1e-10, OutputError: 6.400000000000001e-15,
+			BatchLatency: 720, SuccessProb: 0.001051939548227095, Factories: 17249, BufferSize: 270,
+			PhysicalQubits: 7920085338, RunCycles: 4.761904761904761e+09, RawStates: 1.2652818332034617e+14}},
+		{1e9, 0.022, nil, Provision{Params: l3, TargetPerState: 1.0000000000000001e-11, OutputError: 6.400000000000001e-15,
+			BatchLatency: 720, SuccessProb: 0.001051939548227095, Factories: 18070, BufferSize: 283,
+			PhysicalQubits: 8297057340, RunCycles: 4.5454545454545456e+10, RawStates: 1.2652818332034618e+15}},
+		{1e10, 0.023, nil, Provision{Params: l3, TargetPerState: 1e-12, OutputError: 6.400000000000001e-15,
+			BatchLatency: 720, SuccessProb: 0.001051939548227095, Factories: 18891, BufferSize: 296,
+			PhysicalQubits: 8674029342, RunCycles: 4.3478260869565216e+11, RawStates: 1.2652818332034616e+16}},
+		{1e7, 0.02, []int{2}, Provision{Params: bravyi.Params{K: 2, Levels: 3, Reuse: true, Barriers: true},
+			TargetPerState: 1e-09, OutputError: 3.216964843750002e-13, BatchLatency: 840,
+			SuccessProb: 6.206168257965763e-07, Factories: 4060477, BufferSize: 507560,
+			PhysicalQubits: 3284747232012, RunCycles: 5e+08, RawStates: 5.526759600172803e+15}},
+	}
+	for _, tc := range cases {
+		req := Requirements{TCount: tc.tcount, ErrorBudget: 0.01, DemandRate: tc.rate, CandidateKs: tc.ks}
+		prov, err := Plan(req)
+		if err != nil {
+			t.Fatalf("T=%g Ks=%v: %v", tc.tcount, tc.ks, err)
+		}
+		if !reflect.DeepEqual(*prov, tc.want) {
+			t.Errorf("T=%g Ks=%v:\n got %+v\nwant %+v", tc.tcount, tc.ks, *prov, tc.want)
+		}
+	}
 }

@@ -59,8 +59,33 @@ func (cm CostModel) GateCycles(g *circuit.Gate) int {
 // CriticalPath returns the dependency-limited latency of c in cycles: the
 // paper's "theoretical lower bound" (Fig. 7), which assumes every braid
 // routes without conflict.
+//
+// Under the hazard rule of circuit.Deps a gate's predecessors are the last
+// earlier gates touching each of its operands, so the longest path needs
+// no DAG. One pass keeps each qubit's ready cycle (when the last gate on
+// it finishes): a gate starts at the latest ready cycle among its operands
+// and moves them all to its end. That is linear in the operand count, and
+// equals the longest path through Deps(c) exactly.
 func (cm CostModel) CriticalPath(c *circuit.Circuit) int {
-	d := circuit.Deps(c)
-	w := d.LongestPath(func(i int) float64 { return float64(cm.GateCycles(&c.Gates[i])) })
-	return int(w)
+	ready := make([]int, c.NumQubits)
+	longest := 0
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		start := 0
+		if g.Control != circuit.NoQubit {
+			start = ready[g.Control]
+		}
+		for _, q := range g.Targets {
+			start = max(start, ready[q])
+		}
+		end := start + cm.GateCycles(g)
+		if g.Control != circuit.NoQubit {
+			ready[g.Control] = end
+		}
+		for _, q := range g.Targets {
+			ready[q] = end
+		}
+		longest = max(longest, end)
+	}
+	return longest
 }

@@ -284,3 +284,19 @@ func TestExpandSpacingTradesAreaForLatency(t *testing.T) {
 		t.Errorf("extra area should not slow execution: %d vs %d", rr.Latency, rt.Latency)
 	}
 }
+
+// TestStitchedFactoryGatesPresizedExactly checks bravyi.Build's
+// closed-form gate presize under stitching's placement-aware reuse
+// assigner, with and without barriers and hop rewriting.
+func TestStitchedFactoryGatesPresizedExactly(t *testing.T) {
+	for _, opt := range []Options{
+		{Seed: 1, Reuse: true, Hops: NoHop},
+		{Seed: 1, Reuse: true, Hops: NoHop, NoBarriers: true},
+		{Seed: 1, Reuse: true},
+	} {
+		r := build(t, bravyi.Params{K: 2, Levels: 3}, opt)
+		if g := r.Factory.Circuit.Gates; len(g) != cap(g) {
+			t.Errorf("%+v: %d gates in capacity %d", opt, len(g), cap(g))
+		}
+	}
+}

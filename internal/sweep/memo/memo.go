@@ -94,19 +94,23 @@ func (c *Cache) Do(key any, fn func() (any, error)) (any, error) {
 // already completed, without ever running (or waiting for) one. It is
 // the cache-hit fast path for callers that must not block — the msfud
 // service answers cached points even when its admission queue is full.
-// Peek leaves the hit/miss counters untouched.
+// A Peek that returns a completed entry counts as a hit; one that finds
+// nothing counts as nothing, because the caller's fallback (a Do, or a
+// lower tier) does its own accounting.
 func (c *Cache) Peek(key any) (val any, err error, ok bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, present := c.entries[key]
-	c.mu.Unlock()
 	if !present || !e.ready.Load() {
 		return nil, nil, false
 	}
+	c.hits++
 	return e.val, e.err, true
 }
 
-// Stats reports how many Do calls found an existing entry (hits) versus
-// created one (misses).
+// Stats reports hits (Do calls that found an existing entry, plus Peek
+// calls answered from a completed one) and misses (Do calls that created
+// an entry).
 func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -125,8 +125,8 @@ func TestDoDropsContextErrors(t *testing.T) {
 }
 
 // TestPeek: Peek answers only completed entries — never starting a
-// computation, never waiting on one in flight, never counting as a hit
-// or miss.
+// computation, never waiting on one in flight. An answered Peek counts
+// as a hit; an unanswered one moves no counter.
 func TestPeek(t *testing.T) {
 	c := New(0)
 	if _, _, ok := c.Peek("absent"); ok {
@@ -144,12 +144,18 @@ func TestPeek(t *testing.T) {
 
 	c.Do("done", func() (any, error) { return 7, nil })
 	hits0, misses0 := c.Stats()
+	if _, _, ok := c.Peek("absent"); ok {
+		t.Fatal("Peek invented an entry")
+	}
+	if hits, misses := c.Stats(); hits != hits0 || misses != misses0 {
+		t.Fatal("an unanswered Peek moved the hit/miss counters")
+	}
 	v, err, ok := c.Peek("done")
 	if !ok || err != nil || v.(int) != 7 {
 		t.Fatalf("Peek(done) = %v, %v, %v; want 7, nil, true", v, err, ok)
 	}
-	if hits, misses := c.Stats(); hits != hits0 || misses != misses0 {
-		t.Fatal("Peek moved the hit/miss counters")
+	if hits, misses := c.Stats(); hits != hits0+1 || misses != misses0 {
+		t.Fatalf("answered Peek: hits/misses %d/%d, want %d/%d", hits, misses, hits0+1, misses0)
 	}
 	// Cached plain errors are peekable too (the caller decides).
 	boom := errors.New("boom")
