@@ -81,7 +81,7 @@ func optimizeOn(eng *sweep.Engine, spec FactorySpec, opts Options) (*Result, err
 
 // optimizeOnContext is optimizeOn with cooperative cancellation: ctx is
 // checked at pipeline stage boundaries, so abandoned work stops costing
-// compute. Context errors are never memoized (see sweep.RunOneContext).
+// compute. Failures are never memoized (see sweep.RunOneContext).
 func optimizeOnContext(ctx context.Context, eng *sweep.Engine, spec FactorySpec, opts Options) (*Result, error) {
 	cfg, err := optimizeConfig(spec, opts)
 	if err != nil {

@@ -139,12 +139,13 @@ func (b *Batcher) Optimize(spec FactorySpec, opts Options) (*Result, error) {
 	return optimizeOn(b.eng, spec, opts)
 }
 
-// OptimizeContext is Optimize with cooperative cancellation: ctx is
-// checked at pipeline stage boundaries (factory build, placement,
-// simulation), so a caller that goes away — a disconnected HTTP client,
-// an expired request deadline — stops costing compute at the next
-// boundary. A cancelled computation returns ctx.Err() and caches
-// nothing; the next request for the point computes afresh.
+// OptimizeContext is Optimize with cooperative cancellation. Concurrent
+// calls for one point share a single computation; a caller whose ctx
+// ends — a disconnected HTTP client, an expired request deadline —
+// returns ctx.Err() at once, and the computation stops at its next
+// pipeline stage boundary once no caller waits for it any more. Failed
+// computations are never cached; the next request for the point
+// computes afresh.
 func (b *Batcher) OptimizeContext(ctx context.Context, spec FactorySpec, opts Options) (*Result, error) {
 	return optimizeOnContext(ctx, b.eng, spec, opts)
 }
@@ -152,9 +153,7 @@ func (b *Batcher) OptimizeContext(ctx context.Context, spec FactorySpec, opts Op
 // Lookup answers a point from the batcher's cache tier without ever
 // computing or blocking on an in-flight computation: a completed
 // in-memory result first, the durable store second. The boolean reports
-// whether the point was cached. It is the degrade-gracefully fast path
-// for overloaded services: a point already paid for can be served even
-// when no compute budget remains. Trace-carrying options (Options.Trace)
+// whether the point was cached. Trace-carrying options (Options.Trace)
 // are never served from the durable tier — the stored scalars cannot
 // rebuild a trace — but a completed in-memory entry can satisfy them.
 func (b *Batcher) Lookup(spec FactorySpec, opts Options) (*Result, bool) {
@@ -176,10 +175,9 @@ func (b *Batcher) Lookup(spec FactorySpec, opts Options) (*Result, bool) {
 // PointKey returns the canonical content address of a (spec, opts)
 // point — the same key the durable store files results under — as
 // lowercase hex. Two points share a key exactly when they lower to the
-// same pipeline configuration, which is what makes the key the right
-// identity for cross-request singleflight: N concurrent requests whose
-// keys match are asking for one computation. The error mirrors what
-// Optimize would reject (invalid capacity, unknown names).
+// same pipeline configuration — the identity the cluster fabric routes
+// points by. The error mirrors what Optimize would reject (invalid
+// capacity, unknown names).
 func PointKey(spec FactorySpec, opts Options) (string, error) {
 	cfg, err := optimizeConfig(spec, opts)
 	if err != nil {
@@ -224,6 +222,11 @@ type CacheStats struct {
 	// A Lookup answered from the memo is a hit; one that is not moves
 	// neither counter.
 	MemoryHits, MemoryMisses int64
+	// SharedFlights counts the hits that joined another caller's
+	// unfinished computation of the same point.
+	SharedFlights int64
+	// InFlight is the number of point computations not yet finished.
+	InFlight int
 	// DiskHits counts points served from the checkpoint store instead
 	// of recomputed (always zero without a checkpoint). Points the
 	// RemoteFetch hook pulled from a peer into the local store count
@@ -263,10 +266,13 @@ type CacheStats struct {
 // Stats snapshots the batcher's cache counters.
 func (b *Batcher) Stats() CacheStats {
 	hits, misses := b.eng.CacheStats()
+	shared, inFlight := b.eng.FlightStats()
 	ss := b.eng.StageStats()
 	cs := CacheStats{
 		MemoryHits:     hits,
 		MemoryMisses:   misses,
+		SharedFlights:  shared,
+		InFlight:       inFlight,
 		DiskHits:       b.eng.DiskHits(),
 		RemoteEvalHits: b.eng.RemoteHits(),
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // TestBatcherCheckpointAcrossProcesses simulates two process lifetimes
@@ -229,5 +230,52 @@ func TestBatcherOptimizeContextCancel(t *testing.T) {
 	}
 	if _, err := b.Optimize(spec, Options{}); err != nil {
 		t.Fatalf("Optimize after cancelled attempt: %v", err)
+	}
+}
+
+// TestBatcherSharedPointSurvivesCancel: two batches share one uncached
+// force-directed point; cancelling the batch that started its
+// computation must not fail the other, whose context is still live.
+func TestBatcherSharedPointSurvivesCancel(t *testing.T) {
+	b, err := NewBatcher(BatcherOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	pts := []BatchPoint{{Spec: FactorySpec{Capacity: 64, Levels: 1}, Opts: Options{Seed: 5}.WithStrategy(ForceDirected)}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := make(chan error, 1)
+	go func() {
+		_, err := b.OptimizeBatch(pts, BatchOptions{Context: ctx})
+		first <- err
+	}()
+	for b.Stats().MemoryMisses == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	type outcome struct {
+		res []*Result
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		res, err := b.OptimizeBatch(pts, BatchOptions{})
+		second <- outcome{res, err}
+	}()
+	// The second batch has joined once the memo counts its hit.
+	for b.Stats().MemoryHits == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch = %v, want context.Canceled", err)
+	}
+	got := <-second
+	if got.err != nil {
+		t.Fatalf("live batch failed with %v, want the shared result", got.err)
+	}
+	if len(got.res) != 1 || got.res[0].Latency <= 0 {
+		t.Fatalf("live batch result = %+v", got.res)
 	}
 }

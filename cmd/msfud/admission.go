@@ -14,11 +14,12 @@ import (
 var errQueueFull = errors.New("msfud: admission queue full")
 
 // admission is the service's compute budget: at most maxInflight
-// requests execute at once, at most maxQueue more wait for a slot, and
-// everything beyond that is rejected immediately so load sheds at the
-// door instead of accumulating as unbounded goroutines. Cache hits
-// bypass admission entirely (they cost microseconds); only work that
-// may compute pays for a ticket.
+// pipeline runs execute at once, at most maxQueue more wait for a slot,
+// and everything beyond that is rejected immediately so load sheds at
+// the door instead of accumulating as unbounded goroutines. A slot is
+// taken through a sweep gate (admit, admitBatch) only when a point's
+// flight must run the pipeline: cache hits and requests joining a
+// flight cost microseconds and never pay for a ticket.
 type admission struct {
 	maxInflight int
 	maxQueue    int
@@ -26,6 +27,7 @@ type admission struct {
 	queued      atomic.Int64
 	inflight    atomic.Int64
 	rejected    atomic.Int64
+	runs        atomic.Int64 // pipeline runs admitted by the gates
 }
 
 // newAdmission sizes the budget. Non-positive maxInflight falls back to
@@ -55,9 +57,7 @@ type reservation struct {
 
 // reserve claims budget without blocking: an execution slot when one is
 // free, a queue place otherwise, errQueueFull when the waiting room is
-// at capacity. It is the synchronous half of admission, so the batch
-// job path can answer 429 at submit time while the waiting happens in
-// the job's own goroutine.
+// at capacity.
 func (a *admission) reserve() (*reservation, error) {
 	select {
 	case a.slots <- struct{}{}:
@@ -97,8 +97,7 @@ func (r *reservation) wait(ctx context.Context) (release func(), err error) {
 	}, nil
 }
 
-// abandon gives up a reservation that was never waited on (the request
-// died between reserve and wait).
+// abandon gives up a reservation that was never waited on.
 func (r *reservation) abandon() {
 	if r.slotHeld {
 		r.a.inflight.Add(-1)
@@ -115,6 +114,42 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 		return nil, err
 	}
 	return r.wait(ctx)
+}
+
+// check reports errQueueFull when the budget has no room right now, so
+// a batch answers 429 at submit time. It claims nothing: the batch's
+// runs take their turn through admitBatch.
+func (a *admission) check() error {
+	r, err := a.reserve()
+	if err == nil {
+		r.abandon()
+	}
+	return err
+}
+
+// admit is the sweep gate of single-point requests: the flight that
+// runs a point's pipeline takes one execution slot, or one waiting
+// place (errQueueFull past both), for the length of the run.
+func (a *admission) admit(ctx context.Context) (func(), error) {
+	release, err := a.acquire(ctx)
+	if err == nil {
+		a.runs.Add(1)
+	}
+	return release, err
+}
+
+// admitBatch is the sweep gate of batch runs (async jobs, SSE streams).
+// Like admit it holds a slot only while a pipeline runs, so a batch
+// never sits on one while it waits for another request's flight, which
+// may be queued for that very slot. The batch passed check at submit
+// time, so its runs wait without a queue cap rather than fail it.
+func (a *admission) admitBatch(ctx context.Context) (func(), error) {
+	a.queued.Add(1)
+	release, err := (&reservation{a: a}).wait(ctx)
+	if err == nil {
+		a.runs.Add(1)
+	}
+	return release, err
 }
 
 // rateLimiter is a per-client token bucket keyed by remote address.

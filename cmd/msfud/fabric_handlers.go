@@ -20,6 +20,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -28,6 +29,7 @@ import (
 
 	"magicstate/internal/fabric"
 	"magicstate/internal/store"
+	"magicstate/internal/sweep"
 )
 
 // peerFault advances the node's peer fault plan and applies the
@@ -120,8 +122,9 @@ func (s *server) handleRecordPut(w http.ResponseWriter, r *http.Request) {
 // disagreements between nodes degrade to local compute instead of
 // looping. The sender's key must match the key this node derives from
 // the config (canonical-encoding version skew answers 409, and the
-// sender falls back to computing locally). Forwarded evaluations carry
-// real compute, so they pay for admission like any local request.
+// sender falls back to computing locally). A forwarded evaluation that
+// must run the pipeline pays for admission like any local request, via
+// the same gate.
 func (s *server) handleFabricEval(w http.ResponseWriter, r *http.Request) {
 	corrupt := s.peerFault()
 	if s.draining.Load() {
@@ -141,18 +144,11 @@ func (s *server) handleFabricEval(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	ctx = fabric.NoForward(ctx)
-
-	release, err := s.adm.acquire(ctx)
-	if err != nil {
-		if r.Context().Err() == nil {
-			s.rejectQueueFull(w)
-		}
+	key, payload, err := s.batcher.EvalConfigJSON(sweep.WithGate(fabric.NoForward(ctx), s.adm.admit), req.Config)
+	if errors.Is(err, errQueueFull) {
+		s.rejectQueueFull(w)
 		return
 	}
-	defer release()
-
-	key, payload, err := s.batcher.EvalConfigJSON(ctx, req.Config)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "eval: %v", err)
 		return
@@ -207,32 +203,26 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), clusterStatsTimeout)
 	defer cancel()
 
-	entries := make([]nodeEntry, 0, len(snap.Nodes))
-	var mu sync.Mutex
+	// Each peer's goroutine writes only its own entry; wg.Wait orders
+	// those writes before the response is encoded.
+	entries := make([]nodeEntry, len(snap.Nodes))
 	var wg sync.WaitGroup
-	for _, node := range snap.Nodes {
+	for i, node := range snap.Nodes {
+		e := &entries[i]
+		e.Node = node
 		if node == fab.Self() {
-			entries = append(entries, nodeEntry{Node: node, Stats: s.statsPayload()})
+			e.Stats = s.statsPayload()
 			continue
 		}
-		url := fab.URL(node)
-		if url == "" {
-			entries = append(entries, nodeEntry{Node: node, Error: "no URL configured"})
+		if e.URL = fab.URL(node); e.URL == "" {
+			e.Error = "no URL configured"
 			continue
 		}
-		entries = append(entries, nodeEntry{Node: node, URL: url})
-		i := len(entries) - 1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var stats map[string]any
-			err := fetchPeerStats(ctx, url, &stats)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				entries[i].Error = err.Error()
-			} else {
-				entries[i].Stats = stats
+			if err := fetchPeerStats(ctx, e.URL, &e.Stats); err != nil {
+				e.Error, e.Stats = err.Error(), nil
 			}
 		}()
 	}

@@ -39,9 +39,9 @@
 // crash-recovered on open) and served from disk across restarts.
 //
 // Overload behavior (see DESIGN.md "Admission control"): at most
-// -max-inflight compute-carrying requests execute at once, -max-queue
-// more wait, and the rest answer 429 + Retry-After. Cache hits bypass
-// the budget entirely. -rate adds a per-client token bucket;
+// -max-inflight pipeline runs execute at once, -max-queue more wait,
+// and the rest answer 429 + Retry-After. Cache hits, and requests that
+// share another request's computation, bypass the budget entirely. -rate adds a per-client token bucket;
 // -request-timeout bounds one synchronous request's total service time
 // and propagates as a context deadline into the pipeline.
 //
@@ -80,8 +80,8 @@ func main() {
 	storeDir := flag.String("store", "", "durable result store directory (empty = in-memory cache only)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "max sweep workers any single request may use")
 	maxPoints := flag.Int("max-points", 4096, "max grid points one batch request may expand to")
-	maxInflight := flag.Int("max-inflight", runtime.NumCPU(), "max compute-carrying requests executing at once")
-	maxQueue := flag.Int("max-queue", 64, "max requests waiting for an execution slot (beyond it: 429)")
+	maxInflight := flag.Int("max-inflight", runtime.NumCPU(), "max pipeline runs executing at once")
+	maxQueue := flag.Int("max-queue", 64, "max pipeline runs waiting for an execution slot (beyond it: 429)")
 	rate := flag.Float64("rate", 0, "per-client rate limit in requests/second (0 = unlimited)")
 	burst := flag.Float64("burst", 0, "per-client burst size (0 = max(1, rate))")
 	requestTimeout := flag.Duration("request-timeout", 0, "deadline for one synchronous request, queue wait included (0 = none)")

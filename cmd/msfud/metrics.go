@@ -16,8 +16,8 @@ import (
 // behind GET /metrics (Prometheus text exposition) and every counter in
 // GET /v1/stats reads from here, so the two surfaces cannot drift. The
 // registry owns request/latency accounting and borrows live gauges from
-// the subsystems that own them (admission budget, rate limiter,
-// singleflight table, cache tier) at scrape time.
+// the subsystems that own them (admission budget, rate limiter, cache
+// tier and its singleflight) at scrape time.
 type metrics struct {
 	started time.Time
 
@@ -37,7 +37,6 @@ type metrics struct {
 	batcher      *magicstate.Batcher
 	adm          *admission
 	rl           *rateLimiter
-	flights      *flightTable
 	jobsInFlight func() int
 	fabric       *fabric.Fabric // nil on a single-node service
 }
@@ -48,7 +47,7 @@ type reqSeries struct {
 	code int
 }
 
-func newMetrics(b *magicstate.Batcher, adm *admission, rl *rateLimiter, fl *flightTable, jobsInFlight func() int) *metrics {
+func newMetrics(b *magicstate.Batcher, adm *admission, rl *rateLimiter, jobsInFlight func() int) *metrics {
 	return &metrics{
 		started:      time.Now(),
 		requests:     make(map[reqSeries]*int64),
@@ -56,7 +55,6 @@ func newMetrics(b *magicstate.Batcher, adm *admission, rl *rateLimiter, fl *flig
 		batcher:      b,
 		adm:          adm,
 		rl:           rl,
-		flights:      fl,
 		jobsInFlight: jobsInFlight,
 	}
 }
@@ -148,16 +146,16 @@ func (m *metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "msfud_requests_total{path=%q,code=\"%d\"} %d\n", s.path, s.code, atomic.LoadInt64(c))
 	}
 
-	fmt.Fprintf(w, "# HELP msfud_queue_depth Requests waiting for an execution slot.\n# TYPE msfud_queue_depth gauge\nmsfud_queue_depth %d\n", m.adm.queued.Load())
-	fmt.Fprintf(w, "# HELP msfud_inflight Requests holding an execution slot.\n# TYPE msfud_inflight gauge\nmsfud_inflight %d\n", m.adm.inflight.Load())
+	fmt.Fprintf(w, "# HELP msfud_queue_depth Pipeline runs waiting for an execution slot.\n# TYPE msfud_queue_depth gauge\nmsfud_queue_depth %d\n", m.adm.queued.Load())
+	fmt.Fprintf(w, "# HELP msfud_inflight Pipeline runs holding an execution slot.\n# TYPE msfud_inflight gauge\nmsfud_inflight %d\n", m.adm.inflight.Load())
 	fmt.Fprintf(w, "# HELP msfud_queue_rejected_total Requests rejected because the admission queue was full.\n# TYPE msfud_queue_rejected_total counter\nmsfud_queue_rejected_total %d\n", m.adm.rejected.Load())
 	fmt.Fprintf(w, "# HELP msfud_rate_limited_total Requests rejected by the per-client token bucket.\n# TYPE msfud_rate_limited_total counter\nmsfud_rate_limited_total %d\n", m.rl.limited.Load())
 
-	fmt.Fprintf(w, "# HELP msfud_singleflight_leader_total Computations started by the cross-request singleflight table.\n# TYPE msfud_singleflight_leader_total counter\nmsfud_singleflight_leader_total %d\n", m.flights.leaders.Load())
-	fmt.Fprintf(w, "# HELP msfud_singleflight_shared_total Requests that joined an in-flight identical computation.\n# TYPE msfud_singleflight_shared_total counter\nmsfud_singleflight_shared_total %d\n", m.flights.shared.Load())
-	fmt.Fprintf(w, "# HELP msfud_singleflight_inflight In-flight shared computations.\n# TYPE msfud_singleflight_inflight gauge\nmsfud_singleflight_inflight %d\n", m.flights.size())
-
 	cs := m.batcher.Stats()
+	fmt.Fprintf(w, "# HELP msfud_singleflight_leader_total Point flights that ran the pipeline (each paid one admission slot).\n# TYPE msfud_singleflight_leader_total counter\nmsfud_singleflight_leader_total %d\n", m.adm.runs.Load())
+	fmt.Fprintf(w, "# HELP msfud_singleflight_shared_total Calls that joined an unfinished flight for the same point.\n# TYPE msfud_singleflight_shared_total counter\nmsfud_singleflight_shared_total %d\n", cs.SharedFlights)
+	fmt.Fprintf(w, "# HELP msfud_singleflight_inflight Unfinished point flights.\n# TYPE msfud_singleflight_inflight gauge\nmsfud_singleflight_inflight %d\n", cs.InFlight)
+
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_hits_total In-memory memo hits.\n# TYPE msfud_cache_memory_hits_total counter\nmsfud_cache_memory_hits_total %d\n", cs.MemoryHits)
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_misses_total In-memory memo misses.\n# TYPE msfud_cache_memory_misses_total counter\nmsfud_cache_memory_misses_total %d\n", cs.MemoryMisses)
 	fmt.Fprintf(w, "# HELP msfud_cache_disk_hits_total Points served from the durable store.\n# TYPE msfud_cache_disk_hits_total counter\nmsfud_cache_disk_hits_total %d\n", cs.DiskHits)

@@ -22,7 +22,7 @@ import (
 
 // newRobustServer builds a server with an explicit robustness budget
 // and hands back the internals, so tests can hold admission slots,
-// inspect the flight table and trigger drains deterministically.
+// read the admission counters and trigger drains deterministically.
 func newRobustServer(t *testing.T, cfg serverConfig) (*httptest.Server, *server, *magicstate.Batcher) {
 	t.Helper()
 	if cfg.MaxParallel == 0 {
@@ -150,127 +150,6 @@ func TestRateLimiterBucket(t *testing.T) {
 		if ok, _ := off.allow("a", now); !ok {
 			t.Fatal("disabled limiter denied a request")
 		}
-	}
-}
-
-// --- flight table unit tests ---
-
-func TestFlightTableShares(t *testing.T) {
-	ft := newFlightTable()
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	want := &magicstate.Result{Strategy: "x", Latency: 7}
-	fn := func(ctx context.Context) (*magicstate.Result, error) {
-		close(started)
-		<-unblock
-		return want, nil
-	}
-
-	type out struct {
-		res    *magicstate.Result
-		joined bool
-		err    error
-	}
-	results := make(chan out, 2)
-	go func() {
-		res, joined, err := ft.do(context.Background(), "k", fn)
-		results <- out{res, joined, err}
-	}()
-	<-started
-	go func() {
-		res, joined, err := ft.do(context.Background(), "k", func(context.Context) (*magicstate.Result, error) {
-			t.Error("second caller started its own computation")
-			return nil, nil
-		})
-		results <- out{res, joined, err}
-	}()
-	// Wait until the second caller has actually joined before releasing.
-	for ft.shared.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(unblock)
-
-	joins := 0
-	for i := 0; i < 2; i++ {
-		o := <-results
-		if o.err != nil || o.res != want {
-			t.Fatalf("caller %d: %v, %v", i, o.res, o.err)
-		}
-		if o.joined {
-			joins++
-		}
-	}
-	if joins != 1 {
-		t.Fatalf("joined callers = %d, want 1", joins)
-	}
-	if ft.leaders.Load() != 1 || ft.shared.Load() != 1 {
-		t.Fatalf("leaders, shared = %d, %d; want 1, 1", ft.leaders.Load(), ft.shared.Load())
-	}
-	if ft.size() != 0 {
-		t.Fatalf("flight table size = %d after completion, want 0", ft.size())
-	}
-}
-
-func TestFlightLoneCallerCancelStopsComputation(t *testing.T) {
-	ft := newFlightTable()
-	started := make(chan struct{})
-	stopped := make(chan error, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	go ft.do(ctx, "k", func(fctx context.Context) (*magicstate.Result, error) {
-		close(started)
-		<-fctx.Done()
-		stopped <- fctx.Err()
-		return nil, fctx.Err()
-	})
-	<-started
-	cancel()
-	select {
-	case err := <-stopped:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("flight context ended with %v, want Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("last caller left but the computation was never cancelled")
-	}
-}
-
-func TestFlightSurvivesOneDisconnect(t *testing.T) {
-	ft := newFlightTable()
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	want := &magicstate.Result{Latency: 3}
-	fn := func(fctx context.Context) (*magicstate.Result, error) {
-		close(started)
-		select {
-		case <-unblock:
-			return want, nil
-		case <-fctx.Done():
-			return nil, fctx.Err()
-		}
-	}
-	survivor := make(chan *magicstate.Result, 1)
-	go func() {
-		res, _, _ := ft.do(context.Background(), "k", fn)
-		survivor <- res
-	}()
-	<-started
-	// A second caller joins, then disconnects: the flight must carry on.
-	ctx, cancel := context.WithCancel(context.Background())
-	joinGone := make(chan error, 1)
-	go func() {
-		_, _, err := ft.do(ctx, "k", fn)
-		joinGone <- err
-	}()
-	for ft.shared.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	cancel()
-	if err := <-joinGone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("disconnected joiner got %v, want Canceled", err)
-	}
-	close(unblock)
-	if res := <-survivor; res != want {
-		t.Fatalf("surviving caller got %v, want the shared result", res)
 	}
 }
 
@@ -487,7 +366,7 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Fatalf("client %d result differs:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	if leaders := srv.flights.leaders.Load(); leaders != 1 {
+	if leaders := srv.adm.runs.Load(); leaders != 1 {
 		t.Fatalf("flight leaders = %d, want 1 (the whole point of singleflight)", leaders)
 	}
 	if got := scrapeMetric(t, ts.URL, "msfud_singleflight_leader_total"); got != 1 {
@@ -496,10 +375,8 @@ func TestSingleflightCollapse(t *testing.T) {
 	if misses := scrapeMetric(t, ts.URL, "msfud_cache_memory_misses_total"); misses != 1 {
 		t.Fatalf("memo misses = %g, want 1 (N clients must share one computation)", misses)
 	}
-	shared := scrapeMetric(t, ts.URL, "msfud_singleflight_shared_total")
-	hits := scrapeMetric(t, ts.URL, "msfud_cache_memory_hits_total")
-	if shared+hits != clients-1 {
-		t.Fatalf("shared (%g) + cache hits (%g) != %d followers", shared, hits, clients-1)
+	if hits := scrapeMetric(t, ts.URL, "msfud_cache_memory_hits_total"); hits != clients-1 {
+		t.Fatalf("cache hits = %g, want %d followers", hits, clients-1)
 	}
 }
 
@@ -508,7 +385,7 @@ func TestSingleflightCollapse(t *testing.T) {
 // the pipeline, and an abandoned computation must neither be cached nor
 // poison the point for the next caller.
 func TestOptimizeClientDisconnectCancels(t *testing.T) {
-	ts, srv, b := newRobustServer(t, serverConfig{MaxInflight: 2, MaxQueue: 4, MaxParallel: 1})
+	ts, _, b := newRobustServer(t, serverConfig{MaxInflight: 2, MaxQueue: 4, MaxParallel: 1})
 	req := optimizeRequest{Capacity: 64, Levels: 1, Strategy: "fd", Seed: 23}
 	pt, err := req.point()
 	if err != nil {
@@ -534,7 +411,7 @@ func TestOptimizeClientDisconnectCancels(t *testing.T) {
 	// hang up mid-anneal. The FD placement runs for hundreds of
 	// milliseconds, so the cancel always lands inside it.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.flights.size() == 0 {
+	for b.Stats().InFlight == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("computation never started")
 		}
@@ -548,7 +425,7 @@ func TestOptimizeClientDisconnectCancels(t *testing.T) {
 	// pipeline stage boundary, which under the race detector can be
 	// seconds away — and the abandoned result is NOT cached.
 	deadline = time.Now().Add(60 * time.Second)
-	for srv.flights.size() != 0 {
+	for b.Stats().InFlight != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("flight never drained after disconnect")
 		}

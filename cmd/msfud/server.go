@@ -16,6 +16,7 @@ import (
 	"magicstate"
 	"magicstate/internal/fabric"
 	"magicstate/internal/presets"
+	"magicstate/internal/sweep"
 )
 
 // maxRequestBody bounds every /v1 JSON body. The largest legitimate
@@ -37,8 +38,8 @@ type serverConfig struct {
 	// MaxPoints bounds a single batch request's grid expansion.
 	MaxPoints int
 	// MaxInflight and MaxQueue size the admission budget: at most
-	// MaxInflight compute-carrying requests execute at once, at most
-	// MaxQueue more wait, and the rest answer 429 + Retry-After.
+	// MaxInflight pipeline runs execute at once, at most MaxQueue more
+	// wait, and the rest answer 429 + Retry-After.
 	MaxInflight int
 	MaxQueue    int
 	// Rate and Burst configure the per-client token bucket (requests
@@ -63,18 +64,17 @@ type serverConfig struct {
 }
 
 // server is the msfud HTTP service: request parsing, admission control,
-// cross-request singleflight, job tracking and SSE streaming around one
-// shared magicstate.Batcher, so every request — single point, streamed
-// grid, polled job — draws from the same memory + disk cache tier and
-// the same compute budget.
+// job tracking and SSE streaming around one shared magicstate.Batcher,
+// so every request — single point, streamed grid, polled job — draws
+// from the same memory + disk cache tier, the same singleflight and the
+// same compute budget.
 type server struct {
 	batcher *magicstate.Batcher
 	cfg     serverConfig
 
-	adm     *admission
-	rl      *rateLimiter
-	flights *flightTable
-	met     *metrics
+	adm *admission
+	rl  *rateLimiter
+	met *metrics
 
 	// draining flips once at shutdown: new compute requests answer 503
 	// + Retry-After while in-flight work finishes or is cancelled.
@@ -112,12 +112,11 @@ func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
 		cfg:           cfg,
 		adm:           newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		rl:            newRateLimiter(cfg.Rate, cfg.Burst),
-		flights:       newFlightTable(),
 		jobs:          make(map[string]*job),
 		streamCancels: make(map[int64]context.CancelFunc),
 		pruneFrom:     1,
 	}
-	s.met = newMetrics(b, s.adm, s.rl, s.flights, s.jobsInFlight)
+	s.met = newMetrics(b, s.adm, s.rl, s.jobsInFlight)
 	s.met.fabric = cfg.Fabric
 	return s
 }
@@ -493,14 +492,13 @@ func (s *server) requestContext(r *http.Request) (context.Context, context.Cance
 	return context.WithCancel(r.Context())
 }
 
-// handleOptimize evaluates one point synchronously. Three tiers, in
-// order: a cache hit (memory or disk) is served immediately without
-// touching the admission budget; a point someone else is computing
-// right now joins that flight and shares its result; only a genuinely
-// new point pays for admission and compute. The request context — with
-// the client's disconnect and the server's -request-timeout deadline —
-// propagates into the pipeline, so abandoned work actually stops; a
-// shared computation survives until its last subscriber is gone.
+// handleOptimize evaluates one point synchronously with one Batcher
+// call. The request context — with the client's disconnect and the
+// server's -request-timeout deadline — carries the admission gate,
+// which the point's flight calls only when every cache tier has missed:
+// memo hits, requests joining a flight already under way, and disk or
+// peer answers never take a slot. A client leaving early gets nothing;
+// the shared computation stops once no request waits for it.
 func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r) {
 		return
@@ -514,26 +512,10 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if res, ok := s.batcher.Lookup(pt.Spec, pt.Opts); ok {
-		writeJSON(w, http.StatusOK, resultToJSON(res))
-		return
-	}
-	key, err := magicstate.PointKey(pt.Spec, pt.Opts)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	res, _, err := s.flights.do(ctx, key, func(fctx context.Context) (*magicstate.Result, error) {
-		release, err := s.adm.acquire(fctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		return s.batcher.OptimizeContext(fctx, pt.Spec, pt.Opts)
-	})
+	res, err := s.batcher.OptimizeContext(sweep.WithGate(ctx, s.adm.admit), pt.Spec, pt.Opts)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, resultToJSON(res))
@@ -555,9 +537,9 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // and progress is streamed as server-sent events; closing the
 // connection cancels the remaining points. Otherwise the batch becomes
 // a job: the response is 202 with a job id to poll at /v1/jobs/{id}.
-// Both paths draw on the admission budget — the job path reserves its
-// place synchronously, so a full queue answers 429 at submit time, not
-// as a failed job later.
+// Both paths check the admission budget up front, so a full queue
+// answers 429 at submit time, not as a failed job later; each pipeline
+// run then takes its turn through admission.admitBatch.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r) {
 		return
@@ -585,10 +567,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Asynchronous job path: claim budget now (429 on a full queue),
-	// convert the claim to an execution slot inside the job goroutine.
-	resv, err := s.adm.reserve()
-	if err != nil {
+	// Asynchronous job path: check the budget now (429 on a full
+	// queue); the job's pipeline runs wait their turn later.
+	if err := s.adm.check(); err != nil {
 		s.rejectQueueFull(w)
 		return
 	}
@@ -606,17 +587,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.jobWG.Done()
 		defer cancel()
-		release, err := resv.wait(ctx)
-		if err != nil {
-			j.err = err
-			s.met.jobsFailed.Add(1)
-			close(j.finished)
-			return
-		}
-		defer release()
 		results, err := s.batcher.OptimizeBatch(points, magicstate.BatchOptions{
 			Parallelism: parallel,
-			Context:     ctx,
+			Context:     sweep.WithGate(ctx, s.adm.admitBatch),
 			Progress:    func(done, total int) { j.done.Store(int64(done)) },
 		})
 		if err != nil {
@@ -668,17 +641,12 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, points []ma
 		s.mu.Unlock()
 	}()
 
-	// The stream occupies an execution slot like any other compute; a
-	// full queue rejects before any SSE bytes are written.
-	release, err := s.adm.acquire(ctx)
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.rejectQueueFull(w)
-		}
-		// A dead client needs no response; instrument records 499.
+	// A full queue rejects before any SSE bytes are written; the
+	// stream's pipeline runs then wait their turn.
+	if err := s.adm.check(); err != nil {
+		s.rejectQueueFull(w)
 		return
 	}
-	defer release()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -696,7 +664,7 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, points []ma
 		defer close(frames)
 		results, err := s.batcher.OptimizeBatch(points, magicstate.BatchOptions{
 			Parallelism: parallel,
-			Context:     ctx,
+			Context:     sweep.WithGate(ctx, s.adm.admitBatch),
 			Progress: func(done, total int) {
 				// Never block the worker pool on the client: progress
 				// frames are advisory, so when the client reads slower
@@ -871,9 +839,9 @@ func (s *server) statsPayload() map[string]any {
 			"rate_limited":   s.rl.limited.Load(),
 		},
 		"singleflight": map[string]any{
-			"leaders":   s.flights.leaders.Load(),
-			"shared":    s.flights.shared.Load(),
-			"in_flight": s.flights.size(),
+			"leaders":   s.adm.runs.Load(),
+			"shared":    cs.SharedFlights,
+			"in_flight": cs.InFlight,
 		},
 		"requests": s.met.requestCounts(),
 		"latency_seconds": map[string]any{

@@ -12,9 +12,9 @@ import (
 
 // logged returns a Resolve that records st in *log, then computes.
 func logged[T any](log *[]Stage, st Stage) Resolve[T] {
-	return func(_ context.Context, _ Config, compute func() (T, error)) (T, error) {
+	return func(ctx context.Context, _ Config, compute func(context.Context) (T, error)) (T, error) {
 		*log = append(*log, st)
-		return compute()
+		return compute(ctx)
 	}
 }
 
@@ -78,12 +78,12 @@ func TestComposeCancelAfterFDPlacement(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := StageResolver{
-		Place: func(_ context.Context, _ Config, compute func() (*PlaceArtifact, error)) (*PlaceArtifact, error) {
-			p, err := compute()
+		Place: func(ctx context.Context, _ Config, compute func(context.Context) (*PlaceArtifact, error)) (*PlaceArtifact, error) {
+			p, err := compute(ctx)
 			cancel()
 			return p, err
 		},
-		Sim: func(context.Context, Config, func() (*mesh.Result, error)) (*mesh.Result, error) {
+		Sim: func(context.Context, Config, func(context.Context) (*mesh.Result, error)) (*mesh.Result, error) {
 			t.Fatal("sim resolved after the caller cancelled")
 			return nil, nil
 		},

@@ -151,15 +151,17 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 }
 
 // Resolve answers one stage of Compose. compute produces the stage's
-// artifact from scratch; a resolver may answer from a cache tier
-// instead of calling it, and may persist what compute returns. A nil
-// Resolve computes.
-type Resolve[T any] func(ctx context.Context, cfg Config, compute func() (T, error)) (T, error)
+// artifact from scratch on the context it is given — a resolver that
+// shares one computation among several pipelines passes a context that
+// outlives any single one of them. A resolver may answer from a cache
+// tier instead of calling compute, and may persist what compute
+// returns. A nil Resolve computes on Compose's own context.
+type Resolve[T any] func(ctx context.Context, cfg Config, compute func(context.Context) (T, error)) (T, error)
 
 // run resolves through r, or computes when r is nil.
-func (r Resolve[T]) run(ctx context.Context, cfg Config, compute func() (T, error)) (T, error) {
+func (r Resolve[T]) run(ctx context.Context, cfg Config, compute func(context.Context) (T, error)) (T, error) {
 	if r == nil {
-		return compute()
+		return compute(ctx)
 	}
 	return r(ctx, cfg, compute)
 }
@@ -188,14 +190,14 @@ func Compose(ctx context.Context, cfg Config, r StageResolver) (*Report, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b, err := r.Build.run(ctx, cfg, func() (*BuildArtifact, error) { return BuildStage(ctx, cfg) })
+	b, err := r.Build.run(ctx, cfg, func(ctx context.Context) (*BuildArtifact, error) { return BuildStage(ctx, cfg) })
 	if err != nil {
 		return nil, err
 	}
-	place := func() (*PlaceArtifact, error) { return PlaceStage(ctx, cfg, b) }
+	place := func(ctx context.Context) (*PlaceArtifact, error) { return PlaceStage(ctx, cfg, b) }
 	var p *PlaceArtifact
 	if cfg.Strategy == StrategyStitch {
-		p, err = place()
+		p, err = place(ctx)
 	} else {
 		p, err = r.Place.run(ctx, cfg, place)
 	}
@@ -207,7 +209,7 @@ func Compose(ctx context.Context, cfg Config, r StageResolver) (*Report, error) 
 	}
 	sim := p.Sim
 	if sim == nil {
-		sim, err = r.Sim.run(ctx, cfg, func() (*mesh.Result, error) { return SimStage(ctx, cfg, b, p) })
+		sim, err = r.Sim.run(ctx, cfg, func(ctx context.Context) (*mesh.Result, error) { return SimStage(ctx, cfg, b, p) })
 		if err != nil {
 			return nil, err
 		}

@@ -119,13 +119,14 @@ func mergeTiny(g *Graph, label []int, count int) ([]int, int) {
 }
 
 // Modularity returns the Newman modularity of the given community
-// assignment, a quality score in [-0.5, 1].
+// assignment, a quality score in [-0.5, 1]. Community terms are summed
+// in ascending label order, so repeated calls return bit-identical
+// results — callers comparing candidate cuts by modularity rely on it.
 func Modularity(g *Graph, label []int) float64 {
 	m := g.TotalWeight()
 	if m == 0 {
 		return 0
 	}
-	var q float64
 	degSum := make(map[int]float64)
 	inSum := make(map[int]float64)
 	for v := 0; v < g.N; v++ {
@@ -136,12 +137,15 @@ func Modularity(g *Graph, label []int) float64 {
 			inSum[label[e.U]] += e.Weight
 		}
 	}
-	for c, din := range inSum {
-		q += din / m
-		_ = c
+	labels := make([]int, 0, len(degSum))
+	for c := range degSum {
+		labels = append(labels, c)
 	}
-	for _, d := range degSum {
-		q -= (d / (2 * m)) * (d / (2 * m))
+	sort.Ints(labels)
+	var q float64
+	for _, c := range labels {
+		d := degSum[c] / (2 * m)
+		q += inSum[c]/m - d*d
 	}
 	return q
 }

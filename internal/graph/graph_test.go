@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -259,5 +260,28 @@ func TestModularityEmptyGraph(t *testing.T) {
 	g := New(3)
 	if Modularity(g, []int{0, 1, 2}) != 0 {
 		t.Error("empty graph modularity should be 0")
+	}
+}
+
+// TestModularityDeterministic: repeated calls on one input return
+// bit-identical results. GirvanNewman and RandomWalkCommunities keep a
+// cut only when its modularity is strictly higher, so a sum whose order
+// followed map iteration would let ties flip between runs.
+func TestModularityDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 400
+	g := New(n)
+	for i := 0; i < 4*n; i++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(n), 0.1+rng.Float64())
+	}
+	label := make([]int, n)
+	for v := range label {
+		label[v] = rng.Intn(60)
+	}
+	want := math.Float64bits(Modularity(g, label))
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(Modularity(g, label)); got != want {
+			t.Fatalf("call %d returned bits %x, want %x", i, got, want)
+		}
 	}
 }

@@ -9,8 +9,9 @@
 // The engine adds four things over a bare errgroup:
 //
 //   - memoization: identical Config points (several figures re-evaluate
-//     the same grid cells) are computed once per engine and shared, with
-//     singleflight semantics under concurrency;
+//     the same grid cells) are computed once per engine and shared.
+//     Concurrent callers share one flight that outlives any single one
+//     of them (see RunOneContext and internal/sweep/memo);
 //   - a durable cache tier: an engine given a store (Options.Store)
 //     consults it beneath the in-memory memo — memory first, then disk,
 //     then compute-and-persist — so results survive the process and a

@@ -1,9 +1,14 @@
-// Package memo is the sweep engine's result cache: a concurrency-safe
-// memoization table with singleflight semantics. Keys are arbitrary
-// comparable values (the engine keys final reports by core.Config and
-// stage artifacts by their stage-scoped content key), and concurrent
-// callers asking for the same key share one computation instead of
-// racing to repeat it.
+// Package memo is the repository's one singleflight: a concurrency-safe
+// memoization table. Keys are arbitrary comparable values (the sweep
+// engine keys final reports by core.Config and stage artifacts by their
+// stage-scoped content key), and concurrent callers asking for the same
+// key share one computation — a flight — instead of racing to repeat it.
+//
+// A flight outlives any single caller: it runs on a context that keeps
+// its first caller's values but not its cancellation, each caller waits
+// on its own context, and the last caller out cancels the flight. Only
+// successes are cached; a failed flight is dropped and the next caller
+// recomputes.
 //
 // The package sits below every layer that needs caching — it depends on
 // nothing but the standard library, so packages beneath the engine
@@ -13,19 +18,19 @@ package memo
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 )
 
-// entry is one cached computation. The sync.Once gives singleflight
-// semantics: the first caller runs fn, concurrent callers for the same
-// key block until the value is ready, later callers read it for free.
+// entry is one flight and, once it succeeds, its cached value. Fields
+// other than done are guarded by Cache.mu; val and err are read-only
+// once done is closed.
 type entry struct {
-	once  sync.Once
-	ready atomic.Bool // set after once ran; gates Peek
-	val   any
-	err   error
+	done   chan struct{}
+	val    any
+	err    error
+	ready  bool               // succeeded; Peek and later callers may use val
+	refs   int                // callers still waiting
+	cancel context.CancelFunc // nil when the flight runs inline
 }
 
 // Cache memoizes computations by comparable key. The zero value is not
@@ -36,6 +41,8 @@ type Cache struct {
 	limit   int
 	hits    int64
 	misses  int64
+	shared  int64 // calls that joined an unfinished flight
+	flying  int   // unfinished flights, listed or not
 }
 
 // DefaultLimit is the entry count at which a cache built with New(0)
@@ -53,68 +60,128 @@ func New(limit int) *Cache {
 	return &Cache{entries: make(map[any]*entry), limit: limit}
 }
 
-// Do returns the memoized result for key, running fn exactly once per
-// key (per cache generation). fn's error is cached too: deterministic
-// failures are as stable as deterministic successes. The one exception
-// is context cancellation — a fn that fails with context.Canceled or
-// context.DeadlineExceeded reflects its first caller's deadline, not
-// the key, so the entry is dropped and the next caller recomputes.
+// Do is DoContext for a caller that never leaves early.
 func (c *Cache) Do(key any, fn func() (any, error)) (any, error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		if len(c.entries) >= c.limit {
-			c.entries = make(map[any]*entry)
-		}
-		e = &entry{}
-		c.entries[key] = e
-		c.misses++
-	} else {
-		c.hits++
-	}
-	c.mu.Unlock()
+	return c.DoContext(context.Background(), key, func(context.Context) (any, error) { return fn() })
+}
 
-	e.once.Do(func() {
-		e.val, e.err = fn()
-		e.ready.Store(true)
-	})
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		c.mu.Lock()
-		// Only this generation's entry is dropped; a concurrent Reset or
-		// a fresh recompute under the same key must not be clobbered.
+// DoContext returns the memoized result for key, starting fn only when
+// no flight for key has succeeded or is under way. fn runs on
+// context.WithCancel(context.WithoutCancel(ctx)) of the caller that
+// starts the flight. Each caller waits on its own ctx and returns
+// ctx.Err() when it ends first; the flight carries on for the others,
+// and its context is cancelled once every caller has left. When ctx
+// can never end (ctx.Done() is nil) fn runs inline on the caller's
+// goroutine and context, so such callers start no goroutines.
+func (c *Cache) DoContext(ctx context.Context, key any, fn func(context.Context) (any, error)) (any, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		c.hits++
+		if e.ready {
+			c.mu.Unlock()
+			return e.val, nil
+		}
+		e.refs++
+		c.shared++
+		c.mu.Unlock()
+		return c.wait(ctx, key, e)
+	}
+	if len(c.entries) >= c.limit {
+		c.entries = make(map[any]*entry)
+	}
+	e := &entry{done: make(chan struct{}), refs: 1}
+	c.entries[key] = e
+	c.misses++
+	c.flying++
+	if ctx.Done() == nil {
+		c.mu.Unlock()
+		c.run(ctx, key, e, fn)
+		return e.val, e.err
+	}
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	e.cancel = cancel
+	c.mu.Unlock()
+	go c.run(fctx, key, e, fn)
+	return c.wait(ctx, key, e)
+}
+
+// run executes one flight and publishes its outcome: a success stays
+// cached, a failure leaves the table.
+func (c *Cache) run(ctx context.Context, key any, e *entry, fn func(context.Context) (any, error)) {
+	val, err := fn(ctx)
+	c.mu.Lock()
+	e.val, e.err, e.ready = val, err, err == nil
+	if err != nil && c.entries[key] == e {
+		delete(c.entries, key)
+	}
+	c.flying--
+	close(e.done)
+	c.mu.Unlock()
+	if e.cancel != nil {
+		e.cancel()
+	}
+}
+
+// wait blocks until e's flight finishes or ctx ends. The last caller to
+// leave an unfinished flight cancels it and unlists it, so a later
+// caller starts afresh instead of joining a flight nobody wants.
+func (c *Cache) wait(ctx context.Context, key any, e *entry) (any, error) {
+	select {
+	case <-e.done:
+		return e.val, e.err
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-e.done:
+		return e.val, e.err // finished while we were leaving
+	default:
+	}
+	if e.refs--; e.refs == 0 {
+		e.cancel()
 		if c.entries[key] == e {
 			delete(c.entries, key)
 		}
-		c.mu.Unlock()
 	}
-	return e.val, e.err
+	return nil, ctx.Err()
 }
 
-// Peek returns the memoized result for key only if a computation has
-// already completed, without ever running (or waiting for) one. It is
-// the cache-hit fast path for callers that must not block — the msfud
-// service answers cached points even when its admission queue is full.
-// A Peek that returns a completed entry counts as a hit; one that finds
-// nothing counts as nothing, because the caller's fallback (a Do, or a
-// lower tier) does its own accounting.
-func (c *Cache) Peek(key any) (val any, err error, ok bool) {
+// Peek returns the memoized result for key only if a flight has already
+// succeeded, without ever starting (or waiting for) one. It is the
+// cache-hit fast path for callers that must not block. A Peek that
+// returns a value counts as a hit; one that finds nothing counts as
+// nothing, because the caller's fallback (a Do, or a lower tier) does
+// its own accounting.
+func (c *Cache) Peek(key any) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, present := c.entries[key]
-	if !present || !e.ready.Load() {
-		return nil, nil, false
+	e, ok := c.entries[key]
+	if !ok || !e.ready {
+		return nil, false
 	}
 	c.hits++
-	return e.val, e.err, true
+	return e.val, true
 }
 
-// Stats reports hits (Do calls that found an existing entry, plus Peek
-// calls answered from a completed one) and misses (Do calls that created
-// an entry).
+// Stats reports hits (calls that found a cached result or joined an
+// unfinished flight, plus answered Peeks) and misses (calls that
+// started a flight).
 func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// Flights reports the calls that joined an unfinished flight (a subset
+// of hits) and the flights not yet finished.
+func (c *Cache) Flights() (shared int64, inFlight int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shared, c.flying
 }
 
 // Len reports the live entry count.
@@ -124,7 +191,8 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Reset drops every entry (the counters survive).
+// Reset drops every entry (the counters survive; callers already
+// waiting on a flight still get its result).
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -69,23 +69,25 @@ func (e *Engine) StageStats() StageStats {
 
 // resolve returns the engine's hook for stage st, whose artifacts
 // persist through encode and replay through decode. The hook answers
-// memory → disk → compute, persisting what it computes. A config whose
-// stage artifact is not cacheable (a paths-recording simulation: the
-// durable artifact drops the diagnostics it exists to collect) always
-// computes. A fresh force-directed placement carries the simulation of
+// memory → disk → compute, persisting what it computes. Points sharing
+// a stage share its flight, which computes on the flight's own context:
+// one point's cancellation never fails another point still waiting for
+// the artifact. A config whose stage artifact is not cacheable (a
+// paths-recording simulation: the durable artifact drops the
+// diagnostics it exists to collect) always computes. A fresh force-directed placement carries the simulation of
 // its winner; that is persisted under the sim stage's key too, so a
 // future placement replay skips the resimulation as well.
 func resolve[T any](e *Engine, st core.Stage, encode func(T) []byte, decode func([]byte) (T, error)) core.Resolve[T] {
-	return func(ctx context.Context, cfg core.Config, compute func() (T, error)) (T, error) {
+	return func(ctx context.Context, cfg core.Config, compute func(context.Context) (T, error)) (T, error) {
 		if !store.StageCacheable(st, cfg) {
-			v, err := compute()
+			v, err := compute(ctx)
 			if err == nil {
 				e.stage.computes[st].Add(1)
 			}
 			return v, err
 		}
 		k := stageMemoKey{stage: st, key: store.StageKeyOf(st, cfg), recordPaths: st == core.StagePlace && cfg.RecordPaths}
-		v, err := e.stageCache.Do(k, func() (any, error) {
+		v, err := e.stageCache.DoContext(ctx, k, func(ctx context.Context) (any, error) {
 			if e.store != nil {
 				if body, ok := e.store.GetStageContext(ctx, st, cfg); ok {
 					if v, derr := decode(body); derr == nil {
@@ -94,7 +96,7 @@ func resolve[T any](e *Engine, st core.Stage, encode func(T) []byte, decode func
 					}
 				}
 			}
-			v, err := compute()
+			v, err := compute(ctx)
 			if err != nil {
 				return nil, err
 			}

@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"magicstate/internal/core"
 	"magicstate/internal/store"
@@ -228,5 +230,80 @@ func TestPersistFailuresCounted(t *testing.T) {
 				tc.name, s.Puts, s.StagePuts, tc.wantPuts, tc.wantStage)
 		}
 		st.Close()
+	}
+}
+
+// TestSharedStageSurvivesOnePointCancel: two points share one factory
+// build. The point whose flight started the build is cancelled while
+// the build is under way; the other point, still wanted, must get its
+// report — the stage flight belongs to both, not to its first caller.
+func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	a := core.Config{K: 4, Levels: 1, Strategy: core.StrategyLinear, Seed: 1}
+	b := a
+	b.Seed = 2
+	buildKey := store.StageKeyOf(core.StageBuild, a)
+	if buildKey != store.StageKeyOf(core.StageBuild, b) {
+		t.Fatal("test points do not share their build stage")
+	}
+	// The peer fetch of the build artifact parks until released (or its
+	// context ends), holding the build stage flight open.
+	fetching := make(chan struct{}, 1)
+	release := make(chan struct{})
+	st.SetFetcher(func(ctx context.Context, k store.Key) ([]byte, bool) {
+		if k == buildKey {
+			select {
+			case fetching <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return nil, false
+	})
+	e := New(Options{Workers: 2, Store: st})
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := make(chan error, 1)
+	go func() {
+		_, err := e.RunOneContext(ctxA, a)
+		errA <- err
+	}()
+	<-fetching
+	type outcome struct {
+		rep *core.Report
+		err error
+	}
+	outB := make(chan outcome, 1)
+	go func() {
+		rep, err := e.RunOneContext(context.Background(), b)
+		outB <- outcome{rep, err}
+	}()
+	// b has joined the build flight once the stage memo counts a hit.
+	for hits, _ := e.stageCache.Stats(); hits == 0; hits, _ = e.stageCache.Stats() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled point = %v, want context.Canceled", err)
+	}
+	close(release)
+	got := <-outB
+	if got.err != nil {
+		t.Fatalf("live point failed with %v, want its report", got.err)
+	}
+	want, err := core.Run(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.rep.Latency != want.Latency || got.rep.Area != want.Area {
+		t.Fatalf("live point = %d x %d, want %d x %d", got.rep.Latency, got.rep.Area, want.Latency, want.Area)
 	}
 }

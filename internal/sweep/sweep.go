@@ -25,8 +25,6 @@ type Options struct {
 	// the first error). Calls are serialized by the engine; the
 	// callback itself need not be safe for concurrent use.
 	Progress func(done, total int)
-	// CacheLimit bounds the memo cache entry count (0 = memo.DefaultLimit).
-	CacheLimit int
 	// Store, when set, adds a durable cache tier beneath the in-memory
 	// memo: RunOne consults memory first, then the store, and persists
 	// freshly computed cacheable results. The engine never closes the
@@ -67,7 +65,7 @@ func New(opts Options) *Engine {
 	return &Engine{
 		workers:    w,
 		progress:   opts.Progress,
-		cache:      memo.New(opts.CacheLimit),
+		cache:      memo.New(0),
 		stageCache: memo.New(stageCacheLimit),
 		stage:      new(stageCounters),
 		store:      opts.Store,
@@ -108,8 +106,12 @@ func (e *Engine) Derive(opts Options) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // CacheStats reports memo cache hits and misses so far (shared across
-// derived engines).
+// derived engines). Hits include calls that joined an unfinished flight.
 func (e *Engine) CacheStats() (hits, misses int64) { return e.cache.Stats() }
+
+// FlightStats reports calls that joined another caller's unfinished
+// point flight and the flights not yet finished (see memo.Cache.Flights).
+func (e *Engine) FlightStats() (shared int64, inFlight int) { return e.cache.Flights() }
 
 // Store returns the engine's durable cache tier (nil when the engine is
 // memory-only).
@@ -161,18 +163,15 @@ func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 	return e.RunOneContext(context.Background(), cfg)
 }
 
-// RunOneContext is RunOne with cooperative cancellation: ctx reaches
-// core.Compose, which checks it at pipeline stage boundaries, so a
-// caller that goes away stops costing compute. When concurrent callers
-// share one computation through the memo, the context that counts is
-// the first caller's — a cancellation is returned to every waiter but
-// never cached (the memo drops context errors), so the next request
-// for the point recomputes instead of inheriting a dead caller's fate.
-// Long-running services wanting N callers to keep a shared computation
-// alive until the last one leaves should pass a context with that
-// lifetime (see cmd/msfud's in-flight table).
+// RunOneContext is RunOne with cooperative cancellation. Concurrent
+// callers for one point share a memo flight (see internal/sweep/memo):
+// each waits on its own ctx and may leave early, and the last one out
+// cancels the flight, which core.Compose notices at its next stage
+// boundary. So a caller that goes away stops costing compute without
+// failing anyone who still waits. Errors are never cached. The gate of
+// ctx (WithGate) is called only after every cache tier has missed.
 func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Report, error) {
-	v, err := e.cache.Do(cfg, func() (any, error) {
+	v, err := e.cache.DoContext(ctx, cfg, func(ctx context.Context) (any, error) {
 		if e.store != nil {
 			// The context-aware lookup reaches through to cluster peers on
 			// a local miss when a fetcher is wired; without one it is the
@@ -190,6 +189,13 @@ func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Repo
 				}
 				return rep, nil
 			}
+		}
+		if gate, ok := ctx.Value(gateKey{}).(Gate); ok {
+			release, err := gate(ctx)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
 		}
 		// A full miss computes through the stage tier: core.Compose
 		// with each stage resolved memory → disk → compute (see
@@ -214,16 +220,30 @@ func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Repo
 	return v.(*core.Report), nil
 }
 
+// Gate admits one pipeline run: it blocks until the run may start and
+// returns the release func to call when it is done, or an error that
+// fails the point for every caller sharing its flight.
+type Gate func(ctx context.Context) (release func(), err error)
+
+// gateKey is the context key WithGate files a Gate under.
+type gateKey struct{}
+
+// WithGate returns a copy of ctx carrying gate, which RunOneContext
+// calls once per point flight started under ctx, just before running
+// the pipeline — so a service charges compute, and only compute, to
+// its admission budget.
+func WithGate(ctx context.Context, gate Gate) context.Context {
+	return context.WithValue(ctx, gateKey{}, gate)
+}
+
 // PeekOne answers cfg from the cache tier without ever computing (or
 // waiting on an in-flight computation): a completed in-memory memo
 // entry first, the durable store second. It is the admission-free fast
 // path for overloaded services — a point already paid for is served
 // even when no compute budget remains.
 func (e *Engine) PeekOne(cfg core.Config) (*core.Report, bool) {
-	if v, err, ok := e.cache.Peek(cfg); ok && err == nil {
-		if rep, isRep := v.(*core.Report); isRep {
-			return rep, true
-		}
+	if v, ok := e.cache.Peek(cfg); ok {
+		return v.(*core.Report), true
 	}
 	if e.store != nil {
 		if rep, ok := e.store.LookupReport(cfg); ok {
