@@ -451,30 +451,6 @@ func BenchmarkExtStitchGeneralization(b *testing.B) {
 	}
 }
 
-func BenchmarkExtCommunityMethods(b *testing.B) {
-	// Community detection algorithm comparison on a two-level factory
-	// interaction graph (§VI.B.1, [34-39]).
-	f, err := bravyi.Build(bravyi.Params{K: 2, Levels: 2, Barriers: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.FromCircuit(f.Circuit)
-	for _, m := range graph.CommunityMethods(14) {
-		if m.Name == "girvan-newman" || m.Name == "random-walk" {
-			continue // quadratic; benchmarked implicitly via unit tests
-		}
-		b.Run(m.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				label, count := m.Detect(g)
-				if count < 1 {
-					b.Fatal("no communities")
-				}
-				b.ReportMetric(graph.Modularity(g, label), "modularity")
-			}
-		})
-	}
-}
-
 func BenchmarkExtSchedReorder(b *testing.B) {
 	// §V.A gate-reordering study: commuting-sift vs program order.
 	for i := 0; i < b.N; i++ {

@@ -96,42 +96,3 @@ func Hungarian(cost [][]float64) ([]int, float64, error) {
 	}
 	return match, total, nil
 }
-
-// Greedy solves the same problem approximately by repeatedly taking the
-// globally cheapest unassigned (row, column) pair. It is used as a
-// cross-check in tests and as a fast fallback for very large instances.
-func Greedy(cost [][]float64) ([]int, float64, error) {
-	n := len(cost)
-	if n == 0 {
-		return nil, 0, ErrShape
-	}
-	for _, row := range cost {
-		if len(row) != n {
-			return nil, 0, ErrShape
-		}
-	}
-	match := make([]int, n)
-	rowDone := make([]bool, n)
-	colDone := make([]bool, n)
-	var total float64
-	for step := 0; step < n; step++ {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if rowDone[i] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if colDone[j] {
-					continue
-				}
-				if cost[i][j] < best {
-					bi, bj, best = i, j, cost[i][j]
-				}
-			}
-		}
-		rowDone[bi], colDone[bj] = true, true
-		match[bi] = bj
-		total += best
-	}
-	return match, total, nil
-}

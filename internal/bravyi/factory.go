@@ -247,18 +247,6 @@ func (f *Factory) Outputs() []circuit.Qubit {
 	return outs
 }
 
-// WiresIntoRound returns the permutation wires consumed by round r
-// (2-based; round 1 has none).
-func (f *Factory) WiresIntoRound(r int) []Wire {
-	var ws []Wire
-	for _, w := range f.Wires {
-		if f.Modules[w.ToModule].Round == r {
-			ws = append(ws, w)
-		}
-	}
-	return ws
-}
-
 // ReassignPorts applies a permutation of module pm's output ports: every
 // wire previously sourced from port j is re-sourced from port perm[j].
 // The permutation Move gates' sources are rewritten in place; slots and
@@ -290,11 +278,4 @@ func (f *Factory) ReassignPorts(pm int, perm []int) error {
 		f.Circuit.Gates[w.GateIdx].Control = mod.Out[newPort]
 	}
 	return nil
-}
-
-// PermutationGates reports whether gate gi belongs to round r's
-// permutation phase (a Move braid feeding round r).
-func (f *Factory) PermutationGate(gi, r int) bool {
-	g := &f.Circuit.Gates[gi]
-	return g.Kind == circuit.KindMove && g.Round == r
 }

@@ -176,7 +176,7 @@ func TestTwoLevelStructure(t *testing.T) {
 		t.Error("round 1 must have an empty permutation phase")
 	}
 	for gi := r2.PermStart; gi < r2.PermEnd; gi++ {
-		if !f.PermutationGate(gi, 2) {
+		if g := &f.Circuit.Gates[gi]; g.Kind != circuit.KindMove || g.Round != 2 {
 			t.Fatalf("gate %d in perm range is not a round-2 move", gi)
 		}
 	}
@@ -393,21 +393,6 @@ func TestReassignPortsRejectsBadInput(t *testing.T) {
 	}
 	if err := f.ReassignPorts(0, []int{0, 0}); err == nil {
 		t.Error("non-permutation should fail")
-	}
-}
-
-func TestWiresIntoRound(t *testing.T) {
-	f := mustBuild(t, Params{K: 2, Levels: 3})
-	w2 := f.WiresIntoRound(2)
-	w3 := f.WiresIntoRound(3)
-	if len(w2) == 0 || len(w3) == 0 {
-		t.Fatal("expected wires into rounds 2 and 3")
-	}
-	if len(w2)+len(w3) != len(f.Wires) {
-		t.Errorf("wire partition mismatch: %d + %d != %d", len(w2), len(w3), len(f.Wires))
-	}
-	if len(f.WiresIntoRound(1)) != 0 {
-		t.Error("round 1 should have no incoming wires")
 	}
 }
 

@@ -92,9 +92,6 @@ func TestKindPredicates(t *testing.T) {
 			t.Errorf("%v should not be two-qubit", k)
 		}
 	}
-	if !KindMeasX.IsMeasurement() || !KindMeasZ.IsMeasurement() || KindH.IsMeasurement() {
-		t.Error("measurement predicate broken")
-	}
 }
 
 func TestCounts(t *testing.T) {

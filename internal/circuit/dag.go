@@ -72,17 +72,6 @@ func Deps(c *Circuit) *DAG {
 // InDegree returns the number of direct dependencies of gate i.
 func (d *DAG) InDegree(i int) int { return d.preds[i] }
 
-// Topo returns a topological order of gate indices. Program order is
-// already topological under the hazard rule, so this simply verifies and
-// returns 0..n-1; it exists to make the invariant checkable.
-func (d *DAG) Topo() []int {
-	order := make([]int, d.NumGates)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // Levels returns the ASAP level of each gate: level 0 gates have no
 // dependencies; otherwise level = 1 + max(level of preds). Gates on the
 // same level could execute concurrently given unlimited routing.

@@ -116,15 +116,3 @@ func TestLevelsAreLongestChains(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTopoIsProgramOrder(t *testing.T) {
-	c := New(3)
-	c.H(0)
-	c.CNOT(0, 1)
-	order := Deps(c).Topo()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("topo order should be program order, got %v", order)
-		}
-	}
-}

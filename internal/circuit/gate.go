@@ -76,10 +76,6 @@ func (k Kind) IsTwoQubit() bool {
 	return false
 }
 
-// IsMeasurement reports whether the kind destroys (measures out) its
-// operand, releasing the tile for reuse.
-func (k Kind) IsMeasurement() bool { return k == KindMeasX || k == KindMeasZ }
-
 // Gate is one instruction. For CNOT, Control is the control and Targets
 // holds the single target. For CXX, Targets holds every target. For
 // InjectT/InjectTdag, Control is the raw-state source (NoQubit when the

@@ -19,6 +19,8 @@ import (
 // GHZ returns the n-qubit GHZ preparation: H on the root followed by a
 // CNOT chain. Its interaction graph is a path — the easiest possible
 // mapping target, useful as a control case.
+//
+//deadcheck:keep reference circuit for scaffold's TestCompileGHZMatchesGenerator
 func GHZ(n int) (*circuit.Circuit, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("circuits: GHZ needs >= 2 qubits, got %d", n)
@@ -52,10 +54,6 @@ func toffoli(c *circuit.Circuit, a, b, t circuit.Qubit) {
 	c.T(a)
 	c.S(b)
 }
-
-// TGatesPerToffoli is the T count of the decomposition toffoli emits
-// (7 T gates plus one S, which itself costs two T's at execution time).
-const TGatesPerToffoli = 7
 
 // CuccaroAdder returns an n-bit ripple-carry adder in the Cuccaro style:
 // qubits are laid out as carry-in, then alternating (a_i, b_i) pairs; the
@@ -122,6 +120,8 @@ func QFTLike(n int) (*circuit.Circuit, error) {
 // count over n qubits: each step applies a CNOT on a uniform qubit pair,
 // interleaved with T gates at the given density (T gates per CNOT). The
 // same seed reproduces the same circuit.
+//
+//deadcheck:keep random workloads for subdiv's stitching tests
 func RandomCliffordT(n, cnots int, tDensity float64, seed int64) (*circuit.Circuit, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("circuits: random circuit needs >= 2 qubits, got %d", n)

@@ -267,6 +267,8 @@ func placeFD(cfg Config, f *bravyi.Factory, mcfg mesh.Config) (*layout.Placement
 
 // Strategies lists every mapping strategy applicable to the given level
 // count (hierarchical stitching needs the multi-level structure).
+//
+//deadcheck:keep every-strategy sweeps in the root integration_test and core's tests
 func Strategies(levels int) []Strategy {
 	ss := []Strategy{StrategyRandom, StrategyLinear, StrategyForceDirected, StrategyGraphPartition}
 	if levels >= 2 {

@@ -55,6 +55,8 @@ func (s Stage) String() string {
 }
 
 // Stages lists every cacheable stage in pipeline order.
+//
+//deadcheck:keep every-stage key tests in store's stagekey_test and stagekey_fuzz_test
 func Stages() []Stage { return []Stage{StageBuild, StagePlace, StageSim} }
 
 // BuildArtifact is the output of StageBuild: the generated factory and,

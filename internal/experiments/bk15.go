@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 
-	"magicstate/internal/circuit"
 	"magicstate/internal/force"
 	"magicstate/internal/graph"
 	"magicstate/internal/layout"
@@ -71,17 +70,4 @@ func WriteBK15(w io.Writer, rows []BK15Row) {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3g\t%d\n", r.Strategy, r.Latency, r.Area, r.Volume, r.Critical)
 	}
 	tw.Flush()
-}
-
-// bk15GateCheck asserts the circuit stays in the simulator's vocabulary;
-// used by tests.
-func bk15GateCheck() error {
-	c := protocols.Circuit15to1()
-	for i := range c.Gates {
-		k := c.Gates[i].Kind
-		if k == circuit.KindInvalid {
-			return fmt.Errorf("gate %d invalid", i)
-		}
-	}
-	return c.Validate()
 }

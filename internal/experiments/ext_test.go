@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"magicstate/internal/protocols"
 )
 
 func TestStylesExperiment(t *testing.T) {
@@ -228,7 +230,7 @@ func TestThreeLevel(t *testing.T) {
 }
 
 func TestBK15Mapping(t *testing.T) {
-	if err := bk15GateCheck(); err != nil {
+	if err := protocols.Circuit15to1().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := BK15Mapping(1)

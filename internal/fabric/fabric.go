@@ -192,9 +192,6 @@ func (f *Fabric) URL(node string) string {
 	return f.urls[node]
 }
 
-// Owner names the node owning key k.
-func (f *Fabric) Owner(k store.Key) string { return f.ring.Owner(k) }
-
 // noForwardKey marks contexts whose work arrived from a peer and must
 // not be forwarded again.
 type noForwardKey struct{}

@@ -26,8 +26,8 @@ func TestAnnealKeepsPlacementValid(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.N() != g.N {
-		t.Fatalf("lost qubits: %d != %d", p.N(), g.N)
+	if len(p.Pos) != g.N {
+		t.Fatalf("lost qubits: %d != %d", len(p.Pos), g.N)
 	}
 }
 

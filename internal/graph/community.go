@@ -117,35 +117,3 @@ func mergeTiny(g *Graph, label []int, count int) ([]int, int) {
 	}
 	return densify(label)
 }
-
-// Modularity returns the Newman modularity of the given community
-// assignment, a quality score in [-0.5, 1]. Community terms are summed
-// in ascending label order, so repeated calls return bit-identical
-// results — callers comparing candidate cuts by modularity rely on it.
-func Modularity(g *Graph, label []int) float64 {
-	m := g.TotalWeight()
-	if m == 0 {
-		return 0
-	}
-	degSum := make(map[int]float64)
-	inSum := make(map[int]float64)
-	for v := 0; v < g.N; v++ {
-		degSum[label[v]] += g.WeightedDegree(v)
-	}
-	for _, e := range g.Edges {
-		if label[e.U] == label[e.V] {
-			inSum[label[e.U]] += e.Weight
-		}
-	}
-	labels := make([]int, 0, len(degSum))
-	for c := range degSum {
-		labels = append(labels, c)
-	}
-	sort.Ints(labels)
-	var q float64
-	for _, c := range labels {
-		d := degSum[c] / (2 * m)
-		q += inSum[c]/m - d*d
-	}
-	return q
-}

@@ -5,11 +5,7 @@
 // dipole heuristic, and community detection.
 package graph
 
-import (
-	"sort"
-
-	"magicstate/internal/circuit"
-)
+import "magicstate/internal/circuit"
 
 // Edge is an undirected interaction between qubits U < V with a weight
 // equal to the number of gates acting on the pair.
@@ -65,9 +61,6 @@ func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
 	}
 }
 
-// Degree returns the number of distinct neighbors of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // Incident returns the indices of the edges touching u, in ascending edge
 // order. The slice aliases the graph's adjacency storage: callers must
 // treat it as read-only.
@@ -78,15 +71,6 @@ func (g *Graph) WeightedDegree(u int) float64 {
 	var s float64
 	for _, ei := range g.adj[u] {
 		s += g.Edges[ei].Weight
-	}
-	return s
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for _, e := range g.Edges {
-		s += e.Weight
 	}
 	return s
 }
@@ -118,6 +102,8 @@ func FromCircuit(c *circuit.Circuit) *Graph {
 // Components returns the connected component id of every vertex and the
 // number of components. Ids are assigned in increasing order of the
 // smallest vertex in each component, so output is deterministic.
+//
+//deadcheck:keep connectivity checks in protocols' TestCircuit15to1InteractionGraphConnected
 func (g *Graph) Components() (comp []int, count int) {
 	comp = make([]int, g.N)
 	for i := range comp {
@@ -163,24 +149,4 @@ func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
 		}
 	}
 	return sub, orig
-}
-
-// SortedEdgesByWeight returns edge indices ordered by descending weight,
-// ties broken by (U, V) for determinism.
-func (g *Graph) SortedEdgesByWeight() []int {
-	idx := make([]int, len(g.Edges))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := g.Edges[idx[a]], g.Edges[idx[b]]
-		if ea.Weight != eb.Weight {
-			return ea.Weight > eb.Weight
-		}
-		if ea.U != eb.U {
-			return ea.U < eb.U
-		}
-		return ea.V < eb.V
-	})
-	return idx
 }

@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -22,14 +22,11 @@ func TestAddEdgeMergesWeights(t *testing.T) {
 	if g.Edges[0].Weight != 3 {
 		t.Errorf("merged weight = %v, want 3", g.Edges[0].Weight)
 	}
-	if g.Degree(1) != 2 || g.Degree(0) != 1 {
-		t.Errorf("degrees wrong: %d %d", g.Degree(1), g.Degree(0))
+	if len(g.Incident(1)) != 2 || len(g.Incident(0)) != 1 {
+		t.Errorf("degrees wrong: %d %d", len(g.Incident(1)), len(g.Incident(0)))
 	}
 	if g.WeightedDegree(1) != 4 {
 		t.Errorf("weighted degree = %v, want 4", g.WeightedDegree(1))
-	}
-	if g.TotalWeight() != 4 {
-		t.Errorf("total weight = %v, want 4", g.TotalWeight())
 	}
 }
 
@@ -120,17 +117,6 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
-func TestSortedEdgesByWeight(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 5)
-	g.AddEdge(2, 3, 3)
-	idx := g.SortedEdgesByWeight()
-	if g.Edges[idx[0]].Weight != 5 || g.Edges[idx[2]].Weight != 1 {
-		t.Errorf("sort order wrong: %v", idx)
-	}
-}
-
 func TestPolesAreAssignedAndBinary(t *testing.T) {
 	f, err := bravyi.Build(bravyi.Params{K: 4, Levels: 1})
 	if err != nil {
@@ -191,8 +177,8 @@ func TestCommunitiesOnTwoCliques(t *testing.T) {
 			t.Errorf("clique 2 split: %v", label)
 		}
 	}
-	if Modularity(g, label) < 0.3 {
-		t.Errorf("modularity %v too low for clean cliques", Modularity(g, label))
+	if modularity(g, label) < 0.3 {
+		t.Errorf("modularity %v too low for clean cliques", modularity(g, label))
 	}
 }
 
@@ -256,32 +242,35 @@ func TestCommunityLabelsAreDense(t *testing.T) {
 	}
 }
 
-func TestModularityEmptyGraph(t *testing.T) {
-	g := New(3)
-	if Modularity(g, []int{0, 1, 2}) != 0 {
-		t.Error("empty graph modularity should be 0")
+// modularity is the measuring stick for Communities: the Newman
+// modularity of a community assignment, a quality score in [-0.5, 1].
+func modularity(g *Graph, label []int) float64 {
+	var m float64
+	for _, e := range g.Edges {
+		m += e.Weight
 	}
-}
-
-// TestModularityDeterministic: repeated calls on one input return
-// bit-identical results. GirvanNewman and RandomWalkCommunities keep a
-// cut only when its modularity is strictly higher, so a sum whose order
-// followed map iteration would let ties flip between runs.
-func TestModularityDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 400
-	g := New(n)
-	for i := 0; i < 4*n; i++ {
-		g.AddEdge(rng.Intn(n), rng.Intn(n), 0.1+rng.Float64())
+	if m == 0 {
+		return 0
 	}
-	label := make([]int, n)
-	for v := range label {
-		label[v] = rng.Intn(60)
+	degSum := make(map[int]float64)
+	inSum := make(map[int]float64)
+	for v := 0; v < g.N; v++ {
+		degSum[label[v]] += g.WeightedDegree(v)
 	}
-	want := math.Float64bits(Modularity(g, label))
-	for i := 0; i < 200; i++ {
-		if got := math.Float64bits(Modularity(g, label)); got != want {
-			t.Fatalf("call %d returned bits %x, want %x", i, got, want)
+	for _, e := range g.Edges {
+		if label[e.U] == label[e.V] {
+			inSum[label[e.U]] += e.Weight
 		}
 	}
+	labels := make([]int, 0, len(degSum))
+	for c := range degSum {
+		labels = append(labels, c)
+	}
+	sort.Ints(labels) // fixed summation order: the score is bit-reproducible
+	var q float64
+	for _, c := range labels {
+		d := degSum[c] / (2 * m)
+		q += inSum[c]/m - d*d
+	}
+	return q
 }

@@ -121,15 +121,3 @@ func seedPlusPlus(pts []Point, k int, rng *rand.Rand) []Point {
 	}
 	return centroids
 }
-
-// Inertia returns the total within-cluster squared distance of a result
-// over the original points; lower is tighter.
-func Inertia(pts []Point, res Result) float64 {
-	var s float64
-	for j, p := range pts {
-		if j < len(res.Assign) && res.Assign[j] >= 0 && res.Assign[j] < len(res.Centroids) {
-			s += sqDist(p, res.Centroids[res.Assign[j]])
-		}
-	}
-	return s
-}

@@ -104,9 +104,19 @@ func TestInertiaDecreasesWithMoreClusters(t *testing.T) {
 	for i := range pts {
 		pts[i] = Point{rng.Float64() * 100, rng.Float64() * 100}
 	}
-	i1 := Inertia(pts, KMeans(pts, 1, 50, rand.New(rand.NewSource(5))))
-	i8 := Inertia(pts, KMeans(pts, 8, 50, rand.New(rand.NewSource(5))))
+	i1 := inertia(pts, KMeans(pts, 1, 50, rand.New(rand.NewSource(5))))
+	i8 := inertia(pts, KMeans(pts, 8, 50, rand.New(rand.NewSource(5))))
 	if i8 >= i1 {
 		t.Errorf("inertia should shrink with more clusters: k=1 %v, k=8 %v", i1, i8)
 	}
+}
+
+// inertia is the measuring stick for KMeans: the total within-cluster
+// squared distance of a result over the original points.
+func inertia(pts []Point, res Result) float64 {
+	var s float64
+	for j, p := range pts {
+		s += sqDist(p, res.Centroids[res.Assign[j]])
+	}
+	return s
 }

@@ -68,13 +68,9 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestFreeTilesAndOccupied(t *testing.T) {
+func TestOccupied(t *testing.T) {
 	p := NewPlacement(1, 2, 2)
 	p.Set(0, Point{1, 1})
-	free := p.FreeTiles()
-	if len(free) != 3 {
-		t.Fatalf("free tiles = %d, want 3", len(free))
-	}
 	occ := p.Occupied()
 	if occ[Point{1, 1}] != 0 || len(occ) != 1 {
 		t.Errorf("occupied = %v", occ)
@@ -238,24 +234,6 @@ func TestRandomOnTiles(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesTileSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	p := Random(10, rng)
-	before := map[Point]bool{}
-	for _, pt := range p.Pos {
-		before[pt] = true
-	}
-	p.Shuffle(rng)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range p.Pos {
-		if !before[pt] {
-			t.Fatalf("shuffle introduced new tile %v", pt)
-		}
-	}
-}
-
 func TestCenterOfMass(t *testing.T) {
 	p := NewPlacement(2, 4, 4)
 	p.Set(0, Point{0, 0})
@@ -263,52 +241,6 @@ func TestCenterOfMass(t *testing.T) {
 	x, y := p.CenterOfMass([]int{0, 1})
 	if x != 1 || y != 1 {
 		t.Errorf("center = (%v,%v), want (1,1)", x, y)
-	}
-}
-
-func TestSortQubitsByPosition(t *testing.T) {
-	p := NewPlacement(3, 3, 3)
-	p.Set(0, Point{2, 1})
-	p.Set(1, Point{0, 0})
-	p.Set(2, Point{1, 1})
-	got := p.SortQubitsByPosition()
-	want := []int{1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCrossingsForEdges(t *testing.T) {
-	all := []Segment{
-		{Point{0, 0}, Point{2, 2}},
-		{Point{0, 2}, Point{2, 0}},
-		{Point{5, 5}, Point{6, 6}},
-	}
-	if got := CrossingsForEdges(all[:1], all); got != 1 {
-		t.Errorf("subset crossings = %d, want 1", got)
-	}
-}
-
-func TestSnakeValidAndCompact(t *testing.T) {
-	f, err := bravyi.Build(bravyi.Params{K: 4, Levels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Snake(f)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	n := f.Circuit.NumQubits
-	if p.Area() > n+p.W { // at most one partial row of slack
-		t.Errorf("snake area %d too large for %d qubits", p.Area(), n)
-	}
-	// Consecutive qubits in the module order must stay adjacent across
-	// row boundaries (boustrophedon property): spot-check distances.
-	g := graph.FromCircuit(f.Circuit)
-	if got, lin := TotalManhattan(g, p), TotalManhattan(g, Linear(f)); got > 3*lin {
-		t.Errorf("snake edge length %d implausibly above linear %d", got, lin)
 	}
 }
 
@@ -321,7 +253,7 @@ func TestRender(t *testing.T) {
 	if got != want {
 		t.Errorf("render = %q, want %q", got, want)
 	}
-	byClass := p.RenderByClass(func(q int) int { return q }, 0, 0)
+	byClass := p.Render(func(q int) byte { return '0' + byte(q) }, 0, 0)
 	if byClass != "0..\n..1\n" {
 		t.Errorf("class render = %q", byClass)
 	}

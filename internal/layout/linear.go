@@ -58,38 +58,6 @@ func ModuleLinearOrder(m *bravyi.Module, k int) []circuit.Qubit {
 	return order
 }
 
-// Snake folds the same hand-optimized linear order boustrophedon-style
-// into a near-square grid: the "linear mapping on a 2-D machine" starting
-// point the force-directed annealer transforms for multi-level factories
-// (§VI.B.1). Area stays ~n while consecutive qubits remain adjacent.
-func Snake(f *bravyi.Factory) *Placement {
-	n := f.Circuit.NumQubits
-	w, h := GridFor(n, 1)
-	p := NewPlacement(n, w, h)
-	i := 0
-	place := func(q int) {
-		row := i / w
-		col := i % w
-		if row%2 == 1 {
-			col = w - 1 - col // reverse odd rows so the line stays connected
-		}
-		p.Set(q, Point{X: col, Y: row})
-		i++
-	}
-	for _, r := range f.Rounds {
-		for _, mi := range r.Modules {
-			m := f.Modules[mi]
-			for _, q := range ModuleLinearOrder(&m, f.Params.K) {
-				if p.At(int(q)) != Unplaced {
-					continue
-				}
-				place(int(q))
-			}
-		}
-	}
-	return p
-}
-
 // Random places all qubits uniformly at random on a near-square grid just
 // large enough to hold them; the Table I "Random" baseline.
 func Random(n int, rng *rand.Rand) *Placement {

@@ -194,26 +194,10 @@ func collinearOverlapBeyondPoint(s1, s2 Segment) bool {
 	return false
 }
 
-// CrossingsForEdges counts conflicts between the given subset of segments
-// and all segments (used for incremental cost deltas when moving one
-// vertex: pass that vertex's incident edges).
-func CrossingsForEdges(subset, all []Segment) int {
-	n := 0
-	for _, s := range subset {
-		for _, t := range all {
-			if s == t {
-				continue
-			}
-			if SegmentsConflict(s, t) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TotalManhattan returns the summed Manhattan length of all edges of g
 // under p; a cheap O(m) objective for refinement loops.
+//
+//deadcheck:keep placement-quality yardstick in force's and partition's tests
 func TotalManhattan(g *graph.Graph, p *Placement) int {
 	total := 0
 	for _, e := range g.Edges {

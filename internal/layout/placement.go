@@ -5,11 +5,7 @@
 // and uniform random placement (Table I "Random").
 package layout
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-)
+import "fmt"
 
 // Point is a tile coordinate on the logical qubit grid.
 type Point struct{ X, Y int }
@@ -43,9 +39,6 @@ func NewPlacement(n, w, h int) *Placement {
 	}
 	return p
 }
-
-// N returns the number of qubits.
-func (p *Placement) N() int { return len(p.Pos) }
 
 // At returns the position of qubit q.
 func (p *Placement) At(q int) Point { return p.Pos[q] }
@@ -86,21 +79,6 @@ func (p *Placement) Occupied() map[Point]int {
 		}
 	}
 	return occ
-}
-
-// FreeTiles returns unoccupied tiles in row-major order.
-func (p *Placement) FreeTiles() []Point {
-	occ := p.Occupied()
-	var free []Point
-	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
-			pt := Point{x, y}
-			if _, used := occ[pt]; !used {
-				free = append(free, pt)
-			}
-		}
-	}
-	return free
 }
 
 // UsedBounds returns the bounding box (width, height) of occupied tiles;
@@ -243,41 +221,4 @@ func RowMajorTiles(n, w int) []Point {
 		tiles[i] = Point{i % w, i / w}
 	}
 	return tiles
-}
-
-// SortQubitsByPosition returns qubit ids ordered row-major by their
-// position, for deterministic iteration over a placement.
-func (p *Placement) SortQubitsByPosition() []int {
-	idx := make([]int, len(p.Pos))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := p.Pos[idx[a]], p.Pos[idx[b]]
-		if pa.Y != pb.Y {
-			return pa.Y < pb.Y
-		}
-		if pa.X != pb.X {
-			return pa.X < pb.X
-		}
-		return idx[a] < idx[b]
-	})
-	return idx
-}
-
-// Shuffle randomly permutes the assignment of the currently used tiles
-// among the placed qubits, preserving the used tile set.
-func (p *Placement) Shuffle(rng *rand.Rand) {
-	var placed []int
-	var tiles []Point
-	for q, pt := range p.Pos {
-		if pt != Unplaced {
-			placed = append(placed, q)
-			tiles = append(tiles, pt)
-		}
-	}
-	rng.Shuffle(len(tiles), func(i, j int) { tiles[i], tiles[j] = tiles[j], tiles[i] })
-	for i, q := range placed {
-		p.Pos[q] = tiles[i]
-	}
 }

@@ -45,16 +45,3 @@ func (p *Placement) Render(labelOf func(q int) byte, maxW, maxH int) string {
 	}
 	return b.String()
 }
-
-// RenderByClass renders with a per-qubit class label (e.g. module index
-// mod 10, or register kind); classes map to '0'-'9' then 'a'-'z'.
-func (p *Placement) RenderByClass(classOf func(q int) int, maxW, maxH int) string {
-	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-	return p.Render(func(q int) byte {
-		c := classOf(q)
-		if c < 0 {
-			return '#'
-		}
-		return digits[c%len(digits)]
-	}, maxW, maxH)
-}

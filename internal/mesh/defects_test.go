@@ -84,7 +84,7 @@ func TestDefectPathsAvoidDeadCells(t *testing.T) {
 	braids := 0
 	for gi, path := range res.Paths {
 		for _, ci := range path {
-			if lat.Dead(ci) {
+			if lat.dead[ci] {
 				t.Fatalf("gate %d reserved dead cell %d", gi, ci)
 			}
 		}

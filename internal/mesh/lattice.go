@@ -74,12 +74,9 @@ func NewLatticeDefective(tileW, tileH int, dm *layout.DefectMap) *Lattice {
 	return l
 }
 
-// Dead reports whether cell index ci lies in a defect region.
-func (l *Lattice) Dead(ci int) bool { return l.dead != nil && l.dead[ci] }
-
-// PortsOf returns the cached channel cells adjacent to tile pt. The
-// returned slice is shared and must not be modified; use TilePorts for a
-// caller-owned copy.
+// PortsOf returns the cached channel cells adjacent to tile pt (its
+// braid entry points). The returned slice is shared and must not be
+// modified.
 func (l *Lattice) PortsOf(pt layout.Point) []int {
 	return l.ports[pt.Y*l.TileW+pt.X]
 }
@@ -115,10 +112,4 @@ func (l *Lattice) NeighborCells(ci int, buf []int) []int {
 		buf = append(buf, ci+l.CW)
 	}
 	return buf
-}
-
-// TilePorts appends the channel cells adjacent to a tile (its braid entry
-// points) to buf and returns it.
-func (l *Lattice) TilePorts(pt layout.Point, buf []int) []int {
-	return append(buf, l.PortsOf(pt)...)
 }

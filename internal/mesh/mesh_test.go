@@ -29,7 +29,7 @@ func TestLatticeGeometry(t *testing.T) {
 	if !l.IsTile(ci) {
 		t.Error("tile cell not marked as tile")
 	}
-	ports := l.TilePorts(layout.Point{X: 0, Y: 0}, nil)
+	ports := l.PortsOf(layout.Point{X: 0, Y: 0})
 	if len(ports) != 4 {
 		t.Errorf("interior-corner tile should expose 4 ports, got %d", len(ports))
 	}
@@ -55,8 +55,8 @@ func TestNeighborCellsAtCorner(t *testing.T) {
 func TestRouterFindsAndBlocksPaths(t *testing.T) {
 	l := NewLattice(3, 1)
 	r := newRouter(l)
-	src := l.TilePorts(layout.Point{X: 0, Y: 0}, nil)
-	dst := l.TilePorts(layout.Point{X: 2, Y: 0}, nil)
+	src := l.PortsOf(layout.Point{X: 0, Y: 0})
+	dst := l.PortsOf(layout.Point{X: 2, Y: 0})
 	path, _ := r.route(src, dst, 0)
 	if path == nil {
 		t.Fatal("route on empty lattice failed")
@@ -90,10 +90,10 @@ func TestRouteTreeSpansAllGroups(t *testing.T) {
 	l := NewLattice(4, 4)
 	r := newRouter(l)
 	groups := [][]int{
-		l.TilePorts(layout.Point{X: 0, Y: 0}, nil),
-		l.TilePorts(layout.Point{X: 3, Y: 0}, nil),
-		l.TilePorts(layout.Point{X: 0, Y: 3}, nil),
-		l.TilePorts(layout.Point{X: 3, Y: 3}, nil),
+		l.PortsOf(layout.Point{X: 0, Y: 0}),
+		l.PortsOf(layout.Point{X: 3, Y: 0}),
+		l.PortsOf(layout.Point{X: 0, Y: 3}),
+		l.PortsOf(layout.Point{X: 3, Y: 3}),
 	}
 	tree := r.routeTree(groups, 0)
 	if tree == nil {
@@ -345,18 +345,6 @@ func TestSimulateAllGatesScheduled(t *testing.T) {
 	}
 }
 
-func TestPhaseWindow(t *testing.T) {
-	r := &Result{Start: []int{0, 10, 20}, End: []int{5, 15, 30}}
-	s, e := r.PhaseWindow(func(i int) bool { return i >= 1 })
-	if s != 10 || e != 30 {
-		t.Errorf("window = [%d,%d), want [10,30)", s, e)
-	}
-	s, e = r.PhaseWindow(func(i int) bool { return false })
-	if s != 0 || e != 0 {
-		t.Errorf("empty window = [%d,%d), want [0,0)", s, e)
-	}
-}
-
 func TestNoOverlapInvariantOnFactory(t *testing.T) {
 	// Property: across a whole congested factory run, no two braids with
 	// overlapping execution windows ever share a channel cell.
@@ -437,7 +425,7 @@ func TestXYPathsAreValidChannels(t *testing.T) {
 		if a == b {
 			return true
 		}
-		for _, path := range [][]int{l.xyPath(a, b), l.yxPath(a, b)} {
+		for _, path := range [][]int{l.xyPathInto(nil, a, b), l.yxPathInto(nil, a, b)} {
 			if len(path) == 0 {
 				return false
 			}
@@ -468,7 +456,7 @@ func TestXYPathsAreValidChannels(t *testing.T) {
 }
 
 func adjacentToTile(l *Lattice, ci int, tile layout.Point) bool {
-	for _, p := range l.TilePorts(tile, nil) {
+	for _, p := range l.PortsOf(tile) {
 		if p == ci {
 			return true
 		}

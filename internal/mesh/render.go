@@ -86,30 +86,3 @@ func RenderCongestion(heat []int, lat *Lattice, maxW, maxH int) string {
 	}
 	return b.String()
 }
-
-// HottestCells returns the n busiest channel cells with their held-cycle
-// counts, descending — the congestion hotspots the mapping optimizations
-// exist to disperse.
-func HottestCells(heat []int, lat *Lattice, n int) []struct{ Cell, Cycles int } {
-	type hc struct{ Cell, Cycles int }
-	var all []hc
-	for ci, v := range heat {
-		if v > 0 && !lat.IsTile(ci) {
-			all = append(all, hc{Cell: ci, Cycles: v})
-		}
-	}
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && (all[j].Cycles > all[j-1].Cycles ||
-			(all[j].Cycles == all[j-1].Cycles && all[j].Cell < all[j-1].Cell)); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]struct{ Cell, Cycles int }, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct{ Cell, Cycles int }(all[i])
-	}
-	return out
-}

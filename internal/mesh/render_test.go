@@ -90,33 +90,6 @@ func TestRenderCongestion(t *testing.T) {
 	}
 }
 
-func TestHottestCells(t *testing.T) {
-	res, pl := recordedRun(t)
-	heat, lat, err := CongestionMap(res, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := HottestCells(heat, lat, 5)
-	if len(top) == 0 {
-		t.Fatal("no hot cells")
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Cycles > top[i-1].Cycles {
-			t.Errorf("hot cells not descending: %v", top)
-		}
-	}
-	for _, hc := range top {
-		if lat.IsTile(hc.Cell) {
-			t.Errorf("tile cell %d reported as channel hotspot", hc.Cell)
-		}
-	}
-	// Asking for more than exist caps gracefully.
-	all := HottestCells(heat, lat, 1<<20)
-	if len(all) == 0 || len(all) > lat.Cells() {
-		t.Errorf("HottestCells cap broken: %d", len(all))
-	}
-}
-
 func TestSimulateRouteModes(t *testing.T) {
 	f, err := bravyi.Build(bravyi.Params{K: 4, Levels: 1})
 	if err != nil {

@@ -55,14 +55,6 @@ func (b cellBox) contains(cx, cy int) bool {
 	return cx >= b.minX && cx <= b.maxX && cy >= b.minY && cy <= b.maxY
 }
 
-// boxAround returns the bounding box of the given cells expanded by margin,
-// clamped to the lattice.
-func (l *Lattice) boxAround(cells []int, margin int) cellBox {
-	b := emptyBox()
-	b = b.extend(l, cells)
-	return b.expand(l, margin)
-}
-
 func emptyBox() cellBox {
 	return cellBox{minX: 1 << 30, minY: 1 << 30, maxX: -1, maxY: -1}
 }

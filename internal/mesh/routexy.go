@@ -105,17 +105,6 @@ func (l *Lattice) yxPathInto(buf []int, src, dst layout.Point) []int {
 	return buf
 }
 
-// xyPath materializes the horizontal-first path (used by tests and by
-// successful routing).
-func (l *Lattice) xyPath(src, dst layout.Point) []int {
-	return l.xyPathInto(nil, src, dst)
-}
-
-// yxPath materializes the vertical-first path.
-func (l *Lattice) yxPath(src, dst layout.Point) []int {
-	return l.yxPathInto(nil, src, dst)
-}
-
 func sign(v int) int {
 	switch {
 	case v > 0:

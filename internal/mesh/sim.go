@@ -48,6 +48,8 @@ type Config struct {
 // mode. Config.RouteMargin's zero value historically (and still) means
 // "use the default margin of 2", which made an actual zero-margin box
 // unexpressible; this sentinel resolves the ambiguity.
+//
+//deadcheck:keep RouteMargin's zero-margin sentinel, pinned by mesh's TestRouteMarginSentinel; it goes when the RouteMargin knob does
 const ZeroRouteMargin = -1
 
 // RouteMode selects how braids claim paths.
@@ -156,26 +158,4 @@ func Simulate(c *circuit.Circuit, p *layout.Placement, cfg Config) (*Result, err
 	res, err := s.Simulate(c, p, cfg)
 	simPool.Put(s)
 	return res, err
-}
-
-// PhaseWindow returns the [start, end) cycle window spanned by the gates
-// selected by keep, or (0, 0) when none match. Experiments use it to
-// isolate the inter-round permutation step (Fig. 9d).
-func (r *Result) PhaseWindow(keep func(i int) bool) (start, end int) {
-	start, end = -1, 0
-	for i := range r.Start {
-		if r.Start[i] < 0 || !keep(i) {
-			continue
-		}
-		if start == -1 || r.Start[i] < start {
-			start = r.Start[i]
-		}
-		if r.End[i] > end {
-			end = r.End[i]
-		}
-	}
-	if start == -1 {
-		return 0, 0
-	}
-	return start, end
 }

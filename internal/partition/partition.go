@@ -353,14 +353,3 @@ func klRefine(g *graph.Graph, mask []bool, fixed []bool) {
 		}
 	}
 }
-
-// CutWeight returns the total weight of edges crossing the mask.
-func CutWeight(g *graph.Graph, mask []bool) float64 {
-	var s float64
-	for _, e := range g.Edges {
-		if mask[e.U] != mask[e.V] {
-			s += e.Weight
-		}
-	}
-	return s
-}

@@ -38,8 +38,8 @@ func TestBisectFindsNaturalCut(t *testing.T) {
 	if countMask(mask) != 4 {
 		t.Fatalf("part size = %d, want 4", countMask(mask))
 	}
-	if CutWeight(g, mask) != 0.5 {
-		t.Errorf("cut = %v, want 0.5 (the bridge)", CutWeight(g, mask))
+	if cutWeight(g, mask) != 0.5 {
+		t.Errorf("cut = %v, want 0.5 (the bridge)", cutWeight(g, mask))
 	}
 }
 
@@ -113,9 +113,9 @@ func TestContractPreservesWeight(t *testing.T) {
 			collapsed += e.Weight
 		}
 	}
-	if coarse.TotalWeight()+collapsed != g.TotalWeight() {
+	if totalWeight(coarse)+collapsed != totalWeight(g) {
 		t.Errorf("weight not conserved: coarse %v + collapsed %v != %v",
-			coarse.TotalWeight(), collapsed, g.TotalWeight())
+			totalWeight(coarse), collapsed, totalWeight(g))
 	}
 }
 
@@ -183,9 +183,9 @@ func TestKLRefineImprovesBadCut(t *testing.T) {
 	g := twoCliques(0.5)
 	// Deliberately bad balanced cut: {0,1,4,5} vs {2,3,6,7}.
 	mask := []bool{true, true, false, false, true, true, false, false}
-	before := CutWeight(g, mask)
+	before := cutWeight(g, mask)
 	klRefine(g, mask, nil)
-	after := CutWeight(g, mask)
+	after := cutWeight(g, mask)
 	if after > before {
 		t.Errorf("refinement worsened cut: %v -> %v", before, after)
 	}
@@ -195,4 +195,25 @@ func TestKLRefineImprovesBadCut(t *testing.T) {
 	if countMask(mask) != 4 {
 		t.Errorf("refinement changed balance: %d", countMask(mask))
 	}
+}
+
+// cutWeight is the measuring stick for Bisect and klRefine: the total
+// weight of edges crossing the mask.
+func cutWeight(g *graph.Graph, mask []bool) float64 {
+	var s float64
+	for _, e := range g.Edges {
+		if mask[e.U] != mask[e.V] {
+			s += e.Weight
+		}
+	}
+	return s
+}
+
+// totalWeight returns the sum of g's edge weights.
+func totalWeight(g *graph.Graph) float64 {
+	var s float64
+	for _, e := range g.Edges {
+		s += e.Weight
+	}
+	return s
 }

@@ -98,25 +98,6 @@ func volumeProxy(p Protocol, levels int, eps float64) float64 {
 	return vol / (float64(p.Outputs()) * ps)
 }
 
-// CompareRow pairs a protocol name with its plan for tabular output.
-type CompareRow struct {
-	Name string
-	Plan *Plan
-	Err  error
-}
-
-// Compare provisions every candidate for the same working point and
-// returns one row per candidate, in input order. Candidates that cannot
-// meet the target carry a non-nil Err instead of a Plan.
-func Compare(candidates []Protocol, eps, target float64, maxLevels int) []CompareRow {
-	rows := make([]CompareRow, 0, len(candidates))
-	for _, cand := range candidates {
-		plan, err := Provision(cand, eps, target, maxLevels)
-		rows = append(rows, CompareRow{Name: cand.Name(), Plan: plan, Err: err})
-	}
-	return rows
-}
-
 // DefaultCandidates returns the protocol set of the §III comparison: the
 // original 15→1, Bravyi-Haah at a few block sizes, and the asymptotic
 // Haah-Hastings model at the given working point.

@@ -253,27 +253,6 @@ func TestProvisionLevelCap(t *testing.T) {
 	}
 }
 
-func TestCompareReturnsRowPerCandidate(t *testing.T) {
-	eps := 1e-3
-	cands := DefaultCandidates(eps)
-	rows := Compare(cands, eps, 1e-10, 8)
-	if len(rows) != len(cands) {
-		t.Fatalf("%d rows for %d candidates", len(rows), len(cands))
-	}
-	okCount := 0
-	for _, r := range rows {
-		if r.Err == nil {
-			okCount++
-			if r.Plan == nil {
-				t.Errorf("%s: nil plan with nil error", r.Name)
-			}
-		}
-	}
-	if okCount == 0 {
-		t.Error("no candidate met the target")
-	}
-}
-
 func TestHaahHastingsModel(t *testing.T) {
 	h := DefaultHaahHastings().AtWorkingPoint(1e-3)
 	if h.Outputs() != 8 {

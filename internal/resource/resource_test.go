@@ -158,10 +158,6 @@ func TestVolume(t *testing.T) {
 	if v.SpaceTime() != 5000 {
 		t.Error("space-time broken")
 	}
-	p := bravyi.Params{K: 2, Levels: 2}
-	if v.PerState(p) != 1250 {
-		t.Errorf("per-state = %v, want 1250", v.PerState(p))
-	}
 }
 
 func TestExpectedRunsPerSuccess(t *testing.T) {

@@ -12,16 +12,6 @@ type Volume struct {
 // SpaceTime returns Area x Latency in qubit-cycles.
 func (v Volume) SpaceTime() float64 { return float64(v.Area) * float64(v.Latency) }
 
-// PerState normalizes the volume by the factory's capacity, giving the
-// cost per distilled magic state.
-func (v Volume) PerState(p bravyi.Params) float64 {
-	cap := p.Capacity()
-	if cap == 0 {
-		return 0
-	}
-	return v.SpaceTime() / float64(cap)
-}
-
 // ExpectedRunsPerSuccess returns the expected number of factory executions
 // needed per successful batch given the first-order module success
 // probability compounded over all modules, with the checkpoint structure

@@ -1,100 +1,12 @@
-// Package sched implements the instruction-level scheduling analyses of
-// §V: ASAP/ALAP schedules over the hazard dependency DAG, slack and
-// critical-path statistics, commutativity-aware gate reordering (CNOTs
-// sharing a control commute, as do disjoint gates), and barrier insertion.
-// The braid simulator performs its own list scheduling at execution time;
-// this package supplies the compile-time views the paper's scheduling
-// discussion draws on (gate mobility across rounds, the effect of
-// barriers on mobility, and schedule-level parallelism profiles).
+// Package sched implements the commutativity-aware gate reordering of
+// §V.A: CNOTs sharing a control commute, as do disjoint gates, and
+// SiftEarlier moves each gate as early in program order as commutation
+// allows. The braid simulator performs its own list scheduling at
+// execution time; this package supplies the compile-time reordering the
+// paper's scheduling discussion draws on.
 package sched
 
-import (
-	"magicstate/internal/circuit"
-	"magicstate/internal/resource"
-)
-
-// Schedule is a compile-time timing assignment: Start[i] is the cycle
-// gate i would begin under unlimited routing bandwidth.
-type Schedule struct {
-	Start  []int
-	Finish []int
-	// Makespan is the completion time of the last gate.
-	Makespan int
-}
-
-// ASAP returns the as-soon-as-possible schedule of c under cost model cm:
-// every gate starts the moment its last dependency finishes.
-func ASAP(c *circuit.Circuit, cm resource.CostModel) *Schedule {
-	d := circuit.Deps(c)
-	n := len(c.Gates)
-	s := &Schedule{Start: make([]int, n), Finish: make([]int, n)}
-	for i := 0; i < n; i++ {
-		dur := cm.GateCycles(&c.Gates[i])
-		s.Finish[i] = s.Start[i] + dur
-		if s.Finish[i] > s.Makespan {
-			s.Makespan = s.Finish[i]
-		}
-		for _, succ := range d.Succ[i] {
-			if s.Finish[i] > s.Start[succ] {
-				s.Start[succ] = s.Finish[i]
-			}
-		}
-	}
-	return s
-}
-
-// ALAP returns the as-late-as-possible schedule with the same makespan as
-// ASAP; the difference between ALAP and ASAP start times is each gate's
-// slack (its scheduling mobility, §V.A).
-func ALAP(c *circuit.Circuit, cm resource.CostModel) *Schedule {
-	d := circuit.Deps(c)
-	n := len(c.Gates)
-	asap := ASAP(c, cm)
-	s := &Schedule{Start: make([]int, n), Finish: make([]int, n), Makespan: asap.Makespan}
-	for i := 0; i < n; i++ {
-		s.Finish[i] = asap.Makespan
-	}
-	for i := n - 1; i >= 0; i-- {
-		dur := cm.GateCycles(&c.Gates[i])
-		for _, succ := range d.Succ[i] {
-			if s.Start[succ] < s.Finish[i] {
-				s.Finish[i] = s.Start[succ]
-			}
-		}
-		s.Start[i] = s.Finish[i] - dur
-	}
-	return s
-}
-
-// Slack returns per-gate mobility: ALAP start minus ASAP start. Gates
-// with zero slack are on the critical path.
-func Slack(c *circuit.Circuit, cm resource.CostModel) []int {
-	asap := ASAP(c, cm)
-	alap := ALAP(c, cm)
-	out := make([]int, len(c.Gates))
-	for i := range out {
-		out[i] = alap.Start[i] - asap.Start[i]
-	}
-	return out
-}
-
-// ParallelismProfile returns, for each ASAP level, how many gates occupy
-// it — the schedule's width profile. Useful for judging how much routing
-// bandwidth a mapping must supply.
-func ParallelismProfile(c *circuit.Circuit) []int {
-	levels := circuit.Deps(c).Levels()
-	max := 0
-	for _, l := range levels {
-		if l > max {
-			max = l
-		}
-	}
-	prof := make([]int, max+1)
-	for _, l := range levels {
-		prof[l]++
-	}
-	return prof
-}
+import "magicstate/internal/circuit"
 
 // Commute reports whether adjacent gates a and b may be exchanged without
 // changing circuit semantics. Disjoint gates always commute. Two CNOT-like
@@ -191,23 +103,4 @@ func SiftEarlier(c *circuit.Circuit) *circuit.Circuit {
 // the DAG, so skip those to keep the pass cheap and stable.
 func wouldUnblock(c *circuit.Circuit, j int) bool {
 	return len(sharedOperands(&c.Gates[j-1], &c.Gates[j])) > 0
-}
-
-// InsertRoundBarriers returns a copy of c with a barrier over qs after
-// every gate index in cutpoints (ascending). It is the generic form of
-// the generator's built-in round fencing, usable on arbitrary circuits.
-func InsertRoundBarriers(c *circuit.Circuit, cutpoints []int, qs []circuit.Qubit) *circuit.Circuit {
-	out := circuit.New(c.NumQubits)
-	out.Names = append([]string(nil), c.Names...)
-	next := 0
-	for i := range c.Gates {
-		g := c.Gates[i]
-		g.Targets = append([]circuit.Qubit(nil), g.Targets...)
-		out.Append(g)
-		if next < len(cutpoints) && cutpoints[next] == i {
-			out.Barrier(qs)
-			next++
-		}
-	}
-	return out
 }

@@ -23,6 +23,3 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
 }
-
-// Perm fills a deterministic permutation of n elements using rng.
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }

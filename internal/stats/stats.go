@@ -1,7 +1,6 @@
 // Package stats provides the small statistics substrate used by the
-// experiment harness: summary statistics, Pearson correlation (the metric
-// behind the paper's Fig. 6 r-values), and linear regression over metric /
-// latency samples.
+// experiment harness: the mean, Pearson correlation (the metric behind
+// the paper's Fig. 6 r-values), and deterministic random streams.
 package stats
 
 import (
@@ -25,46 +24,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs. It returns 0 when fewer
-// than two samples are provided.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient
 // between xs and ys. It returns ErrInsufficientData when fewer than two
 // samples are provided or the slices differ in length, and r = 0 when
@@ -85,41 +44,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// LinearFit returns slope and intercept of the least-squares line through
-// (xs, ys). It returns ErrInsufficientData for mismatched or short input
-// and a zero slope for a constant x series.
-func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, ErrInsufficientData
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, my, nil
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx, nil
-}
-
-// GeoMean returns the geometric mean of xs, all of which must be positive;
-// non-positive entries make the result NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

@@ -25,29 +25,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of single sample should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -2, 7, 0}
-	if Min(xs) != -2 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %v/%v, want -2/7", Min(xs), Max(xs))
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("empty Min/Max should be +Inf/-Inf")
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -100,34 +77,6 @@ func TestPearsonBounded(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(slope, 2, 1e-12) || !almostEq(intercept, 1, 1e-12) {
-		t.Errorf("fit = %v,%v, want 2,1", slope, intercept)
-	}
-	slope, intercept, err = LinearFit([]float64{5, 5, 5}, []float64{1, 2, 3})
-	if err != nil || slope != 0 || !almostEq(intercept, 2, 1e-12) {
-		t.Errorf("constant-x fit = %v,%v,%v", slope, intercept, err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almostEq(got, 2, 1e-12) {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean with non-positive input should be NaN")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -165,16 +114,5 @@ func TestSplitRNGIndependence(t *testing.T) {
 	y := SplitRNG(7, 3).Int63()
 	if x != y {
 		t.Error("SplitRNG must be deterministic per (seed, stream)")
-	}
-}
-
-func TestPerm(t *testing.T) {
-	p := Perm(NewRNG(1), 10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
 	}
 }

@@ -170,8 +170,8 @@ func TestGlobalEmbedValid(t *testing.T) {
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.N() != c.NumQubits {
-		t.Errorf("placement covers %d qubits, want %d", pl.N(), c.NumQubits)
+	if len(pl.Pos) != c.NumQubits {
+		t.Errorf("placement covers %d qubits, want %d", len(pl.Pos), c.NumQubits)
 	}
 }
 

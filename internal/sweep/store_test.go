@@ -167,13 +167,13 @@ func TestUncacheableConfigBypassesStore(t *testing.T) {
 func TestDeriveSharesCacheAndClampsWorkers(t *testing.T) {
 	eng := New(Options{Workers: 4})
 	d := eng.Derive(Options{Workers: 99})
-	if got := d.Workers(); got != 4 {
+	if got := d.workers; got != 4 {
 		t.Fatalf("Derive(99).Workers = %d, want clamp to 4", got)
 	}
-	if got := eng.Derive(Options{Workers: 2}).Workers(); got != 2 {
+	if got := eng.Derive(Options{Workers: 2}).workers; got != 2 {
 		t.Fatalf("Derive(2).Workers = %d, want 2", got)
 	}
-	if got := eng.Derive(Options{}).Workers(); got != 4 {
+	if got := eng.Derive(Options{}).workers; got != 4 {
 		t.Fatalf("Derive(0).Workers = %d, want parent width 4", got)
 	}
 

@@ -102,9 +102,6 @@ func (e *Engine) Derive(opts Options) *Engine {
 	}
 }
 
-// Workers reports the pool width.
-func (e *Engine) Workers() int { return e.workers }
-
 // CacheStats reports memo cache hits and misses so far (shared across
 // derived engines). Hits include calls that joined an unfinished flight.
 func (e *Engine) CacheStats() (hits, misses int64) { return e.cache.Stats() }
@@ -112,10 +109,6 @@ func (e *Engine) CacheStats() (hits, misses int64) { return e.cache.Stats() }
 // FlightStats reports calls that joined another caller's unfinished
 // point flight and the flights not yet finished (see memo.Cache.Flights).
 func (e *Engine) FlightStats() (shared int64, inFlight int) { return e.cache.Flights() }
-
-// Store returns the engine's durable cache tier (nil when the engine is
-// memory-only).
-func (e *Engine) Store() *store.Store { return e.store }
 
 // DiskHits reports how many points were served from the durable tier
 // instead of being recomputed, across this engine and every engine

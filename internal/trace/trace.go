@@ -110,9 +110,6 @@ type RoundSpan struct {
 // PermCycles returns the permutation window width.
 func (r RoundSpan) PermCycles() int { return r.PermEnd - r.PermStart }
 
-// Cycles returns the whole round width.
-func (r RoundSpan) Cycles() int { return r.End - r.Start }
-
 // RoundTimeline maps each factory round onto the cycles it actually
 // occupied in a simulation, splitting out the inter-round permutation
 // phase that hierarchical stitching optimizes (§VII.B).
