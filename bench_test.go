@@ -20,10 +20,27 @@ import (
 	"magicstate/internal/plan"
 	"magicstate/internal/stats"
 	"magicstate/internal/stitch"
+	"magicstate/internal/sweep"
 )
 
+// freshEngines makes every iteration of b start on an empty memo. The
+// experiments engine is process-wide, so without it each iteration after
+// the first would time memo hits. Call the returned func at the top of
+// each iteration; b's end restores the original engine.
+func freshEngines(b *testing.B) func() {
+	orig := experiments.Engine()
+	b.Cleanup(func() { experiments.SetEngine(orig) })
+	return func() {
+		b.StopTimer()
+		experiments.SetEngine(sweep.New(sweep.Options{}))
+		b.StartTimer()
+	}
+}
+
 func BenchmarkFig6Correlations(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		r, err := experiments.Fig6(8, 24, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -34,7 +51,9 @@ func BenchmarkFig6Correlations(b *testing.B) {
 }
 
 func BenchmarkFig7SingleLevel(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		rows, err := experiments.Fig7(1, []int{2, 4, 8}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -45,7 +64,9 @@ func BenchmarkFig7SingleLevel(b *testing.B) {
 }
 
 func BenchmarkFig7TwoLevel(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		rows, err := experiments.Fig7(2, []int{4, 16}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -56,7 +77,9 @@ func BenchmarkFig7TwoLevel(b *testing.B) {
 }
 
 func BenchmarkFig9Reuse(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		rows, err := experiments.Fig9Reuse([]int{4, 16}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -66,7 +89,9 @@ func BenchmarkFig9Reuse(b *testing.B) {
 }
 
 func BenchmarkFig9Hops(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		rows, err := experiments.Fig9Hops([]int{4, 16}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -77,7 +102,9 @@ func BenchmarkFig9Hops(b *testing.B) {
 }
 
 func BenchmarkFig10SingleLevel(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		rows, err := experiments.Fig10(1, []int{2, 4, 8}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -87,7 +114,9 @@ func BenchmarkFig10SingleLevel(b *testing.B) {
 }
 
 func BenchmarkFig10TwoLevel(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		rows, err := experiments.Fig10(2, []int{4, 16}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -110,7 +139,9 @@ func BenchmarkFig10TwoLevel(b *testing.B) {
 }
 
 func BenchmarkTableI(b *testing.B) {
+	fresh := freshEngines(b)
 	for i := 0; i < b.N; i++ {
+		fresh()
 		t, err := experiments.Table1([]int{2, 4}, []int{4, 16}, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -281,33 +312,45 @@ func BenchmarkGraphPartitionEmbed(b *testing.B) {
 	}
 }
 
-// BenchmarkForceAnneal measures the arena-backed annealing engine on a
-// single-level factory's interaction graph: the engine variant is the FD
-// mapper's steady state (one process-wide Annealer whose scratch carries
-// across sweep points), and the restart variants exercise the parallel
-// independent-restart path.
+// BenchmarkForceAnneal measures the arena-backed annealing engine. The
+// K=8 level-1 cases compare against the whole edge list (m under
+// CostSample): the engine variant is the FD mapper's steady state (one
+// process-wide Annealer whose scratch carries across sweep points), and
+// the restart variants exercise the parallel independent-restart path.
+// l2_k4 is a level-2 K=4 factory (m=1112 over CostSample), so every move
+// draws a fresh edge sample: the path that carries Table I.
 func BenchmarkForceAnneal(b *testing.B) {
-	f, err := bravyi.Build(bravyi.Params{K: 8, Levels: 1})
-	if err != nil {
-		b.Fatal(err)
+	type input struct {
+		f    *bravyi.Factory
+		g    *graph.Graph
+		init *layout.Placement
 	}
-	g := graph.FromCircuit(f.Circuit)
-	init := layout.Linear(f)
+	build := func(p bravyi.Params) input {
+		f, err := bravyi.Build(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return input{f, graph.FromCircuit(f.Circuit), layout.Linear(f)}
+	}
+	l1k8 := build(bravyi.Params{K: 8, Levels: 1})
+	l2k4 := build(bravyi.Params{K: 4, Levels: 2, Barriers: true})
 	an := force.NewAnnealer()
 	for _, v := range []struct {
 		name string
+		in   input
 		opt  force.Options
 	}{
-		{"single", force.Options{Seed: 1}},
-		{"restarts4", force.Options{Seed: 1, Restarts: 4}},
-		{"restarts4_serial", force.Options{Seed: 1, Restarts: 4, RestartWorkers: 1}},
+		{"single", l1k8, force.Options{Seed: 1}},
+		{"restarts4", l1k8, force.Options{Seed: 1, Restarts: 4}},
+		{"restarts4_serial", l1k8, force.Options{Seed: 1, Restarts: 4, RestartWorkers: 1}},
+		{"l2_k4", l2k4, force.Options{Seed: 1}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p := an.Anneal(g, f.Circuit, init, v.opt)
+				p := an.Anneal(v.in.g, v.in.f.Circuit, v.in.init, v.opt)
 				if i == b.N-1 {
-					m := layout.Measure(g, p)
+					m := layout.Measure(v.in.g, p)
 					b.ReportMetric(float64(m.Crossings), "crossings")
 				}
 			}

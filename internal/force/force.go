@@ -54,8 +54,8 @@ type Options struct {
 	// a move's effect on crossings and spacing (0 = 400); keeps large
 	// factories tractable, as the paper's own O(m^2) analysis warns.
 	CostSample int
-	// MarginRows adds free rows above and below the initial placement so
-	// the line can fold into 2-D; 0 picks 3.
+	// MarginRows adds this many free rows and columns on all four sides
+	// of the initial placement so the line can fold into 2-D; 0 picks 4.
 	MarginRows int
 	// DisableDipole and DisableCommunity switch off individual heuristics
 	// for ablation benches.
@@ -243,12 +243,13 @@ type runState struct {
 	// rng-drawn subsets when it does not.
 	allEdges []int
 	sample   []int
-	// osegs/omidX/omidY cache the comparison edges' segments and
-	// midpoints for one localCost evaluation, so the incident x sample
-	// double loop reads them instead of re-deriving four placement
-	// lookups and two float divisions per pair.
+	// osegs/omidX/omidY/oboxes cache the comparison edges' segments,
+	// midpoints and bounding boxes for one phase of a move (see
+	// prepare), so the incident x sample double loop reads them instead
+	// of re-deriving placement lookups and float divisions per pair.
 	osegs        []layout.Segment
 	omidX, omidY []float64
+	oboxes       []box
 	// memberStart/memberCur/memberList index community members in CSR
 	// form: members of community cid are
 	// memberList[memberStart[cid]:memberStart[cid+1]].
@@ -265,31 +266,12 @@ type runState struct {
 // community detection first, then per-sweep proposal order, force
 // sampling and move gating in program order.
 func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, rng *rand.Rand, poles []int) *layout.Placement {
-	st.g, st.opt, st.rng = g, opt, rng
-
-	// Work on an expanded canvas so vertices can leave the initial hull.
-	n := len(init.Pos)
-	if cap(st.p.Pos) < n {
-		st.p.Pos = make([]layout.Point, n)
-	}
-	st.p.Pos = st.p.Pos[:n]
-	copy(st.p.Pos, init.Pos)
-	st.p.W, st.p.H = init.W, init.H
-	st.p.Normalize()
-	margin := opt.MarginRows
-	for q := range st.p.Pos {
-		st.p.Pos[q].X += margin
-		st.p.Pos[q].Y += margin
-	}
-	st.p.W += 2 * margin
-	st.p.H += 2 * margin
-
+	st.load(g, init, opt, rng)
 	var comm []int
 	commCount := 0
 	if !opt.DisableCommunity {
 		comm, commCount = graph.Communities(g, rng)
 	}
-	st.buildOcc()
 
 	stuck := 0
 	for iter := 0; iter < opt.Iterations; iter++ {
@@ -316,6 +298,29 @@ func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, rng
 	out := st.p.Clone()
 	st.g, st.rng = nil, nil
 	return out
+}
+
+// load points the run at g and opt and copies init onto an expanded
+// canvas, MarginRows wider on all four sides so vertices can leave the
+// initial hull, with its occupancy grid. It draws nothing from rng.
+func (st *runState) load(g *graph.Graph, init *layout.Placement, opt Options, rng *rand.Rand) {
+	st.g, st.opt, st.rng = g, opt, rng
+	n := len(init.Pos)
+	if cap(st.p.Pos) < n {
+		st.p.Pos = make([]layout.Point, n)
+	}
+	st.p.Pos = st.p.Pos[:n]
+	copy(st.p.Pos, init.Pos)
+	st.p.W, st.p.H = init.W, init.H
+	st.p.Normalize()
+	margin := opt.MarginRows
+	for q := range st.p.Pos {
+		st.p.Pos[q].X += margin
+		st.p.Pos[q].Y += margin
+	}
+	st.p.W += 2 * margin
+	st.p.H += 2 * margin
+	st.buildOcc()
 }
 
 // buildOcc resets the occupancy grid to the current canvas.
@@ -487,11 +492,13 @@ func (st *runState) tryMove(v int, delta layout.Point) bool {
 	// Sample the comparison edge set once so before/after scores differ
 	// only through the move, not through sampling noise.
 	sample := st.sampleEdgeSet()
+	st.prepare(sample)
 	before := st.localCost(v, sample)
 	if swap {
 		before += st.localCost(occupant, sample)
 	}
 	st.apply(v, to, occupant, swap, from)
+	st.prepare(sample)
 	after := st.localCost(v, sample)
 	if swap {
 		after += st.localCost(occupant, sample)
@@ -544,54 +551,80 @@ func (st *runState) sampleEdgeSet() []int {
 	return sample
 }
 
-// localCost scores vertex v's edges against the given comparison edges:
-// weighted length plus crossing count minus spacing, mirroring the
-// paper's cost metric locally.
-func (st *runState) localCost(v int, sample []int) float64 {
-	const crossWeight = 4.0
-	const spacingWeight = 0.5
-	var cost float64
-	edges := st.g.Incident(v)
-	if len(edges) == 0 {
-		return 0
-	}
-	// Derive each comparison edge's segment and midpoint once: the
-	// expressions match the per-pair forms bit for bit, and the pair
-	// loop accumulates in the same order, so cached reads change no
-	// cost value.
+// spacingReach is the midpoint distance at which localCost's spacing
+// term reaches zero, and so also the box gap from which a pair of
+// segments provably adds nothing to the cost.
+const spacingReach = 8
+
+// box is a segment's integer bounding box.
+type box struct{ x0, y0, x1, y1 int32 }
+
+// prepare caches each comparison edge's segment, midpoint and bounding
+// box under the current placement. tryMove calls it once before its
+// "before" scores and once after apply, so localCost(v) and
+// localCost(occupant) share one build per phase. The expressions match
+// the per-pair forms bit for bit, so cached reads change no cost value.
+func (st *runState) prepare(sample []int) {
 	if cap(st.osegs) < len(sample) {
 		st.osegs = make([]layout.Segment, len(sample))
 		st.omidX = make([]float64, len(sample))
 		st.omidY = make([]float64, len(sample))
+		st.oboxes = make([]box, len(sample))
 	}
 	osegs := st.osegs[:len(sample)]
 	omidX, omidY := st.omidX[:len(sample)], st.omidY[:len(sample)]
+	oboxes := st.oboxes[:len(sample)]
 	for k, oi := range sample {
 		oe := st.g.Edges[oi]
 		a, b := st.p.At(oe.U), st.p.At(oe.V)
 		osegs[k] = layout.Segment{A: a, B: b}
 		omidX[k] = float64(a.X+b.X) / 2
 		omidY[k] = float64(a.Y+b.Y) / 2
+		oboxes[k] = box{int32(min(a.X, b.X)), int32(min(a.Y, b.Y)), int32(max(a.X, b.X)), int32(max(a.Y, b.Y))}
 	}
-	for _, ei := range edges {
+}
+
+// localCost scores vertex v's edges against the comparison edges the
+// last prepare(sample) cached: weighted length plus crossing count minus
+// spacing, mirroring the paper's cost metric locally.
+//
+// A comparison box spacingReach or more tiles clear of the incident
+// edge's box on either axis is rejected with four integer compares. Such
+// boxes are disjoint, so the segments cannot conflict, and the midpoints
+// are at least spacingReach apart on that axis, so the spacing term is
+// zero: the pair would add nothing. Kept pairs run in sample order, so
+// every float sum is the one the unpruned loop produces.
+func (st *runState) localCost(v int, sample []int) float64 {
+	const crossWeight = 4.0
+	const spacingWeight = 0.5
+	var cost float64
+	osegs := st.osegs[:len(sample)]
+	omidX, omidY := st.omidX[:len(sample)], st.omidY[:len(sample)]
+	oboxes := st.oboxes[:len(sample)]
+	for _, ei := range st.g.Incident(v) {
 		e := st.g.Edges[ei]
 		a, b := st.p.At(e.U), st.p.At(e.V)
 		cost += e.Weight * float64(layout.Manhattan(a, b))
 		seg := layout.Segment{A: a, B: b}
 		mx, my := float64(a.X+b.X)/2, float64(a.Y+b.Y)/2
-		for k, oi := range sample {
-			if oi == ei {
+		lox, hix := int32(min(a.X, b.X))-spacingReach, int32(max(a.X, b.X))+spacingReach
+		loy, hiy := int32(min(a.Y, b.Y))-spacingReach, int32(max(a.Y, b.Y))+spacingReach
+		for k, ob := range oboxes {
+			if ob.x0 >= hix || ob.x1 <= lox || ob.y0 >= hiy || ob.y1 <= loy {
+				continue
+			}
+			if sample[k] == ei {
 				continue
 			}
 			if layout.SegmentsConflict(seg, osegs[k]) {
 				cost += crossWeight
 			}
 			dx, dy := mx-omidX[k], my-omidY[k]
-			// The spacing penalty only fires under distance 8; comparing
-			// squared distances first skips the Sqrt for the typical far
-			// pair without changing any cost value.
-			if d2 := dx*dx + dy*dy; d2 < 64 {
-				cost += spacingWeight * (8 - math.Sqrt(d2)) / 8
+			// The spacing penalty only fires under distance spacingReach;
+			// comparing squared distances first skips the Sqrt for the
+			// typical far pair without changing any cost value.
+			if d2 := dx*dx + dy*dy; d2 < spacingReach*spacingReach {
+				cost += spacingWeight * (spacingReach - math.Sqrt(d2)) / spacingReach
 			}
 		}
 	}
