@@ -158,6 +158,24 @@ func TestTable1Small(t *testing.T) {
 	if h := res.HeadlineImprovement(); h <= 1 {
 		t.Errorf("headline improvement %v should exceed 1", h)
 	}
+	// The paper's claims on this grid: force-directed placement beats
+	// both linear mappings in every cell, and hierarchical stitching is
+	// the lowest level-2 volume short of the critical bound.
+	for _, fd := range res.Cells {
+		if fd.Procedure != "FD" {
+			continue
+		}
+		for _, proc := range []string{"Line(NR)", "Line(R)"} {
+			if line, ok := res.Cell(proc, fd.Level, fd.Capacity); ok && fd.Volume > line.Volume {
+				t.Errorf("L%d K=%d: FD volume %.3g above %s %.3g", fd.Level, fd.Capacity, fd.Volume, proc, line.Volume)
+			}
+		}
+	}
+	for _, proc := range Procedures {
+		if c, ok := res.Cell(proc, 2, 4); ok && proc != "HS" && proc != "Critical" && c.Volume <= hs.Volume {
+			t.Errorf("L2 K=4: %s volume %.3g not above HS %.3g", proc, c.Volume, hs.Volume)
+		}
+	}
 	var buf bytes.Buffer
 	WriteTable1(&buf, res)
 	if !strings.Contains(buf.String(), "headline") {

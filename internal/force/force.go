@@ -235,6 +235,14 @@ type runState struct {
 	// occ is a dense W*H occupancy grid over the canvas: 0 means free,
 	// v+1 means qubit v sits on the tile.
 	occ []int32
+	// ebox holds every interaction edge's integer bounding box under the
+	// current placement. buildOcc rebuilds it with the occupancy grid;
+	// apply, the only position write of a run, refreshes the edges
+	// incident to the vertices it moves.
+	ebox []box
+	// edgeDraw and vertexDraw replicate rng.Intn(len(g.Edges)) and
+	// rng.Intn(g.N) with their rejection bounds precomputed.
+	edgeDraw, vertexDraw intner
 	// perm receives the sweep proposal order (rand.Perm replicated into
 	// reused storage).
 	perm []int
@@ -243,10 +251,13 @@ type runState struct {
 	// rng-drawn subsets when it does not.
 	allEdges []int
 	sample   []int
-	// osegs/omidX/omidY/oboxes cache the comparison edges' segments,
-	// midpoints and bounding boxes for one phase of a move (see
-	// prepare), so the incident x sample double loop reads them instead
-	// of re-deriving placement lookups and float divisions per pair.
+	// near lists, in sample order, the comparison edges keep found close
+	// enough to the move to add to either phase's cost.
+	near []int
+	// osegs/omidX/omidY/oboxes cache the near edges' segments, midpoints
+	// and bounding boxes for one phase of a move (see prepare), so the
+	// incident x near double loop reads them instead of re-deriving
+	// placement lookups and float divisions per pair.
 	osegs        []layout.Segment
 	omidX, omidY []float64
 	oboxes       []box
@@ -305,6 +316,7 @@ func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, rng
 // initial hull, with its occupancy grid. It draws nothing from rng.
 func (st *runState) load(g *graph.Graph, init *layout.Placement, opt Options, rng *rand.Rand) {
 	st.g, st.opt, st.rng = g, opt, rng
+	st.edgeDraw, st.vertexDraw = newIntner(len(g.Edges)), newIntner(g.N)
 	n := len(init.Pos)
 	if cap(st.p.Pos) < n {
 		st.p.Pos = make([]layout.Point, n)
@@ -323,7 +335,8 @@ func (st *runState) load(g *graph.Graph, init *layout.Placement, opt Options, rn
 	st.buildOcc()
 }
 
-// buildOcc resets the occupancy grid to the current canvas.
+// buildOcc resets the occupancy grid and the edge-box cache to the
+// current canvas.
 func (st *runState) buildOcc() {
 	need := st.p.W * st.p.H
 	if cap(st.occ) < need {
@@ -337,6 +350,21 @@ func (st *runState) buildOcc() {
 	for q := range st.p.Pos {
 		pt := st.p.Pos[q]
 		st.occ[pt.Y*st.p.W+pt.X] = int32(q) + 1
+	}
+	if cap(st.ebox) < len(st.g.Edges) {
+		st.ebox = make([]box, len(st.g.Edges))
+	}
+	st.ebox = st.ebox[:len(st.g.Edges)]
+	for ei, e := range st.g.Edges {
+		st.ebox[ei] = edgeBox(st.p.At(e.U), st.p.At(e.V))
+	}
+}
+
+// refresh recomputes the cached boxes of v's incident edges.
+func (st *runState) refresh(v int) {
+	for _, ei := range st.g.Incident(v) {
+		e := st.g.Edges[ei]
+		st.ebox[ei] = edgeBox(st.p.At(e.U), st.p.At(e.V))
 	}
 }
 
@@ -362,7 +390,7 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 		for _, ei := range st.g.Incident(v) {
 			mvx, mvy := st.midpoint(ei)
 			for s := 0; s < sample; s++ {
-				oi := st.rng.Intn(len(st.g.Edges))
+				oi := st.edgeDraw.draw(st.rng)
 				if oi == ei {
 					continue
 				}
@@ -389,7 +417,7 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 	// inverse-square falloff, over a sample of vertices.
 	if poles != nil {
 		for s := 0; s < 32; s++ {
-			u := st.rng.Intn(st.g.N)
+			u := st.vertexDraw.draw(st.rng)
 			if u == v {
 				continue
 			}
@@ -416,10 +444,12 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 	return fx, fy
 }
 
+// midpoint reads edge ei's midpoint off its cached box: the box's
+// min+max is the endpoints' sum, so the value is bit-identical to the
+// one the endpoints give.
 func (st *runState) midpoint(ei int) (float64, float64) {
-	e := st.g.Edges[ei]
-	a, b := st.p.At(e.U), st.p.At(e.V)
-	return float64(a.X+b.X) / 2, float64(a.Y+b.Y) / 2
+	b := st.ebox[ei]
+	return float64(b.x0+b.x1) / 2, float64(b.y0+b.y1) / 2
 }
 
 // sweep proposes one move per vertex along its force and returns how many
@@ -491,17 +521,17 @@ func (st *runState) tryMove(v int, delta layout.Point) bool {
 	occupant, swap := int(o)-1, o != 0
 	// Sample the comparison edge set once so before/after scores differ
 	// only through the move, not through sampling noise.
-	sample := st.sampleEdgeSet()
-	st.prepare(sample)
-	before := st.localCost(v, sample)
+	st.keep(st.sampleEdgeSet(), v, occupant, swap)
+	st.prepare()
+	before := st.localCost(v)
 	if swap {
-		before += st.localCost(occupant, sample)
+		before += st.localCost(occupant)
 	}
 	st.apply(v, to, occupant, swap, from)
-	st.prepare(sample)
-	after := st.localCost(v, sample)
+	st.prepare()
+	after := st.localCost(v)
 	if swap {
-		after += st.localCost(occupant, sample)
+		after += st.localCost(occupant)
 	}
 	if after <= before {
 		return true
@@ -521,6 +551,10 @@ func (st *runState) apply(v int, to layout.Point, occupant int, swap bool, from 
 	}
 	st.p.Set(v, to)
 	st.occ[to.Y*w+to.X] = int32(v) + 1
+	st.refresh(v)
+	if swap {
+		st.refresh(occupant)
+	}
 }
 
 // sampleEdgeSet draws the comparison edges used for one move evaluation.
@@ -546,7 +580,7 @@ func (st *runState) sampleEdgeSet() []int {
 	}
 	sample := st.sample[:st.opt.CostSample]
 	for i := range sample {
-		sample[i] = st.rng.Intn(m)
+		sample[i] = st.edgeDraw.draw(st.rng)
 	}
 	return sample
 }
@@ -559,61 +593,133 @@ const spacingReach = 8
 // box is a segment's integer bounding box.
 type box struct{ x0, y0, x1, y1 int32 }
 
-// prepare caches each comparison edge's segment, midpoint and bounding
-// box under the current placement. tryMove calls it once before its
-// "before" scores and once after apply, so localCost(v) and
-// localCost(occupant) share one build per phase. The expressions match
-// the per-pair forms bit for bit, so cached reads change no cost value.
-func (st *runState) prepare(sample []int) {
-	if cap(st.osegs) < len(sample) {
-		st.osegs = make([]layout.Segment, len(sample))
-		st.omidX = make([]float64, len(sample))
-		st.omidY = make([]float64, len(sample))
-		st.oboxes = make([]box, len(sample))
+func edgeBox(a, b layout.Point) box {
+	return box{int32(min(a.X, b.X)), int32(min(a.Y, b.Y)), int32(max(a.X, b.X)), int32(max(a.Y, b.Y))}
+}
+
+// intner draws from [0, n) exactly as rand.Intn(n) does for n < 1<<31:
+// Int31n's rejection loop over r.Int31(), with its bound computed once
+// instead of per draw. For a power of two the bound is never exceeded and
+// v%n equals Int31n's mask, so every n consumes the stream identically.
+type intner struct{ n, max int32 }
+
+// newIntner returns the drawer for n; for n <= 0 it is the zero intner,
+// whose draw panics as rand.Intn would.
+func newIntner(n int) intner {
+	if n <= 0 {
+		return intner{}
 	}
-	osegs := st.osegs[:len(sample)]
-	omidX, omidY := st.omidX[:len(sample)], st.omidY[:len(sample)]
-	oboxes := st.oboxes[:len(sample)]
-	for k, oi := range sample {
-		oe := st.g.Edges[oi]
-		a, b := st.p.At(oe.U), st.p.At(oe.V)
-		osegs[k] = layout.Segment{A: a, B: b}
-		omidX[k] = float64(a.X+b.X) / 2
-		omidY[k] = float64(a.Y+b.Y) / 2
-		oboxes[k] = box{int32(min(a.X, b.X)), int32(min(a.Y, b.Y)), int32(max(a.X, b.X)), int32(max(a.Y, b.Y))}
+	return intner{int32(n), int32((1<<31 - 1) - (1<<31)%uint32(n))}
+}
+
+func (d intner) draw(r *rand.Rand) int {
+	v := r.Int31()
+	for v > d.max {
+		v = r.Int31()
+	}
+	return int(v % d.n)
+}
+
+// keep scans a move's comparison sample once and records in st.near, in
+// sample order, the edges whose cached box comes within spacingReach+1
+// tiles of the union of the boxes of v's (and, on a swap, occupant's)
+// incident edges. A move shifts each moved vertex by at most one tile per
+// axis, so no incident box grows by more than one tile toward an edge
+// outside the union, and only incident edges' boxes change: every pair
+// localCost keeps in either phase of the move is on the list.
+func (st *runState) keep(sample []int, v, occupant int, swap bool) {
+	// far leaves room to widen without overflow; an empty union stays
+	// inverted, so every edge is rejected.
+	const far = math.MaxInt32 - spacingReach - 1
+	u := box{far, far, -far, -far}
+	st.union(&u, v)
+	if swap {
+		st.union(&u, occupant)
+	}
+	const reach = spacingReach + 1
+	lox, loy, hix, hiy := u.x0-reach, u.y0-reach, u.x1+reach, u.y1+reach
+	if cap(st.near) < len(sample) {
+		st.near = make([]int, 0, len(sample))
+	}
+	near := st.near[:0]
+	for _, oi := range sample {
+		ob := st.ebox[oi]
+		if ob.x0 >= hix || ob.x1 <= lox || ob.y0 >= hiy || ob.y1 <= loy {
+			continue
+		}
+		near = append(near, oi)
+	}
+	st.near = near
+}
+
+// union grows u to cover the cached boxes of v's incident edges.
+func (st *runState) union(u *box, v int) {
+	for _, ei := range st.g.Incident(v) {
+		b := st.ebox[ei]
+		u.x0, u.y0 = min(u.x0, b.x0), min(u.y0, b.y0)
+		u.x1, u.y1 = max(u.x1, b.x1), max(u.y1, b.y1)
 	}
 }
 
-// localCost scores vertex v's edges against the comparison edges the
-// last prepare(sample) cached: weighted length plus crossing count minus
-// spacing, mirroring the paper's cost metric locally.
+// prepare caches each near edge's segment, midpoint and bounding box
+// under the current placement. tryMove calls it once before its "before"
+// scores and once after apply, so localCost(v) and localCost(occupant)
+// share one build per phase. The expressions match the per-pair forms
+// bit for bit, so cached reads change no cost value.
+func (st *runState) prepare() {
+	n := len(st.near)
+	if cap(st.osegs) < n {
+		c := cap(st.near)
+		st.osegs = make([]layout.Segment, c)
+		st.omidX = make([]float64, c)
+		st.omidY = make([]float64, c)
+		st.oboxes = make([]box, c)
+	}
+	osegs := st.osegs[:n]
+	omidX, omidY := st.omidX[:n], st.omidY[:n]
+	oboxes := st.oboxes[:n]
+	for k, oi := range st.near {
+		oe := st.g.Edges[oi]
+		osegs[k] = layout.Segment{A: st.p.At(oe.U), B: st.p.At(oe.V)}
+		omidX[k], omidY[k] = st.midpoint(oi)
+		oboxes[k] = st.ebox[oi]
+	}
+}
+
+// localCost scores vertex v's edges against the near edges the last
+// prepare cached: weighted length plus crossing count minus spacing,
+// mirroring the paper's cost metric locally.
 //
 // A comparison box spacingReach or more tiles clear of the incident
 // edge's box on either axis is rejected with four integer compares. Such
 // boxes are disjoint, so the segments cannot conflict, and the midpoints
 // are at least spacingReach apart on that axis, so the spacing term is
-// zero: the pair would add nothing. Kept pairs run in sample order, so
-// every float sum is the one the unpruned loop produces.
-func (st *runState) localCost(v int, sample []int) float64 {
+// zero: the pair would add nothing. keep dropped only edges every
+// incident box rejects, and kept pairs run in sample order, so every
+// float sum is the one the unpruned loop over the whole sample produces.
+func (st *runState) localCost(v int) float64 {
 	const crossWeight = 4.0
 	const spacingWeight = 0.5
 	var cost float64
-	osegs := st.osegs[:len(sample)]
-	omidX, omidY := st.omidX[:len(sample)], st.omidY[:len(sample)]
-	oboxes := st.oboxes[:len(sample)]
+	near := st.near
+	n := len(near)
+	osegs := st.osegs[:n]
+	omidX, omidY := st.omidX[:n], st.omidY[:n]
+	oboxes := st.oboxes[:n]
 	for _, ei := range st.g.Incident(v) {
 		e := st.g.Edges[ei]
 		a, b := st.p.At(e.U), st.p.At(e.V)
 		cost += e.Weight * float64(layout.Manhattan(a, b))
 		seg := layout.Segment{A: a, B: b}
-		mx, my := float64(a.X+b.X)/2, float64(a.Y+b.Y)/2
-		lox, hix := int32(min(a.X, b.X))-spacingReach, int32(max(a.X, b.X))+spacingReach
-		loy, hiy := int32(min(a.Y, b.Y))-spacingReach, int32(max(a.Y, b.Y))+spacingReach
+		mx, my := st.midpoint(ei)
+		eb := st.ebox[ei]
+		lox, hix := eb.x0-spacingReach, eb.x1+spacingReach
+		loy, hiy := eb.y0-spacingReach, eb.y1+spacingReach
 		for k, ob := range oboxes {
 			if ob.x0 >= hix || ob.x1 <= lox || ob.y0 >= hiy || ob.y1 <= loy {
 				continue
 			}
-			if sample[k] == ei {
+			if near[k] == ei {
 				continue
 			}
 			if layout.SegmentsConflict(seg, osegs[k]) {

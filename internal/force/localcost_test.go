@@ -130,14 +130,39 @@ func (st *runState) scatter() {
 	st.buildOcc()
 }
 
-// checkCost prepares sample and compares the pruned and naive costs of
-// v bit for bit.
+// checkCost keeps and prepares sample for a move of v alone and
+// compares the pruned and naive costs of v bit for bit.
 func checkCost(tb testing.TB, st *runState, v int, sample []int) {
 	tb.Helper()
-	st.prepare(sample)
-	got, want := st.localCost(v, sample), st.localCostNaive(v, sample)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		tb.Fatalf("localCost(%d) over %d edges = %v, naive loop gives %v", v, len(sample), got, want)
+	st.keep(sample, v, 0, false)
+	st.prepare()
+	checkPhase(tb, st, sample, "", v)
+}
+
+// checkPhase compares, for each of vs, the pruned cost over the near
+// list the last keep and prepare built with the naive cost over the whole
+// sample, bit for bit, and returns the naive costs' sum.
+func checkPhase(tb testing.TB, st *runState, sample []int, phase string, vs ...int) float64 {
+	tb.Helper()
+	var sum float64
+	for _, v := range vs {
+		got, want := st.localCost(v), st.localCostNaive(v, sample)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			tb.Fatalf("%slocalCost(%d) over %d edges = %v, naive loop gives %v", phase, v, len(sample), got, want)
+		}
+		sum += want
+	}
+	return sum
+}
+
+// checkBoxes compares the edge-box cache with boxes derived from the
+// placement from scratch.
+func checkBoxes(tb testing.TB, st *runState) {
+	tb.Helper()
+	for ei, e := range st.g.Edges {
+		if want := edgeBox(st.p.At(e.U), st.p.At(e.V)); st.ebox[ei] != want {
+			tb.Fatalf("ebox[%d] = %v, placement gives %v", ei, st.ebox[ei], want)
+		}
 	}
 }
 
@@ -175,12 +200,88 @@ func TestLocalCostMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMovePhasesMatchNaive drives tryMove's phases by hand: one keep per
+// move, then, before and after apply, the pruned costs of the moved
+// vertices against the naive loop over the whole sample. Every vertex
+// tries all eight unit steps, so the moves include swaps, communityKick's
+// diagonal steps and steps along the canvas edge; CostSample is below
+// and above m. A move is kept when the naive gate would keep it, so the
+// placement, and with it the edge-box cache, drifts as a run's would.
+func TestMovePhasesMatchNaive(t *testing.T) {
+	deltas := []layout.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {X: 1, Y: 1}, {X: 1, Y: -1}, {X: -1, Y: 1}, {X: -1, Y: -1}}
+	for fi, f := range factoriesForOracle(t) {
+		m := len(f.g.Edges)
+		for _, cs := range []int{m / 3, 2 * m} {
+			st := newOracleRun(f, cs, int64(31*fi+cs))
+			var swaps, diagonals, rim int
+			for round := 0; round < 2; round++ {
+				if round > 0 {
+					st.scatter()
+				}
+				for v := 0; v < f.g.N; v++ {
+					for _, d := range deltas {
+						from := st.p.At(v)
+						to := layout.Point{X: from.X + d.X, Y: from.Y + d.Y}
+						if to.X < 0 || to.X >= st.p.W || to.Y < 0 || to.Y >= st.p.H {
+							continue
+						}
+						o := st.occ[to.Y*st.p.W+to.X]
+						occupant, swap := int(o)-1, o != 0
+						moved := []int{v}
+						if swap {
+							moved = append(moved, occupant)
+							swaps++
+						}
+						if d.X != 0 && d.Y != 0 {
+							diagonals++
+						}
+						if from.X == 0 || from.Y == 0 || from.X == st.p.W-1 || from.Y == st.p.H-1 {
+							rim++
+						}
+						sample := st.sampleEdgeSet()
+						st.keep(sample, v, occupant, swap)
+						st.prepare()
+						before := checkPhase(t, st, sample, "before: ", moved...)
+						st.apply(v, to, occupant, swap, from)
+						st.prepare()
+						if after := checkPhase(t, st, sample, "after: ", moved...); after > before {
+							st.apply(v, from, occupant, swap, to)
+						}
+					}
+				}
+				checkBoxes(t, st)
+			}
+			if swaps == 0 || diagonals == 0 || rim == 0 {
+				t.Fatalf("factory %d, CostSample %d: %d swaps, %d diagonal and %d canvas-edge moves; want some of each", fi, cs, swaps, diagonals, rim)
+			}
+		}
+	}
+}
+
+func TestIntnerMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{1, 2, 99, -7} {
+		for _, n := range []int{1, 2, 3, 400, 492, 1112, 1 << 20, 1<<31 - 1} {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			d := newIntner(n)
+			for i := 0; i < 10000; i++ {
+				if g, w := d.draw(got), want.Intn(n); g != w {
+					t.Fatalf("seed %d, n %d, draw %d: intner gives %d, Intn %d", seed, n, i, g, w)
+				}
+			}
+			if got.Int63() != want.Int63() {
+				t.Fatalf("seed %d, n %d: intner consumed the stream differently from Intn", seed, n)
+			}
+		}
+	}
+}
+
 // FuzzLocalCostOracle replays a move sequence through tryMove on one run
 // and through tryMoveNaive on a twin run with the same seed, and asserts
-// that every decision agrees and that, after each move, the pruned and
-// naive costs of the moved vertex and a random other one agree bit for
-// bit. The fuzzer picks the seed, the factory (bit 0 of shape), whether
-// to scatter the start (bit 1), CostSample and the move count; the moves
+// that every decision agrees and that, after each move, the edge-box
+// cache matches the placement and the pruned and naive costs of the
+// moved vertex and a random other one agree bit for bit. The fuzzer
+// picks the seed, the factory (bit 0 of shape), whether to scatter the
+// start (bit 1), CostSample and the move count; the moves
 // themselves come from a stream seeded by seed, which keeps inputs a few
 // scalars long so the fuzzer's minimizer never stalls on them.
 func FuzzLocalCostOracle(f *testing.F) {
@@ -211,6 +312,7 @@ func FuzzLocalCostOracle(f *testing.F) {
 			for k := range sample {
 				sample[k] = r.Intn(len(fact.g.Edges))
 			}
+			checkBoxes(t, st)
 			checkCost(t, st, v, sample)
 			checkCost(t, st, r.Intn(fact.g.N), sample)
 		}
