@@ -42,14 +42,17 @@ type BatcherOptions struct {
 
 	// RemoteFetch, when set with a Checkpoint, is consulted on a
 	// checkpoint-store miss before computing: it may return the record
-	// payload for a key from elsewhere (a cluster peer). Returned
-	// payloads must decode as stored records; anything else is treated
-	// as a miss.
+	// payload for a key from elsewhere (a cluster peer), for a point's
+	// final record or for one of its stage artifacts. Returned payloads
+	// must decode as stored records of the wanted kind — final records
+	// strictly, with no unknown fields — or they are treated as misses
+	// and never admitted.
 	RemoteFetch func(ctx context.Context, key [32]byte) ([]byte, bool)
 	// RemoteEval, when set, is offered each cacheable point that missed
 	// every cache tier before it is computed locally: given the point's
 	// key and its config JSON, it may return the record payload computed
-	// by the point's owning node.
+	// by the point's owning node. The payload is checked like a
+	// RemoteFetch final record before it is served or stored.
 	RemoteEval func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool)
 	// OnStore, when set with a Checkpoint, observes every record freshly
 	// persisted to the checkpoint store (replication feed). It is called
@@ -92,12 +95,6 @@ func NewBatcher(opts BatcherOptions) (*Batcher, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opts.RemoteFetch != nil {
-			fetch := opts.RemoteFetch
-			st.SetFetcher(func(ctx context.Context, k store.Key) ([]byte, bool) {
-				return fetch(ctx, k)
-			})
-		}
 		if opts.OnStore != nil {
 			onStore := opts.OnStore
 			st.SetOnPut(func(k store.Key, payload []byte) {
@@ -105,29 +102,35 @@ func NewBatcher(opts BatcherOptions) (*Batcher, error) {
 			})
 		}
 	}
-	var remote func(ctx context.Context, cfg core.Config) (*core.Report, bool)
-	if opts.RemoteEval != nil {
-		eval := opts.RemoteEval
-		remote = func(ctx context.Context, cfg core.Config) (*core.Report, bool) {
-			cfgJSON, err := json.Marshal(cfg)
-			if err != nil {
-				return nil, false
-			}
-			payload, ok := eval(ctx, store.KeyOf(cfg), cfgJSON)
-			if !ok {
-				return nil, false
-			}
-			var r store.Record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				return nil, false
-			}
-			return r.Report(cfg), true
-		}
+	var peers sweep.Peers
+	if opts.RemoteFetch != nil || opts.RemoteEval != nil {
+		peers = peerHooks{fetch: opts.RemoteFetch, eval: opts.RemoteEval}
 	}
 	return &Batcher{
-		eng: sweep.New(sweep.Options{Workers: opts.Parallelism, Store: st, Remote: remote}),
+		eng: sweep.New(sweep.Options{Workers: opts.Parallelism, Store: st, Peers: peers}),
 		st:  st,
 	}, nil
+}
+
+// peerHooks adapts the public RemoteFetch/RemoteEval hooks to the
+// engine's peer tier; a nil hook answers "not available".
+type peerHooks struct {
+	fetch func(ctx context.Context, key [32]byte) ([]byte, bool)
+	eval  func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool)
+}
+
+func (p peerHooks) Fetch(ctx context.Context, k store.Key) ([]byte, bool) {
+	if p.fetch == nil {
+		return nil, false
+	}
+	return p.fetch(ctx, k)
+}
+
+func (p peerHooks) Evaluate(ctx context.Context, k store.Key, cfgJSON []byte) ([]byte, bool) {
+	if p.eval == nil {
+		return nil, false
+	}
+	return p.eval(ctx, k, cfgJSON)
 }
 
 // Optimize is Optimize routed through the batcher's cache tier: a point
@@ -228,12 +231,14 @@ type CacheStats struct {
 	// InFlight is the number of point computations not yet finished.
 	InFlight int
 	// DiskHits counts points served from the checkpoint store instead
-	// of recomputed (always zero without a checkpoint). Points the
-	// RemoteFetch hook pulled from a peer into the local store count
-	// here too — and are broken out in PeerFetchHits.
+	// of recomputed (always zero without a checkpoint). Points whose
+	// final record the RemoteFetch hook pulled from a peer into the
+	// local store count here too — and are broken out in PeerFetchHits.
 	DiskHits int64
-	// PeerFetchHits counts local store misses served by the RemoteFetch
-	// hook (a peer's record, fetched and admitted locally).
+	// PeerFetchHits counts points served by the RemoteFetch hook (a
+	// peer's final record, fetched and admitted locally), a subset of
+	// DiskHits. Stage artifacts fetched from peers during a local
+	// compute count in the Stage*Hits fields instead.
 	PeerFetchHits int64
 	// RemoteEvalHits counts points evaluated by their owning peer via
 	// the RemoteEval hook instead of computed here.
@@ -274,7 +279,8 @@ func (b *Batcher) Stats() CacheStats {
 		SharedFlights:  shared,
 		InFlight:       inFlight,
 		DiskHits:       b.eng.DiskHits(),
-		RemoteEvalHits: b.eng.RemoteHits(),
+		PeerFetchHits:  b.eng.PeerFetchHits(),
+		RemoteEvalHits: b.eng.RemoteEvalHits(),
 
 		StageBuildHits: ss.BuildHits, StageBuildComputes: ss.BuildComputes,
 		StagePlaceHits: ss.PlaceHits, StagePlaceComputes: ss.PlaceComputes,
@@ -282,7 +288,6 @@ func (b *Batcher) Stats() CacheStats {
 	}
 	if b.st != nil {
 		st := b.st.Stats()
-		cs.PeerFetchHits = st.PeerHits
 		cs.StoredRecords = st.Records
 		cs.StoredBytes = st.LogBytes
 		cs.CheckpointDir = b.st.Dir()
@@ -312,17 +317,12 @@ func (b *Batcher) RecordGet(key [32]byte) ([]byte, bool) {
 // payload inadmissible. A batcher without a checkpoint accepts and
 // drops the record.
 func (b *Batcher) RecordPut(key [32]byte, payload []byte) error {
-	if _, _, isStage := store.StagePayload(payload); isStage {
-		if err := store.ValidateStagePayload(payload); err != nil {
-			return fmt.Errorf("magicstate: %w", err)
+	if st, body, isStage := store.StagePayload(payload); isStage {
+		if err := core.ValidateStageArtifact(st, body); err != nil {
+			return fmt.Errorf("magicstate: stage %s payload does not decode: %w", st, err)
 		}
-	} else {
-		var r store.Record
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&r); err != nil {
-			return fmt.Errorf("magicstate: record payload does not decode: %w", err)
-		}
+	} else if _, err := store.DecodeRecord(payload); err != nil {
+		return fmt.Errorf("magicstate: %w", err)
 	}
 	if b.st == nil {
 		return nil

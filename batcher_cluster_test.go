@@ -96,6 +96,44 @@ func TestBatcherClusterHooks(t *testing.T) {
 	}
 }
 
+// TestPeerFetchHitsCountFinalRecordsOnly: a point no peer holds is
+// computed locally, but its factory build, shared with a point the peer
+// did compute, is fetched from the peer. That fetch is a stage hit, not
+// a PeerFetchHits point.
+func TestPeerFetchHitsCountFinalRecordsOnly(t *testing.T) {
+	nodeB, err := NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	nodeA, err := NewBatcher(BatcherOptions{
+		Parallelism: 1,
+		Checkpoint:  t.TempDir(),
+		RemoteFetch: func(ctx context.Context, key [32]byte) ([]byte, bool) { return nodeB.RecordGet(key) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+
+	spec := FactorySpec{Capacity: 2, Levels: 1}
+	opts := Options{Seed: 1}.WithStrategy(LinearMapping)
+	if _, err := nodeB.Optimize(spec, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Seed = 2 // a new final record; linear mapping keeps the build
+	if _, err := nodeA.Optimize(spec, opts); err != nil {
+		t.Fatal(err)
+	}
+	st := nodeA.Stats()
+	if st.StageBuildHits != 1 || st.StageBuildComputes != 0 {
+		t.Fatalf("build hits/computes = %d/%d, want 1/0", st.StageBuildHits, st.StageBuildComputes)
+	}
+	if st.PeerFetchHits != 0 || st.DiskHits != 0 {
+		t.Fatalf("PeerFetchHits=%d DiskHits=%d, want 0/0 for a locally computed point", st.PeerFetchHits, st.DiskHits)
+	}
+}
+
 func TestRecordPutVerifiesPayload(t *testing.T) {
 	b, err := NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: t.TempDir()})
 	if err != nil {

@@ -159,7 +159,7 @@ func (m *metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_hits_total In-memory memo hits.\n# TYPE msfud_cache_memory_hits_total counter\nmsfud_cache_memory_hits_total %d\n", cs.MemoryHits)
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_misses_total In-memory memo misses.\n# TYPE msfud_cache_memory_misses_total counter\nmsfud_cache_memory_misses_total %d\n", cs.MemoryMisses)
 	fmt.Fprintf(w, "# HELP msfud_cache_disk_hits_total Points served from the durable store.\n# TYPE msfud_cache_disk_hits_total counter\nmsfud_cache_disk_hits_total %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# HELP msfud_cache_peer_fetch_hits_total Points served by fetching a peer's record (subset of disk hits).\n# TYPE msfud_cache_peer_fetch_hits_total counter\nmsfud_cache_peer_fetch_hits_total %d\n", cs.PeerFetchHits)
+	fmt.Fprintf(w, "# HELP msfud_cache_peer_fetch_hits_total Points served by fetching a peer's final record (subset of disk hits).\n# TYPE msfud_cache_peer_fetch_hits_total counter\nmsfud_cache_peer_fetch_hits_total %d\n", cs.PeerFetchHits)
 	fmt.Fprintf(w, "# HELP msfud_cache_remote_eval_hits_total Points computed by their owning peer on this node's behalf.\n# TYPE msfud_cache_remote_eval_hits_total counter\nmsfud_cache_remote_eval_hits_total %d\n", cs.RemoteEvalHits)
 	fmt.Fprintf(w, "# HELP msfud_store_records Live final records in the durable store.\n# TYPE msfud_store_records gauge\nmsfud_store_records %d\n", cs.StoredRecords)
 	fmt.Fprintf(w, "# HELP msfud_store_bytes Durable store log size in bytes.\n# TYPE msfud_store_bytes gauge\nmsfud_store_bytes %d\n", cs.StoredBytes)

@@ -1,9 +1,9 @@
 // Package fabric is the cluster layer that shards the msfud evaluation
 // service horizontally: it consistent-hashes the store's canonical
 // config key (store.Key) across N named nodes, routes point evaluations
-// to the owning node, and backs the store's read-through peer tier — on
-// a local miss the record is fetched from its owner over HTTP before
-// anything is recomputed.
+// to the owning node, and backs the sweep engine's peer tier (it
+// implements sweep.Peers) — on a local miss the record is fetched from
+// its owner over HTTP before anything is recomputed.
 //
 // Robustness is the package's first concern, because a cluster is only
 // useful if a dead or partitioned peer degrades service instead of

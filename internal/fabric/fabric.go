@@ -224,7 +224,7 @@ func (f *Fabric) peer(node string) (*peerState, string, bool) {
 	return ps, url, true
 }
 
-// Fetch implements the store's read-through peer tier: if k is owned by
+// Fetch is the sweep engine's peer-fetch step: if k is owned by
 // a reachable peer, fetch its record bytes and byte-verify them. ok is
 // false whenever the fabric cannot produce a verified record — key
 // owned locally, peer unknown/breaker open/unreachable, record absent,

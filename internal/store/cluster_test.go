@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -22,102 +21,27 @@ func TestParseKey(t *testing.T) {
 	}
 }
 
-func TestLookupReportContextReadThrough(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	cfg := core.Config{K: 4, Levels: 2, Seed: 7}
+// TestDecodeRecordStrict pins the one admission decode for final
+// records from other nodes: a record round-trips, while unknown fields,
+// trailing data and non-JSON are refused.
+func TestDecodeRecordStrict(t *testing.T) {
 	rec := Record{Strategy: "peer", Latency: 42, Area: 7, Volume: 294}
-	payload, _ := json.Marshal(rec)
-
-	var fetchedKeys []Key
-	s.SetFetcher(func(ctx context.Context, k Key) ([]byte, bool) {
-		fetchedKeys = append(fetchedKeys, k)
-		return payload, true
-	})
-
-	rep, ok := s.LookupReportContext(context.Background(), cfg)
-	if !ok || rep.Latency != 42 || rep.Strategy != "peer" {
-		t.Fatalf("read-through lookup = %+v, %t", rep, ok)
-	}
-	if len(fetchedKeys) != 1 || fetchedKeys[0] != KeyOf(cfg) {
-		t.Fatalf("fetcher saw keys %v", fetchedKeys)
-	}
-	// The fetched record was admitted locally: the next lookup is a
-	// local hit, no second fetch.
-	if rep, ok := s.LookupReportContext(context.Background(), cfg); !ok || rep.Latency != 42 {
-		t.Fatalf("second lookup = %+v, %t", rep, ok)
-	}
-	if len(fetchedKeys) != 1 {
-		t.Fatalf("fetcher called %d times, want 1", len(fetchedKeys))
-	}
-	st := s.Stats()
-	if st.PeerHits != 1 {
-		t.Fatalf("PeerHits = %d, want 1", st.PeerHits)
-	}
-}
-
-func TestLookupReportContextRejectsUndecodableFetch(t *testing.T) {
-	s, err := Open(t.TempDir())
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	cfg := core.Config{K: 4, Levels: 2}
-	s.SetFetcher(func(ctx context.Context, k Key) ([]byte, bool) {
-		return []byte("{not json"), true
-	})
-	if _, ok := s.LookupReportContext(context.Background(), cfg); ok {
-		t.Fatal("undecodable fetch served")
+	if got, err := DecodeRecord(payload); err != nil || got != rec {
+		t.Fatalf("DecodeRecord(valid) = %+v, %v; want %+v", got, err, rec)
 	}
-	// Nothing was admitted to the store.
-	if _, ok := s.Get(KeyOf(cfg)); ok {
-		t.Fatal("undecodable fetch admitted to the local store")
-	}
-	if got := s.Stats().PeerHits; got != 0 {
-		t.Fatalf("PeerHits = %d, want 0", got)
-	}
-}
-
-func TestLookupReportContextWithoutFetcherIsLocal(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	cfg := core.Config{K: 4, Levels: 2}
-	if _, ok := s.LookupReportContext(context.Background(), cfg); ok {
-		t.Fatal("miss served from nowhere")
-	}
-	rep := &core.Report{Config: cfg, Strategy: "local", Latency: 9}
-	if err := s.PutReport(cfg, rep); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.LookupReportContext(context.Background(), cfg); !ok || got.Latency != 9 {
-		t.Fatalf("local lookup = %+v, %t", got, ok)
-	}
-}
-
-func TestLookupReportContextUncacheableNeverFetches(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	called := false
-	s.SetFetcher(func(ctx context.Context, k Key) ([]byte, bool) { called = true; return nil, false })
-	cfg := core.Config{K: 4, Levels: 2, RecordPaths: true}
-	if _, ok := s.LookupReportContext(context.Background(), cfg); ok {
-		t.Fatal("uncacheable config served")
-	}
-	if called {
-		t.Fatal("uncacheable config consulted the fetcher")
+	for _, bad := range []string{
+		`{not json`,
+		`{"strategy":"x","surprise_field":1}`,
+		string(payload) + `{}`,
+		string(payload) + `x`,
+	} {
+		if _, err := DecodeRecord([]byte(bad)); err == nil {
+			t.Errorf("DecodeRecord(%q) accepted", bad)
+		}
 	}
 }
 

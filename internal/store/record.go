@@ -1,9 +1,10 @@
 package store
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"magicstate/internal/core"
 )
@@ -78,49 +79,23 @@ func (s *Store) LookupReport(cfg core.Config) (rep *core.Report, ok bool) {
 	return r.Report(cfg), true
 }
 
-// LookupReportContext is LookupReport with the read-through peer tier:
-// on a local miss it consults the fetcher installed by SetFetcher, and
-// a fetched payload — already byte-verified by the fabric — must also
-// decode as a Record before it is admitted to the local store and
-// served. Undecodable fetch results are dropped as misses, so a
-// confused peer can cost a recompute but can never plant a record the
-// local node would later serve. With no fetcher installed this is
-// exactly LookupReport.
-func (s *Store) LookupReportContext(ctx context.Context, cfg core.Config) (rep *core.Report, ok bool) {
-	if !Cacheable(cfg) {
-		return nil, false
-	}
-	k := KeyOf(cfg)
-	if payload, ok := s.Get(k); ok {
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return nil, false
-		}
-		return r.Report(cfg), true
-	}
-	s.hookMu.RLock()
-	fetch := s.fetcher
-	s.hookMu.RUnlock()
-	if fetch == nil {
-		return nil, false
-	}
-	payload, fetched := fetch(ctx, k)
-	if !fetched {
-		return nil, false
-	}
+// DecodeRecord is the strict decode for final-record payloads that
+// arrive from another node (peer fetch, forwarded evaluation,
+// replication): exactly one JSON Record with no unknown fields and
+// nothing after it. An unknown field is version skew between nodes and
+// is refused rather than misread. Records already in the local store
+// are read laxly by LookupReport instead, so they keep answering.
+func DecodeRecord(payload []byte) (Record, error) {
 	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return nil, false
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return Record{}, fmt.Errorf("store: record payload does not decode: %w", err)
 	}
-	// Admission after decode verification; a racing local compute that
-	// beat us to the key makes this a harmless duplicate.
-	if err := s.Put(k, payload); err != nil {
-		return nil, false
+	if _, err := dec.Token(); err != io.EOF {
+		return Record{}, fmt.Errorf("store: record payload has trailing data")
 	}
-	s.mu.Lock()
-	s.peerHits++
-	s.mu.Unlock()
-	return r.Report(cfg), true
+	return r, nil
 }
 
 // PutReport persists rep's scalar outcome under cfg's key. Uncacheable

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,13 +27,11 @@ const (
 var ErrClosed = errors.New("store: closed")
 
 // Stats is a point-in-time snapshot of a store's counters, exposed to
-// callers (sweep engine stats, the msfud /v1/stats endpoint).
+// callers (sweep engine stats, the msfud /v1/stats endpoint). Every
+// counter is local traffic; peer hits are counted by the sweep engine.
 type Stats struct {
 	// Hits and Misses count final-record Get outcomes since Open.
 	Hits, Misses int64
-	// PeerHits counts local misses served by the read-through fetcher
-	// (a peer's store) instead of recomputation, stage and final alike.
-	PeerHits int64
 	// Puts counts final records appended since Open (duplicates
 	// excluded). Because every cacheable pipeline run persists exactly
 	// one final record, this doubles as the "points computed" count.
@@ -42,8 +39,7 @@ type Stats struct {
 	// Records is the live final-record count, recovered entries
 	// included.
 	Records int
-	// StageHits and StageMisses count stage-artifact Get outcomes
-	// (GetStage and its peer-aware variant) since Open.
+	// StageHits and StageMisses count GetStage outcomes since Open.
 	StageHits, StageMisses int64
 	// StagePuts counts stage-artifact records appended since Open
 	// (duplicates excluded).
@@ -55,14 +51,6 @@ type Stats struct {
 	// and final records together.
 	LogBytes int64
 }
-
-// Fetcher is the read-through hook consulted on a local miss: given a
-// key, it may produce the record payload from elsewhere (in practice, a
-// cluster peer's store via internal/fabric). ok=false means "not
-// available, compute locally". Implementations own their own
-// verification — the store additionally refuses payloads that do not
-// decode as a Record before admitting them.
-type Fetcher func(ctx context.Context, k Key) ([]byte, bool)
 
 // storeFile is the slice of *os.File the store drives. Production opens
 // real files; fault-injection tests and soak harnesses wrap them in a
@@ -81,7 +69,8 @@ type storeFile interface {
 // and recovery rules). All records are held in memory once opened —
 // payloads are the scalar outcome of a pipeline run, a few dozen bytes
 // each — so Get never touches the disk. Store is safe for concurrent
-// use within one process.
+// use within one process. It never talks to cluster peers; the sweep
+// engine's peer tier admits what peers send through Put.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -94,7 +83,6 @@ type Store struct {
 	closed bool
 
 	hits, misses, puts int64
-	peerHits           int64
 
 	// Stage-artifact traffic is counted apart from final records so
 	// "records stored" keeps meaning "pipeline points answered" for
@@ -102,11 +90,10 @@ type Store struct {
 	stageHits, stageMisses, stagePuts int64
 	stageRecs                         int
 
-	// hookMu guards the two cluster hooks below, which are configured
-	// once at wiring time but read on every Put/lookup.
-	hookMu  sync.RWMutex
-	fetcher Fetcher
-	onPut   func(k Key, payload []byte)
+	// hookMu guards onPut, which is configured once at wiring time but
+	// read on every Put.
+	hookMu sync.RWMutex
+	onPut  func(k Key, payload []byte)
 }
 
 // openDirs guards against two Stores writing one directory from the
@@ -244,15 +231,6 @@ func (s *Store) recover() error {
 // Dir reports the directory the store lives in.
 func (s *Store) Dir() string { return s.dir }
 
-// SetFetcher installs the read-through hook LookupReportContext
-// consults on a local miss. A nil fetcher (the default) makes every
-// lookup purely local. Safe to call concurrently with lookups.
-func (s *Store) SetFetcher(f Fetcher) {
-	s.hookMu.Lock()
-	s.fetcher = f
-	s.hookMu.Unlock()
-}
-
 // SetOnPut installs a hook invoked after every fresh Put (duplicates
 // and failed appends do not fire it), outside the store's lock. The
 // fabric uses it to replicate freshly computed records; the hook must
@@ -378,7 +356,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits: s.hits, Misses: s.misses, PeerHits: s.peerHits, Puts: s.puts,
+		Hits: s.hits, Misses: s.misses, Puts: s.puts,
 		Records:   len(s.mem) - s.stageRecs,
 		StageHits: s.stageHits, StageMisses: s.stageMisses, StagePuts: s.stagePuts,
 		StageRecords: s.stageRecs,

@@ -15,7 +15,8 @@
 //   - a durable cache tier: an engine given a store (Options.Store)
 //     consults it beneath the in-memory memo — memory first, then disk,
 //     then compute-and-persist — so results survive the process and a
-//     killed sweep resumes by recomputing nothing it already stored;
+//     killed sweep resumes by recomputing nothing it already stored.
+//     Options.Peers adds a cluster tier beneath the disk (peers.go);
 //   - deterministic ordering: results[i] always corresponds to
 //     cfgs[i]; on failure, the engine stops dispatching and reports
 //     the lowest-indexed point that ran and failed (a serial run

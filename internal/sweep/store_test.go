@@ -254,7 +254,7 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 	// context ends), holding the build stage flight open.
 	fetching := make(chan struct{}, 1)
 	release := make(chan struct{})
-	st.SetFetcher(func(ctx context.Context, k store.Key) ([]byte, bool) {
+	peers := &fakePeers{fetch: func(ctx context.Context, k store.Key) ([]byte, bool) {
 		if k == buildKey {
 			select {
 			case fetching <- struct{}{}:
@@ -266,8 +266,8 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 			}
 		}
 		return nil, false
-	})
-	e := New(Options{Workers: 2, Store: st})
+	}}
+	e := New(Options{Workers: 2, Store: st, Peers: peers})
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()

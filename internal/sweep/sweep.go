@@ -30,13 +30,11 @@ type Options struct {
 	// freshly computed cacheable results. The engine never closes the
 	// store — its owner does.
 	Store *store.Store
-	// Remote, when set, adds a cluster tier beneath the store: a point
-	// missed by every local tier is offered to Remote (in practice the
-	// fabric's forward-to-owner call) before being computed here.
-	// ok=false means "compute locally" — the engine treats the remote
-	// tier as best-effort and never fails a point on its account. A
-	// remote result is persisted like a local one.
-	Remote func(ctx context.Context, cfg core.Config) (*core.Report, bool)
+	// Peers, when set, adds the cluster tier beneath the store: with a
+	// Store, final records and stage artifacts missed locally are
+	// fetched from peers, and a point missed by every tier is offered
+	// for forwarded evaluation before it is computed here (peers.go).
+	Peers Peers
 }
 
 // Engine is a reusable batch executor. An Engine is safe for concurrent
@@ -50,9 +48,10 @@ type Engine struct {
 	stageCache *memo.Cache    // stage artifacts (see stages.go)
 	stage      *stageCounters // stage-tier traffic, shared via Derive
 	store      *store.Store
-	remote     func(ctx context.Context, cfg core.Config) (*core.Report, bool)
+	peers      Peers
 	diskHits   *atomic.Int64 // shared by every engine Derive produces
-	remoteHits *atomic.Int64 // points served by the remote tier
+	fetchHits  *atomic.Int64 // final records fetched from a peer
+	evalHits   *atomic.Int64 // points evaluated by a peer
 	putFails   *atomic.Int64 // failed durable writes, shared via Derive
 }
 
@@ -69,20 +68,21 @@ func New(opts Options) *Engine {
 		stageCache: memo.New(stageCacheLimit),
 		stage:      new(stageCounters),
 		store:      opts.Store,
-		remote:     opts.Remote,
+		peers:      opts.Peers,
 		diskHits:   new(atomic.Int64),
-		remoteHits: new(atomic.Int64),
+		fetchHits:  new(atomic.Int64),
+		evalHits:   new(atomic.Int64),
 		putFails:   new(atomic.Int64),
 	}
 }
 
-// Derive returns an engine that shares e's memo cache, result store and
-// disk-hit counter but runs with its own worker width and progress
-// callback. It is how one process serves many differently-shaped
-// callers from a single cache tier: the msfud service derives a
-// width-capped engine per request (opts.Workers above e's width is
-// clamped down to it, so a request can narrow the shared pool but
-// never widen it).
+// Derive returns an engine that shares e's memo caches, result store,
+// peer tier and every counter but runs with its own worker width and
+// progress callback; opts.Store and opts.Peers are ignored. It is how
+// one process serves many differently-shaped callers from a single
+// cache tier: the msfud service derives a width-capped engine per
+// request (opts.Workers above e's width is clamped down to it, so a
+// request can narrow the shared pool but never widen it).
 func (e *Engine) Derive(opts Options) *Engine {
 	w := opts.Workers
 	if w <= 0 || w > e.workers {
@@ -95,9 +95,10 @@ func (e *Engine) Derive(opts Options) *Engine {
 		stageCache: e.stageCache,
 		stage:      e.stage,
 		store:      e.store,
-		remote:     e.remote,
+		peers:      e.peers,
 		diskHits:   e.diskHits,
-		remoteHits: e.remoteHits,
+		fetchHits:  e.fetchHits,
+		evalHits:   e.evalHits,
 		putFails:   e.putFails,
 	}
 }
@@ -112,13 +113,18 @@ func (e *Engine) FlightStats() (shared int64, inFlight int) { return e.cache.Fli
 
 // DiskHits reports how many points were served from the durable tier
 // instead of being recomputed, across this engine and every engine
-// sharing its cache via Derive.
+// sharing its cache via Derive. Final records fetched from a peer and
+// admitted to the store count here too (see PeerFetchHits).
 func (e *Engine) DiskHits() int64 { return e.diskHits.Load() }
 
-// RemoteHits reports how many points were served by the remote (cluster)
-// tier instead of being computed here, across this engine and every
-// engine sharing its cache via Derive.
-func (e *Engine) RemoteHits() int64 { return e.remoteHits.Load() }
+// PeerFetchHits reports how many points were served by fetching their
+// final record from a peer, a subset of DiskHits. Stage artifacts
+// fetched from peers count in StageStats instead.
+func (e *Engine) PeerFetchHits() int64 { return e.fetchHits.Load() }
+
+// RemoteEvalHits reports how many points a peer evaluated on this
+// engine's behalf instead of them being computed here.
+func (e *Engine) RemoteEvalHits() int64 { return e.evalHits.Load() }
 
 // PutFailures reports how many durable writes (final records and stage
 // artifacts) failed, across this engine and every engine sharing its
@@ -146,9 +152,10 @@ func (e *Engine) Run(ctx context.Context, cfgs []core.Config) ([]*core.Report, e
 
 // RunOne executes a single Config through the engine's cache tier:
 // the in-memory memo answers repeats within the process, the durable
-// store (when the engine has one) answers repeats across processes, and
-// only a miss on both computes — persisting the fresh result so no
-// process ever computes this point again. It is how grid stages that
+// store (when the engine has one) answers repeats across processes,
+// the peer tier (when the engine has one) answers from other nodes, and
+// only a miss on all of them computes — persisting the fresh result so
+// no process ever computes this point again. It is how grid stages that
 // need per-point error context (or mix pipeline runs with other work)
 // still share the cache: call RunOne from inside a Map function instead
 // of core.Run.
@@ -165,23 +172,8 @@ func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 // ctx (WithGate) is called only after every cache tier has missed.
 func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Report, error) {
 	v, err := e.cache.DoContext(ctx, cfg, func(ctx context.Context) (any, error) {
-		if e.store != nil {
-			// The context-aware lookup reaches through to cluster peers on
-			// a local miss when a fetcher is wired; without one it is the
-			// plain local lookup.
-			if rep, ok := e.store.LookupReportContext(ctx, cfg); ok {
-				e.diskHits.Add(1)
-				return rep, nil
-			}
-		}
-		if e.remote != nil && store.Cacheable(cfg) {
-			if rep, ok := e.remote(ctx, cfg); ok {
-				e.remoteHits.Add(1)
-				if e.store != nil {
-					e.persisted(e.store.PutReport(cfg, rep))
-				}
-				return rep, nil
-			}
+		if rep, ok := e.lookup(ctx, cfg); ok {
+			return rep, nil
 		}
 		if gate, ok := ctx.Value(gateKey{}).(Gate); ok {
 			release, err := gate(ctx)
