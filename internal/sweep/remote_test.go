@@ -141,24 +141,41 @@ func TestRemoteTierFallsBackToLocalCompute(t *testing.T) {
 }
 
 // TestRemoteTierSkipsUncacheablePoints: trace-carrying configs have no
-// record form, so their final record is never fetched from a peer, even
-// with a store, and the point is never offered for forwarded eval.
-// (Their cacheable upstream stages may still be fetched.)
+// record form, so they are never offered for forwarded eval.
 func TestRemoteTierSkipsUncacheablePoints(t *testing.T) {
-	cfg := core.Config{K: 2, Levels: 1, RecordPaths: true}
-	final := store.KeyOf(cfg)
-	peers := &fakePeers{fetch: func(_ context.Context, k store.Key) ([]byte, bool) {
-		if k == final {
-			t.Errorf("uncacheable final record fetched")
-		}
-		return nil, false
-	}}
+	peers := &fakePeers{}
 	eng := New(Options{Workers: 1, Store: openStore(t), Peers: peers})
-	if _, err := eng.RunOne(cfg); err != nil {
+	if _, err := eng.RunOne(core.Config{K: 2, Levels: 1, RecordPaths: true}); err != nil {
 		t.Fatal(err)
 	}
 	if peers.evals.Load() != 0 {
 		t.Fatalf("uncacheable point offered for eval %d times", peers.evals.Load())
+	}
+}
+
+// TestPeerFetchSkipsUncacheablePoints: a trace-carrying config has no
+// record form, so its final record is never fetched from a peer, even
+// with a store and a peer that would answer; the point is computed
+// locally. (Its cacheable upstream stages may still be fetched.)
+func TestPeerFetchSkipsUncacheablePoints(t *testing.T) {
+	cfg := peerPoint
+	cfg.RecordPaths = true
+	final := store.KeyOf(cfg)
+	payload := recordPayload(t, &core.Report{Strategy: "peer", Latency: 42, Area: 7, Volume: 294})
+	peers := &fakePeers{fetch: func(_ context.Context, k store.Key) ([]byte, bool) {
+		if k == final {
+			t.Errorf("uncacheable final record fetched")
+			return payload, true
+		}
+		return nil, false
+	}}
+	eng := New(Options{Workers: 1, Store: openStore(t), Peers: peers})
+	rep, err := eng.RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Strategy == "peer" || eng.PeerFetchHits() != 0 {
+		t.Fatalf("uncacheable point served from a peer: %+v, PeerFetchHits=%d", rep, eng.PeerFetchHits())
 	}
 }
 
