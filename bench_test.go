@@ -300,15 +300,25 @@ func BenchmarkSimulatorReuseTwoLevelK64(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphPartitionEmbed measures GP placement's recursive
+// bisection embedding. l2_k8 is the level-2 K=8 factory; l2_k10 is
+// mesh_sweep's largest GP graph.
 func BenchmarkGraphPartitionEmbed(b *testing.B) {
-	f, err := bravyi.Build(bravyi.Params{K: 8, Levels: 2, Barriers: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.FromCircuit(f.Circuit)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.EmbedSquare(g, stats.NewRNG(int64(i)))
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"l2_k8", 8}, {"l2_k10", 10}} {
+		f, err := bravyi.Build(bravyi.Params{K: c.k, Levels: 2, Barriers: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := graph.FromCircuit(f.Circuit)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				partition.EmbedSquare(g, stats.NewRNG(int64(i)))
+			}
+		})
 	}
 }
 

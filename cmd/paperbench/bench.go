@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"magicstate/internal/graph"
 	"magicstate/internal/layout"
 	"magicstate/internal/mesh"
+	"magicstate/internal/partition"
 	"magicstate/internal/stitch"
 	"magicstate/internal/store"
 	"magicstate/internal/sweep"
@@ -52,8 +54,8 @@ func toResult(name string, r testing.BenchmarkResult) benchResult {
 
 // runBenchSuite measures the simulator and stitcher hot paths the repo's
 // Go benchmarks track (simulate micro benches, simulator reuse, stitch
-// build, and a cold end-to-end Table I pass) and writes the snapshot as
-// JSON to path ("-" for stdout).
+// build, GP embedding, and a cold end-to-end Table I pass) and writes
+// the snapshot as JSON to path ("-" for stdout).
 func runBenchSuite(path string) error {
 	snap := benchSnapshot{
 		Schema:    "paperbench-bench/v1",
@@ -119,6 +121,15 @@ func runBenchSuite(path string) error {
 					stitch.Options{Seed: 1, Reuse: true, Hops: stitch.AnnealedMidpointHop}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})))
+
+	gpg := graph.FromCircuit(k64.Circuit)
+	snap.Benchmarks = append(snap.Benchmarks, toResult("gp_embed_two_level_k64",
+		testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				partition.EmbedSquare(gpg, rand.New(rand.NewSource(1)))
 			}
 		})))
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -273,4 +274,82 @@ func modularity(g *Graph, label []int) float64 {
 		q += inSum[c]/m - d*d
 	}
 	return q
+}
+
+// TestSubgraphMatchesAddEdge checks the one-pass Subgraph against the
+// induced subgraph built edge by edge with AddEdge, on random graphs
+// whose vertex lists come in random, non-monotone order.
+func TestSubgraphMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(60)
+		g := New(n)
+		for e := 0; e < rng.Intn(4*n+1); e++ {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(5)))
+		}
+		verts := rng.Perm(n)[:rng.Intn(n+1)]
+		sub, orig := g.Subgraph(verts)
+
+		idx := make(map[int]int, len(verts))
+		for i, v := range verts {
+			idx[v] = i
+		}
+		want := New(len(verts))
+		for _, e := range g.Edges {
+			iu, okU := idx[e.U]
+			iv, okV := idx[e.V]
+			if okU && okV {
+				want.AddEdge(iu, iv, e.Weight)
+			}
+		}
+
+		if sub.N != want.N || len(orig) != len(verts) {
+			t.Fatalf("iter %d: N = %d, orig %d entries; want %d", iter, sub.N, len(orig), want.N)
+		}
+		for i, v := range verts {
+			if orig[i] != v {
+				t.Fatalf("iter %d: orig[%d] = %d, want %d", iter, i, orig[i], v)
+			}
+		}
+		if len(sub.Edges) != len(want.Edges) {
+			t.Fatalf("iter %d: %d edges, want %d", iter, len(sub.Edges), len(want.Edges))
+		}
+		for i, e := range sub.Edges {
+			if e != want.Edges[i] || e.U >= e.V {
+				t.Fatalf("iter %d: edge %d = %+v, want %+v", iter, i, e, want.Edges[i])
+			}
+		}
+		for v := 0; v < sub.N; v++ {
+			if !slices.Equal(sub.Incident(v), want.Incident(v)) {
+				t.Fatalf("iter %d: Incident(%d) = %v, want %v", iter, v, sub.Incident(v), want.Incident(v))
+			}
+			if sub.WeightedDegree(v) != want.WeightedDegree(v) {
+				t.Fatalf("iter %d: WeightedDegree(%d) = %v, want %v", iter, v, sub.WeightedDegree(v), want.WeightedDegree(v))
+			}
+		}
+
+		// Adjacency lists share one backing array: growing one must not
+		// write into its neighbour's.
+		if sub.N < 2 {
+			continue
+		}
+		before := make([][]int, sub.N)
+		for v := range before {
+			before[v] = append([]int(nil), sub.Incident(v)...)
+		}
+		u, w := rng.Intn(sub.N), rng.Intn(sub.N)
+		for w == u {
+			w = rng.Intn(sub.N)
+		}
+		sub.AddEdge(u, w, 1)
+		want.AddEdge(u, w, 1)
+		for v := range before {
+			if v != u && v != w && !slices.Equal(sub.Incident(v), before[v]) {
+				t.Fatalf("iter %d: AddEdge(%d, %d) changed Incident(%d): %v -> %v", iter, u, w, v, before[v], sub.Incident(v))
+			}
+			if !slices.Equal(sub.Incident(v), want.Incident(v)) {
+				t.Fatalf("iter %d: after AddEdge(%d, %d), Incident(%d) = %v, want %v", iter, u, w, v, sub.Incident(v), want.Incident(v))
+			}
+		}
+	}
 }

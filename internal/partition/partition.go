@@ -7,6 +7,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -16,14 +17,18 @@ import (
 
 // Embed places every vertex of g onto a w x h grid (w*h >= g.N) by
 // recursive bisection. rng breaks ties during coarsening and seeding; the
-// same seed reproduces the same embedding.
+// same seed reproduces the same embedding. It panics if the grid has
+// fewer tiles than g has vertices.
 func Embed(g *graph.Graph, w, h int, rng *rand.Rand) *layout.Placement {
-	p := layout.NewPlacement(g.N, w, h)
-	verts := make([]int, g.N)
-	for i := range verts {
-		verts[i] = i
+	if w*h < g.N {
+		panic(fmt.Sprintf("partition: %d vertices do not fit a %dx%d grid", g.N, w, h))
 	}
-	embedRegion(g, verts, region{0, 0, w, h}, p, rng)
+	p := layout.NewPlacement(g.N, w, h)
+	orig := make([]int, g.N)
+	for i := range orig {
+		orig[i] = i
+	}
+	embedRegion(g, orig, region{0, 0, w, h}, p, rng)
 	return p
 }
 
@@ -37,21 +42,24 @@ type region struct{ x, y, w, h int }
 
 func (r region) tiles() int { return r.w * r.h }
 
-// embedRegion recursively assigns verts to tiles of r.
-func embedRegion(g *graph.Graph, verts []int, r region, p *layout.Placement, rng *rand.Rand) {
-	if len(verts) == 0 {
+// embedRegion recursively assigns the vertices of g to tiles of r. g is
+// the subgraph induced by the original vertex ids orig, which ascend, so
+// each child's subgraph induced from g with ascending local ids equals
+// the one induced from the whole graph: the same Bisect inputs, the same
+// rng draws and the same placement, at a cost proportional to g instead
+// of the whole graph.
+func embedRegion(g *graph.Graph, orig []int, r region, p *layout.Placement, rng *rand.Rand) {
+	if g.N == 0 {
 		return
 	}
-	if len(verts) == 1 {
-		p.Set(verts[0], layout.Point{X: r.x, Y: r.y})
+	if g.N == 1 {
+		p.Set(orig[0], layout.Point{X: r.x, Y: r.y})
 		return
 	}
 	if r.tiles() <= 1 {
-		// Should not happen for well-sized grids; drop extra vertices on
-		// the single tile's neighbors is impossible, so panic loudly in
-		// development via placement validation later.
-		p.Set(verts[0], layout.Point{X: r.x, Y: r.y})
-		return
+		// Embed checks w*h >= g.N and every split keeps each part within
+		// its region's tiles, so this is unreachable.
+		panic(fmt.Sprintf("partition: invariant violated: %d vertices left for %d tiles", g.N, r.tiles()))
 	}
 	// Split the region along its longer axis.
 	var rA, rB region
@@ -65,31 +73,40 @@ func embedRegion(g *graph.Graph, verts []int, r region, p *layout.Placement, rng
 		rB = region{r.x, r.y + hA, r.w, r.h - hA}
 	}
 	// Target part sizes proportional to tile counts, clamped to fit.
-	nA := (len(verts)*rA.tiles() + r.tiles()/2) / r.tiles()
+	nA := (g.N*rA.tiles() + r.tiles()/2) / r.tiles()
 	if nA > rA.tiles() {
 		nA = rA.tiles()
 	}
-	if len(verts)-nA > rB.tiles() {
-		nA = len(verts) - rB.tiles()
+	if g.N-nA > rB.tiles() {
+		nA = g.N - rB.tiles()
 	}
 	if nA < 0 {
 		nA = 0
 	}
-	if nA > len(verts) {
-		nA = len(verts)
+	if nA > g.N {
+		nA = g.N
 	}
-	sub, orig := g.Subgraph(verts)
-	partA := Bisect(sub, nA, rng)
-	var vertsA, vertsB []int
+	partA := Bisect(g, nA, rng)
+	var localA, localB []int
 	for i, inA := range partA {
 		if inA {
-			vertsA = append(vertsA, orig[i])
+			localA = append(localA, i)
 		} else {
-			vertsB = append(vertsB, orig[i])
+			localB = append(localB, i)
 		}
 	}
-	embedRegion(g, vertsA, rA, p, rng)
-	embedRegion(g, vertsB, rB, p, rng)
+	embedChild(g, localA, orig, rA, p, rng)
+	embedChild(g, localB, orig, rB, p, rng)
+}
+
+// embedChild induces the subgraph of g over the ascending local ids and
+// embeds it into r, translating its ids back to the original ones.
+func embedChild(g *graph.Graph, local, orig []int, r region, p *layout.Placement, rng *rand.Rand) {
+	sub, ids := g.Subgraph(local)
+	for i, v := range ids {
+		ids[i] = orig[v]
+	}
+	embedRegion(sub, ids, r, p, rng)
 }
 
 // Bisect splits g's vertices into a part of exactly nA vertices (returned

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -216,4 +218,198 @@ func totalWeight(g *graph.Graph) float64 {
 		s += e.Weight
 	}
 	return s
+}
+
+// naiveSubgraph is the pre-CSR induced subgraph: a map from original to
+// new ids and one AddEdge per induced edge of the whole graph.
+func naiveSubgraph(g *graph.Graph, verts []int) *graph.Graph {
+	idx := make(map[int]int, len(verts))
+	for i, v := range verts {
+		idx[v] = i
+	}
+	sub := graph.New(len(verts))
+	for _, e := range g.Edges {
+		iu, okU := idx[e.U]
+		iv, okV := idx[e.V]
+		if okU && okV {
+			sub.AddEdge(iu, iv, e.Weight)
+		}
+	}
+	return sub
+}
+
+// embedNaive is the pre-change Embed: every recursion node induces its
+// subgraph from the whole graph, through a map.
+func embedNaive(g *graph.Graph, w, h int, rng *rand.Rand) *layout.Placement {
+	p := layout.NewPlacement(g.N, w, h)
+	verts := make([]int, g.N)
+	for i := range verts {
+		verts[i] = i
+	}
+	embedRegionNaive(g, verts, region{0, 0, w, h}, p, rng)
+	return p
+}
+
+func embedRegionNaive(g *graph.Graph, verts []int, r region, p *layout.Placement, rng *rand.Rand) {
+	if len(verts) == 0 {
+		return
+	}
+	if len(verts) == 1 || r.tiles() <= 1 {
+		p.Set(verts[0], layout.Point{X: r.x, Y: r.y})
+		return
+	}
+	var rA, rB region
+	if r.w >= r.h {
+		wA := r.w / 2
+		rA = region{r.x, r.y, wA, r.h}
+		rB = region{r.x + wA, r.y, r.w - wA, r.h}
+	} else {
+		hA := r.h / 2
+		rA = region{r.x, r.y, r.w, hA}
+		rB = region{r.x, r.y + hA, r.w, r.h - hA}
+	}
+	nA := (len(verts)*rA.tiles() + r.tiles()/2) / r.tiles()
+	if nA > rA.tiles() {
+		nA = rA.tiles()
+	}
+	if len(verts)-nA > rB.tiles() {
+		nA = len(verts) - rB.tiles()
+	}
+	if nA < 0 {
+		nA = 0
+	}
+	if nA > len(verts) {
+		nA = len(verts)
+	}
+	partA := Bisect(naiveSubgraph(g, verts), nA, rng)
+	var vertsA, vertsB []int
+	for i, inA := range partA {
+		if inA {
+			vertsA = append(vertsA, verts[i])
+		} else {
+			vertsB = append(vertsB, verts[i])
+		}
+	}
+	embedRegionNaive(g, vertsA, rA, p, rng)
+	embedRegionNaive(g, vertsB, rB, p, rng)
+}
+
+// checkEmbedMatchesNaive embeds g on w x h with Embed and embedNaive
+// from the same seed and fails unless every position and the next draw
+// of each rng agree, so the two consumed identical random streams.
+func checkEmbedMatchesNaive(t *testing.T, name string, g *graph.Graph, w, h int, seed int64) {
+	t.Helper()
+	rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	got, want := Embed(g, w, h, rng), embedNaive(g, w, h, ref)
+	for v := range want.Pos {
+		if got.Pos[v] != want.Pos[v] {
+			t.Fatalf("%s on %dx%d seed %d: vertex %d at %v, naive %v", name, w, h, seed, v, got.Pos[v], want.Pos[v])
+		}
+	}
+	if a, b := rng.Int63(), ref.Int63(); a != b {
+		t.Fatalf("%s on %dx%d seed %d: rng streams diverged (%d vs %d)", name, w, h, seed, a, b)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s on %dx%d seed %d: %v", name, w, h, seed, err)
+	}
+}
+
+// randomGraph draws n vertices and about density*n weighted edges, with
+// a trailing block of isolated vertices when isolated > 0, so the graph
+// is disconnected.
+func randomGraph(rng *rand.Rand, n int, density float64, isolated int) *graph.Graph {
+	g := graph.New(n + isolated)
+	for e := 0; e < int(density*float64(n)); e++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(4)))
+	}
+	return g
+}
+
+func TestEmbedMatchesNaive(t *testing.T) {
+	seeds := []int64{1, 2, 7}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	factory := func(p bravyi.Params) *graph.Graph {
+		f, err := bravyi.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return graph.FromCircuit(f.Circuit)
+	}
+	for _, levels := range []int{1, 2} {
+		for _, k := range []int{2, 4, 8, 10} {
+			for _, barriers := range []bool{false, true} {
+				p := bravyi.Params{K: k, Levels: levels, Barriers: barriers}
+				g := factory(p)
+				w, h := layout.GridFor(g.N, 1)
+				for _, seed := range seeds {
+					checkEmbedMatchesNaive(t, fmt.Sprintf("%+v", p), g, w, h, seed)
+				}
+			}
+		}
+	}
+	// Stitch module blocks: the level-1 module of every K a stitched
+	// level-2 build uses, embedded from the build's Seed+1 stream.
+	for _, k := range []int{1, 3, 5, 6, 7} {
+		g := factory(bravyi.Params{K: k, Levels: 1})
+		w, h := layout.GridFor(g.N, 1)
+		for _, seed := range seeds {
+			checkEmbedMatchesNaive(t, fmt.Sprintf("module K=%d", k), g, w, h, seed+1)
+		}
+	}
+	// Random graphs, some disconnected, on rectangular grids with spare
+	// tiles.
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		n := 1 + rng.Intn(150)
+		g := randomGraph(rng, n, 0.5+3*rng.Float64(), rng.Intn(3)*rng.Intn(10))
+		w := 1 + rng.Intn(g.N+2)
+		h := (g.N+w-1)/w + rng.Intn(3)
+		for _, seed := range seeds {
+			checkEmbedMatchesNaive(t, fmt.Sprintf("random #%d (n=%d)", i, g.N), g, w, h, seed)
+		}
+	}
+}
+
+func FuzzEmbedOracle(f *testing.F) {
+	f.Add(int64(1), uint8(40), []byte{0, 1, 1, 2, 2, 3, 5, 9, 9, 30}, uint8(0))
+	f.Add(int64(2), uint8(200), []byte{3, 4, 5, 6, 7, 8, 100, 150, 199, 0}, uint8(7))
+	f.Add(int64(3), uint8(1), []byte{}, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nv uint8, edges []byte, slack uint8) {
+		n := 1 + int(nv)
+		g := graph.New(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			g.AddEdge(int(edges[i])%n, int(edges[i+1])%n, float64(1+i%3))
+		}
+		// slack picks the grid's width and how many spare rows it has.
+		w := 1 + int(slack>>2)%n
+		h := (n+w-1)/w + int(slack&3)
+		checkEmbedMatchesNaive(t, "fuzz", g, w, h, seed)
+	})
+}
+
+func TestEmbedPanicsOnUndersizedGrid(t *testing.T) {
+	g := graph.New(5)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Embed of 5 vertices on a 2x2 grid did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "5 vertices do not fit a 2x2 grid") {
+			t.Errorf("panic message = %q", msg)
+		}
+	}()
+	Embed(g, 2, 2, rand.New(rand.NewSource(1)))
+}
+
+func TestEmbedRegionPanicsOnOverfullTile(t *testing.T) {
+	g := graph.New(2)
+	p := layout.NewPlacement(2, 1, 1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invariant violated") {
+			t.Fatalf("embedRegion of 2 vertices on one tile: recover() = %v", r)
+		}
+	}()
+	embedRegion(g, []int{0, 1}, region{0, 0, 1, 1}, p, rand.New(rand.NewSource(1)))
 }
