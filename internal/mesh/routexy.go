@@ -122,7 +122,7 @@ func sign(v int) int {
 // candidate. With claimed set, cells claimed by an earlier arm of the
 // current routeXYTree call never block (arms of one braid tree may
 // overlap).
-func (r *router) checkXY(src, dst layout.Point, t int, claimed bool) (ok bool, clearAt int) {
+func (r *router) checkXY(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	cw := r.lat.CW
 	bu := r.busyUntil
 	sx, sy := 2*src.X+1, 2*src.Y+1
@@ -136,7 +136,7 @@ func (r *router) checkXY(src, dst layout.Point, t int, claimed bool) (ok bool, c
 		cx = dx - 1
 	}
 	blocked := func(ci int) (int, bool) {
-		if v := bu[ci]; v > t && !(claimed && r.claimStamp[ci] == r.claimEpoch) {
+		if v := bu[ci]; v > t {
 			return v, true
 		}
 		return 0, false
@@ -175,7 +175,7 @@ func (r *router) checkXY(src, dst layout.Point, t int, claimed bool) (ok bool, c
 }
 
 // checkYX is checkXY for the vertical-first candidate (mirrors walkYX).
-func (r *router) checkYX(src, dst layout.Point, t int, claimed bool) (ok bool, clearAt int) {
+func (r *router) checkYX(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	cw := r.lat.CW
 	bu := r.busyUntil
 	sx, sy := 2*src.X+1, 2*src.Y+1
@@ -189,7 +189,7 @@ func (r *router) checkYX(src, dst layout.Point, t int, claimed bool) (ok bool, c
 		ry = dy - 1
 	}
 	blocked := func(ci int) (int, bool) {
-		if v := bu[ci]; v > t && !(claimed && r.claimStamp[ci] == r.claimEpoch) {
+		if v := bu[ci]; v > t {
 			return v, true
 		}
 		return 0, false
@@ -232,12 +232,12 @@ func (r *router) checkYX(src, dst layout.Point, t int, claimed bool) (ok bool, c
 // buffer). When both are blocked it returns nil and the earliest cycle at
 // which either candidate could possibly clear.
 func (r *router) routeXY(src, dst layout.Point, t int) ([]int, int) {
-	ok1, clear1 := r.checkXY(src, dst, t, false)
+	ok1, clear1 := r.checkXY(src, dst, t)
 	if ok1 {
 		r.pathBuf = r.lat.xyPathInto(r.pathBuf, src, dst)
 		return r.pathBuf, 0
 	}
-	ok2, clear2 := r.checkYX(src, dst, t, false)
+	ok2, clear2 := r.checkYX(src, dst, t)
 	if ok2 {
 		r.pathBuf = r.lat.yxPathInto(r.pathBuf, src, dst)
 		return r.pathBuf, 0
@@ -270,11 +270,11 @@ func (r *router) routeXYTree(control layout.Point, targets []layout.Point, t int
 	union := r.unionBuf[:0]
 	for _, tgt := range targets {
 		var arm []int
-		ok, clear1 := r.checkXY(control, tgt, t, true)
+		ok, clear1 := r.checkXY(control, tgt, t)
 		if ok {
 			arm = r.lat.xyPathInto(r.pathBuf, control, tgt)
 		} else {
-			ok2, clear2 := r.checkYX(control, tgt, t, true)
+			ok2, clear2 := r.checkYX(control, tgt, t)
 			if !ok2 {
 				if clear2 < clear1 {
 					clear1 = clear2
