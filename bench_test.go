@@ -7,6 +7,7 @@
 package magicstate_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"magicstate/internal/bravyi"
@@ -275,6 +276,25 @@ func BenchmarkSimulateTwoLevelK64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mesh.Simulate(f.Circuit, pl, mesh.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateBoxRandomK10 is mesh_sweep's costliest point: the
+// level-2 K=10 factory on a seeded random placement under RouteBox, so
+// nearly all of its time is box BFS routing, most of it failing.
+func BenchmarkSimulateBoxRandomK10(b *testing.B) {
+	f, err := bravyi.Build(bravyi.Params{K: 10, Levels: 2, Barriers: true, Reuse: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl := layout.Random(f.Circuit.NumQubits, rand.New(rand.NewSource(1)))
+	cfg := mesh.Config{Mode: mesh.RouteBox}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mesh.Simulate(f.Circuit, pl, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

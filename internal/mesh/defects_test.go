@@ -1,12 +1,14 @@
 package mesh
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"magicstate/internal/circuit"
 	"magicstate/internal/layout"
+	"magicstate/internal/resource"
 )
 
 // defectRowCircuit builds n qubits on row 0 of a (2n-1) x 2 tile grid,
@@ -148,5 +150,27 @@ func TestDefectOutsideGridIgnored(t *testing.T) {
 	}
 	if res.Latency != pristine.Latency {
 		t.Fatalf("out-of-grid defect changed latency: %d vs %d", res.Latency, pristine.Latency)
+	}
+}
+
+// TestDeadlockNamesFirstStuckGate walls in the centre tile of a 3x3
+// grid: its four neighbours are defective, so the centre has no live
+// port and a CNOT from it can never route. Every routing mode must
+// report the deadlock naming that gate, its qubits and its tiles.
+func TestDeadlockNamesFirstStuckGate(t *testing.T) {
+	c := circuit.New(2)
+	c.H(1)
+	c.CNOT(0, 1)
+	c.MeasZ(0)
+	p := layout.NewPlacement(2, 3, 3)
+	p.Set(0, layout.Point{X: 1, Y: 1})
+	p.Set(1, layout.Point{X: 0, Y: 0})
+	want := fmt.Sprintf("mesh: deadlock at cycle %d: 1 gates stuck, none running; first is gate 1 (CNOT q0→q1, tiles (1,1)→(0,0))",
+		resource.DefaultCost().H)
+	for _, mode := range []RouteMode{RouteXY, RouteBox, RouteAdaptive} {
+		_, err := Simulate(c, p, Config{Mode: mode, Defects: "1,0;0,1;2,1;1,2"})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", mode.name(), err, want)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package mesh
 
+import "slices"
+
 // router finds conflict-free channel paths on a lattice with time-stamped
 // cell reservations. busyUntil[cell] holds the cycle at which the cell
 // becomes free; a cell is usable at time t when busyUntil[cell] <= t.
@@ -11,6 +13,18 @@ package mesh
 // the behaviour behind the paper's Fig. 6 crossing/latency correlation.
 // Setting the box to the whole grid recovers fully adaptive routing.
 //
+// Most queries fail, so the router decides failure a word at a time:
+// two maybe-busy bitmaps (busy.go) mirror busyUntil, the XY/YX checks
+// scan them for the first blocked cell, and route and routeTree first
+// flood-fill the free cells of the box and run a BFS only when every
+// goal they need is reachable. Paths, retry bounds and therefore every
+// schedule are those of the plain BFS and cell walks.
+//
+// Contract: between resets, query times never decrease. The bitmaps
+// clear an expired reservation's bits lazily, when a scan first finds
+// them at a later time, which is sound only on a forward-moving clock;
+// Simulate's event loop provides one.
+//
 // All scratch state (BFS frontier, goal/claim/tree membership) is
 // stamp-indexed: a slot belongs to the current query iff it carries the
 // current stamp, so queries never clear their scratch and a router is
@@ -21,6 +35,21 @@ type router struct {
 	lat       *Lattice
 	busyUntil []int
 	box       cellBox
+	// now is the time of the latest query (the bitmaps' clock).
+	now int
+	// rowBusy holds cell (x, y) at bit x%64 of word y*rowWords+x/64;
+	// colBusy holds it at bit y%64 of word x*colWords+y/64. cleanAt[w]
+	// is now+1 when row word w was last purged of stale bits at now.
+	rowBusy, colBusy   []uint64
+	rowWords, colWords int
+	cleanAt            []int
+	// Flood-fill scratch over the current box: fillNW words per box
+	// row; free cells, reached cells and goal cells, one mask each.
+	fillNW                        int
+	fillFree, fillReach, fillGoal []uint64
+	fillTmp                       []uint64
+	fillStack                     []int
+	fillQueued                    []bool
 	// BFS scratch, reused across calls; visited stamps avoid clearing.
 	stamp   int
 	visited []int
@@ -112,9 +141,21 @@ const deadBusy = 1 << 60
 
 func newRouter(lat *Lattice) *router {
 	n := lat.Cells()
+	rowWords, colWords := (lat.CW+63)/64, (lat.CH+63)/64
 	r := &router{
 		lat:        lat,
 		busyUntil:  make([]int, n),
+		rowBusy:    make([]uint64, lat.CH*rowWords),
+		colBusy:    make([]uint64, lat.CW*colWords),
+		rowWords:   rowWords,
+		colWords:   colWords,
+		cleanAt:    make([]int, lat.CH*rowWords),
+		fillFree:   make([]uint64, lat.CH*rowWords),
+		fillReach:  make([]uint64, lat.CH*rowWords),
+		fillGoal:   make([]uint64, lat.CH*rowWords),
+		fillTmp:    make([]uint64, rowWords),
+		fillStack:  make([]int, 0, lat.CH),
+		fillQueued: make([]bool, lat.CH),
 		box:        lat.wholeGrid(),
 		visited:    make([]int, n),
 		parent:     make([]int, n),
@@ -135,6 +176,7 @@ func (r *router) applyDead() {
 	for ci, d := range r.lat.dead {
 		if d {
 			r.busyUntil[ci] = deadBusy
+			r.setBusy(ci%r.lat.CW, ci/r.lat.CW)
 		}
 	}
 }
@@ -144,6 +186,10 @@ func (r *router) applyDead() {
 // clearing: the stamps keep counting up across runs.
 func (r *router) reset() {
 	clear(r.busyUntil)
+	clear(r.rowBusy)
+	clear(r.colBusy)
+	clear(r.cleanAt)
+	r.now = 0
 	r.applyDead()
 	r.box = r.lat.wholeGrid()
 }
@@ -177,11 +223,17 @@ func (r *router) free(ci, t int) bool {
 // the reachable region and busy port cells). Until one of those
 // reservations expires the reachable region cannot grow, so the query is
 // guaranteed to keep failing; a zero bound means the failure is
-// structural (no reservation to wait out). The returned path aliases the
-// router's scratch and is only valid until the next routing call.
+// structural (no reservation to wait out). When no destination port is
+// free the bound covers the destination ports only. The returned path
+// aliases the router's scratch and is only valid until the next routing
+// call.
+//
+// A flood fill decides reachability first; the BFS runs only when a
+// goal is reachable, so paths are exactly the BFS's. On failure the
+// fill's reached region is the component a failing BFS visits in full,
+// so the busy cells next to it are exactly the cells that BFS notes.
 func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
-	r.stamp++
-	r.queue = r.queue[:0]
+	r.now = t
 	minExp := 0
 	note := func(bu int) {
 		if minExp == 0 || bu < minExp {
@@ -197,7 +249,10 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 			note(bu)
 			continue
 		}
-		r.goalStamp[c] = r.stamp
+		if goals == 0 {
+			r.fillBox(t)
+		}
+		r.fillMark(r.fillGoal, c)
 		goals++
 	}
 	if goals == 0 {
@@ -211,6 +266,44 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 			note(bu)
 			continue
 		}
+		r.fillMark(r.fillReach, c)
+	}
+	if r.fillReaches() {
+		return r.routeBFS(srcPorts, dstPorts, t), 0
+	}
+	if bu := r.fillFrontier(); bu != 0 {
+		note(bu)
+	}
+	return nil, minExp
+}
+
+// routeBFS is route's breadth-first search, run once the flood fill has
+// shown a goal reachable. It returns the path ending at the first goal
+// reached (end first).
+func (r *router) routeBFS(srcPorts, dstPorts []int, t int) []int {
+	r.stamp++
+	r.queue = r.queue[:0]
+	goals := 0
+	for _, c := range dstPorts {
+		if r.lat.isTile[c] || !r.box.contains(c%r.lat.CW, c/r.lat.CW) {
+			continue
+		}
+		if r.busyUntil[c] > t {
+			continue
+		}
+		r.goalStamp[c] = r.stamp
+		goals++
+	}
+	if goals == 0 {
+		return nil
+	}
+	for _, c := range srcPorts {
+		if r.lat.isTile[c] || !r.box.contains(c%r.lat.CW, c/r.lat.CW) {
+			continue
+		}
+		if r.busyUntil[c] > t {
+			continue
+		}
 		if r.visited[c] == r.stamp {
 			continue
 		}
@@ -218,7 +311,7 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 		r.parent[c] = -1
 		if r.goalStamp[c] == r.stamp {
 			r.pathBuf = append(r.pathBuf[:0], c)
-			return r.pathBuf, 0
+			return r.pathBuf
 		}
 		r.queue = append(r.queue, c)
 	}
@@ -232,19 +325,18 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 			if r.lat.isTile[nb] || !r.box.contains(nb%r.lat.CW, nb/r.lat.CW) {
 				continue
 			}
-			if bu := r.busyUntil[nb]; bu > t {
-				note(bu)
+			if r.busyUntil[nb] > t {
 				continue
 			}
 			r.visited[nb] = r.stamp
 			r.parent[nb] = cur
 			if r.goalStamp[nb] == r.stamp {
-				return r.walkBack(nb), 0
+				return r.walkBack(nb)
 			}
 			r.queue = append(r.queue, nb)
 		}
 	}
-	return nil, minExp
+	return nil
 }
 
 // walkBack materializes the BFS path ending at end into the shared path
@@ -277,6 +369,9 @@ func (r *router) routeTree(groups [][]int, t int) []int {
 		}
 		return nil
 	}
+	if !r.treeReachable(groups, t) {
+		return nil
+	}
 	r.treeEpoch++
 	tree := r.treeBuf[:0]
 	if cap(r.connBuf) < len(groups) {
@@ -286,10 +381,7 @@ func (r *router) routeTree(groups [][]int, t int) []int {
 	clear(connected)
 	// Seed with the first reachable path between group 0 and any other
 	// group; then grow.
-	first, _ := r.route(groups[0], groups[1], t)
-	if first == nil {
-		return nil
-	}
+	first := r.routeBFS(groups[0], groups[1], t)
 	for _, c := range first {
 		if r.treeStamp[c] != r.treeEpoch {
 			r.treeStamp[c] = r.treeEpoch
@@ -324,6 +416,33 @@ func (r *router) routeTree(groups [][]int, t int) []int {
 		}
 		connected[gi] = true
 	}
+}
+
+// treeReachable reports whether every group after the first has a free
+// port in the region reachable from group 0's free ports. The greedy
+// tree only ever grows through free cells of the component its first
+// path lies in, and that component is part of this region, so when it
+// is false routeTree is bound to fail and no BFS need run.
+func (r *router) treeReachable(groups [][]int, t int) bool {
+	r.now = t
+	for _, g := range groups {
+		if !slices.ContainsFunc(g, func(c int) bool { return r.free(c, t) }) {
+			return false
+		}
+	}
+	r.fillBox(t)
+	for _, c := range groups[0] {
+		if r.free(c, t) {
+			r.fillMark(r.fillReach, c)
+		}
+	}
+	r.fillReaches()
+	for _, g := range groups[1:] {
+		if !slices.ContainsFunc(g, func(c int) bool { return r.free(c, t) && r.fillHas(r.fillReach, c) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // routeFromSet BFS-expands from every tree cell simultaneously and stops
@@ -379,9 +498,16 @@ func (r *router) routeFromSet(tree []int, groups [][]int, connected []bool, t in
 	return nil, -1
 }
 
-// reserve marks cells busy until time until.
+// reserve marks cells busy until time until. A reservation that has
+// already expired at the router's clock leaves its cells' bits clear.
 func (r *router) reserve(cells []int, until int) {
+	cw := r.lat.CW
 	for _, c := range cells {
 		r.busyUntil[c] = until
+		if until > r.now {
+			r.setBusy(c%cw, c/cw)
+		} else {
+			r.clearBusy(c%cw, c/cw)
+		}
 	}
 }

@@ -10,9 +10,10 @@ import "magicstate/internal/layout"
 //
 // The candidate scan is the simulator's single hottest loop (every
 // blocked gate rescans both candidates when it wakes), so checkXY/checkYX
-// walk the fixed cell sequence with direct index arithmetic over the
-// busyUntil array instead of the closure-based walkXY/walkYX visitors,
-// stopping at the first blocked cell and reporting its expiry.
+// scan the candidate's row and column runs over the router's busy
+// bitmaps instead of walking cell by cell with the closure-based
+// walkXY/walkYX visitors, stopping at the first blocked cell and
+// reporting its expiry.
 // Reservations only ever extend (a busy cell can never be re-reserved
 // before it expires), so a candidate provably stays blocked at least
 // until its first blocked cell has expired — making that expiry a sound
@@ -115,16 +116,15 @@ func sign(v int) int {
 	return 0
 }
 
-// checkXY scans the horizontal-first candidate between src and dst with
-// direct index arithmetic (the cell sequence mirrors walkXY exactly) and
+// checkXY scans the horizontal-first candidate between src and dst and
 // reports whether it is fully free at t. When blocked, clearAt is the
-// first blocked cell's busyUntil — a sound earliest-retry bound for this
-// candidate. With claimed set, cells claimed by an earlier arm of the
-// current routeXYTree call never block (arms of one braid tree may
-// overlap).
+// first blocked cell's busyUntil in walk order — a sound earliest-retry
+// bound for this candidate. The cell sequence mirrors walkXY: the exit
+// cell and the horizontal highway form one run of row ry from column sx
+// to cx, and the vertical highway is column cx from the row after ry to
+// dy; each run is scanned a word at a time over the busy bitmaps.
 func (r *router) checkXY(src, dst layout.Point, t int) (ok bool, clearAt int) {
-	cw := r.lat.CW
-	bu := r.busyUntil
+	r.now = t
 	sx, sy := 2*src.X+1, 2*src.Y+1
 	dx, dy := 2*dst.X+1, 2*dst.Y+1
 	ry := sy + 1
@@ -135,49 +135,20 @@ func (r *router) checkXY(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	if sx < dx {
 		cx = dx - 1
 	}
-	blocked := func(ci int) (int, bool) {
-		if v := bu[ci]; v > t {
-			return v, true
-		}
-		return 0, false
-	}
-	base := ry * cw
-	if v, bad := blocked(base + sx); bad { // exit src vertically
+	if v := r.scanRow(ry, sx, cx, t); v != 0 {
 		return false, v
 	}
-	if cx >= sx { // horizontal highway: row ry, columns (sx..cx]
-		for x := sx + 1; x <= cx; x++ {
-			if v, bad := blocked(base + x); bad {
-				return false, v
-			}
-		}
-	} else {
-		for x := sx - 1; x >= cx; x-- {
-			if v, bad := blocked(base + x); bad {
-				return false, v
-			}
-		}
-	}
-	if dy >= ry { // vertical highway: column cx, rows (ry..dy]
-		for ci := (ry+1)*cw + cx; ci <= dy*cw+cx; ci += cw {
-			if v, bad := blocked(ci); bad {
-				return false, v
-			}
-		}
-	} else {
-		for ci := (ry-1)*cw + cx; ci >= dy*cw+cx; ci -= cw {
-			if v, bad := blocked(ci); bad {
-				return false, v
-			}
-		}
+	if v := r.scanCol(cx, ry+sign(dy-ry), dy, t); v != 0 {
+		return false, v
 	}
 	return true, 0
 }
 
-// checkYX is checkXY for the vertical-first candidate (mirrors walkYX).
+// checkYX is checkXY for the vertical-first candidate (mirrors walkYX):
+// column cx from the exit row sy to ry, then row ry from the column
+// after cx to dx.
 func (r *router) checkYX(src, dst layout.Point, t int) (ok bool, clearAt int) {
-	cw := r.lat.CW
-	bu := r.busyUntil
+	r.now = t
 	sx, sy := 2*src.X+1, 2*src.Y+1
 	dx, dy := 2*dst.X+1, 2*dst.Y+1
 	cx := sx + 1
@@ -188,41 +159,11 @@ func (r *router) checkYX(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	if sy < dy {
 		ry = dy - 1
 	}
-	blocked := func(ci int) (int, bool) {
-		if v := bu[ci]; v > t {
-			return v, true
-		}
-		return 0, false
-	}
-	if v, bad := blocked(sy*cw + cx); bad { // exit src horizontally
+	if v := r.scanCol(cx, sy, ry, t); v != 0 {
 		return false, v
 	}
-	if ry >= sy { // vertical highway: column cx, rows (sy..ry]
-		for ci := (sy+1)*cw + cx; ci <= ry*cw+cx; ci += cw {
-			if v, bad := blocked(ci); bad {
-				return false, v
-			}
-		}
-	} else {
-		for ci := (sy-1)*cw + cx; ci >= ry*cw+cx; ci -= cw {
-			if v, bad := blocked(ci); bad {
-				return false, v
-			}
-		}
-	}
-	base := ry * cw
-	if dx >= cx { // horizontal highway: row ry, columns (cx..dx]
-		for x := cx + 1; x <= dx; x++ {
-			if v, bad := blocked(base + x); bad {
-				return false, v
-			}
-		}
-	} else {
-		for x := cx - 1; x >= dx; x-- {
-			if v, bad := blocked(base + x); bad {
-				return false, v
-			}
-		}
+	if v := r.scanRow(ry, cx+sign(dx-cx), dx, t); v != 0 {
+		return false, v
 	}
 	return true, 0
 }

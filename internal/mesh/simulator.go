@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"magicstate/internal/circuit"
 	"magicstate/internal/layout"
@@ -351,8 +352,19 @@ func (s *Simulator) Simulate(c *circuit.Circuit, p *layout.Placement, cfg Config
 			break
 		}
 		if len(s.comps) == 0 {
-			stuck := len(s.ready) + len(s.wake)
-			return nil, fmt.Errorf("mesh: deadlock at cycle %d: %d gates stuck, none running", t, stuck)
+			first := -1
+			for _, gi := range s.ready {
+				if first < 0 || gi < first {
+					first = gi
+				}
+			}
+			for _, e := range s.wake {
+				if first < 0 || e.gate < first {
+					first = e.gate
+				}
+			}
+			return nil, fmt.Errorf("mesh: deadlock at cycle %d: %d gates stuck, none running; first is gate %d (%s)",
+				t, len(s.ready)+len(s.wake), first, describeGate(&c.Gates[first], p))
 		}
 		// Advance to the next completion and drain all completions there.
 		t = s.comps[0].t
@@ -361,4 +373,25 @@ func (s *Simulator) Simulate(c *circuit.Circuit, p *layout.Placement, cfg Config
 		}
 	}
 	return res, nil
+}
+
+// describeGate names a gate's kind, operand qubits and their tiles for
+// error messages, e.g. "CNOT q0→q1, tiles (0,0)→(1,1)".
+func describeGate(g *circuit.Gate, p *layout.Placement) string {
+	var qs, tiles strings.Builder
+	for i, q := range g.Targets {
+		if i > 0 {
+			qs.WriteByte(',')
+			tiles.WriteByte(',')
+		}
+		pt := p.At(int(q))
+		fmt.Fprintf(&qs, "q%d", q)
+		fmt.Fprintf(&tiles, "(%d,%d)", pt.X, pt.Y)
+	}
+	if g.Control != circuit.NoQubit {
+		pt := p.At(int(g.Control))
+		return fmt.Sprintf("%s q%d→%s, tiles (%d,%d)→%s",
+			strings.ToUpper(g.Kind.String()), g.Control, &qs, pt.X, pt.Y, &tiles)
+	}
+	return fmt.Sprintf("%s %s, tiles %s", strings.ToUpper(g.Kind.String()), &qs, &tiles)
 }
