@@ -53,9 +53,9 @@ func toResult(name string, r testing.BenchmarkResult) benchResult {
 }
 
 // runBenchSuite measures the simulator and stitcher hot paths the repo's
-// Go benchmarks track (simulate micro benches, simulator reuse, stitch
-// build, GP embedding, and a cold end-to-end Table I pass) and writes
-// the snapshot as JSON to path ("-" for stdout).
+// Go benchmarks track (simulate micro benches, simulator reuse, box
+// routing, stitch build, GP embedding, and a cold end-to-end Table I
+// pass) and writes the snapshot as JSON to path ("-" for stdout).
 func runBenchSuite(path string) error {
 	snap := benchSnapshot{
 		Schema:    "paperbench-bench/v1",
@@ -100,6 +100,22 @@ func runBenchSuite(path string) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.Simulate(k64.Circuit, k64pl, mesh.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})))
+	// The level-2 K=10 factory on a seeded random placement under
+	// RouteBox: mesh_sweep's costliest point, nearly all box routing.
+	k10, err := bravyi.Build(bravyi.Params{K: 10, Levels: 2, Barriers: true, Reuse: true})
+	if err != nil {
+		return err
+	}
+	k10pl := layout.Random(k10.Circuit.NumQubits, rand.New(rand.NewSource(1)))
+	snap.Benchmarks = append(snap.Benchmarks, toResult("simulate_box_random_k10",
+		testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mesh.Simulate(k10.Circuit, k10pl, mesh.Config{Mode: mesh.RouteBox}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,7 +9,8 @@ import "math/bits"
 //
 //   - a cell busy at now (busyUntil > now) has its bit set in both maps;
 //   - a set bit may be stale (its reservation has expired), so a scan
-//     that lands on one reads busyUntil and clears the bit if stale;
+//     that lands on one reads busyUntil and clears the bit if stale, in
+//     the map it scans;
 //   - if cleanAt[w] == now+1, row-major word w holds no stale bit.
 //
 // Clearing a stale bit is sound only because query times never
@@ -40,10 +41,23 @@ func (r *router) setBusy(x, y int) {
 	r.colBusy[x*r.colWords+y>>6] |= 1 << uint(y&63)
 }
 
-// clearBusy marks cell (x, y) free in both bitmaps.
-func (r *router) clearBusy(x, y int) {
-	r.rowBusy[y*r.rowWords+x>>6] &^= 1 << uint(x&63)
-	r.colBusy[x*r.colWords+y>>6] &^= 1 << uint(y&63)
+// clearRow and clearCol clear cell (x, y)'s bit in one bitmap. Each map
+// keeps its invariant alone, so a scan clears a stale bit only in the
+// map it reads.
+func (r *router) clearRow(x, y int) { r.rowBusy[y*r.rowWords+x>>6] &^= 1 << uint(x&63) }
+func (r *router) clearCol(x, y int) { r.colBusy[x*r.colWords+y>>6] &^= 1 << uint(y&63) }
+
+// cellXY splits cell index c into its coordinates with one multiply:
+// divCW is ceil(2^64/CW), and for 32-bit c and CW the high word of
+// divCW*c is exactly c/CW (Lemire, Kaser and Kurz, "Faster Remainder by
+// Direct Computation", 2019).
+func (r *router) cellXY(c int) (x, y int) {
+	if r.divCW == 0 { // CW == 1: ceil(2^64/1) does not fit
+		return 0, c
+	}
+	hi, _ := bits.Mul64(r.divCW, uint64(c))
+	y = int(hi)
+	return c - y*r.lat.CW, y
 }
 
 // scanRow returns the busyUntil of the first cell of row y busy at t,
@@ -59,7 +73,7 @@ func (r *router) scanRow(y, x0, x1, t int) int {
 				if v := bu[x]; v > t {
 					return v
 				}
-				r.clearBusy(x, y)
+				r.clearRow(x, y)
 			}
 		}
 		return 0
@@ -71,7 +85,7 @@ func (r *router) scanRow(y, x0, x1, t int) int {
 			if v := bu[x]; v > t {
 				return v
 			}
-			r.clearBusy(x, y)
+			r.clearRow(x, y)
 			m &^= 1 << uint(b)
 		}
 	}
@@ -89,7 +103,7 @@ func (r *router) scanCol(x, y0, y1, t int) int {
 				if v := r.busyUntil[y*cw+x]; v > t {
 					return v
 				}
-				r.clearBusy(x, y)
+				r.clearCol(x, y)
 			}
 		}
 		return 0
@@ -101,7 +115,7 @@ func (r *router) scanCol(x, y0, y1, t int) int {
 			if v := r.busyUntil[y*cw+x]; v > t {
 				return v
 			}
-			r.clearBusy(x, y)
+			r.clearCol(x, y)
 			m &^= 1 << uint(b)
 		}
 	}
@@ -135,7 +149,7 @@ func (r *router) fillBox(t int) {
 				for m := r.rowBusy[wi]; m != 0; m &= m - 1 {
 					x := w<<6 | bits.TrailingZeros64(m)
 					if r.busyUntil[y*cw+x] <= t {
-						r.clearBusy(x, y)
+						r.clearRow(x, y)
 					}
 				}
 				r.cleanAt[wi] = t + 1
@@ -147,13 +161,15 @@ func (r *router) fillBox(t int) {
 
 // fillMark sets cell c's bit in the box-relative mask m.
 func (r *router) fillMark(m []uint64, c int) {
-	x, y := c%r.lat.CW-(r.box.minX&^63), c/r.lat.CW-r.box.minY
+	x, y := r.cellXY(c)
+	x, y = x-r.box.minX&^63, y-r.box.minY
 	m[y*r.fillNW+x>>6] |= 1 << uint(x&63)
 }
 
 // fillHas reports whether cell c's bit is set in the box-relative mask m.
 func (r *router) fillHas(m []uint64, c int) bool {
-	x, y := c%r.lat.CW-(r.box.minX&^63), c/r.lat.CW-r.box.minY
+	x, y := r.cellXY(c)
+	x, y = x-r.box.minX&^63, y-r.box.minY
 	return m[y*r.fillNW+x>>6]&(1<<uint(x&63)) != 0
 }
 

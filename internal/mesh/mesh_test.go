@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -424,6 +425,10 @@ func TestXYPathsAreValidChannels(t *testing.T) {
 		b := layout.Point{X: rng.Intn(w), Y: rng.Intn(h)}
 		if a == b {
 			return true
+		}
+		if !reflect.DeepEqual(l.xyPathInto(nil, a, b), walkPath(l.walkXY, a, b)) ||
+			!reflect.DeepEqual(l.yxPathInto(nil, a, b), walkPath(l.walkYX, a, b)) {
+			return false // the materialized path must be the walked cell sequence
 		}
 		for _, path := range [][]int{l.xyPathInto(nil, a, b), l.yxPathInto(nil, a, b)} {
 			if len(path) == 0 {

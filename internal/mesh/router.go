@@ -43,6 +43,7 @@ type router struct {
 	rowBusy, colBusy   []uint64
 	rowWords, colWords int
 	cleanAt            []int
+	divCW              uint64 // cellXY's multiplier, ceil(2^64/CW)
 	// Flood-fill scratch over the current box: fillNW words per box
 	// row; free cells, reached cells and goal cells, one mask each.
 	fillNW                        int
@@ -149,6 +150,7 @@ func newRouter(lat *Lattice) *router {
 		colBusy:    make([]uint64, lat.CW*colWords),
 		rowWords:   rowWords,
 		colWords:   colWords,
+		divCW:      ^uint64(0)/uint64(lat.CW) + 1,
 		cleanAt:    make([]int, lat.CH*rowWords),
 		fillFree:   make([]uint64, lat.CH*rowWords),
 		fillReach:  make([]uint64, lat.CH*rowWords),
@@ -176,7 +178,7 @@ func (r *router) applyDead() {
 	for ci, d := range r.lat.dead {
 		if d {
 			r.busyUntil[ci] = deadBusy
-			r.setBusy(ci%r.lat.CW, ci/r.lat.CW)
+			r.setBusy(r.cellXY(ci))
 		}
 	}
 }
@@ -499,15 +501,15 @@ func (r *router) routeFromSet(tree []int, groups [][]int, connected []bool, t in
 }
 
 // reserve marks cells busy until time until. A reservation that has
-// already expired at the router's clock leaves its cells' bits clear.
+// already expired at the router's clock clears its cells' row bits
+// instead, since only the row-major map must be exact.
 func (r *router) reserve(cells []int, until int) {
-	cw := r.lat.CW
 	for _, c := range cells {
 		r.busyUntil[c] = until
 		if until > r.now {
-			r.setBusy(c%cw, c/cw)
+			r.setBusy(r.cellXY(c))
 		} else {
-			r.clearBusy(c%cw, c/cw)
+			r.clearRow(r.cellXY(c))
 		}
 	}
 }

@@ -10,10 +10,80 @@ import (
 
 // This file keeps the cell-at-a-time router as a test-side reference:
 // routeNaive, routeFromSetNaive, checkXYNaive and checkYXNaive are the
-// router's queries as they were before the busy bitmaps, and the
-// *Naive compositions below rebuild routeXY, routeXYTree and routeTree
-// on top of them. They read only busyUntil, never the bitmaps, so the
+// router's queries as they were before the busy bitmaps, walkXY and
+// walkYX the closure-based candidate walkers, and the *Naive
+// compositions below rebuild routeXY, routeXYTree and routeTree on top
+// of them. They read only busyUntil, never the bitmaps, so the
 // bitmap router can be checked against them query by query.
+
+// walkXY visits the horizontal-first path between tiles src and dst
+// cell by cell: the exit cell below or above src, the highway row to
+// the column beside dst, then that column to dst's port. visit
+// returning false aborts the walk; walkXY then returns false.
+func (l *Lattice) walkXY(src, dst layout.Point, visit func(ci int) bool) bool {
+	sx, sy := 2*src.X+1, 2*src.Y+1
+	dx, dy := 2*dst.X+1, 2*dst.Y+1
+	ry := sy + 1
+	if dy < sy {
+		ry = sy - 1
+	}
+	cx := dx + 1
+	if sx < dx {
+		cx = dx - 1
+	}
+	if !visit(l.CellIndex(sx, ry)) {
+		return false
+	}
+	for x := sx; x != cx; x += sign(cx - sx) {
+		if !visit(l.CellIndex(x+sign(cx-sx), ry)) {
+			return false
+		}
+	}
+	for y := ry; y != dy; y += sign(dy - ry) {
+		if !visit(l.CellIndex(cx, y+sign(dy-ry))) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkYX visits the vertical-first path between tiles src and dst.
+func (l *Lattice) walkYX(src, dst layout.Point, visit func(ci int) bool) bool {
+	sx, sy := 2*src.X+1, 2*src.Y+1
+	dx, dy := 2*dst.X+1, 2*dst.Y+1
+	cx := sx + 1
+	if dx < sx {
+		cx = sx - 1
+	}
+	ry := dy + 1
+	if sy < dy {
+		ry = dy - 1
+	}
+	if !visit(l.CellIndex(cx, sy)) {
+		return false
+	}
+	for y := sy; y != ry; y += sign(ry - sy) {
+		if !visit(l.CellIndex(cx, y+sign(ry-sy))) {
+			return false
+		}
+	}
+	for x := cx; x != dx; x += sign(dx - cx) {
+		if !visit(l.CellIndex(x+sign(dx-cx), ry)) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkPath materializes a walk's cells.
+func walkPath(walk func(layout.Point, layout.Point, func(int) bool) bool, src, dst layout.Point) []int {
+	var path []int
+	walk(src, dst, func(ci int) bool {
+		path = append(path, ci)
+		return true
+	})
+	return path
+}
 
 // routeNaive is the plain BFS form of route: notes the busyUntil of
 // every busy in-box non-tile cell it touches (busy ports, busy
@@ -174,11 +244,11 @@ func (r *router) checkYXNaive(src, dst layout.Point, t int, claimed bool) (bool,
 func (r *router) routeXYNaive(src, dst layout.Point, t int) ([]int, int) {
 	ok1, clear1 := r.checkXYNaive(src, dst, t, false)
 	if ok1 {
-		return r.lat.xyPathInto(nil, src, dst), 0
+		return walkPath(r.lat.walkXY, src, dst), 0
 	}
 	ok2, clear2 := r.checkYXNaive(src, dst, t, false)
 	if ok2 {
-		return r.lat.yxPathInto(nil, src, dst), 0
+		return walkPath(r.lat.walkYX, src, dst), 0
 	}
 	if clear2 < clear1 {
 		clear1 = clear2
@@ -196,7 +266,7 @@ func (r *router) routeXYTreeNaive(control layout.Point, targets []layout.Point, 
 		var arm []int
 		ok, clear1 := r.checkXYNaive(control, tgt, t, true)
 		if ok {
-			arm = r.lat.xyPathInto(nil, control, tgt)
+			arm = walkPath(r.lat.walkXY, control, tgt)
 		} else {
 			ok2, clear2 := r.checkYXNaive(control, tgt, t, true)
 			if !ok2 {
@@ -211,7 +281,7 @@ func (r *router) routeXYTreeNaive(control layout.Point, targets []layout.Point, 
 					return nil, clear1
 				}
 			} else {
-				arm = r.lat.yxPathInto(nil, control, tgt)
+				arm = walkPath(r.lat.walkYX, control, tgt)
 			}
 		}
 		for _, ci := range arm {

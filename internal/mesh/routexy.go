@@ -11,99 +11,84 @@ import "magicstate/internal/layout"
 // The candidate scan is the simulator's single hottest loop (every
 // blocked gate rescans both candidates when it wakes), so checkXY/checkYX
 // scan the candidate's row and column runs over the router's busy
-// bitmaps instead of walking cell by cell with the closure-based
-// walkXY/walkYX visitors, stopping at the first blocked cell and
-// reporting its expiry.
+// bitmaps, stopping at the first blocked cell and reporting its expiry.
 // Reservations only ever extend (a busy cell can never be re-reserved
 // before it expires), so a candidate provably stays blocked at least
 // until its first blocked cell has expired — making that expiry a sound
 // wake-up time for the event loop's retry heap.
 
-// walkXY visits the horizontal-first path between tiles src and dst
-// cell by cell without materializing it. visit returning false aborts the
-// walk; walkXY then returns false. Paths run on even (all-channel) rows
-// and columns, entering/leaving tiles through adjacent port cells.
-func (l *Lattice) walkXY(src, dst layout.Point, visit func(ci int) bool) bool {
+// xyLegs returns the horizontal-first candidate between tiles src and
+// dst as two runs: row ry from column sx to cx (the cell that exits src
+// vertically, then the horizontal highway), and column cx from row
+// ry+sign(dy-ry) to dy (the vertical highway into dst's port). Paths
+// run on even (all-channel) rows and columns, entering and leaving tiles
+// through adjacent port cells; the highway row is adjacent to src and
+// biased toward dst, the highway column adjacent to dst and biased
+// toward src. Tiles sit on odd coordinates, so cx != sx and ry != dy:
+// both runs are non-empty and share no cell.
+func xyLegs(src, dst layout.Point) (ry, sx, cx, dy int) {
 	sx, sy := 2*src.X+1, 2*src.Y+1
 	dx, dy := 2*dst.X+1, 2*dst.Y+1
-	// Horizontal highway row adjacent to src, biased toward dst.
-	ry := sy + 1
+	ry = sy + 1
 	if dy < sy {
 		ry = sy - 1
 	}
-	// Vertical highway column adjacent to dst, biased toward src.
-	cx := dx + 1
+	cx = dx + 1
 	if sx < dx {
 		cx = dx - 1
 	}
-	if !visit(l.CellIndex(sx, ry)) { // exit src vertically
-		return false
-	}
-	for x := sx; x != cx; x += sign(cx - sx) {
-		if !visit(l.CellIndex(x+sign(cx-sx), ry)) {
-			return false
-		}
-	}
-	for y := ry; y != dy; y += sign(dy - ry) {
-		if !visit(l.CellIndex(cx, y+sign(dy-ry))) {
-			return false
-		}
-	}
-	return true
+	return ry, sx, cx, dy
 }
 
-// walkYX visits the vertical-first path between tiles src and dst.
-func (l *Lattice) walkYX(src, dst layout.Point, visit func(ci int) bool) bool {
+// yxLegs is xyLegs for the vertical-first candidate: column cx from row
+// sy to ry (the cell that exits src horizontally, then the vertical
+// highway), and row ry from column cx+sign(dx-cx) to dx.
+func yxLegs(src, dst layout.Point) (cx, sy, ry, dx int) {
 	sx, sy := 2*src.X+1, 2*src.Y+1
 	dx, dy := 2*dst.X+1, 2*dst.Y+1
-	// Vertical highway column adjacent to src, biased toward dst.
-	cx := sx + 1
+	cx = sx + 1
 	if dx < sx {
 		cx = sx - 1
 	}
-	// Horizontal highway row adjacent to dst, biased toward src.
-	ry := dy + 1
+	ry = dy + 1
 	if sy < dy {
 		ry = dy - 1
 	}
-	if !visit(l.CellIndex(cx, sy)) { // exit src horizontally
-		return false
-	}
-	for y := sy; y != ry; y += sign(ry - sy) {
-		if !visit(l.CellIndex(cx, y+sign(ry-sy))) {
-			return false
+	return cx, sy, ry, dx
+}
+
+// appendRow appends the cells of row y from column x0 to x1 inclusive,
+// in walk order.
+func (l *Lattice) appendRow(buf []int, y, x0, x1 int) []int {
+	for x, step := x0, sign(x1-x0); ; x += step {
+		buf = append(buf, y*l.CW+x)
+		if x == x1 {
+			return buf
 		}
 	}
-	for x := cx; x != dx; x += sign(dx - cx) {
-		if !visit(l.CellIndex(x+sign(dx-cx), ry)) {
-			return false
+}
+
+// appendCol appends the cells of column x from row y0 to y1 inclusive,
+// in walk order.
+func (l *Lattice) appendCol(buf []int, x, y0, y1 int) []int {
+	for y, step := y0, sign(y1-y0); ; y += step {
+		buf = append(buf, y*l.CW+x)
+		if y == y1 {
+			return buf
 		}
 	}
-	return true
 }
 
 // xyPathInto materializes the horizontal-first path into buf (reused).
 func (l *Lattice) xyPathInto(buf []int, src, dst layout.Point) []int {
-	buf = buf[:0]
-	l.walkXY(src, dst, func(ci int) bool {
-		if len(buf) == 0 || buf[len(buf)-1] != ci {
-			buf = append(buf, ci)
-		}
-		return true
-	})
-	return buf
+	ry, sx, cx, dy := xyLegs(src, dst)
+	return l.appendCol(l.appendRow(buf[:0], ry, sx, cx), cx, ry+sign(dy-ry), dy)
 }
 
 // yxPathInto materializes the vertical-first path into buf (reused).
 func (l *Lattice) yxPathInto(buf []int, src, dst layout.Point) []int {
-	buf = buf[:0]
-	l.walkYX(src, dst, func(ci int) bool {
-		if len(buf) == 0 || buf[len(buf)-1] != ci {
-			buf = append(buf, ci)
-		}
-		return true
-	})
-	return buf
+	cx, sy, ry, dx := yxLegs(src, dst)
+	return l.appendRow(l.appendCol(buf[:0], cx, sy, ry), ry, cx+sign(dx-cx), dx)
 }
 
 func sign(v int) int {
@@ -119,22 +104,11 @@ func sign(v int) int {
 // checkXY scans the horizontal-first candidate between src and dst and
 // reports whether it is fully free at t. When blocked, clearAt is the
 // first blocked cell's busyUntil in walk order — a sound earliest-retry
-// bound for this candidate. The cell sequence mirrors walkXY: the exit
-// cell and the horizontal highway form one run of row ry from column sx
-// to cx, and the vertical highway is column cx from the row after ry to
-// dy; each run is scanned a word at a time over the busy bitmaps.
+// bound for this candidate. Each of the candidate's two runs (xyLegs)
+// is scanned a word at a time over the busy bitmaps.
 func (r *router) checkXY(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	r.now = t
-	sx, sy := 2*src.X+1, 2*src.Y+1
-	dx, dy := 2*dst.X+1, 2*dst.Y+1
-	ry := sy + 1
-	if dy < sy {
-		ry = sy - 1
-	}
-	cx := dx + 1
-	if sx < dx {
-		cx = dx - 1
-	}
+	ry, sx, cx, dy := xyLegs(src, dst)
 	if v := r.scanRow(ry, sx, cx, t); v != 0 {
 		return false, v
 	}
@@ -144,21 +118,10 @@ func (r *router) checkXY(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	return true, 0
 }
 
-// checkYX is checkXY for the vertical-first candidate (mirrors walkYX):
-// column cx from the exit row sy to ry, then row ry from the column
-// after cx to dx.
+// checkYX is checkXY for the vertical-first candidate (yxLegs).
 func (r *router) checkYX(src, dst layout.Point, t int) (ok bool, clearAt int) {
 	r.now = t
-	sx, sy := 2*src.X+1, 2*src.Y+1
-	dx, dy := 2*dst.X+1, 2*dst.Y+1
-	cx := sx + 1
-	if dx < sx {
-		cx = sx - 1
-	}
-	ry := dy + 1
-	if sy < dy {
-		ry = dy - 1
-	}
+	cx, sy, ry, dx := yxLegs(src, dst)
 	if v := r.scanCol(cx, sy, ry, t); v != 0 {
 		return false, v
 	}

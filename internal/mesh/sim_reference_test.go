@@ -159,11 +159,11 @@ func (r *refRouter) candidate(walk func(layout.Point, layout.Point, func(int) bo
 func (r *refRouter) routeXY(src, dst layout.Point, t int, claimed map[int]bool) []int {
 	ok, dead1 := r.candidate(r.lat.walkXY, src, dst, t, claimed)
 	if ok {
-		return r.lat.xyPathInto(nil, src, dst)
+		return walkPath(r.lat.walkXY, src, dst)
 	}
 	ok, dead2 := r.candidate(r.lat.walkYX, src, dst, t, claimed)
 	if ok {
-		return r.lat.yxPathInto(nil, src, dst)
+		return walkPath(r.lat.walkYX, src, dst)
 	}
 	if dead1 && dead2 {
 		return r.route(r.lat.PortsOf(src), r.lat.PortsOf(dst), t)
