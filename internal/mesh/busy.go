@@ -159,18 +159,12 @@ func (r *router) fillBox(t int) {
 	}
 }
 
-// fillMark sets cell c's bit in the box-relative mask m.
-func (r *router) fillMark(m []uint64, c int) {
+// fillBit locates cell c in the box-relative fill masks: word index and
+// bit.
+func (r *router) fillBit(c int) (int, uint64) {
 	x, y := r.cellXY(c)
 	x, y = x-r.box.minX&^63, y-r.box.minY
-	m[y*r.fillNW+x>>6] |= 1 << uint(x&63)
-}
-
-// fillHas reports whether cell c's bit is set in the box-relative mask m.
-func (r *router) fillHas(m []uint64, c int) bool {
-	x, y := r.cellXY(c)
-	x, y = x-r.box.minX&^63, y-r.box.minY
-	return m[y*r.fillNW+x>>6]&(1<<uint(x&63)) != 0
+	return y*r.fillNW + x>>6, 1 << uint(x&63)
 }
 
 // fillReaches grows fillReach (seeded by the caller) to its fixpoint:
@@ -241,18 +235,17 @@ func (r *router) fillReaches() bool {
 }
 
 // fillRuns widens the seed bits of row s (a subset of the free mask f)
-// to the whole free runs that contain them, in place, and reports
-// whether it added a bit. The upward half is the add-with-carry run
+// to the whole free runs that contain them, in place. The upward half is the add-with-carry run
 // fill of Hacker's Delight: f + s clears every f-bit from each run's
 // lowest seed to the run's top, so f &^ (f + s) | s covers that span,
 // with the carry rippling across words. The downward half is the same
 // fill on the bit-reversed row, staged in tmp.
-func fillRuns(s, f, tmp []uint64) bool {
+func fillRuns(s, f, tmp []uint64) {
 	if len(s) == 1 {
 		s0, f0 := s[0], f[0]
 		rf, rs := bits.Reverse64(f0), bits.Reverse64(s0)
 		s[0] = f0&^(f0+s0) | s0 | bits.Reverse64(rf&^(rf+rs)|rs)
-		return s[0] != s0
+		return
 	}
 	var carry uint64
 	for j := len(s) - 1; j >= 0; j-- {
@@ -262,14 +255,11 @@ func fillRuns(s, f, tmp []uint64) bool {
 		tmp[j] = bits.Reverse64(rf&^sum | rs)
 	}
 	carry = 0
-	added := false
 	for j, s0 := range s {
 		var sum uint64
 		sum, carry = bits.Add64(f[j], s0, carry)
 		s[j] = f[j]&^sum | s0 | tmp[j]
-		added = added || s[j] != s0
 	}
-	return added
 }
 
 // fillFrontier returns the minimum busyUntil over the busy box cells

@@ -254,7 +254,8 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 		if goals == 0 {
 			r.fillBox(t)
 		}
-		r.fillMark(r.fillGoal, c)
+		i, b := r.fillBit(c)
+		r.fillGoal[i] |= b
 		goals++
 	}
 	if goals == 0 {
@@ -268,7 +269,8 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 			note(bu)
 			continue
 		}
-		r.fillMark(r.fillReach, c)
+		i, b := r.fillBit(c)
+		r.fillReach[i] |= b
 	}
 	if r.fillReaches() {
 		return r.routeBFS(srcPorts, dstPorts, t), 0
@@ -435,12 +437,20 @@ func (r *router) treeReachable(groups [][]int, t int) bool {
 	r.fillBox(t)
 	for _, c := range groups[0] {
 		if r.free(c, t) {
-			r.fillMark(r.fillReach, c)
+			i, b := r.fillBit(c)
+			r.fillReach[i] |= b
 		}
 	}
 	r.fillReaches()
 	for _, g := range groups[1:] {
-		if !slices.ContainsFunc(g, func(c int) bool { return r.free(c, t) && r.fillHas(r.fillReach, c) }) {
+		reached := false
+		for _, c := range g {
+			if r.free(c, t) {
+				i, b := r.fillBit(c)
+				reached = reached || r.fillReach[i]&b != 0
+			}
+		}
+		if !reached {
 			return false
 		}
 	}
