@@ -165,10 +165,9 @@ func (r *router) routeXY(src, dst layout.Point, t int) ([]int, int) {
 // arms of the same gate may overlap one another (a braid tree is a single
 // topological defect). Returns the union of cells (aliasing the router's
 // union buffer), or nil plus an earliest-retry bound if any arm is
-// blocked. Claimed-arm membership is tracked in the stamp-indexed
-// claimStamp array; a busy cell can never be claimed (the first arm
-// crossing it would itself be blocked), so the failing arm's bound
-// remains sound in the presence of claims.
+// blocked. The stamp-indexed claimStamp array dedupes the union. Arms
+// need no exemption for cells an earlier arm claimed: the tree reserves
+// nothing until it is whole, so those cells are still free at t.
 func (r *router) routeXYTree(control layout.Point, targets []layout.Point, t int) ([]int, int) {
 	r.claimEpoch++
 	union := r.unionBuf[:0]
