@@ -235,18 +235,13 @@ func (r *router) fillReaches() bool {
 }
 
 // fillRuns widens the seed bits of row s (a subset of the free mask f)
-// to the whole free runs that contain them, in place. The upward half is the add-with-carry run
-// fill of Hacker's Delight: f + s clears every f-bit from each run's
-// lowest seed to the run's top, so f &^ (f + s) | s covers that span,
-// with the carry rippling across words. The downward half is the same
-// fill on the bit-reversed row, staged in tmp.
+// to the whole free runs that contain them, in place. The upward half
+// is the add-with-carry run fill of Hacker's Delight: f + s clears
+// every f-bit from each run's lowest seed to the run's top, so
+// f &^ (f + s) | s covers that span, with the carry rippling across
+// words. The downward half is the same fill on the bit-reversed row,
+// staged in tmp.
 func fillRuns(s, f, tmp []uint64) {
-	if len(s) == 1 {
-		s0, f0 := s[0], f[0]
-		rf, rs := bits.Reverse64(f0), bits.Reverse64(s0)
-		s[0] = f0&^(f0+s0) | s0 | bits.Reverse64(rf&^(rf+rs)|rs)
-		return
-	}
 	var carry uint64
 	for j := len(s) - 1; j >= 0; j-- {
 		rf, rs := bits.Reverse64(f[j]), bits.Reverse64(s[j])

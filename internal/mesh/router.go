@@ -242,6 +242,8 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 			minExp = bu
 		}
 	}
+	r.stamp++
+	r.queue = r.queue[:0]
 	goals := 0
 	for _, c := range dstPorts {
 		if r.lat.isTile[c] || !r.box.contains(c%r.lat.CW, c/r.lat.CW) {
@@ -256,6 +258,7 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 		}
 		i, b := r.fillBit(c)
 		r.fillGoal[i] |= b
+		r.goalStamp[c] = r.stamp
 		goals++
 	}
 	if goals == 0 {
@@ -271,9 +274,10 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 		}
 		i, b := r.fillBit(c)
 		r.fillReach[i] |= b
+		r.bfsSeed(c)
 	}
 	if r.fillReaches() {
-		return r.routeBFS(srcPorts, dstPorts, t), 0
+		return r.walkBack(r.bfs(t)), 0
 	}
 	if bu := r.fillFrontier(); bu != 0 {
 		note(bu)
@@ -281,66 +285,42 @@ func (r *router) route(srcPorts, dstPorts []int, t int) ([]int, int) {
 	return nil, minExp
 }
 
-// routeBFS is route's breadth-first search, run once the flood fill has
-// shown a goal reachable. It returns the path ending at the first goal
-// reached (end first).
-func (r *router) routeBFS(srcPorts, dstPorts []int, t int) []int {
-	r.stamp++
-	r.queue = r.queue[:0]
-	goals := 0
-	for _, c := range dstPorts {
-		if r.lat.isTile[c] || !r.box.contains(c%r.lat.CW, c/r.lat.CW) {
-			continue
-		}
-		if r.busyUntil[c] > t {
-			continue
-		}
-		r.goalStamp[c] = r.stamp
-		goals++
+// bfsSeed makes cell c a source of the current stamp's search; a
+// repeated source is a no-op.
+func (r *router) bfsSeed(c int) {
+	if r.visited[c] == r.stamp {
+		return
 	}
-	if goals == 0 {
-		return nil
-	}
-	for _, c := range srcPorts {
-		if r.lat.isTile[c] || !r.box.contains(c%r.lat.CW, c/r.lat.CW) {
-			continue
-		}
-		if r.busyUntil[c] > t {
-			continue
-		}
-		if r.visited[c] == r.stamp {
-			continue
-		}
-		r.visited[c] = r.stamp
-		r.parent[c] = -1
+	r.visited[c] = r.stamp
+	r.parent[c] = -1
+	r.queue = append(r.queue, c)
+}
+
+// bfs searches free box cells breadth-first from the seeded queue for a
+// goal of the current stamp: the first seed that is a goal, else the
+// first goal reached. It returns that cell, or -1 when none is.
+func (r *router) bfs(t int) int {
+	for _, c := range r.queue {
 		if r.goalStamp[c] == r.stamp {
-			r.pathBuf = append(r.pathBuf[:0], c)
-			return r.pathBuf
+			return c
 		}
-		r.queue = append(r.queue, c)
 	}
 	for head := 0; head < len(r.queue); head++ {
 		cur := r.queue[head]
 		r.nbuf = r.lat.NeighborCells(cur, r.nbuf[:0])
 		for _, nb := range r.nbuf {
-			if r.visited[nb] == r.stamp {
-				continue
-			}
-			if r.lat.isTile[nb] || !r.box.contains(nb%r.lat.CW, nb/r.lat.CW) {
-				continue
-			}
-			if r.busyUntil[nb] > t {
+			if r.visited[nb] == r.stamp || !r.free(nb, t) {
 				continue
 			}
 			r.visited[nb] = r.stamp
 			r.parent[nb] = cur
 			if r.goalStamp[nb] == r.stamp {
-				return r.walkBack(nb)
+				return nb
 			}
 			r.queue = append(r.queue, nb)
 		}
 	}
-	return nil
+	return -1
 }
 
 // walkBack materializes the BFS path ending at end into the shared path
@@ -373,7 +353,8 @@ func (r *router) routeTree(groups [][]int, t int) []int {
 		}
 		return nil
 	}
-	if !r.treeReachable(groups, t) {
+	first := r.treeFirstPath(groups, t)
+	if first == nil {
 		return nil
 	}
 	r.treeEpoch++
@@ -383,9 +364,7 @@ func (r *router) routeTree(groups [][]int, t int) []int {
 	}
 	connected := r.connBuf[:len(groups)]
 	clear(connected)
-	// Seed with the first reachable path between group 0 and any other
-	// group; then grow.
-	first := r.routeBFS(groups[0], groups[1], t)
+	// Seed with the first path, from group 0 to group 1; then grow.
 	for _, c := range first {
 		if r.treeStamp[c] != r.treeEpoch {
 			r.treeStamp[c] = r.treeEpoch
@@ -422,39 +401,46 @@ func (r *router) routeTree(groups [][]int, t int) []int {
 	}
 }
 
-// treeReachable reports whether every group after the first has a free
-// port in the region reachable from group 0's free ports. The greedy
-// tree only ever grows through free cells of the component its first
-// path lies in, and that component is part of this region, so when it
-// is false routeTree is bound to fail and no BFS need run.
-func (r *router) treeReachable(groups [][]int, t int) bool {
+// treeFirstPath returns the greedy tree's first path, a shortest path
+// of free cells from group 0's free ports to group 1's, or nil when
+// some group after the first has no free port in the region reachable
+// from group 0's. The tree only ever grows through free cells of the
+// component its first path lies in, and that component is part of this
+// region, so on nil routeTree is bound to fail and no BFS runs.
+func (r *router) treeFirstPath(groups [][]int, t int) []int {
 	r.now = t
 	for _, g := range groups {
 		if !slices.ContainsFunc(g, func(c int) bool { return r.free(c, t) }) {
-			return false
+			return nil
 		}
 	}
 	r.fillBox(t)
+	r.stamp++
+	r.queue = r.queue[:0]
 	for _, c := range groups[0] {
 		if r.free(c, t) {
 			i, b := r.fillBit(c)
 			r.fillReach[i] |= b
+			r.bfsSeed(c)
 		}
 	}
 	r.fillReaches()
-	for _, g := range groups[1:] {
+	for gi, g := range groups[1:] {
 		reached := false
 		for _, c := range g {
 			if r.free(c, t) {
+				if gi == 0 {
+					r.goalStamp[c] = r.stamp
+				}
 				i, b := r.fillBit(c)
 				reached = reached || r.fillReach[i]&b != 0
 			}
 		}
 		if !reached {
-			return false
+			return nil
 		}
 	}
-	return true
+	return r.walkBack(r.bfs(t))
 }
 
 // routeFromSet BFS-expands from every tree cell simultaneously and stops
@@ -464,7 +450,6 @@ func (r *router) treeReachable(groups [][]int, t int) bool {
 func (r *router) routeFromSet(tree []int, groups [][]int, connected []bool, t int) ([]int, int) {
 	r.stamp++
 	r.queue = r.queue[:0]
-	goals := 0
 	for gi, done := range connected {
 		if done {
 			continue
@@ -473,41 +458,17 @@ func (r *router) routeFromSet(tree []int, groups [][]int, connected []bool, t in
 			if r.free(c, t) {
 				r.goalStamp[c] = r.stamp
 				r.goalGroup[c] = gi
-				goals++
 			}
 		}
-	}
-	if goals == 0 {
-		return nil, -1
 	}
 	for _, c := range tree {
-		if r.visited[c] == r.stamp {
-			continue
-		}
-		r.visited[c] = r.stamp
-		r.parent[c] = -1
-		if r.goalStamp[c] == r.stamp {
-			r.pathBuf = append(r.pathBuf[:0], c)
-			return r.pathBuf, r.goalGroup[c]
-		}
-		r.queue = append(r.queue, c)
+		r.bfsSeed(c)
 	}
-	for head := 0; head < len(r.queue); head++ {
-		cur := r.queue[head]
-		r.nbuf = r.lat.NeighborCells(cur, r.nbuf[:0])
-		for _, nb := range r.nbuf {
-			if r.visited[nb] == r.stamp || !r.free(nb, t) {
-				continue
-			}
-			r.visited[nb] = r.stamp
-			r.parent[nb] = cur
-			if r.goalStamp[nb] == r.stamp {
-				return r.walkBack(nb), r.goalGroup[nb]
-			}
-			r.queue = append(r.queue, nb)
-		}
+	end := r.bfs(t)
+	if end < 0 {
+		return nil, -1
 	}
-	return nil, -1
+	return r.walkBack(end), r.goalGroup[end]
 }
 
 // reserve marks cells busy until time until. A reservation that has
