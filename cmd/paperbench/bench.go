@@ -104,22 +104,6 @@ func runBenchSuite(path string) error {
 				}
 			}
 		})))
-	// The level-2 K=10 factory on a seeded random placement under
-	// RouteBox: mesh_sweep's costliest point, nearly all box routing.
-	k10, err := bravyi.Build(bravyi.Params{K: 10, Levels: 2, Barriers: true, Reuse: true})
-	if err != nil {
-		return err
-	}
-	k10pl := layout.Random(k10.Circuit.NumQubits, rand.New(rand.NewSource(1)))
-	snap.Benchmarks = append(snap.Benchmarks, toResult("simulate_box_random_k10",
-		testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mesh.Simulate(k10.Circuit, k10pl, mesh.Config{Mode: mesh.RouteBox}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
 	fg := graph.FromCircuit(k8.Circuit)
 	fan := force.NewAnnealer()
 	snap.Benchmarks = append(snap.Benchmarks, toResult("force_anneal_k8",
