@@ -342,13 +342,12 @@ func BenchmarkGraphPartitionEmbed(b *testing.B) {
 	}
 }
 
-// BenchmarkForceAnneal measures the arena-backed annealing engine. The
-// K=8 level-1 cases compare against the whole edge list (m under
-// CostSample): the engine variant is the FD mapper's steady state (one
-// process-wide Annealer whose scratch carries across sweep points), and
-// the restart variants exercise the parallel independent-restart path.
-// l2_k4 is a level-2 K=4 factory (m=1112 over CostSample), so every move
-// draws a fresh edge sample: the path that carries Table I.
+// BenchmarkForceAnneal measures the arena-backed annealing engine in the
+// FD mapper's steady state (one process-wide Annealer whose scratch
+// carries across sweep points). The K=8 level-1 case compares against
+// the whole edge list (m under the annealer's 400-edge cost sample).
+// l2_k4 is a level-2 K=4 factory (m=1112 over it), so every move draws a
+// fresh edge sample: the path that carries Table I.
 func BenchmarkForceAnneal(b *testing.B) {
 	type input struct {
 		f    *bravyi.Factory
@@ -371,8 +370,6 @@ func BenchmarkForceAnneal(b *testing.B) {
 		opt  force.Options
 	}{
 		{"single", l1k8, force.Options{Seed: 1}},
-		{"restarts4", l1k8, force.Options{Seed: 1, Restarts: 4}},
-		{"restarts4_serial", l1k8, force.Options{Seed: 1, Restarts: 4, RestartWorkers: 1}},
 		{"l2_k4", l2k4, force.Options{Seed: 1}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
@@ -416,30 +413,6 @@ func BenchmarkPlanDeepScan(b *testing.B) {
 		if _, err := plan.Plan(req); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationAreaExpansion measures §IX's area-expansion tradeoff:
-// empty gutters between stitched blocks buy routing bandwidth.
-func BenchmarkAblationAreaExpansion(b *testing.B) {
-	for _, sp := range []struct {
-		name    string
-		spacing int
-	}{{"tight", 0}, {"spaced1", 1}, {"spaced3", 3}} {
-		b.Run(sp.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := stitch.Build(bravyi.Params{K: 6, Levels: 2, Barriers: true},
-					stitch.Options{Seed: 1, Hops: stitch.NoHop, ExpandSpacing: sp.spacing})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := mesh.Simulate(r.Factory.Circuit, r.Placement, mesh.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Latency), "latency_cycles")
-			}
-		})
 	}
 }
 

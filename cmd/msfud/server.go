@@ -366,6 +366,9 @@ func (r optimizeRequest) point() (magicstate.BatchPoint, error) {
 			return pt, err
 		}
 	}
+	if r.Distance < 0 {
+		return pt, fmt.Errorf("code distance %d is negative", r.Distance)
+	}
 	pt.Opts = magicstate.Options{
 		Seed:            r.Seed,
 		DisableBarriers: r.DisableBarriers,

@@ -73,9 +73,10 @@ func TestOptimizeEndpoint(t *testing.T) {
 func TestOptimizeRejectsBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, "")
 	for name, body := range map[string]any{
-		"invalid capacity": optimizeRequest{Capacity: 5, Levels: 2}, // not a perfect square
-		"bad strategy":     optimizeRequest{Capacity: 4, Levels: 1, Strategy: "nope"},
-		"bad style":        optimizeRequest{Capacity: 4, Levels: 1, Style: "nope"},
+		"invalid capacity":  optimizeRequest{Capacity: 5, Levels: 2}, // not a perfect square
+		"bad strategy":      optimizeRequest{Capacity: 4, Levels: 1, Strategy: "nope"},
+		"bad style":         optimizeRequest{Capacity: 4, Levels: 1, Style: "nope"},
+		"negative distance": optimizeRequest{Capacity: 4, Levels: 1, Style: "surgery", Distance: -7},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/optimize", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -208,6 +209,12 @@ func TestBatchCapsAndValidation(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/batch", batchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: status = %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	resp = postJSON(t, ts.URL+"/v1/batch", batchRequest{Grid: &gridSpec{Capacities: []int{4}, Levels: 1, Style: "teleport", Distance: -7}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative distance: status = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 

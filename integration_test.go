@@ -1,8 +1,8 @@
 // Cross-substrate integration tests: each one chains several packages the
 // way the examples and the provisioning planner do, so regressions at the
-// seams (yield histograms feeding the farm model, traces reading mapped
-// runs, stitched circuits surviving the simulator's invariants) surface
-// in `go test .` rather than only in examples.
+// seams (traces reading mapped runs, stitched circuits surviving the
+// simulator's invariants) surface in `go test .` rather than only in
+// examples.
 package magicstate_test
 
 import (
@@ -16,42 +16,8 @@ import (
 	"magicstate/internal/montecarlo"
 	"magicstate/internal/resource"
 	"magicstate/internal/subdiv"
-	"magicstate/internal/system"
 	"magicstate/internal/trace"
 )
-
-// TestYieldFeedsFarm wires the Monte-Carlo partial-yield histogram into
-// the system-level farm simulation: the farm's realized production per
-// batch must track the sampler's mean outputs.
-func TestYieldFeedsFarm(t *testing.T) {
-	params := bravyi.Params{K: 2, Levels: 2, Barriers: true}
-	sum, err := montecarlo.Run(montecarlo.Config{
-		Params: params, Trials: 20000, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := system.Config{
-		FactoryLatency: 500,
-		BatchSize:      params.Capacity(),
-		SuccessProb:    1, // overridden by the histogram
-		Factories:      3,
-		BufferSize:     1 << 20,
-		DemandRate:     0,
-		Cycles:         200000,
-		YieldHistogram: sum.Outputs,
-		Seed:           5,
-	}
-	res, err := system.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := cfg.Factories * cfg.Cycles / cfg.FactoryLatency
-	perBatch := float64(res.Produced) / float64(batches)
-	if diff := perBatch - sum.MeanOutputs; diff > 0.2 || diff < -0.2 {
-		t.Errorf("farm delivered %.2f states/batch, sampler mean %.2f", perBatch, sum.MeanOutputs)
-	}
-}
 
 // TestTraceReadsEveryStrategy runs the full Fig. 3 pipeline under every
 // mapping strategy and checks the trace diagnostics stay coherent.

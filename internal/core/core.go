@@ -15,8 +15,6 @@ import (
 	"magicstate/internal/graph"
 	"magicstate/internal/layout"
 	"magicstate/internal/mesh"
-	"magicstate/internal/resource"
-	"magicstate/internal/stitch"
 )
 
 // Strategy selects a mapping procedure.
@@ -67,27 +65,19 @@ type Config struct {
 	Strategy Strategy
 	// Seed drives every randomized component.
 	Seed int64
-	// Cost overrides the gate cost model (zero value = defaults).
-	Cost resource.CostModel
 	// MeshMode overrides the simulator's braid routing mode.
 	MeshMode mesh.RouteMode
-	// RouteMargin follows mesh.Config's convention: 0 means the default
-	// margin of 2, and mesh.ZeroRouteMargin (-1) requests a true
-	// zero-margin box.
-	RouteMargin int
 	// Style selects the surface-code interaction discipline (§IX); the
 	// zero value is the paper's braiding model.
 	Style mesh.InteractionStyle
-	// Distance feeds the distance-sensitive styles (zero means 7).
+	// Distance feeds the distance-sensitive styles (zero means 7,
+	// negative is an error).
 	Distance int
 	// RecordPaths keeps braid paths in the simulation result so callers
 	// can audit overlaps or draw congestion maps.
 	RecordPaths bool
 	// FD carries force-directed overrides (Iterations etc.).
 	FD force.Options
-	// Stitch carries hierarchical stitching overrides; Reuse and Seed are
-	// taken from this Config.
-	Stitch stitch.Options
 	// Workload selects an alternative circuit frontend. Empty (the
 	// default) builds the paper's Bravyi-Haah factory from K/Levels;
 	// "qasm" and "scaffold" compile WorkloadSource as program text;

@@ -84,20 +84,12 @@ type PlaceArtifact struct {
 	Sim *mesh.Result
 }
 
-// CostModelOf resolves cfg's gate cost model (zero value = defaults).
-func CostModelOf(cfg Config) resource.CostModel {
-	if cfg.Cost == (resource.CostModel{}) {
-		return resource.DefaultCost()
-	}
-	return cfg.Cost
-}
-
 // MeshConfigOf resolves the simulator configuration cfg implies — the
 // exact mesh.Config the monolithic pipeline has always built, exposed
 // so staged callers construct an identical one.
 func MeshConfigOf(cfg Config) mesh.Config {
 	return mesh.Config{
-		Cost: CostModelOf(cfg), Mode: cfg.MeshMode, RouteMargin: cfg.RouteMargin,
+		Cost: resource.DefaultCost(), Mode: cfg.MeshMode,
 		Style: cfg.Style, Distance: cfg.Distance, RecordPaths: cfg.RecordPaths,
 		Defects: cfg.Defects,
 	}
@@ -129,11 +121,7 @@ func BuildStage(ctx context.Context, cfg Config) (*BuildArtifact, error) {
 		return nil, err
 	}
 	if cfg.Strategy == StrategyStitch {
-		sopt := cfg.Stitch
-		sopt.Seed = cfg.Seed
-		sopt.Reuse = cfg.Reuse
-		sopt.NoBarriers = cfg.NoBarriers
-		res, err := stitch.Build(params, sopt)
+		res, err := stitch.Build(params, stitch.Options{Seed: cfg.Seed, Reuse: cfg.Reuse, NoBarriers: cfg.NoBarriers})
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +207,7 @@ func PermLatencyFailures() int64 { return permLatencyFailures.Load() }
 // the cost model, and the round-2 permutation window for multi-level
 // runs. It is pure arithmetic — cheap enough that it is never cached.
 func Assemble(cfg Config, b *BuildArtifact, p *PlaceArtifact, sim *mesh.Result) *Report {
-	cm := CostModelOf(cfg)
+	cm := resource.DefaultCost()
 	rep := &Report{
 		Config:          cfg,
 		Strategy:        cfg.Strategy.String(),

@@ -30,9 +30,13 @@ type Options struct {
 	URLs map[string]string
 	// BreakerThreshold is how many consecutive failures open a peer's
 	// circuit breaker (default 3).
+	//
+	//deadcheck:keep fabric's TestFetchDeadPeerOpensBreaker and cmd/msfud's newTestCluster trip breakers after one or two failures
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before
 	// admitting a half-open probe (default 1s).
+	//
+	//deadcheck:keep fabric's TestProberClosesBreakerOnRecovery and cmd/msfud's newTestCluster pick their own cooldowns
 	BreakerCooldown time.Duration
 	// Timeout bounds each individual peer call (default 2s). The
 	// fallback path exists precisely so a slow peer cannot make a
@@ -45,10 +49,9 @@ type Options struct {
 	// The default is tuned tighter than the zero httpclient.Client
 	// (2 attempts, 50ms base delay) because every fabric call has a
 	// local fallback — it is better to give up fast than to retry long.
+	//
+	//deadcheck:keep fabric's newTestFabric and cmd/msfud's newTestCluster substitute a no-sleep client
 	Client *httpclient.Client
-	// Now is the clock used by breakers (default time.Now); tests
-	// inject a fake to step through breaker transitions.
-	Now func() time.Time
 }
 
 // repQueueDepth bounds the replication backlog. Replication is
@@ -151,7 +154,7 @@ func New(opts Options) (*Fabric, error) {
 		if n == opts.Self {
 			continue
 		}
-		f.peers[n] = &peerState{breaker: NewBreaker(threshold, cooldown, opts.Now)}
+		f.peers[n] = &peerState{breaker: NewBreaker(threshold, cooldown, nil)}
 	}
 	for n, u := range opts.URLs {
 		f.SetURL(n, u)

@@ -20,25 +20,20 @@
 // The engine is exposed two ways: a caller-owned Annealer that keeps all
 // annealing scratch (occupancy grid, proposal order, edge samples,
 // community membership) alive across calls, and a package-level Anneal
-// that borrows a pooled Annealer for one-shot use. With Options.Restarts
-// above one, independently seeded runs execute concurrently on a bounded
-// worker pool; per-restart rng streams are derived from the point seed by
-// a SplitMix64 step, so the chosen result depends only on (inputs, seed,
-// Restarts) — never on scheduling or worker count.
+// that borrows a pooled Annealer for one-shot use. One anneal is one run
+// on the stream rand.NewSource(Options.Seed), so its result depends only
+// on the inputs and the seed.
 package force
 
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"magicstate/internal/circuit"
 	"magicstate/internal/graph"
 	"magicstate/internal/kmeans"
 	"magicstate/internal/layout"
-	"magicstate/internal/stats"
 )
 
 // Options tunes the annealer.
@@ -47,13 +42,6 @@ type Options struct {
 	Iterations int
 	// Seed drives proposal order, community detection and k-means.
 	Seed int64
-	// WAttract, WRepulse, WDipole weight the three force families.
-	// Zero values take defaults (1, 1, 1).
-	WAttract, WRepulse, WDipole float64
-	// CostSample caps how many other edges are consulted when estimating
-	// a move's effect on crossings and spacing (0 = 400); keeps large
-	// factories tractable, as the paper's own O(m^2) analysis warns.
-	CostSample int
 	// MarginRows adds this many free rows and columns on all four sides
 	// of the initial placement so the line can fold into 2-D; 0 picks 4.
 	MarginRows int
@@ -61,17 +49,17 @@ type Options struct {
 	// for ablation benches.
 	DisableDipole    bool
 	DisableCommunity bool
-	// Restarts runs this many independently seeded annealing runs and
-	// keeps the lowest-cost result (ties broken by restart index, so the
-	// pick is deterministic). 0 or 1 runs the single historical stream,
-	// keeping existing artifacts byte-identical. Restart 0 always uses
-	// the stream rand.NewSource(Seed) itself would produce; restart r>0
-	// uses the SplitMix64-derived child stream of (Seed, r).
-	Restarts int
-	// RestartWorkers caps how many restarts run concurrently (0 =
-	// GOMAXPROCS). Purely a throughput knob: results never depend on it.
+	// RestartWorkers has no reader: the annealer runs one stream. It
+	// stays only because msfbench sets it so its traced pass gets memo
+	// entries of its own, and store keys leave it out.
 	RestartWorkers int
 }
+
+// costSample caps how many other edges are consulted when estimating a
+// move's effect on crossings and spacing, and how many midpoints the
+// first incident edge's repulsion samples; it keeps large factories
+// tractable, as the paper's own O(m^2) analysis warns.
+const costSample = 400
 
 func (o *Options) fill(n int) {
 	if o.Iterations == 0 {
@@ -84,18 +72,6 @@ func (o *Options) fill(n int) {
 			o.Iterations = 30
 		}
 	}
-	if o.WAttract == 0 {
-		o.WAttract = 1
-	}
-	if o.WRepulse == 0 {
-		o.WRepulse = 1
-	}
-	if o.WDipole == 0 {
-		o.WDipole = 1
-	}
-	if o.CostSample == 0 {
-		o.CostSample = 400
-	}
 	if o.MarginRows == 0 {
 		o.MarginRows = 4
 	}
@@ -104,9 +80,9 @@ func (o *Options) fill(n int) {
 // Annealer is a reusable force-directed annealing engine. It owns a pool
 // of per-run scratch arenas (dense occupancy grid, proposal-order buffer,
 // edge-sample sets, community membership index), so repeated Anneal calls
-// — across sweep points or across the restarts of one point — allocate
-// almost nothing. An Annealer is safe for concurrent use; each concurrent
-// run borrows its own arena from the pool.
+// across sweep points allocate almost nothing. An Annealer is safe for
+// concurrent use; each concurrent run borrows its own arena from the
+// pool.
 type Annealer struct {
 	pool sync.Pool
 }
@@ -125,93 +101,16 @@ func (a *Annealer) release(st *runState) { a.pool.Put(st) }
 
 // Anneal returns an optimized copy of init. c supplies the schedule used
 // for the dipole 2-coloring; it must be the circuit g was built from.
-// With opt.Restarts > 1, independently seeded runs execute concurrently
-// and the lowest-cost placement wins (ties to the lowest restart index);
-// the result is byte-identical no matter how many workers ran them.
 func (a *Annealer) Anneal(g *graph.Graph, c *circuit.Circuit, init *layout.Placement, opt Options) *layout.Placement {
 	opt.fill(g.N)
 	var poles []int
 	if !opt.DisableDipole {
 		poles = graph.Poles(c)
 	}
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	if restarts == 1 {
-		st := a.acquire()
-		p := st.run(g, init, opt, restartRNG(opt.Seed, 0), poles)
-		a.release(st)
-		return p
-	}
-
-	results := make([]*layout.Placement, restarts)
-	costs := make([]float64, restarts)
-	workers := opt.RestartWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > restarts {
-		workers = restarts
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := a.acquire()
-			defer a.release(st)
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= restarts {
-					return
-				}
-				p := st.run(g, init, opt, restartRNG(opt.Seed, r), poles)
-				results[r] = p
-				costs[r] = placementCost(g, p)
-			}
-		}()
-	}
-	wg.Wait()
-	best := 0
-	for r := 1; r < restarts; r++ {
-		if costs[r] < costs[best] {
-			best = r
-		}
-	}
-	return results[best]
-}
-
-// restartRNG derives restart r's rng stream. Restart 0 is the plain
-// seeded stream every pre-restart artifact was produced with; higher
-// restarts get decorrelated SplitMix64 child streams. Deriving streams
-// from (seed, r) alone — never from which worker runs them — is what
-// makes parallel restarts schedule-independent.
-func restartRNG(seed int64, r int) *rand.Rand {
-	if r == 0 {
-		return rand.New(rand.NewSource(seed))
-	}
-	return stats.SplitRNG(seed, int64(r))
-}
-
-// placementCost scores a finished restart for the best-of pick: total
-// weighted edge length plus the crossing penalty over every edge pair,
-// the global form of the sampled local cost the sweeps optimize. It is a
-// pure function of the placement, so comparing restarts by it (ties to
-// the lowest index) is deterministic.
-func placementCost(g *graph.Graph, p *layout.Placement) float64 {
-	const crossWeight = 4.0
-	cost := layout.WeightedManhattan(g, p)
-	segs := layout.Segments(g, p)
-	for i := range segs {
-		for j := i + 1; j < len(segs); j++ {
-			if layout.SegmentsConflict(segs[i], segs[j]) {
-				cost += crossWeight
-			}
-		}
-	}
-	return cost
+	st := a.acquire()
+	p := st.run(g, init, opt, rand.New(rand.NewSource(opt.Seed)), poles)
+	a.release(st)
+	return p
 }
 
 var defaultAnnealer = NewAnnealer()
@@ -232,6 +131,9 @@ type runState struct {
 	p   layout.Placement // owned canvas; Pos is the run's working copy
 	opt Options
 	rng *rand.Rand
+	// costSample is the package's costSample; the oracle tests lower it
+	// to reach the sampled branch on small graphs.
+	costSample int
 	// occ is a dense W*H occupancy grid over the canvas: 0 means free,
 	// v+1 means qubit v sits on the tile.
 	occ []int32
@@ -247,7 +149,7 @@ type runState struct {
 	// reused storage).
 	perm []int
 	// allEdges is the identity edge list [0..m) used as the comparison
-	// set when the whole graph fits under CostSample; sample receives
+	// set when the whole graph fits under costSample; sample receives
 	// rng-drawn subsets when it does not.
 	allEdges []int
 	sample   []int
@@ -315,7 +217,7 @@ func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, rng
 // canvas, MarginRows wider on all four sides so vertices can leave the
 // initial hull, with its occupancy grid. It draws nothing from rng.
 func (st *runState) load(g *graph.Graph, init *layout.Placement, opt Options, rng *rand.Rand) {
-	st.g, st.opt, st.rng = g, opt, rng
+	st.g, st.opt, st.rng, st.costSample = g, opt, rng, costSample
 	st.edgeDraw, st.vertexDraw = newIntner(len(g.Edges)), newIntner(g.N)
 	n := len(init.Pos)
 	if cap(st.p.Pos) < n {
@@ -380,13 +282,13 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 		wsum += w
 	})
 	if wsum > 0 {
-		fx += st.opt.WAttract * (cx/wsum - float64(pv.X))
-		fy += st.opt.WAttract * (cy/wsum - float64(pv.Y))
+		fx += cx/wsum - float64(pv.X)
+		fy += cy/wsum - float64(pv.Y)
 	}
 	// Edge-edge repulsion: push v's edges' midpoints away from sampled
 	// other midpoints, inverse-square in midpoint distance.
 	if len(st.g.Edges) > 1 {
-		sample := st.opt.CostSample
+		sample := st.costSample
 		for _, ei := range st.g.Incident(v) {
 			mvx, mvy := st.midpoint(ei)
 			for s := 0; s < sample; s++ {
@@ -403,7 +305,7 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 				if d2 > 64 { // cutoff: distant edges contribute nothing
 					continue
 				}
-				inv := st.opt.WRepulse / d2
+				inv := 1 / d2
 				norm := math.Sqrt(d2)
 				fx += inv * dx / norm
 				fy += inv * dy / norm
@@ -435,7 +337,7 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 			if poles[v] == poles[u] {
 				sign = 1.0
 			}
-			inv := st.opt.WDipole * sign / d2
+			inv := sign / d2
 			norm := math.Sqrt(d2)
 			fx += inv * dx / norm
 			fy += inv * dy / norm
@@ -559,11 +461,11 @@ func (st *runState) apply(v int, to layout.Point, occupant int, swap bool, from 
 
 // sampleEdgeSet draws the comparison edges used for one move evaluation.
 // Small graphs compare against every edge (the prebuilt identity list);
-// large ones against a random subset of CostSample edges drawn into
+// large ones against a random subset of costSample edges drawn into
 // reused storage.
 func (st *runState) sampleEdgeSet() []int {
 	m := len(st.g.Edges)
-	if m <= st.opt.CostSample {
+	if m <= st.costSample {
 		if len(st.allEdges) != m {
 			if cap(st.allEdges) < m {
 				st.allEdges = make([]int, m)
@@ -575,10 +477,10 @@ func (st *runState) sampleEdgeSet() []int {
 		}
 		return st.allEdges
 	}
-	if cap(st.sample) < st.opt.CostSample {
-		st.sample = make([]int, st.opt.CostSample)
+	if cap(st.sample) < st.costSample {
+		st.sample = make([]int, st.costSample)
 	}
-	sample := st.sample[:st.opt.CostSample]
+	sample := st.sample[:st.costSample]
 	for i := range sample {
 		sample[i] = st.edgeDraw.draw(st.rng)
 	}

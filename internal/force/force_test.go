@@ -113,36 +113,6 @@ func samePlacement(t *testing.T, want, got *layout.Placement, label string) {
 	}
 }
 
-func TestAnnealRestartsDeterministicAcrossWorkerWidths(t *testing.T) {
-	// Restarts run on independent SplitMix64 child streams, so the
-	// winning placement must be byte-identical no matter how many
-	// goroutines executed them (the -race run of this test is also the
-	// data-race check for the restart pool).
-	f, g, init := buildFactory(t, 4, 1)
-	opt := Options{Seed: 21, Restarts: 4, Iterations: 40}
-	opt.RestartWorkers = 1
-	ref := Anneal(g, f.Circuit, init, opt)
-	for _, w := range []int{2, 8} {
-		opt.RestartWorkers = w
-		samePlacement(t, ref, Anneal(g, f.Circuit, init, opt),
-			"RestartWorkers="+string(rune('0'+w)))
-	}
-}
-
-func TestAnnealRestartZeroMatchesSingleRun(t *testing.T) {
-	// Restart 0 replays the historical single-run stream verbatim, so a
-	// multi-restart anneal can never do worse than the plain one: if the
-	// extra streams don't win, the result is exactly the single-run
-	// placement.
-	f, g, init := buildFactory(t, 2, 1)
-	single := Anneal(g, f.Circuit, init, Options{Seed: 13, Iterations: 30})
-	multi := Anneal(g, f.Circuit, init, Options{Seed: 13, Iterations: 30, Restarts: 3})
-	if placementCost(g, multi) > placementCost(g, single) {
-		t.Fatalf("restarts made the placement worse: %v > %v",
-			placementCost(g, multi), placementCost(g, single))
-	}
-}
-
 func TestAnnealerReuseMatchesFresh(t *testing.T) {
 	// A reused Annealer carries dirty scratch arenas from prior runs of a
 	// different problem size; results must still match a fresh anneal.
@@ -150,7 +120,7 @@ func TestAnnealerReuseMatchesFresh(t *testing.T) {
 	f2, g2, init2 := buildFactory(t, 2, 1)
 	an := NewAnnealer()
 	an.Anneal(g2, f2.Circuit, init2, Options{Seed: 2})
-	reused := an.Anneal(g, f.Circuit, init, Options{Seed: 21, Restarts: 2})
-	fresh := Anneal(g, f.Circuit, init, Options{Seed: 21, Restarts: 2})
+	reused := an.Anneal(g, f.Circuit, init, Options{Seed: 21})
+	fresh := Anneal(g, f.Circuit, init, Options{Seed: 21})
 	samePlacement(t, fresh, reused, "reused annealer")
 }

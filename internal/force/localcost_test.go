@@ -93,7 +93,7 @@ var (
 )
 
 // factoriesForOracle builds, once per process, a level-1 K=2 factory
-// (m under the default CostSample) and a level-2 K=2 factory (m=492,
+// (m under the default costSample) and a level-2 K=2 factory (m=492,
 // over it).
 func factoriesForOracle(tb testing.TB) []oracleFactory {
 	oracleOnce.Do(func() {
@@ -113,10 +113,11 @@ func factoriesForOracle(tb testing.TB) []oracleFactory {
 
 // newOracleRun loads f onto a fresh runState the way run does.
 func newOracleRun(f oracleFactory, costSample int, seed int64) *runState {
-	opt := Options{CostSample: costSample}
+	opt := Options{}
 	opt.fill(f.g.N)
 	st := &runState{}
 	st.load(f.g, f.init, opt, rand.New(rand.NewSource(seed)))
+	st.costSample = costSample
 	return st
 }
 
@@ -169,7 +170,7 @@ func checkBoxes(tb testing.TB, st *runState) {
 func TestLocalCostMatchesNaive(t *testing.T) {
 	facts := factoriesForOracle(t)
 	if m := len(facts[1].g.Edges); m <= 400 {
-		t.Fatalf("level-2 factory has %d edges; the oracle needs one over the default CostSample", m)
+		t.Fatalf("level-2 factory has %d edges; the oracle needs one over the default costSample", m)
 	}
 	for fi, f := range facts {
 		m := len(f.g.Edges)
@@ -204,7 +205,7 @@ func TestLocalCostMatchesNaive(t *testing.T) {
 // move, then, before and after apply, the pruned costs of the moved
 // vertices against the naive loop over the whole sample. Every vertex
 // tries all eight unit steps, so the moves include swaps, communityKick's
-// diagonal steps and steps along the canvas edge; CostSample is below
+// diagonal steps and steps along the canvas edge; costSample is below
 // and above m. A move is kept when the naive gate would keep it, so the
 // placement, and with it the edge-box cache, drifts as a run's would.
 func TestMovePhasesMatchNaive(t *testing.T) {
@@ -252,7 +253,7 @@ func TestMovePhasesMatchNaive(t *testing.T) {
 				checkBoxes(t, st)
 			}
 			if swaps == 0 || diagonals == 0 || rim == 0 {
-				t.Fatalf("factory %d, CostSample %d: %d swaps, %d diagonal and %d canvas-edge moves; want some of each", fi, cs, swaps, diagonals, rim)
+				t.Fatalf("factory %d, costSample %d: %d swaps, %d diagonal and %d canvas-edge moves; want some of each", fi, cs, swaps, diagonals, rim)
 			}
 		}
 	}
@@ -281,7 +282,7 @@ func TestIntnerMatchesIntn(t *testing.T) {
 // cache matches the placement and the pruned and naive costs of the
 // moved vertex and a random other one agree bit for bit. The fuzzer
 // picks the seed, the factory (bit 0 of shape), whether to scatter the
-// start (bit 1), CostSample and the move count; the moves
+// start (bit 1), costSample and the move count; the moves
 // themselves come from a stream seeded by seed, which keeps inputs a few
 // scalars long so the fuzzer's minimizer never stalls on them.
 func FuzzLocalCostOracle(f *testing.F) {

@@ -209,16 +209,3 @@ func TotalManhattan(g *graph.Graph, p *Placement) int {
 	}
 	return total
 }
-
-// WeightedManhattan is TotalManhattan with edge weights applied.
-func WeightedManhattan(g *graph.Graph, p *Placement) float64 {
-	var total float64
-	for _, e := range g.Edges {
-		a, b := p.At(e.U), p.At(e.V)
-		if a == Unplaced || b == Unplaced {
-			continue
-		}
-		total += e.Weight * float64(Manhattan(a, b))
-	}
-	return total
-}

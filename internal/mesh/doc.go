@@ -22,7 +22,7 @@
 //
 // # Knobs
 //
-// Config selects the routing discipline (RouteMode, RouteMargin), the
+// Config selects the routing discipline (RouteMode), the
 // gate cost model, and the §IX interaction style (InteractionStyle:
 // braiding, lattice surgery, or teleportation — braiding reproduces the
 // paper). Every simulation is deterministic in its inputs: the same

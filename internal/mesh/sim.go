@@ -14,15 +14,11 @@ type Config struct {
 	// Cost supplies per-gate durations; zero value uses resource.DefaultCost.
 	Cost resource.CostModel
 	// MaxCycles aborts runaway simulations; zero means 100 million cycles.
+	//
+	//deadcheck:keep mesh's FuzzSimulateOracle bounds its reference runs with 1 << 20 cycles
 	MaxCycles int
 	// Mode selects the braid routing discipline (default RouteXY).
 	Mode RouteMode
-	// RouteMargin is how many cells beyond its endpoints' bounding box a
-	// braid may route through in RouteBox mode. The zero value means the
-	// default of 2 — NOT a zero-margin box; pass ZeroRouteMargin (or any
-	// negative value) for a braid confined strictly to its endpoints'
-	// bounding box.
-	RouteMargin int
 	// RecordPaths keeps every braid's claimed cells in Result.Paths so
 	// invariants (no two braids overlap in space and time) can be audited
 	// after the run.
@@ -31,11 +27,8 @@ type Config struct {
 	// work); the zero value reproduces the paper's braiding model.
 	Style InteractionStyle
 	// Distance is the code distance d used by the distance-sensitive
-	// styles (zero means 7); braiding ignores it.
+	// styles (zero means 7, negative is an error); braiding ignores it.
 	Distance int
-	// EprCycles is the channel occupancy of teleportation-style
-	// entanglement distribution (zero means 2).
-	EprCycles int
 	// Defects names the defective tiles of a heterogeneous mesh in the
 	// canonical layout.DefectMap codec ("x,y;x,y" sorted row-major).
 	// Defective tiles expose no braid ports, their surrounding channel
@@ -43,14 +36,6 @@ type Config struct {
 	// on one are rejected. Empty means a defect-free mesh.
 	Defects string
 }
-
-// ZeroRouteMargin requests a true zero-margin routing box in RouteBox
-// mode. Config.RouteMargin's zero value historically (and still) means
-// "use the default margin of 2", which made an actual zero-margin box
-// unexpressible; this sentinel resolves the ambiguity.
-//
-//deadcheck:keep RouteMargin's zero-margin sentinel, pinned by mesh's TestRouteMarginSentinel; it goes when the RouteMargin knob does
-const ZeroRouteMargin = -1
 
 // RouteMode selects how braids claim paths.
 type RouteMode int
@@ -61,7 +46,7 @@ const (
 	// braids cannot run simultaneously and never detour.
 	RouteXY RouteMode = iota
 	// RouteBox allows shortest-path detours within the braid endpoints'
-	// bounding box plus RouteMargin cells.
+	// bounding box plus routeMargin cells.
 	RouteBox
 	// RouteAdaptive allows braids to route anywhere on the machine — an
 	// idealized congestion-avoiding router used for ablation.
@@ -75,12 +60,9 @@ func (cfg *Config) fill() {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 100_000_000
 	}
-	if cfg.RouteMargin == 0 {
-		cfg.RouteMargin = 2
-	} else if cfg.RouteMargin < 0 {
-		cfg.RouteMargin = 0
+	if cfg.Distance == 0 {
+		cfg.Distance = 7
 	}
-	cfg.fillStyle()
 }
 
 // Result reports a completed simulation.

@@ -249,7 +249,7 @@ func simulateReference(c *circuit.Circuit, p *layout.Placement, cfg Config) (*Re
 		for _, g := range groups {
 			b = b.extend(lat, g)
 		}
-		rt.box = b.expand(lat, cfg.RouteMargin)
+		rt.box = b.expand(lat, routeMargin)
 	}
 	routePair := func(a, b circuit.Qubit) []int {
 		if cfg.Mode == RouteXY {

@@ -194,12 +194,19 @@ func (s *Simulator) prepare(c *circuit.Circuit, p *layout.Placement, dm *layout.
 	return nil
 }
 
+// routeMargin is how many cells beyond its endpoints' bounding box a
+// braid may route through in RouteBox mode.
+const routeMargin = 2
+
 // Simulate executes c on the braid mesh defined by p and returns timing.
 // Gates issue in dependency order; braids that cannot claim a
 // conflict-free channel path stall until running braids release cells.
 // The returned Result is freshly allocated and independent of the
 // Simulator; everything else is served from the arenas.
 func (s *Simulator) Simulate(c *circuit.Circuit, p *layout.Placement, cfg Config) (*Result, error) {
+	if cfg.Distance < 0 {
+		return nil, fmt.Errorf("mesh: code distance %d is negative", cfg.Distance)
+	}
 	cfg.fill()
 	dm, err := layout.ParseDefects(cfg.Defects)
 	if err != nil {
@@ -258,7 +265,7 @@ func (s *Simulator) Simulate(c *circuit.Circuit, p *layout.Placement, cfg Config
 			return rt.routeXY(p.At(int(srcQ)), p.At(int(dstQ)), t)
 		}
 		s.portBuf = append(s.portBuf[:0], lat.PortsOf(p.At(int(srcQ))), lat.PortsOf(p.At(int(dstQ))))
-		rt.setBox(s.portBuf, adaptive, cfg.RouteMargin)
+		rt.setBox(s.portBuf, adaptive, routeMargin)
 		return rt.route(s.portBuf[0], s.portBuf[1], t)
 	}
 
@@ -313,7 +320,7 @@ func (s *Simulator) Simulate(c *circuit.Circuit, p *layout.Placement, cfg Config
 					for _, tq := range g.Targets {
 						s.portBuf = append(s.portBuf, lat.PortsOf(p.At(int(tq))))
 					}
-					rt.setBox(s.portBuf, adaptive, cfg.RouteMargin)
+					rt.setBox(s.portBuf, adaptive, routeMargin)
 					path = rt.routeTree(s.portBuf, t)
 				case circuit.KindMove:
 					path, bound = routePair(g.Control, g.Dest)

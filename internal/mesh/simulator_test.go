@@ -105,53 +105,3 @@ func TestPooledSimulateMatchesOwnedSimulator(t *testing.T) {
 		}
 	}
 }
-
-// TestRouteMarginSentinel pins the RouteMargin zero-value contract: 0
-// keeps meaning the historical default of 2, and ZeroRouteMargin (or any
-// negative value) now expresses the previously unexpressible true
-// zero-margin box.
-func TestRouteMarginSentinel(t *testing.T) {
-	cases := []struct {
-		in, want int
-	}{
-		{0, 2},               // zero value -> historical default
-		{ZeroRouteMargin, 0}, // sentinel -> true zero margin
-		{-3, 0},              // any negative -> true zero margin
-		{1, 1},               // explicit positive passes through
-		{5, 5},
-	}
-	for _, c := range cases {
-		cfg := Config{RouteMargin: c.in}
-		cfg.fill()
-		if cfg.RouteMargin != c.want {
-			t.Errorf("RouteMargin %d filled to %d, want %d", c.in, cfg.RouteMargin, c.want)
-		}
-	}
-}
-
-// TestZeroRouteMarginRuns exercises RouteBox with a genuine zero-margin
-// box end to end: the run must complete, obey the no-overlap invariant,
-// and (being strictly more constrained) never stall less than the
-// default-margin run.
-func TestZeroRouteMarginRuns(t *testing.T) {
-	f, err := bravyi.Build(bravyi.Params{K: 4, Levels: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := layout.Linear(f)
-	tight, err := Simulate(f.Circuit, pl, Config{Mode: RouteBox, RouteMargin: ZeroRouteMargin, RecordPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tight.CheckNoOverlaps(); err != nil {
-		t.Fatal(err)
-	}
-	roomy, err := Simulate(f.Circuit, pl, Config{Mode: RouteBox})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Latency < roomy.Latency {
-		t.Errorf("zero-margin latency %d below default-margin latency %d; tighter boxes cannot help",
-			tight.Latency, roomy.Latency)
-	}
-}

@@ -19,7 +19,7 @@ import (
 //     likewise exclusive for the full duration. Cheap at small d,
 //     increasingly slow at large d.
 //   - Teleportation: Bell-pair distribution occupies the channel for only
-//     EprCycles, after which the gate completes with local operations
+//     eprCycles, after which the gate completes with local operations
 //     while the channel is free for other traffic. Latency still scales
 //     with d (the local Bell measurement is a patch operation) but
 //     congestion nearly vanishes.
@@ -62,11 +62,15 @@ func Styles() []InteractionStyle {
 // coincide and the crossover study (experiments.Styles) pivots around it.
 const braidUnit = 10
 
+// eprCycles is the channel occupancy of teleportation-style entanglement
+// distribution.
+const eprCycles = 2
+
 // styleCycles returns the completion duration and the channel-hold
 // duration of gate g under the configured style. For braiding both equal
 // the cost model's duration; lattice surgery rescales durations by
 // d/braidUnit and holds for the full duration; teleportation holds
-// two-qubit channels only for EprCycles while completing after the
+// two-qubit channels only for eprCycles while completing after the
 // rescaled duration.
 func (cfg *Config) styleCycles(g *circuit.Gate) (dur, hold int) {
 	base := cfg.Cost.GateCycles(g)
@@ -77,8 +81,8 @@ func (cfg *Config) styleCycles(g *circuit.Gate) (dur, hold int) {
 	case StyleTeleportation:
 		dur = scaleByDistance(base, cfg.Distance)
 		if g.Kind.IsTwoQubit() {
-			dur += cfg.EprCycles
-			return dur, cfg.EprCycles
+			dur += eprCycles
+			return dur, eprCycles
 		}
 		return dur, dur
 	default:
@@ -97,14 +101,4 @@ func scaleByDistance(base, d int) int {
 		scaled = 1
 	}
 	return scaled
-}
-
-// fillStyle applies style-related defaults; called from Config.fill.
-func (cfg *Config) fillStyle() {
-	if cfg.Distance == 0 {
-		cfg.Distance = 7
-	}
-	if cfg.EprCycles == 0 {
-		cfg.EprCycles = 2
-	}
 }

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,8 +64,8 @@ func TestStyleCyclesTeleportationShortHold(t *testing.T) {
 	cfg := Config{Cost: resource.DefaultCost(), Style: StyleTeleportation, Distance: 9}
 	cfg.fill()
 	dur, hold := cfg.styleCycles(&g)
-	if hold != cfg.EprCycles {
-		t.Errorf("hold = %d, want EprCycles %d", hold, cfg.EprCycles)
+	if hold != eprCycles {
+		t.Errorf("hold = %d, want eprCycles %d", hold, eprCycles)
 	}
 	if dur <= hold {
 		t.Errorf("dur %d must exceed hold %d (local completion)", dur, hold)
@@ -169,7 +170,7 @@ func TestSimulateBraidingUnchangedByStyleKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(c, pl, Config{Distance: 31, EprCycles: 9})
+	b, err := Simulate(c, pl, Config{Distance: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +199,18 @@ func TestSimulateStylePropertyComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSimulateRejectsNegativeDistance: a negative code distance is an
+// error under every style, not a run whose gates all clamp to one
+// cycle.
+func TestSimulateRejectsNegativeDistance(t *testing.T) {
+	c, pl := styleFixture(t, 9)
+	for _, style := range Styles() {
+		_, err := Simulate(c, pl, Config{Style: style, Distance: -7})
+		if err == nil || !strings.Contains(err.Error(), "-7") {
+			t.Errorf("%v: err = %v, want one naming distance -7", style, err)
+		}
 	}
 }

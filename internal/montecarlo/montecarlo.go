@@ -31,12 +31,10 @@ type Config struct {
 	// Seed drives the sampler.
 	Seed int64
 	// Checkpoints enables the group-discard rule of [20]: modules of a
-	// round are partitioned into groups, and one failure discards the
-	// whole group's outputs.
+	// round are partitioned into groups of min(3K+8, M_r), the donor-set
+	// size of one next-round module, and one failure discards the whole
+	// group's outputs.
 	Checkpoints bool
-	// GroupSize is the checkpoint group size; zero picks min(3K+8, M_r)
-	// per round, the donor-set size of one next-round module.
-	GroupSize int
 	// Reserve holds per-round spare module counts for loss compensation
 	// (§IX): round r runs Reserve[r-1] extra modules whose outputs
 	// replace states lost to failures. Nil means no reserve.
@@ -185,13 +183,7 @@ func sample(cfg Config, errs []float64, rng *rand.Rand) Trial {
 		// indistinguishable from regulars: they just add headroom).
 		successes := 0
 		if cfg.Checkpoints {
-			gs := cfg.GroupSize
-			if gs <= 0 {
-				gs = need
-				if gs > total {
-					gs = total
-				}
-			}
+			gs := min(need, total)
 			for start := 0; start < total; start += gs {
 				size := gs
 				if start+size > total {

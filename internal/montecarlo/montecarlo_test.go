@@ -192,25 +192,6 @@ func TestZeroYieldDominatesAtExtremeError(t *testing.T) {
 	}
 }
 
-func TestGroupSizeOverride(t *testing.T) {
-	cfg := Config{Params: params(2, 2), Trials: 2000, Seed: 17, Checkpoints: true, GroupSize: 2}
-	sum, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Smaller groups discard less: compare against whole-round groups.
-	coarse := cfg
-	coarse.GroupSize = 14
-	sumCoarse, err := Run(coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.MeanOutputs < sumCoarse.MeanOutputs-0.1 {
-		t.Errorf("fine groups yield %g, coarse %g; fine should not be worse",
-			sum.MeanOutputs, sumCoarse.MeanOutputs)
-	}
-}
-
 // Property: aggregate invariants hold for arbitrary seeds and small
 // factories — histogram mass equals trials, rates live in [0,1], mean
 // outputs never exceed capacity.

@@ -265,7 +265,7 @@ func applyHopRouting(f *bravyi.Factory, pl *layout.Placement, opt Options, rng *
 	}
 
 	if opt.Hops == AnnealedRandomHop || opt.Hops == AnnealedMidpointHop {
-		hs.anneal(f, pl, wires, pool, used, opt.HopIters, rng)
+		hs.anneal(f, pl, wires, pool, used, rng)
 	}
 	hops := make(map[int]circuit.Qubit, count)
 	for wi, q := range hopOf {
@@ -278,6 +278,9 @@ func applyHopRouting(f *bravyi.Factory, pl *layout.Placement, opt Options, rng *
 	}
 	return len(hops), nil
 }
+
+// hopIters caps hop annealing passes.
+const hopIters = 25
 
 // anneal locally improves hop assignments: each pass tries to move every
 // hop to a nearby unused dead qubit and keeps the move when the
@@ -297,7 +300,7 @@ func applyHopRouting(f *bravyi.Factory, pl *layout.Placement, opt Options, rng *
 // final hop assignment — is byte-identical to the serial annealer no
 // matter how many workers counted.
 func (hs *hopScratch) anneal(f *bravyi.Factory, pl *layout.Placement, wires []bravyi.Wire,
-	pool []circuit.Qubit, used []bool, iters int, rng *rand.Rand) {
+	pool []circuit.Qubit, used []bool, rng *rand.Rand) {
 
 	hopOf := hs.hopOf
 	hopIdxs := hs.hopIdxs[:0]
@@ -460,7 +463,7 @@ func (hs *hopScratch) anneal(f *bravyi.Factory, pl *layout.Placement, wires []br
 		return c0, c1, replay(wi, hop, c0, c1) < best
 	}
 
-	for pass := 0; pass < iters; pass++ {
+	for pass := 0; pass < hopIters; pass++ {
 		improved := false
 		// Draw every candidate upfront: the rng sequence is exactly the
 		// historical per-wire draw order, independent of scoring.

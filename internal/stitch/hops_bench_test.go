@@ -15,7 +15,7 @@ import (
 // nothing by step 6) and times only the routing pass.
 func BenchmarkApplyHopRouting(b *testing.B) {
 	p := bravyi.Params{K: 6, Levels: 2, Barriers: true}
-	opt := Options{Seed: 1, Reuse: true, Hops: AnnealedMidpointHop, HopIters: 25}
+	opt := Options{Seed: 1, Reuse: true, Hops: AnnealedMidpointHop}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

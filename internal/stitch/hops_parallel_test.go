@@ -16,7 +16,7 @@ import (
 // check for the worker pool, which a 1-CPU default would never spin up.
 func TestBuildDeterministicAcrossWorkerWidths(t *testing.T) {
 	p := bravyi.Params{K: 6, Levels: 2}
-	opt := Options{Seed: 7, Reuse: true, Hops: AnnealedMidpointHop, HopIters: 8}
+	opt := Options{Seed: 7, Reuse: true, Hops: AnnealedMidpointHop}
 
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)

@@ -63,14 +63,8 @@ type Options struct {
 	// Hops selects the permutation routing mode (default AnnealedMidpointHop,
 	// the best performer in Fig. 9d).
 	Hops HopMode
-	// HopIters caps hop annealing passes (0 = 25).
-	HopIters int
 	// DisablePortReassign skips the Hungarian port matching (ablation).
 	DisablePortReassign bool
-	// ExpandSpacing inserts this many empty tile rows and columns between
-	// adjacent module blocks, trading area for routing bandwidth — the
-	// §IX "Area Expansion" study. Zero packs blocks tight.
-	ExpandSpacing int
 	// Barriers mirrors bravyi.Params.Barriers (default on — stitching
 	// depends on the round isolation barriers expose, §V.A).
 	NoBarriers bool
@@ -105,7 +99,7 @@ type blockVal struct {
 
 // blockMemo caches module block embeddings. Every stitched build with
 // the same (K, Seed) derives the identical embedding, and sweep grids
-// (reuse scans, hop-mode comparisons, expansion studies) rebuild the
+// (reuse scans, hop-mode comparisons) rebuild the
 // same key dozens of times; the single-module generation plus
 // EmbedSquare were the second-largest cost of a stitched build after
 // hop annealing.
@@ -115,9 +109,6 @@ var blockMemo = memo.New(256)
 func Build(p bravyi.Params, opt Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.HopIters == 0 {
-		opt.HopIters = 25
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	k := p.K
@@ -160,9 +151,8 @@ func Build(p bravyi.Params, opt Options) (*Result, error) {
 	for bcols*bcols < n1 {
 		bcols++
 	}
-	strideW, strideH := bw+opt.ExpandSpacing, bh+opt.ExpandSpacing
 	blockOrigin := func(block int) layout.Point {
-		return layout.Point{X: (block % bcols) * strideW, Y: (block / bcols) * strideH}
+		return layout.Point{X: (block % bcols) * bw, Y: (block / bcols) * bh}
 	}
 
 	// Closed-form tiles for round-1 qubit ids (allocated module-major,
@@ -205,8 +195,8 @@ func Build(p bravyi.Params, opt Options) (*Result, error) {
 				a, b := tileOf[qi], tileOf[qj]
 				// Block-major, then row-major inside the grid, keeps each
 				// run compact.
-				ba := (a.Y/strideH)*bcols + a.X/strideW
-				bb := (b.Y/strideH)*bcols + b.X/strideW
+				ba := (a.Y/bh)*bcols + a.X/bw
+				bb := (b.Y/bh)*bcols + b.X/bw
 				if ba != bb {
 					return ba < bb
 				}

@@ -253,38 +253,6 @@ func TestStitchThreeLevelNoReuse(t *testing.T) {
 	}
 }
 
-func TestExpandSpacingTradesAreaForLatency(t *testing.T) {
-	// §IX "Area Expansion": extra routing space between blocks should not
-	// slow the factory down, and typically speeds the permutation up.
-	p := bravyi.Params{K: 4, Levels: 2}
-	tight := build(t, p, Options{Seed: 1, Hops: NoHop})
-	roomy := build(t, p, Options{Seed: 1, Hops: NoHop, ExpandSpacing: 2})
-	if err := roomy.Placement.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Occupied-tile area is identical (spacing adds empty tiles only)...
-	if tight.Placement.Area() != roomy.Placement.Area() {
-		t.Errorf("spacing changed occupied area: %d vs %d",
-			tight.Placement.Area(), roomy.Placement.Area())
-	}
-	// ...but the hull grows.
-	if roomy.Placement.HullArea() <= tight.Placement.HullArea() {
-		t.Errorf("spacing should grow the hull: %d vs %d",
-			roomy.Placement.HullArea(), tight.Placement.HullArea())
-	}
-	rt, err := mesh.Simulate(tight.Factory.Circuit, tight.Placement, mesh.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := mesh.Simulate(roomy.Factory.Circuit, roomy.Placement, mesh.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(rr.Latency) > 1.1*float64(rt.Latency) {
-		t.Errorf("extra area should not slow execution: %d vs %d", rr.Latency, rt.Latency)
-	}
-}
-
 // TestStitchedFactoryGatesPresizedExactly checks bravyi.Build's
 // closed-form gate presize under stitching's placement-aware reuse
 // assigner, with and without barriers and hop rewriting.

@@ -37,11 +37,11 @@ func ParseKey(s string) (Key, error) {
 // changes meaning (field added, renamed, or reinterpreted). Bumping it
 // changes every key, which safely orphans — never misreads — records
 // written by older encodings.
-const keyFormatVersion = 3
+const keyFormatVersion = 4
 
 // KeyOf returns the canonical content address of cfg. The encoding
-// writes every Config field (including the nested cost model and the
-// force-directed and stitching option blocks) by name in a fixed order,
+// writes every Config field (including the nested force-directed option
+// block) by name in a fixed order,
 // so the digest is stable across processes, platforms and Go versions
 // for as long as keyFormatVersion stands. TestKeyGuardsConfigFields
 // pins the Config field set so a new field cannot silently be left out
@@ -52,22 +52,13 @@ func KeyOf(cfg core.Config) Key {
 	fmt.Fprintf(h, "magicstate/store v%d\n", keyFormatVersion)
 	fmt.Fprintf(h, "K=%d Levels=%d Reuse=%t NoBarriers=%t Strategy=%d Seed=%d\n",
 		cfg.K, cfg.Levels, cfg.Reuse, cfg.NoBarriers, int(cfg.Strategy), cfg.Seed)
-	fmt.Fprintf(h, "Cost={Prep=%d H=%d Meas=%d CNOT=%d CXX=%d Inject=%d Move=%d}\n",
-		cfg.Cost.Prep, cfg.Cost.H, cfg.Cost.Meas, cfg.Cost.CNOT, cfg.Cost.CXX,
-		cfg.Cost.Inject, cfg.Cost.Move)
-	fmt.Fprintf(h, "MeshMode=%d RouteMargin=%d Style=%d Distance=%d RecordPaths=%t\n",
-		int(cfg.MeshMode), cfg.RouteMargin, int(cfg.Style), cfg.Distance, cfg.RecordPaths)
-	// FD.RestartWorkers is deliberately left out: it only caps restart
-	// concurrency and can never change the winning placement (guarded by
-	// TestAnnealRestartsDeterministicAcrossWorkerWidths), so configs that
-	// differ only in worker width share one stored result.
-	fmt.Fprintf(h, "FD={Iterations=%d Seed=%d WAttract=%g WRepulse=%g WDipole=%g CostSample=%d MarginRows=%d DisableDipole=%t DisableCommunity=%t Restarts=%d}\n",
-		cfg.FD.Iterations, cfg.FD.Seed, cfg.FD.WAttract, cfg.FD.WRepulse, cfg.FD.WDipole,
-		cfg.FD.CostSample, cfg.FD.MarginRows, cfg.FD.DisableDipole, cfg.FD.DisableCommunity,
-		cfg.FD.Restarts)
-	fmt.Fprintf(h, "Stitch={Seed=%d Reuse=%t Hops=%d HopIters=%d DisablePortReassign=%t ExpandSpacing=%d NoBarriers=%t}\n",
-		cfg.Stitch.Seed, cfg.Stitch.Reuse, int(cfg.Stitch.Hops), cfg.Stitch.HopIters,
-		cfg.Stitch.DisablePortReassign, cfg.Stitch.ExpandSpacing, cfg.Stitch.NoBarriers)
+	fmt.Fprintf(h, "MeshMode=%d Style=%d Distance=%d RecordPaths=%t\n",
+		int(cfg.MeshMode), int(cfg.Style), cfg.Distance, cfg.RecordPaths)
+	// FD.RestartWorkers is deliberately left out: the annealer never
+	// reads it, so configs that differ only in it share one stored
+	// result.
+	fmt.Fprintf(h, "FD={Iterations=%d Seed=%d MarginRows=%d DisableDipole=%t DisableCommunity=%t}\n",
+		cfg.FD.Iterations, cfg.FD.Seed, cfg.FD.MarginRows, cfg.FD.DisableDipole, cfg.FD.DisableCommunity)
 	// %q makes the string fields self-delimiting, so no crafted source
 	// text can collide with another field's encoding.
 	fmt.Fprintf(h, "Workload=%q WorkloadSource=%q Defects=%q\n",

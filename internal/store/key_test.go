@@ -6,17 +6,16 @@ import (
 
 	"magicstate/internal/core"
 	"magicstate/internal/force"
-	"magicstate/internal/resource"
-	"magicstate/internal/stitch"
 )
 
 func TestKeyOfPinnedDigest(t *testing.T) {
 	// The canonical encoding must be stable across processes and
 	// releases: a silent change would orphan every existing store. This
-	// digest was produced by keyFormatVersion 3 (which added the
-	// Workload, WorkloadSource and Defects fields); if the encoding must
-	// change, bump keyFormatVersion and re-pin.
-	const want = "91dd184a359094e5ea284fad4ec32da5c9e2d806d068310b804809f44b67a4de"
+	// digest was produced by keyFormatVersion 4 (which dropped the cost
+	// model, RouteMargin, the stitch options and the force-directed
+	// weights, sample size and restarts); if the encoding must change,
+	// bump keyFormatVersion and re-pin.
+	const want = "01aa69db8bc5a3b7809d6d998c26050fb51dcabab88712bd8062f70a7e3745f0"
 	got := KeyOf(core.Config{K: 4, Levels: 2, Reuse: true, Strategy: core.StrategyStitch, Seed: 7}).String()
 	if got != want {
 		t.Fatalf("KeyOf digest drifted:\n got %s\nwant %s\n(bump keyFormatVersion if the encoding changed on purpose)", got, want)
@@ -37,15 +36,12 @@ func TestKeyOfDistinguishesEveryField(t *testing.T) {
 	add("NoBarriers", func(c *core.Config) { c.NoBarriers = true })
 	add("Strategy", func(c *core.Config) { c.Strategy = core.StrategyForceDirected })
 	add("Seed", func(c *core.Config) { c.Seed = 2 })
-	add("Cost", func(c *core.Config) { c.Cost = resource.CostModel{CNOT: 21} })
 	add("MeshMode", func(c *core.Config) { c.MeshMode = 1 })
-	add("RouteMargin", func(c *core.Config) { c.RouteMargin = 3 })
 	add("Style", func(c *core.Config) { c.Style = 1 })
 	add("Distance", func(c *core.Config) { c.Distance = 11 })
 	add("RecordPaths", func(c *core.Config) { c.RecordPaths = true })
 	add("FD", func(c *core.Config) { c.FD = force.Options{Iterations: 9} })
-	add("FD.Restarts", func(c *core.Config) { c.FD.Restarts = 2 })
-	add("Stitch", func(c *core.Config) { c.Stitch = stitch.Options{HopIters: 9} })
+	add("FD.MarginRows", func(c *core.Config) { c.FD.MarginRows = 2 })
 	add("Workload", func(c *core.Config) { c.Workload = "random" })
 	add("WorkloadSource", func(c *core.Config) { c.WorkloadSource = "q=8;layers=2" })
 	add("Defects", func(c *core.Config) { c.Defects = "1,1" })
@@ -60,12 +56,12 @@ func TestKeyOfDistinguishesEveryField(t *testing.T) {
 		seen[k] = name
 	}
 
-	// RestartWorkers must NOT change the key: it cannot change the
-	// result, and keying on it would fracture the store by machine width.
+	// RestartWorkers must NOT change the key: the annealer never reads
+	// it, and keying on it would fracture the store for nothing.
 	workers := base
 	workers.FD.RestartWorkers = 8
 	if KeyOf(workers) != baseKey {
-		t.Error("FD.RestartWorkers changed the key; it is result-invariant and must stay excluded")
+		t.Error("FD.RestartWorkers changed the key; nothing reads it and it must stay excluded")
 	}
 }
 
@@ -88,21 +84,15 @@ func TestKeyGuardsConfigFields(t *testing.T) {
 		}
 	}
 	check(core.Config{}, []string{
-		"K", "Levels", "Reuse", "NoBarriers", "Strategy", "Seed", "Cost",
-		"MeshMode", "RouteMargin", "Style", "Distance", "RecordPaths", "FD", "Stitch",
+		"K", "Levels", "Reuse", "NoBarriers", "Strategy", "Seed",
+		"MeshMode", "Style", "Distance", "RecordPaths", "FD",
 		"Workload", "WorkloadSource", "Defects",
 	})
-	check(resource.CostModel{}, []string{"Prep", "H", "Meas", "CNOT", "CXX", "Inject", "Move"})
 	// RestartWorkers is in this guard list but intentionally absent from
-	// KeyOf: it is a pure throughput knob that cannot affect results.
+	// KeyOf: the annealer never reads it.
 	check(force.Options{}, []string{
-		"Iterations", "Seed", "WAttract", "WRepulse", "WDipole",
-		"CostSample", "MarginRows", "DisableDipole", "DisableCommunity",
-		"Restarts", "RestartWorkers",
-	})
-	check(stitch.Options{}, []string{
-		"Seed", "Reuse", "Hops", "HopIters", "DisablePortReassign",
-		"ExpandSpacing", "NoBarriers",
+		"Iterations", "Seed", "MarginRows", "DisableDipole", "DisableCommunity",
+		"RestartWorkers",
 	})
 }
 

@@ -12,7 +12,7 @@ import (
 // below changes meaning — a field added to a stage's scope, removed
 // from it, or reinterpreted. Like keyFormatVersion, bumping it orphans
 // (never misreads) stage records written by older encodings.
-const stageKeyFormatVersion = 2
+const stageKeyFormatVersion = 3
 
 // StageKeyOf returns the content address of cfg's artifact for one
 // pipeline stage. Where KeyOf digests every Config field (the final
@@ -21,19 +21,19 @@ const stageKeyFormatVersion = 2
 // downstream axes share upstream artifacts:
 //
 //   - StageBuild (flat strategies): {K, Levels, Reuse, NoBarriers,
-//     Workload, WorkloadSource}. Every seed, style, cost model and
-//     mapper shares one factory; a frontend workload determines the
+//     Workload, WorkloadSource}. Every seed, style and mapper shares
+//     one factory; a frontend workload determines the
 //     circuit, so it scopes the build for every stage downstream.
-//   - StageBuild (stitching): the above plus Seed and the Stitch
-//     options — building and placing are one fused, seeded
-//     optimization there (the artifact carries the placement).
+//   - StageBuild (stitching): the above plus Seed — building and
+//     placing are one fused, seeded optimization there (the artifact
+//     carries the placement).
 //   - StagePlace: the build scope plus Strategy, Defects (every mapper
 //     relocates qubits off defective tiles) and what the mapper reads —
 //     Seed for the seeded mappers (Random, GP, FD), nothing extra for
 //     Linear, and for FD also the FD options and the mesh scope,
 //     because FD scores candidates in simulation.
-//   - StageSim: the place scope plus the mesh scope {Cost, MeshMode,
-//     RouteMargin, Style, Distance, Defects}.
+//   - StageSim: the place scope plus the mesh scope {MeshMode, Style,
+//     Distance, Defects}.
 //
 // RecordPaths appears in no stage scope: it changes which diagnostics a
 // simulation retains, never its outcome, so it gates sim-stage
@@ -70,9 +70,6 @@ func writeBuildScope(h io.Writer, cfg core.Config) {
 	fmt.Fprintf(h, "Workload=%q WorkloadSource=%q\n", cfg.Workload, cfg.WorkloadSource)
 	if cfg.Strategy == core.StrategyStitch {
 		fmt.Fprintf(h, "kind=stitch Seed=%d\n", cfg.Seed)
-		fmt.Fprintf(h, "Stitch={Seed=%d Reuse=%t Hops=%d HopIters=%d DisablePortReassign=%t ExpandSpacing=%d NoBarriers=%t}\n",
-			cfg.Stitch.Seed, cfg.Stitch.Reuse, int(cfg.Stitch.Hops), cfg.Stitch.HopIters,
-			cfg.Stitch.DisablePortReassign, cfg.Stitch.ExpandSpacing, cfg.Stitch.NoBarriers)
 	} else {
 		fmt.Fprintf(h, "kind=bravyi\n")
 	}
@@ -91,11 +88,9 @@ func writePlaceScope(h io.Writer, cfg core.Config) {
 		fmt.Fprintf(h, "Seed=%d\n", cfg.Seed)
 	case core.StrategyForceDirected:
 		fmt.Fprintf(h, "Seed=%d\n", cfg.Seed)
-		// RestartWorkers excluded: concurrency cap, result-invariant.
-		fmt.Fprintf(h, "FD={Iterations=%d Seed=%d WAttract=%g WRepulse=%g WDipole=%g CostSample=%d MarginRows=%d DisableDipole=%t DisableCommunity=%t Restarts=%d}\n",
-			cfg.FD.Iterations, cfg.FD.Seed, cfg.FD.WAttract, cfg.FD.WRepulse, cfg.FD.WDipole,
-			cfg.FD.CostSample, cfg.FD.MarginRows, cfg.FD.DisableDipole, cfg.FD.DisableCommunity,
-			cfg.FD.Restarts)
+		// RestartWorkers excluded: the annealer never reads it.
+		fmt.Fprintf(h, "FD={Iterations=%d Seed=%d MarginRows=%d DisableDipole=%t DisableCommunity=%t}\n",
+			cfg.FD.Iterations, cfg.FD.Seed, cfg.FD.MarginRows, cfg.FD.DisableDipole, cfg.FD.DisableCommunity)
 		// FD scores its candidates in simulation, so the simulator's
 		// configuration shapes which placement wins.
 		writeMeshScope(h, cfg)
@@ -107,11 +102,8 @@ func writePlaceScope(h io.Writer, cfg core.Config) {
 // writeMeshScope digests what the simulator consumes beyond the circuit
 // and placement. RecordPaths is deliberately absent (see StageKeyOf).
 func writeMeshScope(h io.Writer, cfg core.Config) {
-	fmt.Fprintf(h, "Cost={Prep=%d H=%d Meas=%d CNOT=%d CXX=%d Inject=%d Move=%d}\n",
-		cfg.Cost.Prep, cfg.Cost.H, cfg.Cost.Meas, cfg.Cost.CNOT, cfg.Cost.CXX,
-		cfg.Cost.Inject, cfg.Cost.Move)
-	fmt.Fprintf(h, "MeshMode=%d RouteMargin=%d Style=%d Distance=%d Defects=%q\n",
-		int(cfg.MeshMode), cfg.RouteMargin, int(cfg.Style), cfg.Distance, cfg.Defects)
+	fmt.Fprintf(h, "MeshMode=%d Style=%d Distance=%d Defects=%q\n",
+		int(cfg.MeshMode), int(cfg.Style), cfg.Distance, cfg.Defects)
 }
 
 // StageCacheable reports whether cfg's artifact for the given stage can

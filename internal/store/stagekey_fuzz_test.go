@@ -4,28 +4,27 @@ import (
 	"testing"
 
 	"magicstate/internal/core"
+	"magicstate/internal/mesh"
 )
 
 // fuzzConfig builds a Config from raw fuzz scalars, mapping the
 // strategy byte into the real enum range so every strategy's scoping
 // rules get exercised.
-func fuzzConfig(k, levels int, strategy byte, seed int64, cnot, style, distance, fdIters, hopIters int, reuse, noBarriers, recordPaths bool) core.Config {
+func fuzzConfig(k, levels int, strategy byte, seed int64, mode, style, distance, fdIters int, reuse, noBarriers, recordPaths bool) core.Config {
 	cfg := core.Config{
 		K: k, Levels: levels,
 		Strategy:    core.Strategy(int(strategy) % 5),
 		Seed:        seed,
-		RouteMargin: distance % 3,
+		MeshMode:    mesh.RouteMode(mode % 3),
 		Distance:    distance,
 		RecordPaths: recordPaths,
 		Reuse:       reuse, NoBarriers: noBarriers,
 	}
-	cfg.Cost.CNOT = cnot
 	cfg.Style = 0
 	if style%2 == 1 {
 		cfg.Style = 1
 	}
 	cfg.FD.Iterations = fdIters
-	cfg.Stitch.HopIters = hopIters
 	return cfg
 }
 
@@ -36,14 +35,14 @@ func fuzzConfig(k, levels int, strategy byte, seed int64, cnot, style, distance,
 // generalization of TestStageKeyScopes from hand-picked points to
 // fuzzer-chosen ones.
 func FuzzStageKeyScope(f *testing.F) {
-	f.Add(4, 2, byte(1), int64(1), 0, 0, 0, 0, 0, false, false, false)
-	f.Add(2, 1, byte(0), int64(9), 21, 1, 11, 40, 3, true, true, true)
-	f.Add(8, 2, byte(4), int64(-3), 1, 0, 7, 0, 9, false, true, false)
-	f.Add(6, 2, byte(2), int64(42), 0, 1, 0, 17, 0, true, false, true)
-	f.Add(3, 1, byte(3), int64(0), 5, 0, 3, 0, 1, false, false, false)
+	f.Add(4, 2, byte(1), int64(1), 0, 0, 0, 0, false, false, false)
+	f.Add(2, 1, byte(0), int64(9), 1, 1, 11, 40, true, true, true)
+	f.Add(8, 2, byte(4), int64(-3), 2, 0, 7, 0, false, true, false)
+	f.Add(6, 2, byte(2), int64(42), 0, 1, 0, 17, true, false, true)
+	f.Add(3, 1, byte(3), int64(0), 5, 0, 3, 0, false, false, false)
 
-	f.Fuzz(func(t *testing.T, k, levels int, strategy byte, seed int64, cnot, style, distance, fdIters, hopIters int, reuse, noBarriers, recordPaths bool) {
-		cfg := fuzzConfig(k, levels, strategy, seed, cnot, style, distance, fdIters, hopIters, reuse, noBarriers, recordPaths)
+	f.Fuzz(func(t *testing.T, k, levels int, strategy byte, seed int64, mode, style, distance, fdIters int, reuse, noBarriers, recordPaths bool) {
+		cfg := fuzzConfig(k, levels, strategy, seed, mode, style, distance, fdIters, reuse, noBarriers, recordPaths)
 		base := keysOf(cfg)
 		stitch := cfg.Strategy == core.StrategyStitch
 		fd := cfg.Strategy == core.StrategyForceDirected
@@ -73,14 +72,14 @@ func FuzzStageKeyScope(f *testing.F) {
 			expect("Seed", base.diff(keysOf(mut)), "")
 		}
 
-		// The mesh scope (cost model here) reaches the simulation; FD
+		// The mesh scope (distance here) reaches the simulation; FD
 		// additionally scores placements with it.
 		mut = cfg
-		mut.Cost.CNOT++
+		mut.Distance++
 		if fd {
-			expect("Cost", base.diff(keysOf(mut)), "place+sim")
+			expect("Distance", base.diff(keysOf(mut)), "place+sim")
 		} else {
-			expect("Cost", base.diff(keysOf(mut)), "sim")
+			expect("Distance", base.diff(keysOf(mut)), "sim")
 		}
 
 		// FD options are the FD mapper's alone.
@@ -90,15 +89,6 @@ func FuzzStageKeyScope(f *testing.F) {
 			expect("FD.Iterations", base.diff(keysOf(mut)), "place+sim")
 		} else {
 			expect("FD.Iterations", base.diff(keysOf(mut)), "")
-		}
-
-		// Stitch options are fused into stitch builds and nothing else.
-		mut = cfg
-		mut.Stitch.HopIters++
-		if stitch {
-			expect("Stitch.HopIters", base.diff(keysOf(mut)), "build+place+sim")
-		} else {
-			expect("Stitch.HopIters", base.diff(keysOf(mut)), "")
 		}
 
 		// Diagnostics and throughput knobs never touch any stage key.

@@ -6,8 +6,6 @@ import (
 
 	"magicstate/internal/core"
 	"magicstate/internal/force"
-	"magicstate/internal/resource"
-	"magicstate/internal/stitch"
 )
 
 // stageKeySet is the three stage keys of one config, for compact
@@ -91,13 +89,10 @@ func TestStageKeyScopes(t *testing.T) {
 			// knobs, and the simulator config only reaches the sim stage.
 			{"Seed", func(c *core.Config) { c.Seed = 2 }, ""},
 			{"Strategy", func(c *core.Config) { c.Strategy = core.StrategyRandom }, "place+sim"},
-			{"Cost", func(c *core.Config) { c.Cost = resource.CostModel{CNOT: 21} }, "sim"},
 			{"MeshMode", func(c *core.Config) { c.MeshMode = 1 }, "sim"},
-			{"RouteMargin", func(c *core.Config) { c.RouteMargin = 3 }, "sim"},
 			{"Style", func(c *core.Config) { c.Style = 1 }, "sim"},
 			{"Distance", func(c *core.Config) { c.Distance = 11 }, "sim"},
 			{"FD", func(c *core.Config) { c.FD = force.Options{Iterations: 9} }, ""},
-			{"Stitch", func(c *core.Config) { c.Stitch = stitch.Options{HopIters: 9} }, ""},
 		}, common...))
 	})
 
@@ -114,7 +109,7 @@ func TestStageKeyScopes(t *testing.T) {
 		base := core.Config{K: 4, Levels: 2, Strategy: core.StrategyGraphPartition, Seed: 1}
 		run(t, base, append([]mutation{
 			{"Seed", func(c *core.Config) { c.Seed = 2 }, "place+sim"},
-			{"Cost", func(c *core.Config) { c.Cost = resource.CostModel{CNOT: 21} }, "sim"},
+			{"MeshMode", func(c *core.Config) { c.MeshMode = 1 }, "sim"},
 		}, common...))
 	})
 
@@ -125,10 +120,9 @@ func TestStageKeyScopes(t *testing.T) {
 			{"FD.Iterations", func(c *core.Config) { c.FD.Iterations = 9 }, "place+sim"},
 			// FD scores candidates in simulation, so the simulator's
 			// configuration reaches the placement key too.
-			{"Cost", func(c *core.Config) { c.Cost = resource.CostModel{CNOT: 21} }, "place+sim"},
+			{"MeshMode", func(c *core.Config) { c.MeshMode = 1 }, "place+sim"},
 			{"Style", func(c *core.Config) { c.Style = 1 }, "place+sim"},
 			{"Distance", func(c *core.Config) { c.Distance = 11 }, "place+sim"},
-			{"Stitch", func(c *core.Config) { c.Stitch = stitch.Options{HopIters: 9} }, ""},
 		}, common...))
 	})
 
@@ -136,11 +130,9 @@ func TestStageKeyScopes(t *testing.T) {
 		base := core.Config{K: 4, Levels: 2, Strategy: core.StrategyStitch, Seed: 1}
 		run(t, base, append([]mutation{
 			// Stitching fuses building and placing into one seeded
-			// optimization: the seed and stitch knobs reach the build.
+			// optimization: the seed reaches the build.
 			{"Seed", func(c *core.Config) { c.Seed = 2 }, "build+place+sim"},
-			{"Stitch.HopIters", func(c *core.Config) { c.Stitch.HopIters = 9 }, "build+place+sim"},
-			{"Stitch.Hops", func(c *core.Config) { c.Stitch.Hops = 1 }, "build+place+sim"},
-			{"Cost", func(c *core.Config) { c.Cost = resource.CostModel{CNOT: 21} }, "sim"},
+			{"MeshMode", func(c *core.Config) { c.MeshMode = 1 }, "sim"},
 			{"Style", func(c *core.Config) { c.Style = 1 }, "sim"},
 			{"FD", func(c *core.Config) { c.FD = force.Options{Iterations: 9} }, ""},
 		}, common...))
@@ -174,15 +166,16 @@ func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 // TestStageKeyPinnedDigests pins the canonical stage encodings the way
 // TestKeyOfPinnedDigest pins the final one: silent drift would orphan
 // every stage record in every existing store. Produced by
-// stageKeyFormatVersion 2 (which scoped Workload/WorkloadSource into the
-// build and Defects into place and sim); if an encoding must change,
-// bump the version and re-pin.
+// stageKeyFormatVersion 3 (which dropped the stitch options from the
+// stitch build scope, the cost model and RouteMargin from the mesh
+// scope, and the removed force-directed knobs from the FD place scope);
+// if an encoding must change, bump the version and re-pin.
 func TestStageKeyPinnedDigests(t *testing.T) {
 	cfg := core.Config{K: 4, Levels: 2, Reuse: true, Strategy: core.StrategyStitch, Seed: 7}
 	for st, want := range map[core.Stage]string{
-		core.StageBuild: "f9135e6ca906eecb0aae23a9de58690b42c4f30f38ee051467b6f8cb3e4170aa",
-		core.StagePlace: "ededca6ab94c0ce673e46464a32d8fb40777ee4da8e1e7911a8fea7ecb1a49f1",
-		core.StageSim:   "492d73000e35cf5c7c248d2452f229189d7bace24cdadc6d1493f793c0cd10c6",
+		core.StageBuild: "22f86597b109d3307bb19fd02fbb6f96c902c5b755f16e916956e7ebb565cf5a",
+		core.StagePlace: "94622c08110f0f188ba391ad06985b0b875001f8ce8cbdeaf4300707e6ab8bd4",
+		core.StageSim:   "e58b727dba983e5368a6e80050007ea6bc50cf3adb607780e9cdc50591f98bca",
 	} {
 		if got := StageKeyOf(st, cfg).String(); got != want {
 			t.Errorf("stage %s digest drifted:\n got %s\nwant %s\n(bump stageKeyFormatVersion if the encoding changed on purpose)", st, got, want)
@@ -208,12 +201,9 @@ func TestStageKeyGuardsConfigFields(t *testing.T) {
 		"Reuse":          "build",
 		"NoBarriers":     "build",
 		"Seed":           "build", // stitch fuses it into the build; seeded mappers at place
-		"Stitch":         "build", // stitch builds only
 		"Strategy":       "place",
 		"FD":             "place", // FD mapper only (minus RestartWorkers)
-		"Cost":           "sim",   // and place, for FD's simulation-scored candidates
-		"MeshMode":       "sim",
-		"RouteMargin":    "sim",
+		"MeshMode":       "sim",   // and place, for FD's simulation-scored candidates
 		"Style":          "sim",
 		"Distance":       "sim",
 		"RecordPaths":    "excluded", // diagnostics-only; gates StageCacheable instead

@@ -28,37 +28,32 @@ import (
 
 // Options tunes the stitcher.
 type Options struct {
-	// Windows is the number of temporal subdivisions when the circuit
-	// has no barriers (zero means 4). Circuits with barriers are always
-	// cut at every barrier.
-	Windows int
 	// MoveBudget caps relocations per window boundary (zero means
 	// max(2, qubits/8)).
 	MoveBudget int
-	// MinGain is the minimum interaction-weighted distance improvement
-	// (upcoming-window interaction count × Manhattan distance moved
-	// closer to the window centroid) a relocation must show before the
-	// stitcher pays for a Move braid (zero means 24, roughly one Move's
-	// worth of braid occupancy under the default cost model). Static
-	// workloads show no qualifying relocations and keep their single
-	// global embedding for free.
-	MinGain int
 	// Seed drives the embedding.
 	Seed int64
 }
 
+// windowCount is the number of temporal subdivisions when the circuit
+// has no barriers. Circuits with barriers are always cut at every
+// barrier.
+const windowCount = 4
+
+// minGain is the minimum interaction-weighted distance improvement
+// (upcoming-window interaction count × Manhattan distance moved closer
+// to the window centroid) a relocation must show before the stitcher
+// pays for a Move braid: roughly one Move's worth of braid occupancy
+// under the default cost model. Static workloads show no qualifying
+// relocations and keep their single global embedding for free.
+const minGain = 24
+
 func (o *Options) fill(n int) {
-	if o.Windows <= 0 {
-		o.Windows = 4
-	}
 	if o.MoveBudget <= 0 {
 		o.MoveBudget = n / 8
 		if o.MoveBudget < 2 {
 			o.MoveBudget = 2
 		}
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = 24
 	}
 }
 
@@ -92,7 +87,7 @@ func Stitch(c *circuit.Circuit, opt Options) (*Result, error) {
 		}
 	}
 	opt.fill(c.NumQubits)
-	windows := cutWindows(c, opt.Windows)
+	windows := cutWindows(c, windowCount)
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	n := c.NumQubits
@@ -244,7 +239,7 @@ func repatch(c *circuit.Circuit, win Window, curSlot []circuit.Qubit,
 		if moved >= opt.MoveBudget || len(*free) == 0 {
 			break
 		}
-		if cd.gain < opt.MinGain {
+		if cd.gain < minGain {
 			break // sorted descending: nothing further qualifies either
 		}
 		// Nearest free tile to the centroid target.
@@ -257,7 +252,7 @@ func repatch(c *circuit.Circuit, win Window, curSlot []circuit.Qubit,
 		cur := pl.At(int(curSlot[cd.q]))
 		// Pay for a Move only when the interaction-weighted distance it
 		// saves covers the braid's cost.
-		if cd.weight*(layout.Manhattan(cur, cd.target)-bestD) < opt.MinGain {
+		if cd.weight*(layout.Manhattan(cur, cd.target)-bestD) < minGain {
 			continue
 		}
 		tile := (*free)[best]

@@ -89,12 +89,8 @@ func TestStitchWindowCountWithoutBarriers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Stitch(c, Options{Windows: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Windows) < 4 || len(res.Windows) > 6 {
-		t.Errorf("windows = %d, want about 5", len(res.Windows))
+	if ws := cutWindows(c, 5); len(ws) < 4 || len(ws) > 6 {
+		t.Errorf("windows = %d, want about 5", len(ws))
 	}
 }
 
@@ -176,7 +172,8 @@ func TestGlobalEmbedValid(t *testing.T) {
 }
 
 // Property: stitching random circuits always yields a valid circuit and
-// placement, windows tile the input, and non-move gate counts match.
+// placement, windows tile the input (the stitcher's own and any count
+// cutWindows is asked for), and non-move gate counts match.
 func TestStitchPropertyValid(t *testing.T) {
 	f := func(seed int64, szRaw, winRaw uint8) bool {
 		n := int(szRaw%8) + 4
@@ -185,7 +182,7 @@ func TestStitchPropertyValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Stitch(c, Options{Windows: wins, Seed: seed})
+		res, err := Stitch(c, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -201,16 +198,21 @@ func TestStitchPropertyValid(t *testing.T) {
 		if nonMove != len(c.Gates) {
 			return false
 		}
-		at := 0
-		for _, w := range res.Windows {
-			if w.Start != at || w.End <= w.Start {
-				return false
-			}
-			at = w.End
-		}
-		return at == len(c.Gates)
+		return tiles(res.Windows, len(c.Gates)) && tiles(cutWindows(c, wins), len(c.Gates))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// tiles reports whether ws cover gates [0, n) in order, each nonempty.
+func tiles(ws []Window, n int) bool {
+	at := 0
+	for _, w := range ws {
+		if w.Start != at || w.End <= w.Start {
+			return false
+		}
+		at = w.End
+	}
+	return at == n
 }

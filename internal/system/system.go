@@ -37,13 +37,6 @@ type Config struct {
 	// failed batch (refilled by successful batches before the buffer),
 	// hiding the failure from consumers.
 	MaintenanceReserve int
-	// YieldHistogram, when non-nil, replaces the all-or-nothing
-	// SuccessProb draw with a partial-yield distribution:
-	// YieldHistogram[n] is the relative weight of a batch delivering
-	// exactly n states (the shape montecarlo.Summary.Outputs produces).
-	// Index 0 counts as a failed batch for reserve compensation. Its
-	// length must be BatchSize+1.
-	YieldHistogram []int
 	// Seed drives batch success draws.
 	Seed int64
 }
@@ -59,46 +52,7 @@ func (c Config) Validate() error {
 	if c.DemandRate < 0 || c.BufferSize < 0 || c.MaintenanceReserve < 0 {
 		return fmt.Errorf("system: negative rates or capacities")
 	}
-	if c.YieldHistogram != nil {
-		if len(c.YieldHistogram) != c.BatchSize+1 {
-			return fmt.Errorf("system: yield histogram has %d bins, want BatchSize+1 = %d",
-				len(c.YieldHistogram), c.BatchSize+1)
-		}
-		mass := 0
-		for _, w := range c.YieldHistogram {
-			if w < 0 {
-				return fmt.Errorf("system: negative yield histogram weight")
-			}
-			mass += w
-		}
-		if mass == 0 {
-			return fmt.Errorf("system: yield histogram has no mass")
-		}
-	}
 	return nil
-}
-
-// drawBatch samples the states a completed batch delivers: either the
-// all-or-nothing SuccessProb draw or a partial-yield histogram draw.
-func (c Config) drawBatch(rng *rand.Rand) int {
-	if c.YieldHistogram == nil {
-		if rng.Float64() <= c.SuccessProb {
-			return c.BatchSize
-		}
-		return 0
-	}
-	mass := 0
-	for _, w := range c.YieldHistogram {
-		mass += w
-	}
-	pick := rng.Intn(mass)
-	for n, w := range c.YieldHistogram {
-		if pick < w {
-			return n
-		}
-		pick -= w
-	}
-	return 0
 }
 
 // Result aggregates a simulated horizon.
@@ -154,7 +108,8 @@ func Simulate(cfg Config) (*Result, error) {
 				continue
 			}
 			timers[i] = cfg.FactoryLatency
-			if batch := cfg.drawBatch(rng); batch > 0 {
+			if rng.Float64() <= cfg.SuccessProb {
+				batch := cfg.BatchSize
 				// Refill the maintenance reserve first (loss compensation
 				// keeps it stocked ahead of the buffer).
 				if reserve < cfg.MaintenanceReserve {

@@ -158,63 +158,3 @@ func TestBufferSweepMonotoneTrend(t *testing.T) {
 		t.Errorf("bigger buffers should hold more: %+v", pts)
 	}
 }
-
-func TestYieldHistogramValidation(t *testing.T) {
-	base := Config{
-		FactoryLatency: 100, BatchSize: 4, SuccessProb: 0.5,
-		Factories: 1, BufferSize: 16, DemandRate: 0.01, Cycles: 1000,
-	}
-	bad := base
-	bad.YieldHistogram = []int{1, 1} // wrong length
-	if _, err := Simulate(bad); err == nil {
-		t.Error("wrong-length histogram accepted")
-	}
-	bad = base
-	bad.YieldHistogram = []int{0, 0, 0, 0, 0}
-	if _, err := Simulate(bad); err == nil {
-		t.Error("zero-mass histogram accepted")
-	}
-	bad = base
-	bad.YieldHistogram = []int{1, -1, 0, 0, 0}
-	if _, err := Simulate(bad); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
-func TestYieldHistogramProductionMatchesMean(t *testing.T) {
-	// Histogram: half the batches deliver 0, half deliver 4 → mean 2 per
-	// batch, same as SuccessProb 0.5 with batch 4; production should
-	// match the all-or-nothing model closely.
-	cfg := Config{
-		FactoryLatency: 50, BatchSize: 4, SuccessProb: 0.5,
-		Factories: 2, BufferSize: 1 << 20, DemandRate: 0, Cycles: 100000,
-		Seed: 7,
-	}
-	allOrNothing, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.YieldHistogram = []int{1, 0, 0, 0, 1}
-	hist, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(hist.Produced) / float64(allOrNothing.Produced)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("histogram production %d vs all-or-nothing %d (ratio %.2f)",
-			hist.Produced, allOrNothing.Produced, ratio)
-	}
-	// A partial-yield histogram with the same mean smooths production.
-	cfg.YieldHistogram = []int{0, 0, 1, 0, 0} // always 2 states
-	smooth, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := float64(smooth.Produced) / float64(allOrNothing.Produced)
-	if sr < 0.9 || sr > 1.1 {
-		t.Errorf("smooth production ratio %.2f", sr)
-	}
-	if smooth.FailedBatches != 0 {
-		t.Errorf("always-2 histogram recorded %d failed batches", smooth.FailedBatches)
-	}
-}

@@ -25,8 +25,20 @@
 //   - declarations whose doc comment holds a `//deadcheck:keep REASON`
 //     line. The reason should name the test that needs the declaration.
 //
-// Each unreached declaration prints as a `file:line name` line, sorted.
-// Exit status is 1 when anything prints, 2 on a load error.
+// A second pass audits knobs: the exported fields of exported structs
+// named *Options or *Config under an internal/ directory. It reports each
+// knob that no non-test code outside the declaring package writes, so a
+// field only its own defaults and tests set cannot linger. A write is a
+// composite-literal key, or an assignment or ++/-- through a selector
+// chain (`cfg.FD.X = v` writes both FD and X). A value copied from
+// another knob (`Margin: cfg.Margin`) is a forward: the target counts as
+// written only if the source is. A copy from any other field, such as a
+// flag-backed struct in a main package, is a write. A field doc comment
+// takes the same keep line.
+//
+// Each finding prints as a `file:line name` line (Type.Field for a
+// knob), sorted. Exit status is 1 when anything prints, 2 on a load
+// error.
 package main
 
 import (
@@ -83,6 +95,18 @@ type decl struct {
 	report bool
 }
 
+// knob is an exported field of an exported *Options or *Config struct
+// under an internal/ directory.
+type knob struct {
+	pos  token.Position
+	name string // Type.Field
+	keep bool
+}
+
+// write is a field write, dst = src, where src is the field the value
+// copies, or nil.
+type write struct{ dst, src *types.Var }
+
 // run scans every module under root, writes the findings to w with
 // paths relative to root, and returns how many lines it wrote.
 func run(root string, w io.Writer) (int, error) {
@@ -104,7 +128,12 @@ func run(root string, w io.Writer) (int, error) {
 			}
 		}
 	}
-	s := &scan{fset: token.NewFileSet(), decls: map[types.Object]*decl{}, ifaceMethods: map[string]bool{}}
+	s := &scan{
+		fset:         token.NewFileSet(),
+		decls:        map[types.Object]*decl{},
+		ifaceMethods: map[string]bool{},
+		knobs:        map[*types.Var]*knob{},
+	}
 	if err := s.check(pkgs); err != nil {
 		return 0, err
 	}
@@ -169,6 +198,10 @@ type scan struct {
 	// ifaceMethods holds every interface method name in the program and
 	// its imports.
 	ifaceMethods map[string]bool
+	knobs        map[*types.Var]*knob
+	// writes holds the field writes non-test code makes outside the
+	// field's package.
+	writes []write
 }
 
 // check type-checks the module packages from source, in the dependency
@@ -232,6 +265,7 @@ func (s *scan) check(pkgs []*listedPackage) error {
 		report := slices.Contains(strings.Split(p.ImportPath, "/"), "internal")
 		for _, f := range files {
 			s.addFile(f, info, api, p.Name == "main", report)
+			s.addWrites(f, info, tp)
 		}
 	}
 	return nil
@@ -293,6 +327,9 @@ func (s *scan) addFile(f *ast.File, info *types.Info, api, isMain, report bool) 
 				switch sp := spec.(type) {
 				case *ast.TypeSpec:
 					add(sp.Name, []ast.Node{sp}, dl.Doc, sp.Doc)
+					if report {
+						s.addKnobs(sp, info)
+					}
 				case *ast.ValueSpec:
 					nodes := []ast.Node{sp}
 					if dl.Tok == token.CONST && sp.Type == nil && len(sp.Values) == 0 && last != nil {
@@ -311,6 +348,99 @@ func (s *scan) addFile(f *ast.File, info *types.Info, api, isMain, report bool) 
 			}
 		}
 	}
+}
+
+// addKnobs records the exported fields of sp when it declares an
+// exported *Options or *Config struct.
+func (s *scan) addKnobs(sp *ast.TypeSpec, info *types.Info) {
+	st, ok := sp.Type.(*ast.StructType)
+	name := sp.Name.Name
+	if !ok || !sp.Name.IsExported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+		return
+	}
+	for _, f := range st.Fields.List {
+		for _, id := range f.Names {
+			if v, ok := info.Defs[id].(*types.Var); ok && id.IsExported() {
+				s.knobs[v] = &knob{pos: s.fset.Position(id.Pos()), name: name + "." + id.Name, keep: hasKeep(f.Doc)}
+			}
+		}
+	}
+}
+
+// addWrites records the field writes in f that land outside pkg.
+func (s *scan) addWrites(f *ast.File, info *types.Info, pkg *types.Package) {
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	// source is the field e copies, or nil.
+	source := func(e ast.Expr) *types.Var {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			return field(sel.Sel)
+		}
+		return nil
+	}
+	add := func(id *ast.Ident, src *types.Var) {
+		if v := field(id); v != nil && v.Pkg() != pkg {
+			s.writes = append(s.writes, write{v, src})
+		}
+	}
+	// chain writes every field of a selector chain; only the outermost
+	// takes the value src.
+	chain := func(e ast.Expr, src *types.Var) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e, src = x.X, nil
+			case *ast.SelectorExpr:
+				add(x.Sel, src)
+				e, src = x.X, nil
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				add(id, source(n.Value))
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				var src *types.Var
+				if len(n.Rhs) == len(n.Lhs) {
+					src = source(n.Rhs[i])
+				}
+				chain(lhs, src)
+			}
+		case *ast.IncDecStmt:
+			chain(n.X, nil)
+		}
+		return true
+	})
+}
+
+// setKnobs returns the fields some non-test code outside their package
+// writes. A write whose value is another knob (a forward) counts only
+// once that knob is set.
+func (s *scan) setKnobs() map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, w := range s.writes {
+			if !set[w.dst] && (w.src == nil || s.knobs[w.src] == nil || set[w.src]) {
+				set[w.dst], changed = true, true
+			}
+		}
+	}
+	return set
 }
 
 // refsIn returns the package-level objects and methods the nodes use.
@@ -403,7 +533,7 @@ func (s *scan) reach() map[types.Object]bool {
 	return marked
 }
 
-// report prints the unreached declarations.
+// report prints the unreached declarations and the unset knobs.
 func (s *scan) report(root string, w io.Writer) (int, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -415,16 +545,25 @@ func (s *scan) report(root string, w io.Writer) (int, error) {
 		text string
 	}
 	var lines []finding
+	add := func(pos token.Position, name string) {
+		file := pos.Filename
+		if rel, err := filepath.Rel(abs, file); err == nil {
+			file = rel
+		}
+		lines = append(lines, finding{filepath.ToSlash(file), pos.Line, name})
+	}
 	marked := s.reach()
 	for obj, d := range s.decls {
 		if !d.report || marked[obj] {
 			continue
 		}
-		file := d.pos.Filename
-		if rel, err := filepath.Rel(abs, file); err == nil {
-			file = rel
+		add(d.pos, d.name)
+	}
+	set := s.setKnobs()
+	for v, k := range s.knobs {
+		if !k.keep && !set[v] {
+			add(k.pos, k.name)
 		}
-		lines = append(lines, finding{filepath.ToSlash(file), d.pos.Line, d.name})
 	}
 	sort.Slice(lines, func(i, j int) bool {
 		a, b := lines[i], lines[j]

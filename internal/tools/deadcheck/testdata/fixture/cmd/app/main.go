@@ -2,12 +2,19 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"fixture/internal/lib"
 	"fixture/internal/other"
 )
 
+// flags holds the command line.
+type flags struct{ n int }
+
 func main() {
-	fmt.Println(lib.Live{}, other.Twice(1))
+	var f flags
+	flag.IntVar(&f.n, "n", 0, "a flag-backed value")
+	flag.Parse()
+	fmt.Println(lib.Live{}, other.Twice(1), other.Derive(lib.Options{FromFlag: f.n}))
 }

@@ -21,3 +21,21 @@ func TestOnly() int { return 2 }
 //
 //deadcheck:keep other's TestUsesKept
 func Kept() int { return 3 }
+
+// Options holds one knob per field-pass case.
+type Options struct {
+	// Unset is written by no program.
+	Unset int
+	// Forwarded is written only with Unset's value.
+	Forwarded int
+	// TestSet is written only by a test.
+	TestSet int
+	// Set is written by a program.
+	Set int
+	// FromFlag is copied from a program's flag-backed field.
+	FromFlag int
+	// KeptKnob is written only by a test, which needs it.
+	//
+	//deadcheck:keep other's TestUsesKept
+	KeptKnob int
+}

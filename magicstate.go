@@ -114,7 +114,8 @@ type Options struct {
 	// Style selects the surface-code interaction discipline (§IX);
 	// Braiding (the zero value) reproduces the paper.
 	Style InteractionStyle
-	// Distance feeds the distance-sensitive styles (zero means 7).
+	// Distance feeds the distance-sensitive styles (zero means 7,
+	// negative is an error).
 	Distance int
 	// Workload, when non-empty, replaces the built-in factory build with
 	// a frontend circuit: "qasm" (OpenQASM 2 subset), "scaffold"
