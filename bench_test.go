@@ -321,14 +321,16 @@ func BenchmarkSimulatorReuseTwoLevelK64(b *testing.B) {
 }
 
 // BenchmarkGraphPartitionEmbed measures GP placement's recursive
-// bisection embedding. l2_k8 is the level-2 K=8 factory; l2_k10 is
-// mesh_sweep's largest GP graph.
+// bisection embedding. l2_k2 and l2_k2_reuse are serve_mixed's GP graphs
+// (368 vertices and 492 edges, 322 and 461); l2_k8 is the level-2 K=8
+// factory; l2_k10 is mesh_sweep's largest GP graph.
 func BenchmarkGraphPartitionEmbed(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		k    int
-	}{{"l2_k8", 8}, {"l2_k10", 10}} {
-		f, err := bravyi.Build(bravyi.Params{K: c.k, Levels: 2, Barriers: true})
+		name  string
+		k     int
+		reuse bool
+	}{{"l2_k2", 2, false}, {"l2_k2_reuse", 2, true}, {"l2_k8", 8, false}, {"l2_k10", 10, false}} {
+		f, err := bravyi.Build(bravyi.Params{K: c.k, Levels: 2, Reuse: c.reuse, Barriers: true})
 		if err != nil {
 			b.Fatal(err)
 		}

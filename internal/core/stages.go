@@ -89,9 +89,8 @@ type PlaceArtifact struct {
 // so staged callers construct an identical one.
 func MeshConfigOf(cfg Config) mesh.Config {
 	return mesh.Config{
-		Cost: resource.DefaultCost(), Mode: cfg.MeshMode,
-		Style: cfg.Style, Distance: cfg.Distance, RecordPaths: cfg.RecordPaths,
-		Defects: cfg.Defects,
+		Mode: cfg.MeshMode, Style: cfg.Style, Distance: cfg.Distance,
+		RecordPaths: cfg.RecordPaths, Defects: cfg.Defects,
 	}
 }
 

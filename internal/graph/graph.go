@@ -66,15 +66,6 @@ func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
 // treat it as read-only.
 func (g *Graph) Incident(u int) []int { return g.adj[u] }
 
-// WeightedDegree returns the sum of edge weights incident to u.
-func (g *Graph) WeightedDegree(u int) float64 {
-	var s float64
-	for _, ei := range g.adj[u] {
-		s += g.Edges[ei].Weight
-	}
-	return s
-}
-
 // FromCircuit builds the interaction graph of c. Each two-qubit gate
 // contributes weight 1 to its pair; a CXX contributes one edge from the
 // control to each target; barriers contribute nothing (they are scheduling
@@ -129,56 +120,4 @@ func (g *Graph) Components() (comp []int, count int) {
 		count++
 	}
 	return comp, count
-}
-
-// Subgraph returns the induced subgraph over the given distinct vertices
-// along with the mapping from new vertex ids to original ids. The result
-// equals adding each induced edge, in g's edge order, with AddEdge: same
-// Edges, same U<V normalisation, same per-vertex adjacency order. Because
-// g's edges are unique it skips AddEdge's duplicate scan, and it sizes
-// Edges exactly and carves every adjacency list out of one backing array.
-func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
-	idx := make([]int, g.N)
-	for i := range idx {
-		idx[i] = -1
-	}
-	orig := make([]int, len(vertices))
-	for i, v := range vertices {
-		idx[v] = i
-		orig[i] = v
-	}
-	sub := New(len(vertices))
-	deg := make([]int, len(vertices))
-	m := 0
-	for _, e := range g.Edges {
-		if iu, iv := idx[e.U], idx[e.V]; iu >= 0 && iv >= 0 {
-			deg[iu]++
-			deg[iv]++
-			m++
-		}
-	}
-	// The full slice expression caps each list at its own degree, so a
-	// later AddEdge reallocates instead of overwriting the next vertex's
-	// neighbours.
-	sub.Edges = make([]Edge, 0, m)
-	backing := make([]int, 2*m)
-	off := 0
-	for v, d := range deg {
-		sub.adj[v] = backing[off : off : off+d]
-		off += d
-	}
-	for _, e := range g.Edges {
-		iu, iv := idx[e.U], idx[e.V]
-		if iu < 0 || iv < 0 {
-			continue
-		}
-		if iu > iv {
-			iu, iv = iv, iu
-		}
-		ei := len(sub.Edges)
-		sub.Edges = append(sub.Edges, Edge{U: iu, V: iv, Weight: e.Weight})
-		sub.adj[iu] = append(sub.adj[iu], ei)
-		sub.adj[iv] = append(sub.adj[iv], ei)
-	}
-	return sub, orig
 }

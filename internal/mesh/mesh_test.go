@@ -118,7 +118,7 @@ func TestRouteTreeSpansAllGroups(t *testing.T) {
 	}
 }
 
-func simpleCfg() Config { return Config{Cost: resource.DefaultCost()} }
+func simpleCfg() Config { return Config{} }
 
 func linePlacement(n int) *layout.Placement {
 	p := layout.NewPlacement(n, n, 1)

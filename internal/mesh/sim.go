@@ -11,8 +11,6 @@ import (
 
 // Config tunes a simulation run.
 type Config struct {
-	// Cost supplies per-gate durations; zero value uses resource.DefaultCost.
-	Cost resource.CostModel
 	// MaxCycles aborts runaway simulations; zero means 100 million cycles.
 	//
 	//deadcheck:keep mesh's FuzzSimulateOracle bounds its reference runs with 1 << 20 cycles
@@ -54,9 +52,6 @@ const (
 )
 
 func (cfg *Config) fill() {
-	if cfg.Cost == (resource.CostModel{}) {
-		cfg.Cost = resource.DefaultCost()
-	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 100_000_000
 	}

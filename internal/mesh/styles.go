@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"magicstate/internal/circuit"
+	"magicstate/internal/resource"
 )
 
 // InteractionStyle selects how two-qubit logical operations claim the
@@ -73,7 +74,7 @@ const eprCycles = 2
 // two-qubit channels only for eprCycles while completing after the
 // rescaled duration.
 func (cfg *Config) styleCycles(g *circuit.Gate) (dur, hold int) {
-	base := cfg.Cost.GateCycles(g)
+	base := resource.DefaultCost().GateCycles(g)
 	switch cfg.Style {
 	case StyleLatticeSurgery:
 		dur = scaleByDistance(base, cfg.Distance)

@@ -27,18 +27,18 @@ func TestStyleString(t *testing.T) {
 }
 
 func TestStyleCyclesBraidingMatchesCostModel(t *testing.T) {
-	cfg := Config{Cost: resource.DefaultCost()}
+	cfg := Config{}
 	cfg.fill()
 	g := circuit.Gate{Kind: circuit.KindCNOT, Control: 0, Targets: []circuit.Qubit{1}}
 	dur, hold := cfg.styleCycles(&g)
-	if want := cfg.Cost.GateCycles(&g); dur != want || hold != want {
+	if want := resource.DefaultCost().GateCycles(&g); dur != want || hold != want {
 		t.Errorf("braiding dur/hold = %d/%d, want %d", dur, hold, want)
 	}
 }
 
 func TestStyleCyclesSurgeryScalesWithDistance(t *testing.T) {
 	g := circuit.Gate{Kind: circuit.KindCNOT, Control: 0, Targets: []circuit.Qubit{1}}
-	small := Config{Cost: resource.DefaultCost(), Style: StyleLatticeSurgery, Distance: 5}
+	small := Config{Style: StyleLatticeSurgery, Distance: 5}
 	small.fill()
 	big := small
 	big.Distance = 15
@@ -51,17 +51,17 @@ func TestStyleCyclesSurgeryScalesWithDistance(t *testing.T) {
 		t.Errorf("surgery d=15 dur %d, want 3x of d=5 dur %d", db, ds)
 	}
 	// At d = braidUnit the styles coincide.
-	even := Config{Cost: resource.DefaultCost(), Style: StyleLatticeSurgery, Distance: braidUnit}
+	even := Config{Style: StyleLatticeSurgery, Distance: braidUnit}
 	even.fill()
 	de, _ := even.styleCycles(&g)
-	if want := even.Cost.GateCycles(&g); de != want {
+	if want := resource.DefaultCost().GateCycles(&g); de != want {
 		t.Errorf("surgery at d=%d dur %d, want braiding %d", braidUnit, de, want)
 	}
 }
 
 func TestStyleCyclesTeleportationShortHold(t *testing.T) {
 	g := circuit.Gate{Kind: circuit.KindCNOT, Control: 0, Targets: []circuit.Qubit{1}}
-	cfg := Config{Cost: resource.DefaultCost(), Style: StyleTeleportation, Distance: 9}
+	cfg := Config{Style: StyleTeleportation, Distance: 9}
 	cfg.fill()
 	dur, hold := cfg.styleCycles(&g)
 	if hold != eprCycles {
@@ -81,7 +81,7 @@ func TestStyleCyclesTeleportationShortHold(t *testing.T) {
 func TestStyleCyclesBarrierStaysFree(t *testing.T) {
 	b := circuit.Gate{Kind: circuit.KindBarrier, Control: circuit.NoQubit}
 	for _, s := range Styles() {
-		cfg := Config{Cost: resource.DefaultCost(), Style: s}
+		cfg := Config{Style: s}
 		cfg.fill()
 		if dur, _ := cfg.styleCycles(&b); dur != 0 {
 			t.Errorf("%v: barrier dur = %d, want 0", s, dur)

@@ -60,8 +60,11 @@ type Options struct {
 	Seed int64
 	// Reuse selects placement-aware qubit reuse for rounds past the first.
 	Reuse bool
-	// Hops selects the permutation routing mode (default AnnealedMidpointHop,
-	// the best performer in Fig. 9d).
+	// Hops selects the permutation routing mode. The zero value is NoHop,
+	// and core.BuildStage leaves it there, so every HS point of the
+	// pipeline (Table I's HS row included) routes its permutation
+	// directly; only Fig. 9d's sweep and the examples pick a hop mode.
+	// AnnealedMidpointHop is the best performer in Fig. 9d.
 	Hops HopMode
 	// DisablePortReassign skips the Hungarian port matching (ablation).
 	DisablePortReassign bool
