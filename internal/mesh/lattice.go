@@ -10,15 +10,17 @@ type Lattice struct {
 	isTile       []bool
 	// dead marks cells inside a fabrication-defect region: the cell of
 	// each defective tile plus its four adjacent channel cells. Dead
-	// cells are never routable and defective tiles expose no ports. nil
-	// on a defect-free lattice, so the common case allocates nothing.
+	// cells are never routable and defective tiles expose no ports.
+	// Empty on a defect-free lattice, so the common case allocates
+	// nothing.
 	dead []bool
 	// ports[y*TileW+x] lists the channel cells adjacent to tile (x, y),
 	// all carved from one backing array. The simulator reads these slices
 	// on every braid start, so they are precomputed once per lattice and
 	// must be treated as read-only. A defective tile has an empty port
 	// list, which is what excludes it from braid port assignment.
-	ports [][]int
+	ports     [][]int
+	portCells []int // the backing array of ports
 }
 
 // NewLattice builds the lattice for a defect-free W x H tile grid.
@@ -32,16 +34,29 @@ func NewLattice(tileW, tileH int) *Lattice {
 // region, and neighboring healthy tiles lose the ports they shared with
 // it. Defect entries outside the grid are ignored.
 func NewLatticeDefective(tileW, tileH int, dm *layout.DefectMap) *Lattice {
-	l := &Lattice{TileW: tileW, TileH: tileH, CW: 2*tileW + 1, CH: 2*tileH + 1}
-	l.isTile = make([]bool, l.CW*l.CH)
+	l := new(Lattice)
+	l.build(tileW, tileH, dm)
+	return l
+}
+
+// build derives l for a W x H tile grid with the given defective tiles,
+// as NewLatticeDefective does, reusing l's arrays where they are large
+// enough. The simulator rebuilds its one lattice this way whenever the
+// grid or the defect set changes.
+func (l *Lattice) build(tileW, tileH int, dm *layout.DefectMap) {
+	l.TileW, l.TileH, l.CW, l.CH = tileW, tileH, 2*tileW+1, 2*tileH+1
+	l.isTile = fit(l.isTile, l.CW*l.CH)
+	clear(l.isTile)
 	for y := 0; y < tileH; y++ {
 		for x := 0; x < tileW; x++ {
 			l.isTile[l.CellIndex(2*x+1, 2*y+1)] = true
 		}
 	}
 	var nbuf [4]int
+	l.dead = l.dead[:0]
 	if dm.Len() > 0 {
-		l.dead = make([]bool, l.CW*l.CH)
+		l.dead = fit(l.dead, l.CW*l.CH)
+		clear(l.dead)
 		for _, pt := range dm.Tiles() {
 			if pt.X >= tileW || pt.Y >= tileH {
 				continue
@@ -53,25 +68,36 @@ func NewLatticeDefective(tileW, tileH int, dm *layout.DefectMap) *Lattice {
 			}
 		}
 	}
-	l.ports = make([][]int, tileW*tileH)
-	backing := make([]int, 0, 4*tileW*tileH)
+	l.ports = fit(l.ports, tileW*tileH)
+	// Every port slice is carved from one array sized for four ports per
+	// tile, so appends never move it.
+	backing := fit(l.portCells, 4*tileW*tileH)[:0]
 	for y := 0; y < tileH; y++ {
 		for x := 0; x < tileW; x++ {
 			tc := l.CellIndex(2*x+1, 2*y+1)
-			if l.dead != nil && l.dead[tc] {
+			if len(l.dead) > 0 && l.dead[tc] {
 				l.ports[y*tileW+x] = nil
 				continue
 			}
 			start := len(backing)
 			for _, c := range l.NeighborCells(tc, nbuf[:0]) {
-				if !l.isTile[c] && (l.dead == nil || !l.dead[c]) {
+				if !l.isTile[c] && (len(l.dead) == 0 || !l.dead[c]) {
 					backing = append(backing, c)
 				}
 			}
 			l.ports[y*tileW+x] = backing[start:len(backing):len(backing)]
 		}
 	}
-	return l
+	l.portCells = backing
+}
+
+// fit returns s with length n, reusing its backing array when that holds
+// n elements. Reused elements keep their values.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // PortsOf returns the cached channel cells adjacent to tile pt (its

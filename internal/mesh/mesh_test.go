@@ -55,7 +55,8 @@ func TestNeighborCellsAtCorner(t *testing.T) {
 
 func TestRouterFindsAndBlocksPaths(t *testing.T) {
 	l := NewLattice(3, 1)
-	r := newRouter(l)
+	r := new(router)
+	r.use(l)
 	src := l.PortsOf(layout.Point{X: 0, Y: 0})
 	dst := l.PortsOf(layout.Point{X: 2, Y: 0})
 	path, _ := r.route(src, dst, 0)
@@ -89,7 +90,8 @@ func TestRouterFindsAndBlocksPaths(t *testing.T) {
 
 func TestRouteTreeSpansAllGroups(t *testing.T) {
 	l := NewLattice(4, 4)
-	r := newRouter(l)
+	r := new(router)
+	r.use(l)
 	groups := [][]int{
 		l.PortsOf(layout.Point{X: 0, Y: 0}),
 		l.PortsOf(layout.Point{X: 3, Y: 0}),

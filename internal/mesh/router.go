@@ -140,41 +140,37 @@ func (l *Lattice) wholeGrid() cellBox {
 // parks until the deadlock detector reports it — never a hang.
 const deadBusy = 1 << 60
 
-func newRouter(lat *Lattice) *router {
+// use readies r for a fresh simulation on lat. Arenas are regrown only
+// when lat needs more than they hold, so a router serves lattices of
+// any size without allocating once it has seen the largest. The
+// reservation state is cleared by reset; the stamp-indexed scratch keeps
+// its stale stamps, all below the current ones, so it needs no clearing.
+func (r *router) use(lat *Lattice) {
 	n := lat.Cells()
-	rowWords, colWords := (lat.CW+63)/64, (lat.CH+63)/64
-	r := &router{
-		lat:        lat,
-		busyUntil:  make([]int, n),
-		rowBusy:    make([]uint64, lat.CH*rowWords),
-		colBusy:    make([]uint64, lat.CW*colWords),
-		rowWords:   rowWords,
-		colWords:   colWords,
-		divCW:      ^uint64(0)/uint64(lat.CW) + 1,
-		cleanAt:    make([]int, lat.CH*rowWords),
-		fillFree:   make([]uint64, lat.CH*rowWords),
-		fillReach:  make([]uint64, lat.CH*rowWords),
-		fillGoal:   make([]uint64, lat.CH*rowWords),
-		fillTmp:    make([]uint64, rowWords),
-		fillStack:  make([]int, 0, lat.CH),
-		fillQueued: make([]bool, lat.CH),
-		box:        lat.wholeGrid(),
-		visited:    make([]int, n),
-		parent:     make([]int, n),
-		goalStamp:  make([]int, n),
-		goalGroup:  make([]int, n),
-		claimStamp: make([]int, n),
-		treeStamp:  make([]int, n),
-	}
-	r.applyDead()
-	return r
+	r.lat = lat
+	r.rowWords, r.colWords = (lat.CW+63)/64, (lat.CH+63)/64
+	r.divCW = ^uint64(0)/uint64(lat.CW) + 1
+	rw := lat.CH * r.rowWords
+	r.busyUntil = fit(r.busyUntil, n)
+	r.rowBusy = fit(r.rowBusy, rw)
+	r.colBusy = fit(r.colBusy, lat.CW*r.colWords)
+	r.cleanAt = fit(r.cleanAt, rw)
+	r.fillFree = fit(r.fillFree, rw)
+	r.fillReach = fit(r.fillReach, rw)
+	r.fillGoal = fit(r.fillGoal, rw)
+	r.fillTmp = fit(r.fillTmp, r.rowWords)
+	r.fillQueued = fit(r.fillQueued, lat.CH)
+	r.visited = fit(r.visited, n)
+	r.parent = fit(r.parent, n)
+	r.goalStamp = fit(r.goalStamp, n)
+	r.goalGroup = fit(r.goalGroup, n)
+	r.claimStamp = fit(r.claimStamp, n)
+	r.treeStamp = fit(r.treeStamp, n)
+	r.reset()
 }
 
 // applyDead re-marks the lattice's defect cells as permanently reserved.
 func (r *router) applyDead() {
-	if r.lat.dead == nil {
-		return
-	}
 	for ci, d := range r.lat.dead {
 		if d {
 			r.busyUntil[ci] = deadBusy

@@ -353,7 +353,8 @@ func oracleRun(t *testing.T, seed int64, w, h int, defectRate float64, steps int
 	rng := rand.New(rand.NewSource(seed))
 	dm := layout.SampleDefects(w, h, defectRate, rng)
 	lat := NewLatticeDefective(w, h, dm)
-	r := newRouter(lat)
+	r := new(router)
+	r.use(lat)
 	var tiles []layout.Point
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -492,7 +493,7 @@ func oracleRun(t *testing.T, seed int64, w, h int, defectRate float64, steps int
 			x, y := rng.Intn(lat.CW), rng.Intn(lat.CH)
 			horiz := rng.Intn(2) == 0
 			for i := 0; i < n && x < lat.CW && y < lat.CH; i++ {
-				if ci := lat.CellIndex(x, y); !lat.isTile[ci] && (lat.dead == nil || !lat.dead[ci]) {
+				if ci := lat.CellIndex(x, y); !lat.isTile[ci] && (len(lat.dead) == 0 || !lat.dead[ci]) {
 					cells = append(cells, ci)
 				}
 				if horiz {

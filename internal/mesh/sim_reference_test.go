@@ -24,7 +24,7 @@ type refRouter struct {
 }
 
 func (r *refRouter) blocked(ci, t int) bool {
-	return (r.lat.dead != nil && r.lat.dead[ci]) || r.busy[ci] > t
+	return (len(r.lat.dead) > 0 && r.lat.dead[ci]) || r.busy[ci] > t
 }
 
 func (r *refRouter) free(ci, t int) bool {
@@ -148,7 +148,7 @@ func (r *refRouter) candidate(walk func(layout.Point, layout.Point, func(int) bo
 		if claimed[ci] || !r.blocked(ci, t) {
 			return true
 		}
-		dead = r.lat.dead != nil && r.lat.dead[ci]
+		dead = len(r.lat.dead) > 0 && r.lat.dead[ci]
 		return false
 	})
 	return free, dead

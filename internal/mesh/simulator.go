@@ -38,7 +38,8 @@ type Simulator struct {
 	rt  *router
 	// latDefects is the canonical defect-map string the cached lattice
 	// was built with; a config with a different defect set forces a
-	// lattice (and router) rebuild even at the same tile dimensions.
+	// lattice rebuild even at the same tile dimensions. A rebuild reuses
+	// the lattice's and the router's arrays wherever they are big enough.
 	latDefects string
 
 	// Dependency DAG cache: circuits are immutable once built everywhere
@@ -163,8 +164,11 @@ func (s *Simulator) validatePlacement(p *layout.Placement, dm *layout.DefectMap)
 func (s *Simulator) prepare(c *circuit.Circuit, p *layout.Placement, dm *layout.DefectMap) error {
 	defects := dm.String()
 	if s.lat == nil || s.lat.TileW != p.W || s.lat.TileH != p.H || s.latDefects != defects {
-		s.lat = NewLatticeDefective(p.W, p.H, dm)
-		s.rt = newRouter(s.lat)
+		if s.lat == nil {
+			s.lat, s.rt = new(Lattice), new(router)
+		}
+		s.lat.build(p.W, p.H, dm)
+		s.rt.use(s.lat)
 		s.latDefects = defects
 	} else {
 		s.rt.reset()

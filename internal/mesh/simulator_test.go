@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"magicstate/internal/bravyi"
+	"magicstate/internal/circuit"
 	"magicstate/internal/layout"
 )
 
@@ -63,6 +64,49 @@ func TestSimulatorReuseMatchesFresh(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 				}
+			}
+		}
+	}
+
+	// One Simulator across lattices that grow, shrink and change defect
+	// maps: a rebuilt lattice and router reuse arrays sized for a larger
+	// grid and keep the stamps earlier grids left in them.
+	type run struct {
+		name    string
+		c       *circuit.Circuit
+		pl      *layout.Placement
+		defects string
+	}
+	row := func(n int, defects string) run {
+		c, pl := defectRowCircuit(n)
+		return run{name: fmt.Sprintf("row%d[%s]", n, defects), c: c, pl: pl, defects: defects}
+	}
+	runs := []run{
+		{name: "big-linear", c: big.Circuit, pl: layout.Linear(big)},
+		row(3, "1,0"),
+		row(6, "1,0;3,0"),
+		row(6, ""),
+		{name: "small-random", c: small.Circuit, pl: workloads[2].pl},
+		row(4, "5,0"),
+		row(6, "3,0"),
+		{name: "big-linear", c: big.Circuit, pl: layout.Linear(big)},
+		row(3, ""),
+	}
+	reused = NewSimulator()
+	for _, mode := range []RouteMode{RouteXY, RouteBox, RouteAdaptive} {
+		for i, r := range runs {
+			label := fmt.Sprintf("%s/%d:%s", mode.name(), i, r.name)
+			cfg := Config{Mode: mode, Defects: r.defects, RecordPaths: true}
+			fresh, err := NewSimulator().Simulate(r.c, r.pl, cfg)
+			if err != nil {
+				t.Fatalf("%s: fresh: %v", label, err)
+			}
+			got, err := reused.Simulate(r.c, r.pl, cfg)
+			if err != nil {
+				t.Fatalf("%s: reused: %v", label, err)
+			}
+			if fingerprint(got) != fingerprint(fresh) {
+				t.Fatalf("%s: reused simulator diverged from fresh\nreused: %s\nfresh:  %s", label, fingerprint(got), fingerprint(fresh))
 			}
 		}
 	}

@@ -12,6 +12,7 @@ package stitch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"magicstate/internal/assign"
@@ -176,46 +177,7 @@ func Build(p bravyi.Params, opt Options) (*Result, error) {
 	params.Barriers = !opt.NoBarriers
 	params.Reuse = opt.Reuse
 	if opt.Reuse {
-		params.Assigner = func(round, moduleInRound, need int, pool []circuit.Qubit) []circuit.Qubit {
-			byTile := append([]circuit.Qubit(nil), pool...)
-			// Qubit ids keep their tiles across reuse chains, so ids
-			// first allocated in round 1 always have a known tile. Ids
-			// first allocated fresh in rounds >= 2 (possible at three or
-			// more levels) get their tiles only after generation; sort
-			// those to the back so modules prefer compact known regions.
-			known := func(q circuit.Qubit) bool {
-				return int(q) < len(tileOf)
-			}
-			sort.Slice(byTile, func(i, j int) bool {
-				qi, qj := byTile[i], byTile[j]
-				ki, kj := known(qi), known(qj)
-				if ki != kj {
-					return ki
-				}
-				if !ki {
-					return qi < qj
-				}
-				a, b := tileOf[qi], tileOf[qj]
-				// Block-major, then row-major inside the grid, keeps each
-				// run compact.
-				ba := (a.Y/bh)*bcols + a.X/bw
-				bb := (b.Y/bh)*bcols + b.X/bw
-				if ba != bb {
-					return ba < bb
-				}
-				if a.Y != b.Y {
-					return a.Y < b.Y
-				}
-				return a.X < b.X
-			})
-			// Build removes granted ids from the pool, so taking the head
-			// of the block-major order hands each module the next compact
-			// freed region.
-			if need > len(byTile) {
-				need = len(byTile)
-			}
-			return byTile[:need]
-		}
+		params.Assigner = reuseAssigner(tileOf, bw, bh, bcols)
 	}
 	f, err := bravyi.Build(params)
 	if err != nil {
@@ -295,6 +257,54 @@ func Build(p bravyi.Params, opt Options) (*Result, error) {
 		res.HopWires = hopCount
 	}
 	return res, nil
+}
+
+// reuseAssigner hands each later module the freed ids that come first
+// in block-major, then row-major tile order, so each module gets the
+// next compact freed region (Build removes granted ids from the pool).
+// Qubit ids keep their tiles across reuse chains, so ids first
+// allocated in round 1 always have a known tile, tileOf[id]. Ids first
+// allocated fresh in rounds >= 2 (possible at three or more levels) get
+// their tiles only after generation; they rank after every known id, in
+// id order, so modules prefer compact known regions.
+//
+// Every id has a unique rank, computed once per build, so keeping the
+// need lowest ranks by bounded insertion returns exactly the head of the
+// pool sorted by rank, without copying and sorting the whole pool for
+// every register.
+func reuseAssigner(tileOf []layout.Point, bw, bh, bcols int) bravyi.ReuseAssigner {
+	w, h := 1, 1
+	for _, pt := range tileOf {
+		w, h = max(w, pt.X+1), max(h, pt.Y+1)
+	}
+	rank := make([]int, len(tileOf))
+	unknown := 0 // past every known rank: an unknown id q ranks unknown+q
+	for id, pt := range tileOf {
+		rank[id] = (((pt.Y/bh)*bcols+pt.X/bw)*h+pt.Y)*w + pt.X
+		unknown = max(unknown, rank[id]+1)
+	}
+	var ranks []int
+	return func(_, _, need int, pool []circuit.Qubit) []circuit.Qubit {
+		ids := make([]circuit.Qubit, 0, min(need, len(pool)))
+		ranks = ranks[:0]
+		for _, q := range pool {
+			r := unknown + int(q)
+			if int(q) < len(rank) {
+				r = rank[q]
+			}
+			if len(ids) == cap(ids) && (len(ids) == 0 || r >= ranks[len(ranks)-1]) {
+				continue
+			}
+			i, _ := slices.BinarySearch(ranks, r)
+			if len(ids) < cap(ids) {
+				ids, ranks = append(ids, 0), append(ranks, 0)
+			}
+			copy(ids[i+1:], ids[i:])
+			copy(ranks[i+1:], ranks[i:])
+			ids[i], ranks[i] = q, r
+		}
+		return ids
+	}
 }
 
 // regIndex returns the register index (raw, anc, out order) of q in m.

@@ -17,7 +17,10 @@
 //     holding the record's key, its [offset, length) extent in the log,
 //     a CRC of the payload, and a CRC of the entry itself.
 //
-// Both files are append-only; nothing is ever rewritten in place.
+// Both files are append-only; nothing is ever rewritten in place. An
+// open store keeps only the index in memory and reads each payload back
+// from the log on demand, checking it against its CRC; a payload that
+// fails the check is a miss, never an answer.
 //
 // # Crash safety
 //

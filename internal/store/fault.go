@@ -139,7 +139,8 @@ func (f *faultFile) Sync() error {
 	return f.inner.Sync()
 }
 
-func (f *faultFile) Read(b []byte) (int, error)         { return f.inner.Read(b) }
-func (f *faultFile) Seek(o int64, w int) (int64, error) { return f.inner.Seek(o, w) }
-func (f *faultFile) Truncate(size int64) error          { return f.inner.Truncate(size) }
-func (f *faultFile) Close() error                       { return f.inner.Close() }
+func (f *faultFile) Read(b []byte) (int, error)            { return f.inner.Read(b) }
+func (f *faultFile) ReadAt(b []byte, o int64) (int, error) { return f.inner.ReadAt(b, o) }
+func (f *faultFile) Seek(o int64, w int) (int64, error)    { return f.inner.Seek(o, w) }
+func (f *faultFile) Truncate(size int64) error             { return f.inner.Truncate(size) }
+func (f *faultFile) Close() error                          { return f.inner.Close() }

@@ -57,6 +57,7 @@ type Stats struct {
 // faultFile that fails, stalls or tears writes on demand (see fault.go).
 type storeFile interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Seeker
 	Truncate(size int64) error
@@ -66,18 +67,20 @@ type storeFile interface {
 
 // Store is a durable, append-only map from Key to an opaque payload,
 // with crash-safe recovery (see the package comment for the file format
-// and recovery rules). All records are held in memory once opened —
-// payloads are the scalar outcome of a pipeline run, a few dozen bytes
-// each — so Get never touches the disk. Store is safe for concurrent
-// use within one process. It never talks to cluster peers; the sweep
-// engine's peer tier admits what peers send through Put.
+// and recovery rules). Only the index is held in memory once opened —
+// each key's extent in the log and its payload CRC — because payloads
+// range from a few dozen bytes (final records) to kilobytes (stage
+// artifacts); Get reads the payload back from the log and verifies its
+// CRC. Store is safe for concurrent use within one process. It never
+// talks to cluster peers; the sweep engine's peer tier admits what
+// peers send through Put.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
 	absDir string
 	logF   storeFile
 	idxF   storeFile
-	mem    map[Key][]byte
+	mem    map[Key]extent
 	logLen int64
 	idxLen int64
 	closed bool
@@ -94,6 +97,13 @@ type Store struct {
 	// read on every Put.
 	hookMu sync.RWMutex
 	onPut  func(k Key, payload []byte)
+}
+
+// extent locates one record's payload in the log.
+type extent struct {
+	off int64
+	n   uint32
+	crc uint32 // CRC32 (IEEE) of the payload
 }
 
 // openDirs guards against two Stores writing one directory from the
@@ -158,7 +168,7 @@ func open(dir string, plan *FaultPlan) (*Store, error) {
 	if plan != nil {
 		logF, idxF = plan.wrap(rawLog), plan.wrap(rawIdx)
 	}
-	s := &Store{dir: dir, absDir: absDir, logF: logF, idxF: idxF, mem: make(map[Key][]byte)}
+	s := &Store{dir: dir, absDir: absDir, logF: logF, idxF: idxF, mem: make(map[Key]extent)}
 	if err := s.recover(); err != nil {
 		logF.Close()
 		idxF.Close()
@@ -198,8 +208,7 @@ func (s *Store) recover() error {
 		}
 		var k Key
 		copy(k[:], e[:32])
-		// Copy out of the big read buffer so the log bytes can be freed.
-		s.mem[k] = append([]byte(nil), payload...)
+		s.mem[k] = extent{off: recOff, n: uint32(recLen), crc: binary.LittleEndian.Uint32(e[44:48])}
 		if _, _, isStage := StagePayload(payload); isStage {
 			s.stageRecs++
 		}
@@ -241,12 +250,14 @@ func (s *Store) SetOnPut(h func(k Key, payload []byte)) {
 	s.hookMu.Unlock()
 }
 
-// Get returns the payload stored under k. The boolean reports whether
-// the key was present; the returned slice must be treated as read-only.
+// Get returns the payload stored under k, read from the log. The
+// boolean reports whether the key was present and its payload read
+// back intact: a read error, a payload that no longer matches its CRC
+// and a closed store all report a miss, so the caller recomputes.
 func (s *Store) Get(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.mem[k]
+	p, ok := s.read(k)
 	if ok {
 		s.hits++
 	} else {
@@ -255,19 +266,32 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	return p, ok
 }
 
-// getStage is Get under a stage key: the same map lookup, counted on
-// the stage side of the stats ledger so final-record hit rates stay
-// meaningful.
+// getStage is Get under a stage key, counted on the stage side of the
+// stats ledger so final-record hit rates stay meaningful.
 func (s *Store) getStage(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.mem[k]
+	p, ok := s.read(k)
 	if ok {
 		s.stageHits++
 	} else {
 		s.stageMisses++
 	}
 	return p, ok
+}
+
+// read reads k's payload from the log and checks it against the CRC
+// its index entry recorded. The caller holds s.mu.
+func (s *Store) read(k Key) ([]byte, bool) {
+	x, ok := s.mem[k]
+	if !ok || s.closed {
+		return nil, false
+	}
+	p := make([]byte, x.n)
+	if _, err := s.logF.ReadAt(p, x.off); err != nil || crc32.ChecksumIEEE(p) != x.crc {
+		return nil, false
+	}
+	return p, true
 }
 
 // Put appends a record under k. A key already present is left untouched
@@ -307,11 +331,12 @@ func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 		s.rollback()
 		return false, fmt.Errorf("store: append log: %w", err)
 	}
+	x := extent{off: s.logLen, n: uint32(len(payload)), crc: crc32.ChecksumIEEE(payload)}
 	var e [entrySize]byte
 	copy(e[:32], k[:])
-	binary.LittleEndian.PutUint64(e[32:40], uint64(s.logLen))
-	binary.LittleEndian.PutUint32(e[40:44], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(e[44:48], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(e[32:40], uint64(x.off))
+	binary.LittleEndian.PutUint32(e[40:44], x.n)
+	binary.LittleEndian.PutUint32(e[44:48], x.crc)
 	binary.LittleEndian.PutUint32(e[48:52], crc32.ChecksumIEEE(e[:48]))
 	if _, err := s.idxF.Write(e[:]); err != nil {
 		s.rollback()
@@ -319,7 +344,7 @@ func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 	}
 	s.logLen += int64(len(payload))
 	s.idxLen += entrySize
-	s.mem[k] = append([]byte(nil), payload...)
+	s.mem[k] = x
 	if _, _, isStage := StagePayload(payload); isStage {
 		s.stagePuts++
 		s.stageRecs++
@@ -384,7 +409,7 @@ func (s *Store) Sync() error {
 }
 
 // Close syncs and closes the store's files. A closed store rejects Put
-// and Sync; Get keeps answering from memory.
+// and Sync, and every Get on it is a miss.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -330,3 +330,56 @@ func TestPutAfterClose(t *testing.T) {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestCorruptPayloadAfterOpenIsMiss: Get reads payloads from the log,
+// so bytes damaged on disk after Open fail their CRC and read as a
+// miss, while the other records keep answering.
+func TestCorruptPayloadAfterOpenIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := fill(t, s, 4)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := s.mem[keys[2]].off
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if p, ok := s.Get(keys[2]); ok {
+		t.Fatalf("Get served a corrupted payload %q", p)
+	}
+	for _, i := range []int{0, 1, 3} {
+		if _, ok := s.Get(keys[i]); !ok {
+			t.Fatalf("record %d missing after a neighbour's corruption", i)
+		}
+	}
+	if st := s.Stats(); st.Hits != 3 || st.Misses != 1 {
+		t.Fatalf("hits, misses = %d, %d; want 3, 1", st.Hits, st.Misses)
+	}
+}
+
+func TestGetAfterClose(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fill(t, s, 2)
+	if _, ok := s.Get(keys[0]); !ok {
+		t.Fatal("Get missed a stored record before Close")
+	}
+	s.Close()
+	if _, ok := s.Get(keys[0]); ok {
+		t.Fatal("Get after Close reported a hit")
+	}
+}

@@ -10,6 +10,13 @@
 // successes are cached; a failed flight is dropped and the next caller
 // recomputes.
 //
+// A cache holds at most its limit of entries and evicts by CLOCK, the
+// second-chance approximation of least-recently-used: listed entries sit
+// in a ring, a hit sets the entry's reference bit, and admitting a key
+// to a full ring advances a hand that clears set bits, skips unfinished
+// flights and evicts the first finished entry whose bit is clear. A key
+// in steady use stays cached however many one-off keys stream past it.
+//
 // The package sits below every layer that needs caching — it depends on
 // nothing but the standard library, so packages beneath the engine
 // (internal/stitch memoizes its block embeddings) can route repeated work
@@ -25,10 +32,13 @@ import (
 // other than done are guarded by Cache.mu; val and err are read-only
 // once done is closed.
 type entry struct {
+	key    any
+	slot   int // index in Cache.ring while listed
 	done   chan struct{}
 	val    any
 	err    error
 	ready  bool               // succeeded; Peek and later callers may use val
+	ref    bool               // used since the CLOCK hand last passed
 	refs   int                // callers still waiting
 	cancel context.CancelFunc // nil when the flight runs inline
 }
@@ -38,6 +48,9 @@ type entry struct {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[any]*entry
+	ring    []*entry // every listed entry at its slot
+	free    []int    // ring slots left nil by failed or abandoned flights
+	hand    int      // the CLOCK hand, an index into ring
 	limit   int
 	hits    int64
 	misses  int64
@@ -45,14 +58,14 @@ type Cache struct {
 	flying  int   // unfinished flights, listed or not
 }
 
-// DefaultLimit is the entry count at which a cache built with New(0)
-// resets itself.
+// DefaultLimit is the entry count a cache built with New(0) holds at
+// most.
 const DefaultLimit = 4096
 
-// New returns an empty cache that coarsely resets once it holds limit
-// entries (0 means DefaultLimit). Deterministic workloads re-derive
-// evicted results at the cost of one recomputation, so the reset only
-// bounds memory, never changes answers.
+// New returns an empty cache that holds at most limit entries (0 means
+// DefaultLimit), evicting by CLOCK past it. Deterministic workloads
+// re-derive evicted results at the cost of one recomputation, so
+// eviction only bounds memory, never changes answers.
 func New(limit int) *Cache {
 	if limit <= 0 {
 		limit = DefaultLimit
@@ -80,6 +93,7 @@ func (c *Cache) DoContext(ctx context.Context, key any, fn func(context.Context)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
+		e.ref = true
 		if e.ready {
 			c.mu.Unlock()
 			return e.val, nil
@@ -87,35 +101,83 @@ func (c *Cache) DoContext(ctx context.Context, key any, fn func(context.Context)
 		e.refs++
 		c.shared++
 		c.mu.Unlock()
-		return c.wait(ctx, key, e)
+		return c.wait(ctx, e)
 	}
-	if len(c.entries) >= c.limit {
-		c.entries = make(map[any]*entry)
-	}
-	e := &entry{done: make(chan struct{}), refs: 1}
-	c.entries[key] = e
+	e := &entry{key: key, done: make(chan struct{}), refs: 1}
+	c.list(e)
 	c.misses++
 	c.flying++
 	if ctx.Done() == nil {
 		c.mu.Unlock()
-		c.run(ctx, key, e, fn)
+		c.run(ctx, e, fn)
 		return e.val, e.err
 	}
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	e.cancel = cancel
 	c.mu.Unlock()
-	go c.run(fctx, key, e, fn)
-	return c.wait(ctx, key, e)
+	go c.run(fctx, e, fn)
+	return c.wait(ctx, e)
+}
+
+// list files e under its key and in a ring slot: a freed slot first,
+// then a new one while the ring is short of the limit. Past that the
+// CLOCK hand evicts the first finished entry whose reference bit is
+// clear, clearing set bits and skipping unfinished flights on its way.
+// A whole turn that finds only unfinished flights evicts the one under
+// the hand anyway; its waiters keep the entry, and only later callers
+// miss it.
+func (c *Cache) list(e *entry) {
+	c.entries[e.key] = e
+	if n := len(c.free); n > 0 {
+		e.slot, c.free = c.free[n-1], c.free[:n-1]
+		c.ring[e.slot] = e
+		return
+	}
+	if len(c.ring) < c.limit {
+		e.slot = len(c.ring)
+		c.ring = append(c.ring, e)
+		return
+	}
+	onlyFlights := true
+	for step := 0; ; step++ {
+		v := c.ring[c.hand]
+		switch {
+		case step >= len(c.ring) && onlyFlights:
+		case !v.ready:
+			c.hand = (c.hand + 1) % len(c.ring)
+			continue
+		case v.ref:
+			onlyFlights = false
+			v.ref = false
+			c.hand = (c.hand + 1) % len(c.ring)
+			continue
+		}
+		delete(c.entries, v.key)
+		e.slot = c.hand
+		c.ring[c.hand] = e
+		c.hand = (c.hand + 1) % len(c.ring)
+		return
+	}
+}
+
+// unlist drops e from the table and frees its slot, unless e was
+// already evicted or reset away.
+func (c *Cache) unlist(e *entry) {
+	if c.entries[e.key] == e {
+		delete(c.entries, e.key)
+		c.ring[e.slot] = nil
+		c.free = append(c.free, e.slot)
+	}
 }
 
 // run executes one flight and publishes its outcome: a success stays
 // cached, a failure leaves the table.
-func (c *Cache) run(ctx context.Context, key any, e *entry, fn func(context.Context) (any, error)) {
+func (c *Cache) run(ctx context.Context, e *entry, fn func(context.Context) (any, error)) {
 	val, err := fn(ctx)
 	c.mu.Lock()
 	e.val, e.err, e.ready = val, err, err == nil
-	if err != nil && c.entries[key] == e {
-		delete(c.entries, key)
+	if err != nil {
+		c.unlist(e)
 	}
 	c.flying--
 	close(e.done)
@@ -128,7 +190,7 @@ func (c *Cache) run(ctx context.Context, key any, e *entry, fn func(context.Cont
 // wait blocks until e's flight finishes or ctx ends. The last caller to
 // leave an unfinished flight cancels it and unlists it, so a later
 // caller starts afresh instead of joining a flight nobody wants.
-func (c *Cache) wait(ctx context.Context, key any, e *entry) (any, error) {
+func (c *Cache) wait(ctx context.Context, e *entry) (any, error) {
 	select {
 	case <-e.done:
 		return e.val, e.err
@@ -143,9 +205,7 @@ func (c *Cache) wait(ctx context.Context, key any, e *entry) (any, error) {
 	}
 	if e.refs--; e.refs == 0 {
 		e.cancel()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
+		c.unlist(e)
 	}
 	return nil, ctx.Err()
 }
@@ -164,6 +224,7 @@ func (c *Cache) Peek(key any) (any, bool) {
 		return nil, false
 	}
 	c.hits++
+	e.ref = true
 	return e.val, true
 }
 
@@ -197,4 +258,6 @@ func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[any]*entry)
+	clear(c.ring)
+	c.ring, c.free, c.hand = c.ring[:0], c.free[:0], 0
 }

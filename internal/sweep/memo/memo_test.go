@@ -92,6 +92,112 @@ func TestLimitResets(t *testing.T) {
 	}
 }
 
+// TestClockKeepsHotKeys: keys in steady use keep hitting while a
+// stream of one-off keys many times the limit passes through. A cache
+// that reset to empty at its limit would recompute them after every
+// reset.
+func TestClockKeepsHotKeys(t *testing.T) {
+	const limit, hot = 64, 4
+	c := New(limit)
+	hotCalls := 0
+	for i := 0; i < 20*limit; i++ {
+		if _, err := c.Do(fmt.Sprint("cold", i), func() (any, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < hot; h++ {
+			if _, err := c.Do(h, func() (any, error) { hotCalls++; return h, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.Len() > limit {
+			t.Fatalf("len = %d past limit %d", c.Len(), limit)
+		}
+	}
+	if hotCalls != hot {
+		t.Fatalf("hot keys computed %d times, want %d (once each)", hotCalls, hot)
+	}
+}
+
+// TestClockReusesFreedSlots: a failed flight frees its slot, and the
+// next key takes it instead of evicting a cached entry.
+func TestClockReusesFreedSlots(t *testing.T) {
+	c := New(2)
+	c.Do("a", func() (any, error) { return 1, nil })
+	c.Do("bad", func() (any, error) { return nil, errors.New("boom") })
+	c.Do("b", func() (any, error) { return 2, nil })
+	if _, ok := c.Peek("a"); !ok {
+		t.Fatal("a cached entry was evicted while a freed slot was open")
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+}
+
+// blockFlight starts an unfinished flight for key on its own goroutine
+// and returns once it runs; closing release lets it return v.
+func blockFlight(t *testing.T, c *Cache, key any, v any, release <-chan struct{}) <-chan any {
+	t.Helper()
+	started := make(chan struct{})
+	out := make(chan any, 1)
+	go func() {
+		got, _ := c.DoContext(context.Background(), key, func(context.Context) (any, error) {
+			close(started)
+			<-release
+			return v, nil
+		})
+		out <- got
+	}()
+	<-started
+	return out
+}
+
+// TestClockSkipsUnfinishedFlights: the hand never evicts a flight while
+// finished entries remain, so a caller arriving after a stream of cold
+// keys still joins the flight instead of starting another.
+func TestClockSkipsUnfinishedFlights(t *testing.T) {
+	c := New(4)
+	release := make(chan struct{})
+	leader := blockFlight(t, c, "flight", 7, release)
+	for i := 0; i < 40; i++ {
+		c.Do(i, func() (any, error) { return i, nil })
+	}
+	joined := make(chan any, 1)
+	go func() {
+		v, _ := c.DoContext(context.Background(), "flight", func(context.Context) (any, error) {
+			return nil, errors.New("flight was evicted: a second computation started")
+		})
+		joined <- v
+	}()
+	awaitShared(t, c, 1)
+	close(release)
+	if v, w := <-leader, <-joined; v != 7 || w != 7 {
+		t.Fatalf("leader, joiner got %v, %v; want 7, 7", v, w)
+	}
+}
+
+// TestClockAdmitsPastAllFlights: when every entry is an unfinished
+// flight, a new key is still admitted by evicting one of them, and the
+// evicted flight's callers still get its result.
+func TestClockAdmitsPastAllFlights(t *testing.T) {
+	c := New(2)
+	release := make(chan struct{})
+	a := blockFlight(t, c, "a", 1, release)
+	b := blockFlight(t, c, "b", 2, release)
+	if v, err := c.Do("new", func() (any, error) { return 3, nil }); err != nil || v != 3 {
+		t.Fatalf("Do(new) = %v, %v; want 3", v, err)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+	close(release)
+	if va, vb := <-a, <-b; va != 1 || vb != 2 {
+		t.Fatalf("evicted flights returned %v, %v; want 1, 2", va, vb)
+	}
+	if _, ok := c.Peek("new"); !ok {
+		t.Fatal("the admitted key is not cached")
+	}
+}
+
 func TestReset(t *testing.T) {
 	c := New(0)
 	c.Do("a", func() (any, error) { return 1, nil })

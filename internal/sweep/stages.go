@@ -19,10 +19,11 @@ import (
 // The stage-equivalence harness pins every partial-reuse path
 // byte-identical to core.RunContext.
 
-// stageCacheLimit bounds the in-memory stage artifact memo. Stage
-// artifacts are heavyweight (a decoded factory holds the whole
-// circuit), so the limit sits far below the config memo's default; the
-// durable tier backstops evictions.
+// stageCacheLimit bounds the in-memory stage artifact memo, which
+// evicts by CLOCK past it. Stage artifacts are heavyweight (a decoded
+// factory holds the whole circuit), while a store-backed engine's
+// config memo holds record-sized entries, so this limit sits far below
+// the config memo's default; the durable tier backstops evictions.
 const stageCacheLimit = 256
 
 // errNotStage rejects a peer payload not framed as the wanted stage.

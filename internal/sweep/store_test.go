@@ -307,3 +307,67 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 		t.Fatalf("live point = %d x %d, want %d x %d", got.rep.Latency, got.rep.Area, want.Latency, want.Area)
 	}
 }
+
+// TestStoreBackedEngineMemoizesRecords: with a store, a cacheable point
+// is answered with the same record-shaped report (the store.Record
+// scalars, no Factory/Placement/Sim) by every tier — the computing
+// flight's leader and a caller that joined it, the memo, and the disk —
+// while a store-less engine and a RecordPaths point keep full reports.
+func TestStoreBackedEngineMemoizesRecords(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := core.Config{K: 2, Levels: 1, Strategy: core.StrategyLinear, Seed: 1}
+	full, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *store.RecordOf(full).Report(cfg)
+
+	// The leader's gate holds the flight open until a second caller has
+	// joined it.
+	e := New(Options{Workers: 2, Store: st})
+	release := make(chan struct{})
+	gate := func(ctx context.Context) (func(), error) { <-release; return func() {}, nil }
+	reps := make(chan *core.Report, 2)
+	run := func(ctx context.Context) {
+		rep, err := e.RunOneContext(ctx, cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		reps <- rep
+	}
+	go run(WithGate(context.Background(), gate))
+	for _, inFlight := e.FlightStats(); inFlight == 0; _, inFlight = e.FlightStats() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	go run(context.Background())
+	for shared, _ := e.FlightStats(); shared == 0; shared, _ = e.FlightStats() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	memo, err := e.RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := New(Options{Workers: 1, Store: st}).RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*core.Report{"leader or joiner": <-reps, "joiner or leader": <-reps, "memo": memo, "disk": disk} {
+		if rep == nil || *rep != want {
+			t.Fatalf("%s answered %+v, want the record-shaped %+v", name, rep, want)
+		}
+	}
+
+	if rep, err := New(Options{Workers: 1}).RunOne(cfg); err != nil || rep.Sim == nil || rep.Placement == nil || rep.Factory == nil {
+		t.Fatalf("a store-less engine must return the full report, got %+v, %v", rep, err)
+	}
+	traced := cfg
+	traced.RecordPaths = true
+	if rep, err := e.RunOne(traced); err != nil || rep.Sim == nil {
+		t.Fatalf("a RecordPaths point must keep its simulation, got %+v, %v", rep, err)
+	}
+}
