@@ -27,6 +27,7 @@ package force
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -156,13 +157,11 @@ type runState struct {
 	// near lists, in sample order, the comparison edges keep found close
 	// enough to the move to add to either phase's cost.
 	near []int
-	// osegs/omidX/omidY/oboxes cache the near edges' segments, midpoints
-	// and bounding boxes for one phase of a move (see prepare), so the
-	// incident x near double loop reads them instead of re-deriving
-	// placement lookups and float divisions per pair.
-	osegs        []layout.Segment
-	omidX, omidY []float64
-	oboxes       []box
+	// osegs/oboxes cache the near edges' segments and bounding boxes for
+	// one phase of a move (see prepare), so the incident x near double
+	// loop reads them instead of re-deriving placement lookups per pair.
+	osegs  []layout.Segment
+	oboxes []box
 	// memberStart/memberCur/memberList index community members in CSR
 	// form: members of community cid are
 	// memberList[memberStart[cid]:memberStart[cid+1]].
@@ -271,6 +270,14 @@ func (st *runState) refresh(v int) {
 }
 
 // forceOn computes the net force vector on vertex v.
+//
+// Midpoints are half-integers, so the repulsion works on doubled
+// midpoints (x0+x1, y0+y1) read off the cached edge boxes: a doubled
+// offset dx2 gives the exact float offset dx2/2, and the integer d =
+// dx2²+dy2² gives the exact squared distance d/4. Every d the cutoff
+// keeps indexes invNormTab, whose entries are the old 1/d2 and
+// math.Sqrt(d2) of that distance, so each force term is the old
+// inv*dx/norm on the same values in the same order.
 func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 	pv := st.p.At(v)
 	// Attraction to neighborhood centroid.
@@ -290,25 +297,23 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 	if len(st.g.Edges) > 1 {
 		sample := st.costSample
 		for _, ei := range st.g.Incident(v) {
-			mvx, mvy := st.midpoint(ei)
+			b := st.ebox[ei]
+			svx, svy := b.x0+b.x1, b.y0+b.y1
 			for s := 0; s < sample; s++ {
 				oi := st.edgeDraw.draw(st.rng)
 				if oi == ei {
 					continue
 				}
-				mox, moy := st.midpoint(oi)
-				dx, dy := mvx-mox, mvy-moy
-				d2 := dx*dx + dy*dy
-				if d2 < 0.25 {
-					d2 = 0.25
-				}
-				if d2 > 64 { // cutoff: distant edges contribute nothing
+				ob := st.ebox[oi]
+				dx2, dy2 := int(svx-(ob.x0+ob.x1)), int(svy-(ob.y0+ob.y1))
+				d := dx2*dx2 + dy2*dy2
+				if d > 4*64 { // cutoff: distant edges contribute nothing
 					continue
 				}
-				inv := 1 / d2
-				norm := math.Sqrt(d2)
-				fx += inv * dx / norm
-				fy += inv * dy / norm
+				q := &invNormTab[d]
+				dx, dy := float64(dx2)/2, float64(dy2)/2
+				fx += q.inv * dx / q.norm
+				fy += q.inv * dy / q.norm
 			}
 			if sample > 8 {
 				sample = 8 // first incident edge dominates; keep the rest cheap
@@ -316,7 +321,8 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 		}
 	}
 	// Dipole rotation: like poles repel, opposite poles attract, with
-	// inverse-square falloff, over a sample of vertices.
+	// inverse-square falloff, over a sample of vertices. Tile offsets are
+	// whole, so the squared distance D indexes invNormTab at 4D.
 	if poles != nil {
 		for s := 0; s < 32; s++ {
 			u := st.vertexDraw.draw(st.rng)
@@ -324,35 +330,40 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 				continue
 			}
 			pu := st.p.At(u)
-			dx := float64(pv.X - pu.X)
-			dy := float64(pv.Y - pu.Y)
-			d2 := dx*dx + dy*dy
-			if d2 < 0.25 {
-				d2 = 0.25
-			}
-			if d2 > 36 {
+			ix, iy := pv.X-pu.X, pv.Y-pu.Y
+			d := ix*ix + iy*iy
+			if d > 36 {
 				continue
 			}
-			sign := -1.0 // opposite poles attract (pull toward u)
-			if poles[v] == poles[u] {
-				sign = 1.0
+			q := &invNormTab[4*d]
+			// sign/d2 is ±(1/d2) exactly: negation never rounds.
+			inv := q.inv
+			if poles[v] != poles[u] {
+				inv = -inv // opposite poles attract (pull toward u)
 			}
-			inv := sign / d2
-			norm := math.Sqrt(d2)
-			fx += inv * dx / norm
-			fy += inv * dy / norm
+			dx, dy := float64(ix), float64(iy)
+			fx += inv * dx / q.norm
+			fy += inv * dy / q.norm
 		}
 	}
 	return fx, fy
 }
 
-// midpoint reads edge ei's midpoint off its cached box: the box's
-// min+max is the endpoints' sum, so the value is bit-identical to the
-// one the endpoints give.
-func (st *runState) midpoint(ei int) (float64, float64) {
-	b := st.ebox[ei]
-	return float64(b.x0+b.x1) / 2, float64(b.y0+b.y1) / 2
-}
+// invNorm holds 1/d2 and math.Sqrt(d2) for one squared distance d2.
+type invNorm struct{ inv, norm float64 }
+
+// invNormTab[d] holds the invNorm of d2 = max(d/4, 0.25): the squared
+// length of a doubled-coordinate offset with integer squared length d,
+// floored at 0.25 as forceOn's terms always were. d/4 is exact, and each
+// entry is the expression forceOn used to evaluate per pair, so table
+// reads change no bit.
+var invNormTab = func() (t [4*64 + 1]invNorm) {
+	for d := range t {
+		d2 := max(float64(d)/4, 0.25)
+		t[d] = invNorm{1 / d2, math.Sqrt(d2)}
+	}
+	return t
+}()
 
 // sweep proposes one move per vertex along its force and returns how many
 // were accepted.
@@ -503,23 +514,39 @@ func edgeBox(a, b layout.Point) box {
 // Int31n's rejection loop over r.Int31(), with its bound computed once
 // instead of per draw. For a power of two the bound is never exceeded and
 // v%n equals Int31n's mask, so every n consumes the stream identically.
-type intner struct{ n, max int32 }
+//
+// The remainder v%n is taken by fastmod (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", Software: Practice and Experience
+// 49(6), 2019). With m = floor((2^64-1)/n) + 1 = ceil(2^64/n), the low
+// 64 bits of m*v hold the fractional part of v/n in 64-bit fixed point,
+// and the high word of that times n is v%n. The rounding up in m adds
+// less than v/2^64 to the fraction, too little to carry into the
+// result: the paper proves the remainder exact for every 32-bit v and
+// n, which covers v < 2^31 and n < 2^31 here. n = 1 wraps m to 0 and
+// gives 0, as v%1 does.
+type intner struct {
+	m, n   uint64
+	reject int32
+}
 
 // newIntner returns the drawer for n; for n <= 0 it is the zero intner,
-// whose draw panics as rand.Intn would.
+// which has no valid draw. The annealer never draws from an empty range:
+// it draws edges only when it has more than one, and vertices only when
+// sweeping some.
 func newIntner(n int) intner {
 	if n <= 0 {
 		return intner{}
 	}
-	return intner{int32(n), int32((1<<31 - 1) - (1<<31)%uint32(n))}
+	return intner{^uint64(0)/uint64(n) + 1, uint64(n), int32((1<<31 - 1) - (1<<31)%uint32(n))}
 }
 
 func (d intner) draw(r *rand.Rand) int {
 	v := r.Int31()
-	for v > d.max {
+	for v > d.reject {
 		v = r.Int31()
 	}
-	return int(v % d.n)
+	hi, _ := bits.Mul64(d.m*uint64(v), d.n)
+	return int(hi)
 }
 
 // keep scans a move's comparison sample once and records in st.near, in
@@ -563,27 +590,22 @@ func (st *runState) union(u *box, v int) {
 	}
 }
 
-// prepare caches each near edge's segment, midpoint and bounding box
-// under the current placement. tryMove calls it once before its "before"
-// scores and once after apply, so localCost(v) and localCost(occupant)
-// share one build per phase. The expressions match the per-pair forms
-// bit for bit, so cached reads change no cost value.
+// prepare caches each near edge's segment and bounding box under the
+// current placement. tryMove calls it once before its "before" scores
+// and once after apply, so localCost(v) and localCost(occupant) share one
+// build per phase.
 func (st *runState) prepare() {
 	n := len(st.near)
 	if cap(st.osegs) < n {
 		c := cap(st.near)
 		st.osegs = make([]layout.Segment, c)
-		st.omidX = make([]float64, c)
-		st.omidY = make([]float64, c)
 		st.oboxes = make([]box, c)
 	}
 	osegs := st.osegs[:n]
-	omidX, omidY := st.omidX[:n], st.omidY[:n]
 	oboxes := st.oboxes[:n]
 	for k, oi := range st.near {
 		oe := st.g.Edges[oi]
 		osegs[k] = layout.Segment{A: st.p.At(oe.U), B: st.p.At(oe.V)}
-		omidX[k], omidY[k] = st.midpoint(oi)
 		oboxes[k] = st.ebox[oi]
 	}
 }
@@ -599,22 +621,26 @@ func (st *runState) prepare() {
 // zero: the pair would add nothing. keep dropped only edges every
 // incident box rejects, and kept pairs run in sample order, so every
 // float sum is the one the unpruned loop over the whole sample produces.
+//
+// Of the pairs left, those with disjoint boxes skip the segment test, as
+// layout.SegmentsConflict would, and the spacing term is read from
+// spacingTab at the integer squared distance d of the doubled midpoints
+// (see forceOn): the true squared distance is d/4, and the entry is the
+// term's own expression at that distance.
 func (st *runState) localCost(v int) float64 {
 	const crossWeight = 4.0
-	const spacingWeight = 0.5
 	var cost float64
 	near := st.near
 	n := len(near)
 	osegs := st.osegs[:n]
-	omidX, omidY := st.omidX[:n], st.omidY[:n]
 	oboxes := st.oboxes[:n]
 	for _, ei := range st.g.Incident(v) {
 		e := st.g.Edges[ei]
 		a, b := st.p.At(e.U), st.p.At(e.V)
 		cost += e.Weight * float64(layout.Manhattan(a, b))
 		seg := layout.Segment{A: a, B: b}
-		mx, my := st.midpoint(ei)
 		eb := st.ebox[ei]
+		sx, sy := eb.x0+eb.x1, eb.y0+eb.y1
 		lox, hix := eb.x0-spacingReach, eb.x1+spacingReach
 		loy, hiy := eb.y0-spacingReach, eb.y1+spacingReach
 		for k, ob := range oboxes {
@@ -624,20 +650,29 @@ func (st *runState) localCost(v int) float64 {
 			if near[k] == ei {
 				continue
 			}
-			if layout.SegmentsConflict(seg, osegs[k]) {
+			if ob.x0 <= eb.x1 && eb.x0 <= ob.x1 && ob.y0 <= eb.y1 && eb.y0 <= ob.y1 &&
+				layout.SegmentsConflictTight(seg, osegs[k]) {
 				cost += crossWeight
 			}
-			dx, dy := mx-omidX[k], my-omidY[k]
-			// The spacing penalty only fires under distance spacingReach;
-			// comparing squared distances first skips the Sqrt for the
-			// typical far pair without changing any cost value.
-			if d2 := dx*dx + dy*dy; d2 < spacingReach*spacingReach {
-				cost += spacingWeight * (spacingReach - math.Sqrt(d2)) / spacingReach
+			dx2, dy2 := int(sx-(ob.x0+ob.x1)), int(sy-(ob.y0+ob.y1))
+			if d := dx2*dx2 + dy2*dy2; d < len(spacingTab) {
+				cost += spacingTab[d]
 			}
 		}
 	}
 	return cost
 }
+
+// spacingTab[d] is localCost's spacing term for midpoints at squared
+// distance d/4, for every d/4 under spacingReach²: the term's own
+// expression, evaluated once per distance instead of once per pair.
+var spacingTab = func() (t [4 * spacingReach * spacingReach]float64) {
+	const spacingWeight = 0.5
+	for d := range t {
+		t[d] = spacingWeight * (spacingReach - math.Sqrt(float64(d)/4)) / spacingReach
+	}
+	return t
+}()
 
 // buildMembers indexes community membership in CSR form over reused
 // storage. It is rebuilt on every use because communityAttract sorts the

@@ -260,8 +260,15 @@ func TestMovePhasesMatchNaive(t *testing.T) {
 }
 
 func TestIntnerMatchesIntn(t *testing.T) {
+	ns := []int{1, 2, 3, 400, 492, 1112, 1 << 20, 1<<31 - 1}
+	// 3·2^k straddles each power of two; near 2^31 the rejection bound
+	// leaves out most of the Int31 range, so draws retry often.
+	for k := 0; k <= 29; k++ {
+		ns = append(ns, 3<<k)
+	}
+	ns = append(ns, 1<<30+1, 1<<31-2)
 	for _, seed := range []int64{1, 2, 99, -7} {
-		for _, n := range []int{1, 2, 3, 400, 492, 1112, 1 << 20, 1<<31 - 1} {
+		for _, n := range ns {
 			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			d := newIntner(n)
 			for i := 0; i < 10000; i++ {
@@ -316,6 +323,134 @@ func FuzzLocalCostOracle(f *testing.F) {
 			checkBoxes(t, st)
 			checkCost(t, st, v, sample)
 			checkCost(t, st, r.Intn(fact.g.N), sample)
+		}
+	})
+}
+
+// forceOnNaive is forceOn as it was before the doubled-coordinate
+// tables: float midpoints, a Sqrt and a division per sampled pair, and
+// rng.Intn draws. It is the oracle forceOn must match bit for bit, draw
+// for draw.
+func (st *runState) forceOnNaive(v int, poles []int) (fx, fy float64) {
+	pv := st.p.At(v)
+	var cx, cy, wsum float64
+	st.g.Neighbors(v, func(u int, w float64) {
+		pu := st.p.At(u)
+		cx += w * float64(pu.X)
+		cy += w * float64(pu.Y)
+		wsum += w
+	})
+	if wsum > 0 {
+		fx += cx/wsum - float64(pv.X)
+		fy += cy/wsum - float64(pv.Y)
+	}
+	midpoint := func(ei int) (float64, float64) {
+		e := st.g.Edges[ei]
+		a, b := st.p.At(e.U), st.p.At(e.V)
+		return float64(a.X+b.X) / 2, float64(a.Y+b.Y) / 2
+	}
+	if len(st.g.Edges) > 1 {
+		sample := st.costSample
+		for _, ei := range st.g.Incident(v) {
+			mvx, mvy := midpoint(ei)
+			for s := 0; s < sample; s++ {
+				oi := st.rng.Intn(len(st.g.Edges))
+				if oi == ei {
+					continue
+				}
+				mox, moy := midpoint(oi)
+				dx, dy := mvx-mox, mvy-moy
+				d2 := dx*dx + dy*dy
+				if d2 < 0.25 {
+					d2 = 0.25
+				}
+				if d2 > 64 {
+					continue
+				}
+				inv := 1 / d2
+				norm := math.Sqrt(d2)
+				fx += inv * dx / norm
+				fy += inv * dy / norm
+			}
+			if sample > 8 {
+				sample = 8
+			}
+		}
+	}
+	if poles != nil {
+		for s := 0; s < 32; s++ {
+			u := st.rng.Intn(st.g.N)
+			if u == v {
+				continue
+			}
+			pu := st.p.At(u)
+			dx := float64(pv.X - pu.X)
+			dy := float64(pv.Y - pu.Y)
+			d2 := dx*dx + dy*dy
+			if d2 < 0.25 {
+				d2 = 0.25
+			}
+			if d2 > 36 {
+				continue
+			}
+			sign := -1.0
+			if poles[v] == poles[u] {
+				sign = 1.0
+			}
+			inv := sign / d2
+			norm := math.Sqrt(d2)
+			fx += inv * dx / norm
+			fy += inv * dy / norm
+		}
+	}
+	return fx, fy
+}
+
+// FuzzForceOnOracle computes forces on one run and with forceOnNaive on
+// a twin run with the same seed, and asserts equal fx and fy bits and
+// equal rng consumption at every vertex it visits. Between visits both
+// runs take the same tryMove, so the placement drifts as a run's does.
+// The fuzzer picks the seed, the factory (bit 0 of shape), whether to
+// scatter the start (bit 1), whether dipoles are off (bit 2), costSample
+// and the visit count; vertices, poles and moves come from a stream
+// seeded by seed.
+func FuzzForceOnOracle(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint16(399), uint8(64))
+	f.Add(int64(2), uint8(1), uint16(399), uint8(64))
+	f.Add(int64(9), uint8(3), uint16(200), uint8(16))
+	f.Add(int64(42), uint8(6), uint16(7), uint8(32))
+	facts := factoriesForOracle(f)
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, costSample uint16, visits uint8) {
+		fact := facts[shape&1]
+		cs := 1 + int(costSample)%700
+		st := newOracleRun(fact, cs, seed)
+		ref := newOracleRun(fact, cs, seed)
+		if shape&2 != 0 {
+			st.scatter()
+			ref.scatter()
+		}
+		r := rand.New(rand.NewSource(seed))
+		var poles []int
+		if shape&4 == 0 {
+			poles = make([]int, fact.g.N)
+			for v := range poles {
+				poles[v] = r.Intn(2)
+			}
+		}
+		for i := 0; i < int(visits)%65; i++ {
+			v := r.Intn(fact.g.N)
+			fx, fy := st.forceOn(v, poles)
+			wx, wy := ref.forceOnNaive(v, poles)
+			if math.Float64bits(fx) != math.Float64bits(wx) || math.Float64bits(fy) != math.Float64bits(wy) {
+				t.Fatalf("visit %d: forceOn(%d) = (%v, %v), naive form gives (%v, %v)", i, v, fx, fy, wx, wy)
+			}
+			if g, w := st.rng.Int63(), ref.rng.Int63(); g != w {
+				t.Fatalf("visit %d: forceOn(%d) consumed the stream differently from the naive form", i, v)
+			}
+			d := layout.Point{X: r.Intn(3) - 1, Y: r.Intn(3) - 1}
+			if st.tryMove(v, d) != ref.tryMove(v, d) {
+				t.Fatalf("visit %d: twin runs diverged on a move of %d", i, v)
+			}
 		}
 	})
 }

@@ -119,7 +119,7 @@ func SegmentsConflict(s1, s2 Segment) bool {
 	// Disjoint bounding boxes cannot intersect, overlap, or share an
 	// endpoint (any such point would lie in both boxes). This rejects the
 	// typical far-apart pair with integer compares before any
-	// cross-product math — the annealer's cost loop lives here.
+	// cross-product math.
 	if max(s1.A.X, s1.B.X) < min(s2.A.X, s2.B.X) ||
 		max(s2.A.X, s2.B.X) < min(s1.A.X, s1.B.X) ||
 		max(s1.A.Y, s1.B.Y) < min(s2.A.Y, s2.B.Y) ||
@@ -131,9 +131,18 @@ func SegmentsConflict(s1, s2 Segment) bool {
 
 // SegmentsConflictTight is SegmentsConflict without the bounding-box
 // fast-reject: identical answers on any input, meant for callers that
-// have already rejected disjoint boxes themselves (the hop annealer
-// caches segment boxes and tests them inline before each call).
+// have already rejected disjoint boxes themselves (the hop annealer and
+// the force-directed local cost cache segment boxes and test them
+// inline before each call).
 func SegmentsConflictTight(s1, s2 Segment) bool {
+	o1 := orient(s1.A, s1.B, s2.A)
+	o2 := orient(s1.A, s1.B, s2.B)
+	if o1 == o2 && o1 != 0 {
+		// s2 lies strictly on one side of s1's line, so it meets no point
+		// of s1: neither a crossing nor a collinear touch is possible. A
+		// shared endpoint would lie on that line, so none is skipped.
+		return false
+	}
 	shared := 0
 	if s1.A == s2.A || s1.A == s2.B {
 		shared++
@@ -148,13 +157,11 @@ func SegmentsConflictTight(s1, s2 Segment) bool {
 		if shared >= 2 {
 			return true
 		}
-		if orient(s1.A, s1.B, s2.A) == 0 && orient(s1.A, s1.B, s2.B) == 0 {
+		if o1 == 0 && o2 == 0 {
 			return collinearOverlapBeyondPoint(s1, s2)
 		}
 		return false
 	}
-	o1 := orient(s1.A, s1.B, s2.A)
-	o2 := orient(s1.A, s1.B, s2.B)
 	o3 := orient(s2.A, s2.B, s1.A)
 	o4 := orient(s2.A, s2.B, s1.B)
 	if o1 != o2 && o3 != o4 {

@@ -88,6 +88,36 @@ func TestRouterFindsAndBlocksPaths(t *testing.T) {
 	}
 }
 
+// TestRouterResetClearsPurgeStamps pins reset's clear of cleanAt. A
+// flood fill at time t stamps every row word of its box clean at t, so a
+// stamp left over from an earlier run would make the next run's fill at
+// the same t skip purging bits whose reservations have expired since,
+// and read free cells as busy.
+func TestRouterResetClearsPurgeStamps(t *testing.T) {
+	const at = 10
+	l := NewLattice(3, 1)
+	r := new(router)
+	r.use(l)
+	src := l.PortsOf(layout.Point{X: 0, Y: 0})
+	dst := l.PortsOf(layout.Point{X: 2, Y: 0})
+	if p, _ := r.route(src, dst, at); p == nil {
+		t.Fatal("route on empty lattice failed")
+	}
+	r.reset()
+	// Every channel cell is busy from the reset until 5, and free at the
+	// flood's time: the route must find them free.
+	var channels []int
+	for ci := 0; ci < l.Cells(); ci++ {
+		if !l.IsTile(ci) {
+			channels = append(channels, ci)
+		}
+	}
+	r.reserve(channels, 5)
+	if p, bound := r.route(src, dst, at); p == nil {
+		t.Fatalf("route at %d after reset failed (retry bound %d); its reservations expired at 5", at, bound)
+	}
+}
+
 func TestRouteTreeSpansAllGroups(t *testing.T) {
 	l := NewLattice(4, 4)
 	r := new(router)
