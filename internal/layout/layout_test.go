@@ -106,6 +106,9 @@ func TestSegmentsConflict(t *testing.T) {
 		{Segment{Point{0, 0}, Point{2, 0}}, Segment{Point{0, 0}, Point{2, 0}}, true, "identical"},
 		{Segment{Point{0, 0}, Point{4, 0}}, Segment{Point{0, 0}, Point{2, 0}}, true, "shared endpoint collinear overlap"},
 		{Segment{Point{0, 0}, Point{2, 0}}, Segment{Point{1, 0}, Point{1, 2}}, true, "T touch mid-segment"},
+		{Segment{Point{2, 0}, Point{2, 0}}, Segment{Point{0, 0}, Point{2, 0}}, false, "point on an endpoint"},
+		{Segment{Point{1, 0}, Point{1, 0}}, Segment{Point{0, 0}, Point{2, 0}}, true, "point inside"},
+		{Segment{Point{1, 1}, Point{1, 1}}, Segment{Point{1, 1}, Point{1, 1}}, false, "same point"},
 	}
 	for _, c := range cases {
 		if got := SegmentsConflict(c.s1, c.s2); got != c.want {

@@ -152,10 +152,11 @@ func SegmentsConflictTight(s1, s2 Segment) bool {
 	}
 	if shared > 0 {
 		// Sharing one endpoint conflicts only when collinear and
-		// overlapping beyond that point; sharing both means identical
-		// segments, which conflict.
+		// overlapping beyond that point. Both of a proper s1's ends
+		// matching means identical segments, which conflict; a point s1
+		// matches twice but only touches s2 at that end.
 		if shared >= 2 {
-			return true
+			return s1.A != s1.B
 		}
 		if o1 == 0 && o2 == 0 {
 			return collinearOverlapBeyondPoint(s1, s2)

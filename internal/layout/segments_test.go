@@ -97,11 +97,9 @@ func intersectRef(s1, s2 Segment) (int, ratPoint) {
 
 // conflictRef is SegmentsConflict's contract decided on the exact
 // intersection: segments conflict when they have a common point other
-// than a single endpoint of both. When that single point is an endpoint
-// of both, SegmentsConflict counts how many of s1's two ends match an
-// end of s2, and two matches stand for identical segments: so a
-// degenerate s1 sitting on an end of s2 conflicts, while a degenerate s2
-// sitting on an end of a proper s1 does not.
+// than a single endpoint of both. A point segment is its own endpoint, so
+// it conflicts with a segment only by sitting strictly inside it, in
+// either order.
 func conflictRef(s1, s2 Segment) bool {
 	n, x := intersectRef(s1, s2)
 	switch n {
@@ -111,16 +109,14 @@ func conflictRef(s1, s2 Segment) bool {
 		return true
 	}
 	endOf := func(s Segment) bool { return x.equals(s.A) || x.equals(s.B) }
-	if !endOf(s1) || !endOf(s2) {
-		return true
-	}
-	return s1.A == s1.B
+	return !endOf(s1) || !endOf(s2)
 }
 
 // TestSegmentsConflictExhaustive checks SegmentsConflict and
 // SegmentsConflictTight against the exact reference on every ordered
 // pair of segments with endpoints on a 5x5 grid, degenerate segments and
-// both orientations of each segment included.
+// both orientations of each segment included, and checks that the answer
+// does not depend on the order of the pair.
 func TestSegmentsConflictExhaustive(t *testing.T) {
 	const side = 5
 	var segs []Segment
@@ -138,6 +134,9 @@ func TestSegmentsConflictExhaustive(t *testing.T) {
 			}
 			if got := SegmentsConflictTight(s1, s2); got != want {
 				t.Fatalf("SegmentsConflictTight(%v, %v) = %v, exact intersection gives %v", s1, s2, got, want)
+			}
+			if got := SegmentsConflict(s2, s1); got != want {
+				t.Fatalf("SegmentsConflict(%v, %v) = %v, but the pair in the other order gives %v", s2, s1, got, want)
 			}
 			if want {
 				conflicts++

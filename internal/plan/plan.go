@@ -12,6 +12,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"magicstate/internal/bravyi"
 	"magicstate/internal/resource"
@@ -90,8 +91,10 @@ type Provision struct {
 	TargetPerState float64
 	// OutputError is the achieved per-state error.
 	OutputError float64
-	// BatchLatency is the estimated cycles per factory batch (critical
-	// path of the generated circuit under the default cost model).
+	// BatchLatency is the estimated cycles per factory batch: the
+	// critical path of the factory circuit under the default cost model,
+	// derived per round from one module (resource.FactoryCriticalPath)
+	// rather than read off a generated circuit.
 	BatchLatency int
 	// SuccessProb is the full-batch success probability (first order).
 	SuccessProb float64
@@ -172,12 +175,10 @@ func planForK(req Requirements, k int, target float64) (*Provision, error) {
 }
 
 func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Provision, error) {
-	f, err := bravyi.Build(p)
+	latency, err := resource.DefaultCost().FactoryCriticalPath(p)
 	if err != nil {
 		return nil, err
 	}
-	cm := resource.DefaultCost()
-	latency := cm.CriticalPath(f.Circuit)
 	runs := resource.ExpectedRunsPerSuccess(p, req.Errors)
 	if runs >= 1e17 {
 		return nil, nil // hopeless success probability
@@ -194,8 +195,12 @@ func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Prov
 		BufferSize:     1,
 	}
 	factories := system.FactoriesFor(cfg, req.Headroom)
-	if factories == 0 {
-		return nil, nil
+	perFactory := 0
+	for _, q := range req.Errors.PhysicalQubitsPerRound(p) {
+		perFactory += q
+	}
+	if factories == 0 || factories > math.MaxInt/perFactory {
+		return nil, nil // unattainable, or too many qubits to count
 	}
 	cfg.Factories = factories
 
@@ -231,12 +236,11 @@ func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Prov
 			break
 		}
 	}
+	if buffer > math.MaxInt/scale {
+		return nil, nil // too many buffered states to count
+	}
 	buffer *= scale
 
-	perFactory := 0
-	for _, q := range req.Errors.PhysicalQubitsPerRound(p) {
-		perFactory += q
-	}
 	prov := &Provision{
 		Params:         p,
 		TargetPerState: target,

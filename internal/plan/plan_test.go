@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"magicstate/internal/bravyi"
 	"magicstate/internal/resource"
@@ -200,5 +201,35 @@ func TestPlanProvisionsUnchanged(t *testing.T) {
 		if !reflect.DeepEqual(*prov, tc.want) {
 			t.Errorf("T=%g Ks=%v:\n got %+v\nwant %+v", tc.tcount, tc.ks, *prov, tc.want)
 		}
+	}
+}
+
+// TestPlanHopelessCandidateOverflow pins a working point whose K=2 L=3
+// candidate needs about 9e12 runs per success: the farm it asks for has
+// more physical qubits than an int counts. That candidate must be
+// unattainable, not a wrapped negative cost that wins the reduction.
+func TestPlanHopelessCandidateOverflow(t *testing.T) {
+	req := Requirements{TCount: 1e8, ErrorBudget: 0.01, DemandRate: 0.02,
+		Errors: resource.ErrorModel{PhysError: 1e-3, InjectError: 0.01, Threshold: 1e-2}}
+	done := make(chan struct{})
+	var prov *Provision
+	var err error
+	go func() {
+		defer close(done)
+		prov, err = Plan(req)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Plan did not return")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prov.PhysicalQubits <= 0 || prov.Factories <= 0 || prov.BufferSize <= 0 {
+		t.Fatalf("degenerate provision %+v", *prov)
+	}
+	if prov.Params.K == 2 && prov.Params.Levels == 3 {
+		t.Fatalf("the overflowing K=2 L=3 candidate won: %+v", *prov)
 	}
 }

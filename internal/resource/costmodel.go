@@ -5,7 +5,12 @@
 // space-time volume computation.
 package resource
 
-import "magicstate/internal/circuit"
+import (
+	"fmt"
+
+	"magicstate/internal/bravyi"
+	"magicstate/internal/circuit"
+)
 
 // CostModel assigns surface-code cycle durations to logical gates. Braid
 // durations are distance-insensitive (a braid extends to arbitrary length
@@ -67,10 +72,16 @@ func (cm CostModel) GateCycles(g *circuit.Gate) int {
 // and moves them all to its end. That is linear in the operand count, and
 // equals the longest path through Deps(c) exactly.
 func (cm CostModel) CriticalPath(c *circuit.Circuit) int {
-	ready := make([]int, c.NumQubits)
+	return cm.scan(c.Gates, make([]int, c.NumQubits))
+}
+
+// scan runs CriticalPath's pass over gates with ready[q] as the cycle
+// qubit q becomes free, leaving each qubit's last finish in ready. It
+// returns the latest finish of any gate (0 for none).
+func (cm CostModel) scan(gates []circuit.Gate, ready []int) int {
 	longest := 0
-	for i := range c.Gates {
-		g := &c.Gates[i]
+	for i := range gates {
+		g := &gates[i]
 		start := 0
 		if g.Control != circuit.NoQubit {
 			start = ready[g.Control]
@@ -88,4 +99,52 @@ func (cm CostModel) CriticalPath(c *circuit.Circuit) int {
 		longest = max(longest, end)
 	}
 	return longest
+}
+
+// FactoryCriticalPath returns CriticalPath(bravyi.Build(p).Circuit)
+// without building the factory: it scans one module per round.
+//
+// With barriers every round r >= 2 starts after a fence over every qubit
+// allocated so far, which sets their ready cycles to E, the latest finish
+// before it. The round's Move braids then run in parallel (each slot
+// receives exactly one state, from a qubit no other Move touches), so
+// every raw slot is ready at E + Move. Ancillas and outputs are renamed
+// from the measured pool under Reuse, ready at E: the pool always covers
+// a round, because a round has K/(3K+8) as many modules as the one
+// before, each needing 5K+13 qubits where the one before freed 4K+13,
+// and (3K+8)(4K+13)/K >= 5K+13. Without Reuse they are fresh tiles
+// allocated after the fence, ready at 0. Round 1 starts everything at 0.
+// The modules of a round are identical on disjoint qubits, so one
+// module's scan is the round's finish.
+//
+// Factories without barriers or with a custom reuse assigner have no
+// such round structure and are rejected.
+func (cm CostModel) FactoryCriticalPath(p bravyi.Params) (int, error) {
+	if !p.Barriers || p.Assigner != nil {
+		return 0, fmt.Errorf("resource: FactoryCriticalPath needs Barriers and the default reuse assigner")
+	}
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	mod, err := bravyi.Build(bravyi.Params{K: p.K, Levels: 1, Barriers: true})
+	if err != nil {
+		return 0, err
+	}
+	c := mod.Circuit
+	slots, ready := 3*p.K+8, make([]int, c.NumQubits)
+	e := cm.scan(c.Gates, ready)
+	for r := 2; r <= p.Levels; r++ {
+		rest := 0
+		if p.Reuse {
+			rest = e
+		}
+		for q := range ready {
+			ready[q] = rest
+		}
+		for q := 0; q < slots; q++ {
+			ready[q] = e + cm.Move
+		}
+		e = max(e, cm.scan(c.Gates, ready))
+	}
+	return e, nil
 }

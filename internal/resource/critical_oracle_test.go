@@ -111,3 +111,69 @@ func TestCriticalPathWeighted(t *testing.T) {
 		t.Errorf("oracle critical path %d, want 10", got)
 	}
 }
+
+// TestFactoryCriticalPathMatchesBuild checks the per-round critical path
+// against CriticalPath of the fully built factory on every candidate the
+// planner can reach (its default block sizes at every depth within its
+// default module cap), plus K=10, under both reuse policies.
+func TestFactoryCriticalPathMatchesBuild(t *testing.T) {
+	cm := DefaultCost()
+	tried := 0
+	for _, k := range []int{1, 2, 4, 6, 8, 10} {
+		for levels := 1; levels <= 4; levels++ {
+			for _, reuse := range []bool{false, true} {
+				p := bravyi.Params{K: k, Levels: levels, Reuse: reuse, Barriers: true}
+				if p.TotalModules() > 4000 {
+					continue
+				}
+				f, err := bravyi.Build(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cm.FactoryCriticalPath(p)
+				if err != nil {
+					t.Fatalf("%+v: %v", p, err)
+				}
+				if want := cm.CriticalPath(f.Circuit); got != want {
+					t.Errorf("%+v: FactoryCriticalPath = %d, CriticalPath of the build %d", p, got, want)
+				}
+				tried++
+			}
+		}
+	}
+	if tried < 30 {
+		t.Fatalf("only %d factories compared", tried)
+	}
+	// A model whose Move is not a multiple of the other costs exposes a
+	// dropped or doubled move offset.
+	odd := CostModel{Prep: 3, H: 5, Meas: 7, CNOT: 11, CXX: 13, Inject: 17, Move: 19}
+	for _, reuse := range []bool{false, true} {
+		p := bravyi.Params{K: 2, Levels: 3, Reuse: reuse, Barriers: true}
+		f, err := bravyi.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := odd.FactoryCriticalPath(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := odd.CriticalPath(f.Circuit); got != want {
+			t.Errorf("%+v under %+v: FactoryCriticalPath = %d, CriticalPath of the build %d", p, odd, got, want)
+		}
+	}
+}
+
+func TestFactoryCriticalPathRejects(t *testing.T) {
+	cm := DefaultCost()
+	for _, p := range []bravyi.Params{
+		{K: 2, Levels: 2, Reuse: true},
+		{K: 2, Levels: 2, Reuse: true, Barriers: true,
+			Assigner: func(_, _, need int, pool []circuit.Qubit) []circuit.Qubit { return pool[:min(need, len(pool))] }},
+		{K: 0, Levels: 1, Barriers: true},
+		{K: 2, Levels: 0, Barriers: true},
+	} {
+		if _, err := cm.FactoryCriticalPath(p); err == nil {
+			t.Errorf("K=%d L=%d barriers=%v assigner=%v: accepted", p.K, p.Levels, p.Barriers, p.Assigner != nil)
+		}
+	}
+}

@@ -373,6 +373,9 @@ func (hs *hopScratch) anneal(f *bravyi.Factory, pl *layout.Placement, wires []br
 		}
 		return c
 	}
+	// A leg's two ends are distinct qubits (a module output, a later
+	// raw slot, a dead round-1 qubit) on distinct tiles, so no leg is a
+	// point segment (TestHopLegsAreNeverPoints).
 	legsOf := func(wi int, hop layout.Point) (l0, l1 layout.Segment, b0, b1 box) {
 		l0 = layout.Segment{A: srcT[wi], B: hop}
 		l1 = layout.Segment{A: hop, B: dstT[wi]}

@@ -268,3 +268,59 @@ func TestStitchedFactoryGatesPresizedExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestHopLegsAreNeverPoints pins why the hop annealer never passes
+// layout.SegmentsConflictTight a point segment. A leg joins two of a
+// wire's source (a module output), its destination slot (a later
+// round's raw register) and a hop (a round-1 raw or ancilla qubit no
+// later round uses). Those sets are disjoint, and a valid placement puts
+// distinct qubits on distinct tiles, so every leg has two distinct ends.
+func TestHopLegsAreNeverPoints(t *testing.T) {
+	for _, p := range []bravyi.Params{{K: 2, Levels: 2}, {K: 3, Levels: 2}, {K: 2, Levels: 3}} {
+		for _, reuse := range []bool{false, true} {
+			r := build(t, p, Options{Seed: 8, Reuse: reuse, Hops: NoHop})
+			if err := r.Placement.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			f := r.Factory
+			role := make([]byte, f.Circuit.NumQubits) // bit 1: a wire source; bit 2: a destination
+			for _, w := range f.Wires {
+				role[f.Modules[w.FromModule].Out[w.FromPort]] |= 1
+				role[f.Modules[w.ToModule].Raw[w.ToSlot]] |= 2
+			}
+			later := make([]bool, f.Circuit.NumQubits)
+			for _, m := range f.Modules {
+				if m.Round >= 2 {
+					for _, qs := range [][]circuit.Qubit{m.Raw, m.Anc, m.Out} {
+						for _, q := range qs {
+							later[q] = true
+						}
+					}
+				}
+			}
+			for q, ro := range role {
+				if ro == 3 {
+					t.Fatalf("%+v reuse=%v: qubit %d is both a wire source and a destination", p, reuse, q)
+				}
+			}
+			for _, mi := range f.Rounds[0].Modules {
+				for _, qs := range [][]circuit.Qubit{f.Modules[mi].Raw, f.Modules[mi].Anc} {
+					for _, q := range qs {
+						if !later[q] && role[q] != 0 {
+							t.Fatalf("%+v reuse=%v: hop candidate %d is a wire end", p, reuse, q)
+						}
+					}
+				}
+			}
+		}
+	}
+	// And the legs the hop modes leave in the circuit join distinct tiles.
+	for _, mode := range []HopMode{RandomHop, AnnealedRandomHop, AnnealedMidpointHop} {
+		r := build(t, bravyi.Params{K: 2, Levels: 2}, Options{Seed: 9, Reuse: true, Hops: mode})
+		for _, g := range r.Factory.Circuit.Gates {
+			if g.Kind == circuit.KindMove && r.Placement.At(int(g.Control)) == r.Placement.At(int(g.Dest)) {
+				t.Fatalf("%v: move %v joins one tile", mode, g)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -82,6 +83,14 @@ func (r *Result) StallFraction() float64 {
 }
 
 // Simulate runs the farm for cfg.Cycles cycles.
+//
+// Factory i starts staggered at phase (i*L)/F of the latency L and then
+// completes a batch on every cycle t with t mod L equal to that phase, so
+// the factories completing on a cycle are a run of consecutive indices:
+// phases do not decrease in i. A cursor over the factories, reset at
+// each period's start, visits just those, in index order, so the batch
+// draws come from the rng in the order a per-factory countdown would
+// make them, at O(1) work per cycle plus one step per completion.
 func Simulate(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -89,25 +98,20 @@ func Simulate(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &Result{}
 
-	timers := make([]int, cfg.Factories) // cycles until each factory's batch completes
-	for i := range timers {
-		// Stagger starts so production is spread across the period.
-		timers[i] = (i*cfg.FactoryLatency)/cfg.Factories + 1
-	}
+	lat, nf := cfg.FactoryLatency, cfg.Factories
+	next, due := 0, 0 // the next factory to complete this period, and its phase
 	buffer := 0
 	reserve := cfg.MaintenanceReserve
 	var demandAcc float64
 	backlog := 0
 	var occSum float64
 
-	for t := 0; t < cfg.Cycles; t++ {
+	for t, phase := 0, 0; t < cfg.Cycles; t++ {
 		// Production.
-		for i := range timers {
-			timers[i]--
-			if timers[i] > 0 {
-				continue
-			}
-			timers[i] = cfg.FactoryLatency
+		if phase == lat {
+			phase, next, due = 0, 0, 0
+		}
+		for ; next < nf && due == phase; next, due = next+1, (next+1)*lat/nf {
 			if rng.Float64() <= cfg.SuccessProb {
 				batch := cfg.BatchSize
 				// Refill the maintenance reserve first (loss compensation
@@ -161,14 +165,23 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		res.StallCycles += backlog
 		occSum += float64(buffer)
+		phase++
 	}
 	res.AvgOccupancy = occSum / float64(cfg.Cycles)
 	return res, nil
 }
 
-// FactoriesFor returns the smallest factory count whose steady-state
-// production meets demand with the given headroom factor (>= 1), using
-// the fluid approximation production = n * batch * p / latency.
+// FactoriesFor returns the smallest factory count n >= 1 whose
+// steady-state production meets demand with the given headroom factor
+// (>= 1), using the fluid approximation production = n * batch * p /
+// latency, decided by the float test float64(n)*perFactory >= need.
+//
+// It starts from ceil(need/perFactory) and steps to the exact answer:
+// below 2^53 float64(n) is exact and rounding is monotone, so the test
+// does not flip back as n grows. A demand that needs 2^53 or more
+// factories, as any positive demand does at a per-factory rate that
+// rounds to zero, is unattainable and returns 0, as does a degenerate
+// config.
 func FactoriesFor(cfg Config, headroom float64) int {
 	if headroom < 1 {
 		headroom = 1
@@ -177,9 +190,22 @@ func FactoriesFor(cfg Config, headroom float64) int {
 		return 0
 	}
 	perFactory := float64(cfg.BatchSize) * cfg.SuccessProb / float64(cfg.FactoryLatency)
+	need := cfg.DemandRate * headroom
+	const limit = 1 << 53
 	n := 1
-	for float64(n)*perFactory < cfg.DemandRate*headroom {
-		n++
+	if x := math.Ceil(need / perFactory); x > 1 {
+		if x >= limit {
+			return 0
+		}
+		n = int(x)
+	}
+	for n > 1 && float64(n-1)*perFactory >= need {
+		n--
+	}
+	for float64(n)*perFactory < need {
+		if n++; n >= limit {
+			return 0
+		}
 	}
 	return n
 }

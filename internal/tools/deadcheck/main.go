@@ -33,8 +33,11 @@
 // chain (`cfg.FD.X = v` writes both FD and X). A value copied from
 // another knob (`Margin: cfg.Margin`) is a forward: the target counts as
 // written only if the source is. A copy from any other field, such as a
-// flag-backed struct in a main package, is a write. A field doc comment
-// takes the same keep line.
+// flag-backed struct in a main package, is a write. Values are not
+// evaluated, so a write of the value the field's own defaulting would
+// substitute still counts as a write: a program that only ever sets
+// mesh.Config.Distance to 7, which is what zero already means, keeps
+// Distance off the report. A field doc comment takes the same keep line.
 //
 // Each finding prints as a `file:line name` line (Type.Field for a
 // knob), sorted. Exit status is 1 when anything prints, 2 on a load
