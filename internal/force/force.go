@@ -22,12 +22,15 @@
 // community membership) alive across calls, and a package-level Anneal
 // that borrows a pooled Annealer for one-shot use. One anneal is one run
 // on the stream rand.NewSource(Options.Seed), so its result depends only
-// on the inputs and the seed.
+// on the inputs and the seed. The run draws that stream from source, a
+// concrete clone of math/rand's seeded generator kept in the arena: the
+// hot loops take their edge and vertex draws from it in batches, and
+// community detection, k-means and the proposal order read the same
+// stream through a rand.Rand over it.
 package force
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -109,7 +112,7 @@ func (a *Annealer) Anneal(g *graph.Graph, c *circuit.Circuit, init *layout.Place
 		poles = graph.Poles(c)
 	}
 	st := a.acquire()
-	p := st.run(g, init, opt, rand.New(rand.NewSource(opt.Seed)), poles)
+	p := st.run(g, init, opt, poles)
 	a.release(st)
 	return p
 }
@@ -131,6 +134,10 @@ type runState struct {
 	g   *graph.Graph
 	p   layout.Placement // owned canvas; Pos is the run's working copy
 	opt Options
+	// src is the run's stream, rand.NewSource(opt.Seed) as a concrete
+	// generator; rng reads the same stream through math/rand for the
+	// draws made by other packages and by permInto.
+	src source
 	rng *rand.Rand
 	// costSample is the package's costSample; the oracle tests lower it
 	// to reach the sampled branch on small graphs.
@@ -146,17 +153,19 @@ type runState struct {
 	// edgeDraw and vertexDraw replicate rng.Intn(len(g.Edges)) and
 	// rng.Intn(g.N) with their rejection bounds precomputed.
 	edgeDraw, vertexDraw intner
+	// draws receives forceOn's batches of edge and vertex draws.
+	draws []int32
 	// perm receives the sweep proposal order (rand.Perm replicated into
 	// reused storage).
 	perm []int
 	// allEdges is the identity edge list [0..m) used as the comparison
 	// set when the whole graph fits under costSample; sample receives
 	// rng-drawn subsets when it does not.
-	allEdges []int
-	sample   []int
+	allEdges []int32
+	sample   []int32
 	// near lists, in sample order, the comparison edges keep found close
 	// enough to the move to add to either phase's cost.
-	near []int
+	near []int32
 	// osegs/oboxes cache the near edges' segments and bounding boxes for
 	// one phase of a move (see prepare), so the incident x near double
 	// loop reads them instead of re-deriving placement lookups per pair.
@@ -177,12 +186,12 @@ type runState struct {
 // sequence exactly matches the historical single-shot implementation:
 // community detection first, then per-sweep proposal order, force
 // sampling and move gating in program order.
-func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, rng *rand.Rand, poles []int) *layout.Placement {
-	st.load(g, init, opt, rng)
+func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, poles []int) *layout.Placement {
+	st.load(g, init, opt)
 	var comm []int
 	commCount := 0
 	if !opt.DisableCommunity {
-		comm, commCount = graph.Communities(g, rng)
+		comm, commCount = graph.Communities(g, st.rng)
 	}
 
 	stuck := 0
@@ -208,15 +217,20 @@ func (st *runState) run(g *graph.Graph, init *layout.Placement, opt Options, rng
 	}
 	st.p.Normalize()
 	out := st.p.Clone()
-	st.g, st.rng = nil, nil
+	st.g = nil
 	return out
 }
 
-// load points the run at g and opt and copies init onto an expanded
-// canvas, MarginRows wider on all four sides so vertices can leave the
-// initial hull, with its occupancy grid. It draws nothing from rng.
-func (st *runState) load(g *graph.Graph, init *layout.Placement, opt Options, rng *rand.Rand) {
-	st.g, st.opt, st.rng, st.costSample = g, opt, rng, costSample
+// load points the run at g and opt, seeds the stream with opt.Seed, and
+// copies init onto an expanded canvas, MarginRows wider on all four
+// sides so vertices can leave the initial hull, with its occupancy grid.
+// It draws nothing from the stream.
+func (st *runState) load(g *graph.Graph, init *layout.Placement, opt Options) {
+	st.g, st.opt, st.costSample = g, opt, costSample
+	st.src.Seed(opt.Seed)
+	if st.rng == nil {
+		st.rng = rand.New(&st.src)
+	}
 	st.edgeDraw, st.vertexDraw = newIntner(len(g.Edges)), newIntner(g.N)
 	n := len(init.Pos)
 	if cap(st.p.Pos) < n {
@@ -271,6 +285,10 @@ func (st *runState) refresh(v int) {
 
 // forceOn computes the net force vector on vertex v.
 //
+// Its draws come in two batches, all edge draws first and then the
+// dipole's vertex draws, in the order the loops consume them: the same
+// outputs, in the same order, as one rng.Intn call per sampled pair.
+//
 // Midpoints are half-integers, so the repulsion works on doubled
 // midpoints (x0+x1, y0+y1) read off the cached edge boxes: a doubled
 // offset dx2 gives the exact float offset dx2/2, and the integer d =
@@ -294,14 +312,15 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 	}
 	// Edge-edge repulsion: push v's edges' midpoints away from sampled
 	// other midpoints, inverse-square in midpoint distance.
-	if len(st.g.Edges) > 1 {
+	if inc := st.g.Incident(v); len(st.g.Edges) > 1 && len(inc) > 0 {
 		sample := st.costSample
-		for _, ei := range st.g.Incident(v) {
+		rest := min(sample, 8) // first incident edge dominates; keep the rest cheap
+		draws := st.drawBatch(st.edgeDraw, sample+rest*(len(inc)-1))
+		for _, ei := range inc {
 			b := st.ebox[ei]
 			svx, svy := b.x0+b.x1, b.y0+b.y1
-			for s := 0; s < sample; s++ {
-				oi := st.edgeDraw.draw(st.rng)
-				if oi == ei {
+			for _, oi := range draws[:sample] {
+				if int(oi) == ei {
 					continue
 				}
 				ob := st.ebox[oi]
@@ -315,17 +334,16 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 				fx += q.inv * dx / q.norm
 				fy += q.inv * dy / q.norm
 			}
-			if sample > 8 {
-				sample = 8 // first incident edge dominates; keep the rest cheap
-			}
+			draws = draws[sample:]
+			sample = rest
 		}
 	}
 	// Dipole rotation: like poles repel, opposite poles attract, with
 	// inverse-square falloff, over a sample of vertices. Tile offsets are
 	// whole, so the squared distance D indexes invNormTab at 4D.
 	if poles != nil {
-		for s := 0; s < 32; s++ {
-			u := st.vertexDraw.draw(st.rng)
+		for _, u32 := range st.drawBatch(st.vertexDraw, 32) {
+			u := int(u32)
 			if u == v {
 				continue
 			}
@@ -347,6 +365,17 @@ func (st *runState) forceOn(v int, poles []int) (fx, fy float64) {
 		}
 	}
 	return fx, fy
+}
+
+// drawBatch returns n draws of d from the run's stream, in reused
+// storage that the next call overwrites.
+func (st *runState) drawBatch(d intner, n int) []int32 {
+	if cap(st.draws) < n {
+		st.draws = make([]int32, n)
+	}
+	b := st.draws[:n]
+	d.fill(&st.src, b)
+	return b
 }
 
 // invNorm holds 1/d2 and math.Sqrt(d2) for one squared distance d2.
@@ -472,29 +501,27 @@ func (st *runState) apply(v int, to layout.Point, occupant int, swap bool, from 
 
 // sampleEdgeSet draws the comparison edges used for one move evaluation.
 // Small graphs compare against every edge (the prebuilt identity list);
-// large ones against a random subset of costSample edges drawn into
-// reused storage.
-func (st *runState) sampleEdgeSet() []int {
+// large ones against a random subset of costSample edges drawn, in one
+// batch, into reused storage.
+func (st *runState) sampleEdgeSet() []int32 {
 	m := len(st.g.Edges)
 	if m <= st.costSample {
 		if len(st.allEdges) != m {
 			if cap(st.allEdges) < m {
-				st.allEdges = make([]int, m)
+				st.allEdges = make([]int32, m)
 			}
 			st.allEdges = st.allEdges[:m]
 			for i := range st.allEdges {
-				st.allEdges[i] = i
+				st.allEdges[i] = int32(i)
 			}
 		}
 		return st.allEdges
 	}
 	if cap(st.sample) < st.costSample {
-		st.sample = make([]int, st.costSample)
+		st.sample = make([]int32, st.costSample)
 	}
 	sample := st.sample[:st.costSample]
-	for i := range sample {
-		sample[i] = st.edgeDraw.draw(st.rng)
-	}
+	st.edgeDraw.fill(&st.src, sample)
 	return sample
 }
 
@@ -510,45 +537,6 @@ func edgeBox(a, b layout.Point) box {
 	return box{int32(min(a.X, b.X)), int32(min(a.Y, b.Y)), int32(max(a.X, b.X)), int32(max(a.Y, b.Y))}
 }
 
-// intner draws from [0, n) exactly as rand.Intn(n) does for n < 1<<31:
-// Int31n's rejection loop over r.Int31(), with its bound computed once
-// instead of per draw. For a power of two the bound is never exceeded and
-// v%n equals Int31n's mask, so every n consumes the stream identically.
-//
-// The remainder v%n is taken by fastmod (Lemire, Kaser and Kurz, "Faster
-// Remainder by Direct Computation", Software: Practice and Experience
-// 49(6), 2019). With m = floor((2^64-1)/n) + 1 = ceil(2^64/n), the low
-// 64 bits of m*v hold the fractional part of v/n in 64-bit fixed point,
-// and the high word of that times n is v%n. The rounding up in m adds
-// less than v/2^64 to the fraction, too little to carry into the
-// result: the paper proves the remainder exact for every 32-bit v and
-// n, which covers v < 2^31 and n < 2^31 here. n = 1 wraps m to 0 and
-// gives 0, as v%1 does.
-type intner struct {
-	m, n   uint64
-	reject int32
-}
-
-// newIntner returns the drawer for n; for n <= 0 it is the zero intner,
-// which has no valid draw. The annealer never draws from an empty range:
-// it draws edges only when it has more than one, and vertices only when
-// sweeping some.
-func newIntner(n int) intner {
-	if n <= 0 {
-		return intner{}
-	}
-	return intner{^uint64(0)/uint64(n) + 1, uint64(n), int32((1<<31 - 1) - (1<<31)%uint32(n))}
-}
-
-func (d intner) draw(r *rand.Rand) int {
-	v := r.Int31()
-	for v > d.reject {
-		v = r.Int31()
-	}
-	hi, _ := bits.Mul64(d.m*uint64(v), d.n)
-	return int(hi)
-}
-
 // keep scans a move's comparison sample once and records in st.near, in
 // sample order, the edges whose cached box comes within spacingReach+1
 // tiles of the union of the boxes of v's (and, on a swap, occupant's)
@@ -556,7 +544,7 @@ func (d intner) draw(r *rand.Rand) int {
 // axis, so no incident box grows by more than one tile toward an edge
 // outside the union, and only incident edges' boxes change: every pair
 // localCost keeps in either phase of the move is on the list.
-func (st *runState) keep(sample []int, v, occupant int, swap bool) {
+func (st *runState) keep(sample []int32, v, occupant int, swap bool) {
 	// far leaves room to widen without overflow; an empty union stays
 	// inverted, so every edge is rejected.
 	const far = math.MaxInt32 - spacingReach - 1
@@ -568,7 +556,7 @@ func (st *runState) keep(sample []int, v, occupant int, swap bool) {
 	const reach = spacingReach + 1
 	lox, loy, hix, hiy := u.x0-reach, u.y0-reach, u.x1+reach, u.y1+reach
 	if cap(st.near) < len(sample) {
-		st.near = make([]int, 0, len(sample))
+		st.near = make([]int32, 0, len(sample))
 	}
 	near := st.near[:0]
 	for _, oi := range sample {
@@ -647,7 +635,7 @@ func (st *runState) localCost(v int) float64 {
 			if ob.x0 >= hix || ob.x1 <= lox || ob.y0 >= hiy || ob.y1 <= loy {
 				continue
 			}
-			if near[k] == ei {
+			if int(near[k]) == ei {
 				continue
 			}
 			if ob.x0 <= eb.x1 && eb.x0 <= ob.x1 && ob.y0 <= eb.y1 && eb.y0 <= ob.y1 &&

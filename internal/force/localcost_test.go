@@ -14,7 +14,7 @@ import (
 // localCostNaive is the unpruned local cost: every incident edge of v
 // against every comparison edge, geometry derived from the placement
 // directly. It is the oracle the pruned localCost must match bit for bit.
-func (st *runState) localCostNaive(v int, sample []int) float64 {
+func (st *runState) localCostNaive(v int, sample []int32) float64 {
 	const crossWeight = 4.0
 	const spacingWeight = 0.5
 	var cost float64
@@ -38,7 +38,7 @@ func (st *runState) localCostNaive(v int, sample []int) float64 {
 		seg := layout.Segment{A: a, B: b}
 		mx, my := float64(a.X+b.X)/2, float64(a.Y+b.Y)/2
 		for k, oi := range sample {
-			if oi == ei {
+			if int(oi) == ei {
 				continue
 			}
 			if layout.SegmentsConflict(seg, osegs[k]) {
@@ -53,10 +53,28 @@ func (st *runState) localCostNaive(v int, sample []int) float64 {
 	return cost
 }
 
-// tryMoveNaive is tryMove gated by localCostNaive: the oracle for the
-// move decisions, so a stale cache at either phase of a move shows up as
-// a diverging trajectory.
+// sampleEdgeSetNaive is sampleEdgeSet with one rng.Intn call per drawn
+// edge, so a reference run draws its samples from math/rand itself.
+func (st *runState) sampleEdgeSetNaive() []int32 {
+	m := len(st.g.Edges)
+	if m <= st.costSample {
+		return st.sampleEdgeSet()
+	}
+	sample := make([]int32, st.costSample)
+	for i := range sample {
+		sample[i] = int32(st.rng.Intn(m))
+	}
+	return sample
+}
+
+// tryMoveNaive is tryMove gated by localCostNaive over samples drawn by
+// sampleEdgeSetNaive: the oracle for the move decisions, so a stale cache
+// at either phase of a move, or a batch that draws differently from
+// rng.Intn, shows up as a diverging trajectory.
 func (st *runState) tryMoveNaive(v int, delta layout.Point) bool {
+	if delta == (layout.Point{}) {
+		return false
+	}
 	from := st.p.At(v)
 	to := layout.Point{X: from.X + delta.X, Y: from.Y + delta.Y}
 	if to.X < 0 || to.X >= st.p.W || to.Y < 0 || to.Y >= st.p.H {
@@ -64,7 +82,7 @@ func (st *runState) tryMoveNaive(v int, delta layout.Point) bool {
 	}
 	o := st.occ[to.Y*st.p.W+to.X]
 	occupant, swap := int(o)-1, o != 0
-	sample := st.sampleEdgeSet()
+	sample := st.sampleEdgeSetNaive()
 	before := st.localCostNaive(v, sample)
 	if swap {
 		before += st.localCostNaive(occupant, sample)
@@ -113,11 +131,20 @@ func factoriesForOracle(tb testing.TB) []oracleFactory {
 
 // newOracleRun loads f onto a fresh runState the way run does.
 func newOracleRun(f oracleFactory, costSample int, seed int64) *runState {
-	opt := Options{}
+	opt := Options{Seed: seed}
 	opt.fill(f.g.N)
 	st := &runState{}
-	st.load(f.g, f.init, opt, rand.New(rand.NewSource(seed)))
+	st.load(f.g, f.init, opt)
 	st.costSample = costSample
+	return st
+}
+
+// newReferenceRun is newOracleRun with rng replaced by math/rand's own
+// rand.New(rand.NewSource(seed)): the naive forms, which draw only
+// through rng, then consume the reference stream the clone must match.
+func newReferenceRun(f oracleFactory, costSample int, seed int64) *runState {
+	st := newOracleRun(f, costSample, seed)
+	st.rng = rand.New(rand.NewSource(seed))
 	return st
 }
 
@@ -133,7 +160,7 @@ func (st *runState) scatter() {
 
 // checkCost keeps and prepares sample for a move of v alone and
 // compares the pruned and naive costs of v bit for bit.
-func checkCost(tb testing.TB, st *runState, v int, sample []int) {
+func checkCost(tb testing.TB, st *runState, v int, sample []int32) {
 	tb.Helper()
 	st.keep(sample, v, 0, false)
 	st.prepare()
@@ -143,7 +170,7 @@ func checkCost(tb testing.TB, st *runState, v int, sample []int) {
 // checkPhase compares, for each of vs, the pruned cost over the near
 // list the last keep and prepare built with the naive cost over the whole
 // sample, bit for bit, and returns the naive costs' sum.
-func checkPhase(tb testing.TB, st *runState, sample []int, phase string, vs ...int) float64 {
+func checkPhase(tb testing.TB, st *runState, sample []int32, phase string, vs ...int) float64 {
 	tb.Helper()
 	var sum float64
 	for _, v := range vs {
@@ -189,10 +216,14 @@ func TestLocalCostMatchesNaive(t *testing.T) {
 			// Hand-built samples: v's own edges (so ei meets itself),
 			// each twice, then random duplicates.
 			for v := 0; v < f.g.N; v++ {
-				inc := f.g.Incident(v)
-				sample := append(append([]int(nil), inc...), inc...)
+				var sample []int32
+				for pass := 0; pass < 2; pass++ {
+					for _, ei := range f.g.Incident(v) {
+						sample = append(sample, int32(ei))
+					}
+				}
 				for k := 0; k < 32; k++ {
-					e := st.rng.Intn(m)
+					e := int32(st.rng.Intn(m))
 					sample = append(sample, e, e)
 				}
 				checkCost(t, st, v, sample)
@@ -259,6 +290,10 @@ func TestMovePhasesMatchNaive(t *testing.T) {
 	}
 }
 
+// TestIntnerMatchesIntn draws from the clone in batches of varying
+// size, so batches straddle block refills and rejections, and checks
+// every value against rand.Intn on math/rand's own source, then that
+// both streams stand at the same output.
 func TestIntnerMatchesIntn(t *testing.T) {
 	ns := []int{1, 2, 3, 400, 492, 1112, 1 << 20, 1<<31 - 1}
 	// 3·2^k straddles each power of two; near 2^31 the rejection bound
@@ -267,16 +302,23 @@ func TestIntnerMatchesIntn(t *testing.T) {
 		ns = append(ns, 3<<k)
 	}
 	ns = append(ns, 1<<30+1, 1<<31-2)
+	buf := make([]int32, 1000)
 	for _, seed := range []int64{1, 2, 99, -7} {
 		for _, n := range ns {
-			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			var src source
+			src.Seed(seed)
+			want := rand.New(rand.NewSource(seed))
 			d := newIntner(n)
-			for i := 0; i < 10000; i++ {
-				if g, w := d.draw(got), want.Intn(n); g != w {
-					t.Fatalf("seed %d, n %d, draw %d: intner gives %d, Intn %d", seed, n, i, g, w)
+			for i, size := 0, 1; i < 10000; i, size = i+size, size%997+1 {
+				got := buf[:size]
+				d.fill(&src, got)
+				for j, g := range got {
+					if w := want.Intn(n); int(g) != w {
+						t.Fatalf("seed %d, n %d, draw %d: intner gives %d, Intn %d", seed, n, i+j, g, w)
+					}
 				}
 			}
-			if got.Int63() != want.Int63() {
+			if src.Int63() != want.Int63() {
 				t.Fatalf("seed %d, n %d: intner consumed the stream differently from Intn", seed, n)
 			}
 		}
@@ -286,8 +328,10 @@ func TestIntnerMatchesIntn(t *testing.T) {
 // FuzzLocalCostOracle replays a move sequence through tryMove on one run
 // and through tryMoveNaive on a twin run with the same seed, and asserts
 // that every decision agrees and that, after each move, the edge-box
-// cache matches the placement and the pruned and naive costs of the
-// moved vertex and a random other one agree bit for bit. The fuzzer
+// cache matches the placement, the pruned and naive costs of the moved
+// vertex and a random other one agree bit for bit, and both runs' streams
+// stand at the same output. The twin is a reference run, so its samples
+// come from math/rand, one Intn call per edge. The fuzzer
 // picks the seed, the factory (bit 0 of shape), whether to scatter the
 // start (bit 1), costSample and the move count; the moves
 // themselves come from a stream seeded by seed, which keeps inputs a few
@@ -302,7 +346,7 @@ func FuzzLocalCostOracle(f *testing.F) {
 		fact := facts[shape&1]
 		cs := 1 + int(costSample)%700
 		st := newOracleRun(fact, cs, seed)
-		ref := newOracleRun(fact, cs, seed)
+		ref := newReferenceRun(fact, cs, seed)
 		if shape&2 != 0 {
 			st.scatter()
 			ref.scatter()
@@ -310,15 +354,18 @@ func FuzzLocalCostOracle(f *testing.F) {
 		// The moves and cost checks draw from their own stream, so the
 		// twin runs' streams stay in lockstep.
 		r := rand.New(rand.NewSource(seed))
-		sample := make([]int, cs)
+		sample := make([]int32, cs)
 		deltas := [4]layout.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
 		for i := 0; i < int(moves)%65; i++ {
 			v, d := r.Intn(fact.g.N), deltas[r.Intn(4)]
 			if got, want := st.tryMove(v, d), ref.tryMoveNaive(v, d); got != want {
 				t.Fatalf("move %d of vertex %d: tryMove = %v, naive gate = %v", i, v, got, want)
 			}
+			if g, w := st.rng.Int63(), ref.rng.Int63(); g != w {
+				t.Fatalf("move %d of vertex %d: tryMove consumed the stream differently from the naive gate", i, v)
+			}
 			for k := range sample {
-				sample[k] = r.Intn(len(fact.g.Edges))
+				sample[k] = int32(r.Intn(len(fact.g.Edges)))
 			}
 			checkBoxes(t, st)
 			checkCost(t, st, v, sample)
@@ -407,9 +454,12 @@ func (st *runState) forceOnNaive(v int, poles []int) (fx, fy float64) {
 }
 
 // FuzzForceOnOracle computes forces on one run and with forceOnNaive on
-// a twin run with the same seed, and asserts equal fx and fy bits and
-// equal rng consumption at every vertex it visits. Between visits both
-// runs take the same tryMove, so the placement drifts as a run's does.
+// a reference twin with the same seed, and asserts equal fx and fy bits
+// and equal stream consumption at every vertex it visits: the run draws
+// from the clone in batches, the twin one rng.Intn at a time from
+// math/rand. Between visits the run takes tryMove and the twin
+// tryMoveNaive, which must agree, so the placement drifts as a run's
+// does.
 // The fuzzer picks the seed, the factory (bit 0 of shape), whether to
 // scatter the start (bit 1), whether dipoles are off (bit 2), costSample
 // and the visit count; vertices, poles and moves come from a stream
@@ -424,7 +474,7 @@ func FuzzForceOnOracle(f *testing.F) {
 		fact := facts[shape&1]
 		cs := 1 + int(costSample)%700
 		st := newOracleRun(fact, cs, seed)
-		ref := newOracleRun(fact, cs, seed)
+		ref := newReferenceRun(fact, cs, seed)
 		if shape&2 != 0 {
 			st.scatter()
 			ref.scatter()
@@ -448,7 +498,7 @@ func FuzzForceOnOracle(f *testing.F) {
 				t.Fatalf("visit %d: forceOn(%d) consumed the stream differently from the naive form", i, v)
 			}
 			d := layout.Point{X: r.Intn(3) - 1, Y: r.Intn(3) - 1}
-			if st.tryMove(v, d) != ref.tryMove(v, d) {
+			if st.tryMove(v, d) != ref.tryMoveNaive(v, d) {
 				t.Fatalf("visit %d: twin runs diverged on a move of %d", i, v)
 			}
 		}

@@ -120,6 +120,12 @@ type Provision struct {
 // concurrently on the sweep engine's worker pool (Requirements.Workers);
 // the reduction walks them in submission order, so the winner — and
 // every tie-break — is identical to the serial scan's.
+//
+// With no plan, the error tells a target no candidate's error reaches
+// from one that some candidate reaches only with a farm that cannot be
+// built: 1e17 or more runs per success, 2^53 or more factories, more
+// physical qubits or buffered states than an int counts, or more than
+// MaxModules modules.
 func Plan(req Requirements) (*Provision, error) {
 	if err := req.fill(); err != nil {
 		return nil, err
@@ -127,12 +133,15 @@ func Plan(req Requirements) (*Provision, error) {
 	target := req.ErrorBudget / req.TCount
 	eng := sweep.New(sweep.Options{Workers: req.Workers})
 	candidates, err := sweep.Map(context.Background(), eng, req.CandidateKs,
-		func(_ int, k int) (*Provision, error) { return planForK(req, k, target) })
+		func(_ int, k int) (kPlan, error) { return planForK(req, k, target) })
 	if err != nil {
 		return nil, err
 	}
 	var best *Provision
-	for _, prov := range candidates {
+	reached := false
+	for _, c := range candidates {
+		reached = reached || c.reached
+		prov := c.prov
 		if prov == nil {
 			continue
 		}
@@ -141,17 +150,30 @@ func Plan(req Requirements) (*Provision, error) {
 			best = prov
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("plan: no candidate reaches per-state error %g from inject error %g",
-			target, req.Errors.InjectError)
+	switch {
+	case best != nil:
+		return best, nil
+	case reached:
+		return nil, fmt.Errorf("plan: candidates reach per-state error %g from inject error %g, but none is attainable "+
+			"(1e17 or more runs per success, 2^53 or more factories, too many qubits to count, or over %d modules)",
+			target, req.Errors.InjectError, req.MaxModules)
 	}
-	return best, nil
+	return nil, fmt.Errorf("plan: no candidate reaches per-state error %g from inject error %g",
+		target, req.Errors.InjectError)
+}
+
+// kPlan is one block size's outcome: its provision, if any, and whether
+// some depth's output error reaches the target at all.
+type kPlan struct {
+	prov    *Provision
+	reached bool
 }
 
 // planForK scans recursion depths for one block size and provisions the
 // shallowest viable depth (deeper recursion only costs more for a given
-// k); nil means no depth works for this k.
-func planForK(req Requirements, k int, target float64) (*Provision, error) {
+// k); a nil provision means no depth works for this k.
+func planForK(req Requirements, k int, target float64) (kPlan, error) {
+	var res kPlan
 	for levels := 1; levels <= req.MaxLevels; levels++ {
 		p := bravyi.Params{K: k, Levels: levels, Reuse: levels >= 2, Barriers: true}
 		errs := req.Errors.RoundErrors(p)
@@ -159,19 +181,21 @@ func planForK(req Requirements, k int, target float64) (*Provision, error) {
 		if out > target {
 			continue
 		}
+		res.reached = true
 		if p.TotalModules() > req.MaxModules {
-			return nil, nil // wider K at deeper levels only grows further
+			return res, nil // wider K at deeper levels only grows further
 		}
 		prov, err := provisionFor(req, p, target, out)
 		if err != nil {
-			return nil, err
+			return res, err
 		}
 		if prov == nil {
 			continue // throughput unattainable (success prob ~ 0)
 		}
-		return prov, nil
+		res.prov = prov
+		return res, nil
 	}
-	return nil, nil
+	return res, nil
 }
 
 func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Provision, error) {

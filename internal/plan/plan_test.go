@@ -117,8 +117,29 @@ func TestPlanUnreachableTarget(t *testing.T) {
 	req := baseReq()
 	// Inject error so hot that distillation diverges for every k.
 	req.Errors = resource.ErrorModel{PhysError: 1e-3, InjectError: 0.2, Threshold: 1e-2}
-	if _, err := Plan(req); err == nil {
-		t.Error("divergent working point produced a plan")
+	_, err := Plan(req)
+	if err == nil {
+		t.Fatal("divergent working point produced a plan")
+	}
+	if !strings.Contains(err.Error(), "no candidate reaches per-state error") {
+		t.Errorf("unreachable target reported as %q", err)
+	}
+}
+
+// TestPlanUnattainableTarget pins a working point where K=3 L=3 reaches
+// 3.9e-12, under the 5e-12 target, but needs about 7e13 factories, whose
+// qubits an int cannot count, and K=5 does no better. The error must say
+// that candidates reach the target, not that none does.
+func TestPlanUnattainableTarget(t *testing.T) {
+	req := Requirements{TCount: 1e11, ErrorBudget: 0.5, DemandRate: 9.23, Headroom: 1.27,
+		CandidateKs: []int{3, 5}, MaxModules: 20000}
+	prov, err := Plan(req)
+	if err == nil {
+		t.Fatalf("unattainable working point produced a plan: %+v", *prov)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "candidates reach per-state error 5e-12") ||
+		!strings.Contains(msg, "none is attainable") {
+		t.Errorf("unattainable target reported as %q", msg)
 	}
 }
 
