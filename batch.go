@@ -30,7 +30,9 @@ type BatchOptions struct {
 	// finished point with the running done count and the batch total,
 	// serialized by the engine.
 	Progress func(done, total int)
-	// Context cancels the batch between points (nil means Background).
+	// Context cancels the batch (nil means Background). It reaches each
+	// point's pipeline stages: a cancel skips the points not yet
+	// started and stops a point in flight at its next stage boundary.
 	Context context.Context
 	// Checkpoint, when non-empty, backs the batch with a durable result
 	// store in that directory (created or crash-recovered on open):

@@ -5,7 +5,6 @@
 //
 //	paperbench [-seed N] [-quick] [-parallel N] [-progress] [-checkpoint DIR] [artifact ...]
 //	paperbench preset NAME [-parallel N] [-checkpoint DIR]   # run a named sweep suite
-//	paperbench -bench FILE        # machine-readable perf snapshot, then exit
 //	paperbench -cpuprofile FILE [-memprofile FILE] [artifact ...]
 //
 // Artifacts: fig6 fig7a fig7b fig9ab fig9d fig10a fig10b table1 all
@@ -42,13 +41,9 @@
 // ("checkpoint: N from store, M computed, K records") prints on stderr
 // at exit so resumed runs can verify they recomputed nothing.
 //
-// -bench FILE runs the repo's simulator/stitcher perf workloads in
-// process and writes a machine-readable JSON snapshot (see bench.go) to
-// FILE ("-" for stdout), then exits; CI archives these and
-// BENCH_PR2.json pins the PR-2 before/after numbers. -cpuprofile and
-// -memprofile capture pprof profiles of whatever artifacts (or -bench
-// suite) the invocation runs — the profiling workflow is documented in
-// DESIGN.md.
+// -cpuprofile and -memprofile capture pprof profiles of whatever
+// artifacts the invocation runs; the profiling workflow is documented
+// in DESIGN.md.
 package main
 
 import (
@@ -73,7 +68,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "sweep-engine workers per experiment grid (1 = serial)")
 	progress := flag.Bool("progress", false, "report per-artifact grid progress on stderr")
-	benchOut := flag.String("bench", "", "run the perf workloads and write a JSON snapshot to this file (- for stdout), then exit")
 	checkpoint := flag.String("checkpoint", "", "durable result store directory; resumed runs skip already-stored points")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -136,14 +130,6 @@ func main() {
 		}
 	}
 	defer stopProfiles()
-
-	if *benchOut != "" {
-		if err := runBenchSuite(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitWith(1)
-		}
-		return
-	}
 
 	// `paperbench preset <name>` runs a named sweep suite and prints one
 	// JSON result per line — the same points and bytes msfud's
@@ -216,8 +202,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			exitWith(1)
 		}
-		defer f.Close()
-		experiments.CSV(f, header, rows)
+		err = experiments.CSV(f, header, rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err) // an *os.PathError: it names the file
+			exitWith(1)
+		}
 	}
 
 	if len(artifacts) == 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -200,8 +201,40 @@ func TestKForCapacity(t *testing.T) {
 
 func TestCSV(t *testing.T) {
 	var buf bytes.Buffer
-	CSV(&buf, []string{"a", "b"}, [][]string{{"1", "2"}})
+	if err := CSV(&buf, []string{"a", "b"}, [][]string{{"1", "2"}}); err != nil {
+		t.Fatal(err)
+	}
 	if buf.String() != "a,b\n1,2\n" {
 		t.Errorf("csv = %q", buf.String())
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errWriterFull = errors.New("writer full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errWriterFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestCSVReturnsWriteError: a write that fails in the header, in a row
+// or in the last row is returned, not swallowed.
+func TestCSVReturnsWriteError(t *testing.T) {
+	header := []string{"a", "b"}
+	rows := [][]string{{"1", "2"}, {"3", "4"}}
+	for _, n := range []int{0, 2, 4, 9, 11} {
+		if err := CSV(&failingWriter{n: n}, header, rows); !errors.Is(err, errWriterFull) {
+			t.Errorf("write failing after %d bytes: err = %v, want %v", n, err, errWriterFull)
+		}
+	}
+	if err := CSV(&failingWriter{n: 12}, header, rows); err != nil {
+		t.Errorf("12-byte writer fits the whole CSV, got %v", err)
 	}
 }

@@ -169,10 +169,16 @@ func orderedCapacities(rows []Fig10Row) []int {
 }
 
 // CSV renders any row set as comma-separated values via a header and a
-// row formatter; experiments use it to dump plot-ready data.
-func CSV(w io.Writer, header []string, rows [][]string) {
-	fmt.Fprintln(w, strings.Join(header, ","))
-	for _, r := range rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
+// row formatter; experiments use it to dump plot-ready data. It stops
+// at and returns the first write error.
+func CSV(w io.Writer, header []string, rows [][]string) error {
+	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
+		return err
 	}
+	for _, r := range rows {
+		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
