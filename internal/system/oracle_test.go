@@ -238,6 +238,39 @@ func TestSimulateMatchesCountdown(t *testing.T) {
 			MaintenanceReserve: 6, Seed: 4},
 		{FactoryLatency: 720, BatchSize: 1, SuccessProb: 0.001051939548227095, Factories: 64, BufferSize: 4,
 			DemandRate: 0.0003, Cycles: 21600, Seed: 1},
+		// The two farms plan.Plan simulates for msfbench's applications:
+		// fluid-scaled rates with a few arrivals per horizon.
+		{FactoryLatency: 840, BatchSize: 8, SuccessProb: 6.206168257965763e-07, Factories: 64, BufferSize: 8,
+			DemandRate: 3.1523192371621303e-07, Cycles: 25200, Seed: 1},
+		{FactoryLatency: 720, BatchSize: 1, SuccessProb: 0.001051939548227095, Factories: 64, BufferSize: 1,
+			DemandRate: 7.790831590878706e-05, Cycles: 21600, Seed: 1},
+	}
+	// Occupancy partial sums past 2^53, where the float sum rounds.
+	for i, batch := range []int{3<<48 + 1, 1<<52 - 3, 12345678901} {
+		cases = append(cases, Config{FactoryLatency: 3, BatchSize: batch, SuccessProb: 0.5, Factories: 2,
+			BufferSize: 1<<52 - 1, DemandRate: 0.7, Cycles: 2000, Seed: int64(i)})
+	}
+	// Rates at the demand stepper's edge cases, on a small farm.
+	for i, r := range edgeRates {
+		cases = append(cases,
+			Config{FactoryLatency: 50, BatchSize: 2, SuccessProb: 0.6, Factories: 3, BufferSize: 5,
+				DemandRate: r, Cycles: 3000, Seed: int64(i)},
+			Config{FactoryLatency: 7, BatchSize: 1, SuccessProb: 0.9, Factories: 2, BufferSize: 0,
+				DemandRate: r, Cycles: 500, MaintenanceReserve: 3, Seed: int64(i)})
+	}
+	// Long horizons at small rates, the planner's regime.
+	for i := 0; i < 40; i++ {
+		lat := 1 + rng.Intn(1000)
+		cases = append(cases, Config{
+			FactoryLatency: lat,
+			BatchSize:      1 + rng.Intn(10),
+			SuccessProb:    math.Exp(-12 * rng.Float64()),
+			Factories:      1 + rng.Intn(64),
+			BufferSize:     rng.Intn(20),
+			DemandRate:     math.Exp(-20 * rng.Float64()),
+			Cycles:         1 + rng.Intn(30*lat),
+			Seed:           rng.Int63(),
+		})
 	}
 	for i := 0; i < 300; i++ {
 		cases = append(cases, Config{
@@ -264,14 +297,107 @@ func FuzzFarmSimulateOracle(f *testing.F) {
 	f.Add(9, 4, 0.5, 4, 12, 0.8, 500, 6, int64(4))     // a maintenance reserve
 	f.Add(13, 5, 0.3, 13, 20, 1.5, 500, 10, int64(5))  // F = L
 	f.Add(0, 1, 0.5, 1, 1, 0.1, 10, 0, int64(6))       // invalid: both reject
+	// The planner's two farms.
+	f.Add(840, 8, 6.206168257965763e-07, 64, 8, 3.1523192371621303e-07, 25200, 0, int64(1))
+	f.Add(720, 1, 0.001051939548227095, 64, 1, 7.790831590878706e-05, 21600, 0, int64(1))
+	for i, r := range edgeRates {
+		f.Add(50, 2, 0.6, 3, 5, r, 3000, 0, int64(7+i))
+	}
 	f.Fuzz(func(t *testing.T, latency, batch int, p float64, factories, buffer int, demand float64,
 		cycles, reserve int, seed int64) {
 		// Keep a case small: the countdown is O(cycles x factories).
-		if latency > 1000 || factories > 200 || cycles > 5000 || batch > 1000 ||
+		if latency > 1000 || factories > 200 || cycles > 1<<15 || cycles*factories > 1<<21 || batch > 1000 ||
 			buffer > 1<<20 || reserve > 1<<20 || demand > 1000 {
 			t.Skip()
 		}
 		checkSimulate(t, Config{FactoryLatency: latency, BatchSize: batch, SuccessProb: p, Factories: factories,
 			BufferSize: buffer, DemandRate: demand, Cycles: cycles, MaintenanceReserve: reserve, Seed: seed})
 	})
+}
+
+// edgeRates are demand rates at the edges of demand.quiet's jump.
+var edgeRates = []float64{
+	3.0 / 14,               // an add rounds to exactly 1.0, an arrival, at cycle 13
+	0.1,                    // 0.2+0.1 is a tie, broken up to 0.30000000000000004
+	0x1p-12 + 0x1p-54,      // a tie on every add in [1/2, 1), adding the even m
+	0x1p-12 + 0x3p-54,      // a tie on every add in [1/2, 1), adding m+1
+	1,                      // an arrival every cycle
+	2.5,                    // several arrivals a cycle
+	1 - 0x1p-53,            // just below 1
+	0x1p-40,                // a power of two: every add exact
+	5e-324,                 // the smallest subnormal
+	0x3p-1030,              // a subnormal with more than one bit
+	0x1p-1022,              // the smallest normal
+	3.1523192371621303e-07, // the planner's rates
+	7.790831590878706e-05,
+}
+
+// naiveArrivals steps the demand accumulator acc += r; for acc >= 1 {
+// acc-- } for n cycles, and returns each cycle's arrivals and the
+// accumulator after it.
+func naiveArrivals(r float64, n int) ([]int, []float64) {
+	arr, accs := make([]int, n), make([]float64, n)
+	acc := 0.0
+	for t := range n {
+		acc += r
+		for acc >= 1 {
+			acc--
+			arr[t]++
+		}
+		accs[t] = acc
+	}
+	return arr, accs
+}
+
+// TestDemandQuietMatchesAccumulator drives the accumulator by
+// demand.quiet, with a real add on each cycle it stops at, and checks
+// every stretch against the per-cycle accumulator: no arrival inside,
+// acc bit for bit at its end, and an arrival on the cycle after it
+// unless the limit cut it short.
+func TestDemandQuietMatchesAccumulator(t *testing.T) {
+	const cycles = 100_000
+	rng := rand.New(rand.NewSource(1))
+	rates := append([]float64{0}, edgeRates...)
+	for range 40 {
+		rates = append(rates, math.Exp(-40*rng.Float64()))
+	}
+	for _, r := range rates {
+		arr, accs := naiveArrivals(r, cycles)
+		for _, limit := range []int{cycles, 1, 37, 1000} {
+			acc, q := 0.0, demand{rate: r}
+			for c := 0; c < cycles; {
+				lim := min(limit, cycles-c)
+				var k int
+				acc, k = q.quiet(acc, lim)
+				if k < 0 || k > lim {
+					t.Fatalf("r=%v cycle %d: %d steps for limit %d", r, c, k, lim)
+				}
+				for i := c; i < c+k; i++ {
+					if arr[i] != 0 {
+						t.Fatalf("r=%v limit %d: stepped over the arrival at cycle %d", r, limit, i)
+					}
+				}
+				if k > 0 && math.Float64bits(acc) != math.Float64bits(accs[c+k-1]) {
+					t.Fatalf("r=%v limit %d: acc %v after cycle %d, want %v", r, limit, acc, c+k-1, accs[c+k-1])
+				}
+				if c += k; c == cycles {
+					break
+				}
+				if k < lim && arr[c] == 0 {
+					t.Fatalf("r=%v limit %d: stopped at cycle %d, which has no arrival", r, limit, c)
+				}
+				acc += r
+				got := 0
+				for acc >= 1 {
+					acc--
+					got++
+				}
+				if got != arr[c] || math.Float64bits(acc) != math.Float64bits(accs[c]) {
+					t.Fatalf("r=%v limit %d cycle %d: %d arrivals and acc %v, want %d and %v",
+						r, limit, c, got, acc, arr[c], accs[c])
+				}
+				c++
+			}
+		}
+	}
 }

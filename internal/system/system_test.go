@@ -1,6 +1,9 @@
 package system
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func base() Config {
 	return Config{
@@ -33,6 +36,37 @@ func TestValidate(t *testing.T) {
 	bad.DemandRate = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative demand should fail")
+	}
+	// Inputs on which Simulate used to spin forever (a demand rate at or
+	// past 2^53, where acc-1 == acc) or run on a NaN. Validate is checked
+	// first, so a regression fails here instead of hanging in Simulate.
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"demand +Inf", func(c *Config) { c.DemandRate = math.Inf(1) }},
+		{"demand -Inf", func(c *Config) { c.DemandRate = math.Inf(-1) }},
+		{"demand NaN", func(c *Config) { c.DemandRate = math.NaN() }},
+		{"demand 2^53", func(c *Config) { c.DemandRate = 1 << 53 }},
+		{"demand 2^54", func(c *Config) { c.DemandRate = 1 << 54 }},
+		{"success NaN", func(c *Config) { c.SuccessProb = math.NaN() }},
+		{"success +Inf", func(c *Config) { c.SuccessProb = math.Inf(1) }},
+		{"success -Inf", func(c *Config) { c.SuccessProb = math.Inf(-1) }},
+	} {
+		bad = base()
+		c.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted %+v", c.name, bad)
+		}
+		if _, err := Simulate(bad); err == nil {
+			t.Fatalf("%s: Simulate accepted %+v", c.name, bad)
+		}
+	}
+	// The largest rate below 2^53 stays valid.
+	ok := base()
+	ok.DemandRate = 1<<53 - 1
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("demand 2^53-1: %v", err)
 	}
 }
 
