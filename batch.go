@@ -119,7 +119,7 @@ func optimizeConfig(spec FactorySpec, opts Options) (core.Config, error) {
 			Defects:        opts.Defects,
 		}, nil
 	}
-	p, err := spec.Params()
+	p, err := spec.params()
 	if err != nil {
 		return core.Config{}, err
 	}

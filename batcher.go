@@ -1,13 +1,10 @@
 package magicstate
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
-	"magicstate/internal/core"
 	"magicstate/internal/store"
 	"magicstate/internal/sweep"
 )
@@ -31,33 +28,6 @@ type BatcherOptions struct {
 	// harnesses can exercise store failure recovery deliberately; leave
 	// it empty in production. Ignored without a Checkpoint.
 	StoreFaults string
-
-	// The three hooks below are the batcher's cluster surface, used by
-	// cmd/msfud to stitch batchers on different machines into one
-	// sharded cache. They deal in raw keys (the 32-byte canonical
-	// config address, see PointKey) and raw record payloads, so no
-	// internal types leak into the public API. All are optional and all
-	// are best-effort: a hook returning ok=false simply means "proceed
-	// locally".
-
-	// RemoteFetch, when set with a Checkpoint, is consulted on a
-	// checkpoint-store miss before computing: it may return the record
-	// payload for a key from elsewhere (a cluster peer), for a point's
-	// final record or for one of its stage artifacts. Returned payloads
-	// must decode as stored records of the wanted kind — final records
-	// strictly, with no unknown fields — or they are treated as misses
-	// and never admitted.
-	RemoteFetch func(ctx context.Context, key [32]byte) ([]byte, bool)
-	// RemoteEval, when set, is offered each cacheable point that missed
-	// every cache tier before it is computed locally: given the point's
-	// key and its config JSON, it may return the record payload computed
-	// by the point's owning node. The payload is checked like a
-	// RemoteFetch final record before it is served or stored.
-	RemoteEval func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool)
-	// OnStore, when set with a Checkpoint, observes every record freshly
-	// persisted to the checkpoint store (replication feed). It is called
-	// outside store locks and must treat the payload as read-only.
-	OnStore func(key [32]byte, payload []byte)
 }
 
 // Batcher is a reusable optimization runner that carries one cache tier
@@ -95,42 +65,21 @@ func NewBatcher(opts BatcherOptions) (*Batcher, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opts.OnStore != nil {
-			onStore := opts.OnStore
-			st.SetOnPut(func(k store.Key, payload []byte) {
-				onStore(k, payload)
-			})
-		}
-	}
-	var peers sweep.Peers
-	if opts.RemoteFetch != nil || opts.RemoteEval != nil {
-		peers = peerHooks{fetch: opts.RemoteFetch, eval: opts.RemoteEval}
 	}
 	return &Batcher{
-		eng: sweep.New(sweep.Options{Workers: opts.Parallelism, Store: st, Peers: peers}),
+		eng: sweep.New(sweep.Options{Workers: opts.Parallelism, Store: st}),
 		st:  st,
 	}, nil
 }
 
-// peerHooks adapts the public RemoteFetch/RemoteEval hooks to the
-// engine's peer tier; a nil hook answers "not available".
-type peerHooks struct {
-	fetch func(ctx context.Context, key [32]byte) ([]byte, bool)
-	eval  func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool)
-}
-
-func (p peerHooks) Fetch(ctx context.Context, k store.Key) ([]byte, bool) {
-	if p.fetch == nil {
-		return nil, false
+// The sweep package's TierOf hands a batcher's engine and store to
+// cmd/msfud, which wires its cluster fabric into them, so the public
+// API never names either.
+func init() {
+	sweep.TierOf = func(b any) (*sweep.Engine, *store.Store) {
+		bt := b.(*Batcher)
+		return bt.eng, bt.st
 	}
-	return p.fetch(ctx, k)
-}
-
-func (p peerHooks) Evaluate(ctx context.Context, k store.Key, cfgJSON []byte) ([]byte, bool) {
-	if p.eval == nil {
-		return nil, false
-	}
-	return p.eval(ctx, k, cfgJSON)
 }
 
 // Optimize is Optimize routed through the batcher's cache tier: a point
@@ -175,20 +124,6 @@ func (b *Batcher) Lookup(spec FactorySpec, opts Options) (*Result, bool) {
 	return res, true
 }
 
-// PointKey returns the canonical content address of a (spec, opts)
-// point — the same key the durable store files results under — as
-// lowercase hex. Two points share a key exactly when they lower to the
-// same pipeline configuration — the identity the cluster fabric routes
-// points by. The error mirrors what Optimize would reject (invalid
-// capacity, unknown names).
-func PointKey(spec FactorySpec, opts Options) (string, error) {
-	cfg, err := optimizeConfig(spec, opts)
-	if err != nil {
-		return "", err
-	}
-	return store.KeyOf(cfg).String(), nil
-}
-
 // OptimizeBatch evaluates points like the package-level OptimizeBatch,
 // but on the batcher's shared cache tier. opts.Parallelism below the
 // batcher's width narrows the pool for this call; zero or anything
@@ -231,18 +166,8 @@ type CacheStats struct {
 	// InFlight is the number of point computations not yet finished.
 	InFlight int
 	// DiskHits counts points served from the checkpoint store instead
-	// of recomputed (always zero without a checkpoint). Points whose
-	// final record the RemoteFetch hook pulled from a peer into the
-	// local store count here too — and are broken out in PeerFetchHits.
+	// of recomputed (always zero without a checkpoint).
 	DiskHits int64
-	// PeerFetchHits counts points served by the RemoteFetch hook (a
-	// peer's final record, fetched and admitted locally), a subset of
-	// DiskHits. Stage artifacts fetched from peers during a local
-	// compute count in the Stage*Hits fields instead.
-	PeerFetchHits int64
-	// RemoteEvalHits counts points evaluated by their owning peer via
-	// the RemoteEval hook instead of computed here.
-	RemoteEvalHits int64
 	// StoredRecords is the checkpoint store's live final-record count —
 	// one per pipeline point answered.
 	StoredRecords int
@@ -274,13 +199,11 @@ func (b *Batcher) Stats() CacheStats {
 	shared, inFlight := b.eng.FlightStats()
 	ss := b.eng.StageStats()
 	cs := CacheStats{
-		MemoryHits:     hits,
-		MemoryMisses:   misses,
-		SharedFlights:  shared,
-		InFlight:       inFlight,
-		DiskHits:       b.eng.DiskHits(),
-		PeerFetchHits:  b.eng.PeerFetchHits(),
-		RemoteEvalHits: b.eng.RemoteEvalHits(),
+		MemoryHits:    hits,
+		MemoryMisses:  misses,
+		SharedFlights: shared,
+		InFlight:      inFlight,
+		DiskHits:      b.eng.DiskHits(),
 
 		StageBuildHits: ss.BuildHits, StageBuildComputes: ss.BuildComputes,
 		StagePlaceHits: ss.PlaceHits, StagePlaceComputes: ss.PlaceComputes,
@@ -294,70 +217,6 @@ func (b *Batcher) Stats() CacheStats {
 		cs.StageRecords = st.StageRecords
 	}
 	return cs
-}
-
-// RecordGet returns the raw record payload stored locally under key,
-// if any. It is the serving side of a peer's RemoteFetch: strictly
-// local — it never computes, never consults this batcher's own remote
-// hooks — so two nodes asking each other can never recurse. The
-// returned slice must be treated as read-only.
-func (b *Batcher) RecordGet(key [32]byte) ([]byte, bool) {
-	if b.st == nil {
-		return nil, false
-	}
-	return b.st.Get(key)
-}
-
-// RecordPut admits a record payload computed elsewhere into the local
-// checkpoint store, after verifying it decodes as a stored record — a
-// final result record, or a stage-framed pipeline artifact (the staged
-// pipeline replicates its intermediate artifacts over the same feed).
-// Callers (the replication receiver) have already byte-verified the
-// payload's digest, and this check makes even a digest-valid garbage
-// payload inadmissible. A batcher without a checkpoint accepts and
-// drops the record.
-func (b *Batcher) RecordPut(key [32]byte, payload []byte) error {
-	if st, body, isStage := store.StagePayload(payload); isStage {
-		if err := core.ValidateStageArtifact(st, body); err != nil {
-			return fmt.Errorf("magicstate: stage %s payload does not decode: %w", st, err)
-		}
-	} else if _, err := store.DecodeRecord(payload); err != nil {
-		return fmt.Errorf("magicstate: %w", err)
-	}
-	if b.st == nil {
-		return nil
-	}
-	return b.st.Put(key, payload)
-}
-
-// EvalConfigJSON evaluates a full pipeline configuration delivered as
-// JSON — the serving side of a peer's RemoteEval — through this
-// batcher's local cache tier, and returns the point's key and record
-// payload. The config must decode strictly (unknown fields are version
-// skew between nodes, refused rather than misread) and be cacheable
-// (trace-carrying configs have no record form). The evaluation itself
-// is local: the caller passes a context the fabric has marked
-// non-forwardable, so an owner disagreement between nodes degrades to
-// local compute, never to a forwarding loop.
-func (b *Batcher) EvalConfigJSON(ctx context.Context, cfgJSON []byte) (key [32]byte, payload []byte, err error) {
-	var cfg core.Config
-	dec := json.NewDecoder(bytes.NewReader(cfgJSON))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return key, nil, fmt.Errorf("magicstate: config does not decode: %w", err)
-	}
-	if !store.Cacheable(cfg) {
-		return key, nil, fmt.Errorf("magicstate: config is not cacheable; evaluate it locally")
-	}
-	rep, err := b.eng.RunOneContext(ctx, cfg)
-	if err != nil {
-		return key, nil, err
-	}
-	payload, err = json.Marshal(store.RecordOf(rep))
-	if err != nil {
-		return key, nil, err
-	}
-	return store.KeyOf(cfg), payload, nil
 }
 
 // sameDir reports whether two directory spellings name the same

@@ -124,9 +124,6 @@ func TestOptimizeBatchCheckpointOption(t *testing.T) {
 	}
 }
 
-// TestBatcherLookupAndPointKey covers the admission-free service fast
-// path: Lookup answers only already-paid points, and PointKey is stable
-// for identical points and distinct for different ones.
 // TestBatcherLookupCountsMemoryHits: a Lookup answered from the
 // in-memory memo is a memory hit in Stats, as a repeat Optimize is. A
 // Lookup that finds nothing moves no counter.
@@ -160,7 +157,9 @@ func TestBatcherLookupCountsMemoryHits(t *testing.T) {
 	}
 }
 
-func TestBatcherLookupAndPointKey(t *testing.T) {
+// TestBatcherLookup covers the admission-free service fast path: Lookup
+// answers only already-paid points.
+func TestBatcherLookup(t *testing.T) {
 	b, err := NewBatcher(BatcherOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -186,28 +185,6 @@ func TestBatcherLookupAndPointKey(t *testing.T) {
 	// persisted); Lookup must refuse rather than serve a pathless result.
 	if _, ok := b.Lookup(spec, Options{Trace: true}); ok {
 		t.Fatal("Lookup served a Trace point from the pathless cache")
-	}
-
-	k1, err := PointKey(spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := PointKey(spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == "" || k1 != k2 {
-		t.Fatalf("PointKey not stable: %q vs %q", k1, k2)
-	}
-	k3, err := PointKey(spec, Options{Seed: 1}.WithStrategy(RandomMapping))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 == k1 {
-		t.Fatal("distinct points share a key")
-	}
-	if _, err := PointKey(FactorySpec{Capacity: 5, Levels: 2}, Options{}); err == nil {
-		t.Fatal("PointKey accepted an invalid spec")
 	}
 }
 

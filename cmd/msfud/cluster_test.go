@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"magicstate"
+	"magicstate/internal/core"
 	"magicstate/internal/fabric"
 	"magicstate/internal/httpclient"
 	"magicstate/internal/store"
@@ -52,7 +53,8 @@ type clusterOpt struct {
 }
 
 // newTestCluster boots one server per name, each with its own store and
-// fabric, then cross-wires the peer URLs. Breakers are tuned sharp
+// fabric, then cross-wires the peer URLs. newServer joins each fabric to
+// its batcher's cache tier, as it does for run. Breakers are tuned sharp
 // (threshold 2, one-minute cooldown, single-attempt client) so failure
 // handling is deterministic within a test.
 func newTestCluster(t *testing.T, names []string, opt clusterOpt) map[string]*clusterNode {
@@ -74,19 +76,7 @@ func newTestCluster(t *testing.T, names []string, opt clusterOpt) map[string]*cl
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := magicstate.NewBatcher(magicstate.BatcherOptions{
-			Parallelism: 2,
-			Checkpoint:  t.TempDir(),
-			RemoteFetch: func(ctx context.Context, key [32]byte) ([]byte, bool) {
-				return fab.Fetch(ctx, key)
-			},
-			RemoteEval: func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool) {
-				return fab.Evaluate(ctx, key, cfgJSON)
-			},
-			OnStore: func(key [32]byte, payload []byte) {
-				fab.NotifyPut(key, payload)
-			},
-		})
+		b, err := magicstate.NewBatcher(magicstate.BatcherOptions{Parallelism: 2, Checkpoint: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,19 +117,11 @@ func newTestCluster(t *testing.T, names []string, opt clusterOpt) map[string]*cl
 }
 
 // clusterPointKey derives the store key the cluster routes on for the
-// fixed (capacity 4, level 1) test point family, varying only the seed.
+// fixed (capacity 4, level 1) test point family, varying only the seed:
+// the config a default-strategy optimize request lowers to.
 func clusterPointKey(t *testing.T, seed int64) store.Key {
 	t.Helper()
-	hexKey, err := magicstate.PointKey(
-		magicstate.FactorySpec{Capacity: 4, Levels: 1}, magicstate.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := store.ParseKey(hexKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
+	return store.KeyOf(core.Config{K: 4, Levels: 1, Strategy: core.StrategyLinear, Seed: seed})
 }
 
 // planSeeds picks one distinct seed per requested owner, in order, by
@@ -207,14 +189,16 @@ func serialBaseline(t *testing.T, seeds []int64) []string {
 }
 
 // TestClusterPeerReadThrough: a record computed at its owner is served
-// to the rest of the cluster by fetch, not recomputation.
+// to the rest of the cluster by fetch, not recomputation; a point its
+// owner has never seen is evaluated there on the asker's behalf, and
+// the asker persists the result.
 func TestClusterPeerReadThrough(t *testing.T) {
 	names := []string{"pa", "pb"}
 	ring, err := fabric.NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := planSeeds(t, ring, []string{"pb"})
+	seeds := planSeeds(t, ring, []string{"pb", "pb"})
 	baseline := serialBaseline(t, seeds)
 	req := optimizeRequest{Capacity: 4, Levels: 1, Seed: seeds[0]}
 
@@ -229,8 +213,29 @@ func TestClusterPeerReadThrough(t *testing.T) {
 	if ps.FetchHits != 1 || ps.Forwards != 0 {
 		t.Fatalf("peer pb counters = %+v, want exactly one fetch hit and no forwards", ps)
 	}
-	if st := nodes["pa"].b.Stats(); st.PeerFetchHits != 1 {
-		t.Fatalf("PeerFetchHits = %d, want 1", st.PeerFetchHits)
+	if hits := nodes["pa"].srv.eng.PeerFetchHits(); hits != 1 {
+		t.Fatalf("PeerFetchHits = %d, want 1", hits)
+	}
+
+	// A point pb has never seen: pa's fetch misses, and the evaluation
+	// is forwarded to pb.
+	req2 := optimizeRequest{Capacity: 4, Levels: 1, Seed: seeds[1]}
+	if code, body := optimizeBody(t, nodes["pa"].ts.URL, req2); code != http.StatusOK || body != baseline[1] {
+		t.Fatalf("forwarded eval: status %d body %s, want 200 %s", code, body, baseline[1])
+	}
+	ps = peerSnap(t, nodes["pa"].fab, "pb")
+	if ps.FetchHits != 1 || ps.FetchMisses != 1 || ps.Forwards != 1 {
+		t.Fatalf("peer pb counters = %+v, want one fetch hit, one fetch miss and one forward", ps)
+	}
+	if hits := nodes["pa"].srv.eng.RemoteEvalHits(); hits != 1 {
+		t.Fatalf("RemoteEvalHits = %d, want 1", hits)
+	}
+	// pb computed and stored it; pa persisted the result too.
+	if code, body := optimizeBody(t, nodes["pb"].ts.URL, req2); code != http.StatusOK || body != baseline[1] {
+		t.Fatalf("owner's own answer: status %d body %s, want 200 %s", code, body, baseline[1])
+	}
+	if n := nodes["pa"].b.Stats().StoredRecords; n != 2 {
+		t.Fatalf("pa stored %d records, want 2", n)
 	}
 }
 
@@ -342,12 +347,12 @@ func TestClusterCorruptPeerNeverAdmitted(t *testing.T) {
 
 	// Every store holds the same canonical bytes — the corruption never
 	// crossed into anyone's log.
-	want, ok := nodes["nb"].b.RecordGet(k)
+	want, ok := nodes["nb"].srv.st.Get(k)
 	if !ok {
 		t.Fatal("owner nb did not store the record it computed")
 	}
 	for _, name := range []string{"na", "nc"} {
-		got, ok := nodes[name].b.RecordGet(k)
+		got, ok := nodes[name].srv.st.Get(k)
 		if !ok {
 			t.Fatalf("%s did not persist its fallback compute", name)
 		}
@@ -407,14 +412,14 @@ func TestClusterReplicationToSuccessor(t *testing.T) {
 	if code, _ := optimizeBody(t, nodes["ra"].ts.URL, req); code != http.StatusOK {
 		t.Fatalf("owner compute: status %d", code)
 	}
-	want, ok := nodes["ra"].b.RecordGet(k)
+	want, ok := nodes["ra"].srv.st.Get(k)
 	if !ok {
 		t.Fatal("owner did not store its own record")
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if got, ok := nodes[succ].b.RecordGet(k); ok {
+		if got, ok := nodes[succ].srv.st.Get(k); ok {
 			if string(got) != string(want) {
 				t.Fatalf("replica on %s = %s, origin = %s", succ, got, want)
 			}

@@ -18,6 +18,7 @@ package main
 // schedule.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"magicstate/internal/core"
 	"magicstate/internal/fabric"
 	"magicstate/internal/store"
 	"magicstate/internal/sweep"
@@ -71,7 +73,11 @@ func (s *server) handleRecordGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	payload, ok := s.batcher.RecordGet(k)
+	var payload []byte
+	ok := false
+	if s.st != nil {
+		payload, ok = s.st.Get(k)
+	}
 	if !ok {
 		httpError(w, http.StatusNotFound, "no record for %s", k)
 		return
@@ -84,8 +90,9 @@ func (s *server) handleRecordGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRecordPut accepts a record replicated from a peer. The envelope
-// must byte-verify against the key in the path AND decode as a stored
-// record; anything else is rejected with 400 and nothing is admitted.
+// must byte-verify against the key in the path AND pass
+// sweep.CheckPayload; anything else is rejected with 400 and nothing is
+// admitted. A node without a store accepts and drops the record.
 // Replication is best-effort on the sender side, so a draining node
 // simply refuses with 503.
 func (s *server) handleRecordPut(w http.ResponseWriter, r *http.Request) {
@@ -109,14 +116,23 @@ func (s *server) handleRecordPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "replication rejected: %v", err)
 		return
 	}
-	if err := s.batcher.RecordPut(k, payload); err != nil {
+	if err := sweep.CheckPayload(payload); err != nil {
 		httpError(w, http.StatusBadRequest, "replication rejected: %v", err)
 		return
+	}
+	if s.st != nil {
+		if err := s.st.Put(k, payload); err != nil {
+			httpError(w, http.StatusBadRequest, "replication rejected: %v", err)
+			return
+		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleFabricEval evaluates a forwarded point as its owner. The
+// handleFabricEval evaluates a forwarded point as its owner, through
+// this node's cache tier. The config must decode strictly (unknown
+// fields are version skew between nodes, refused rather than misread)
+// and be cacheable (trace-carrying configs have no record form). The
 // computation runs under a NoForward context — whatever this node's
 // ring says, a forwarded point is computed here, so ownership
 // disagreements between nodes degrade to local compute instead of
@@ -142,9 +158,21 @@ func (s *server) handleFabricEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	var cfg core.Config
+	dec := json.NewDecoder(bytes.NewReader(req.Config))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		httpError(w, http.StatusBadRequest, "eval: config does not decode: %v", err)
+		return
+	}
+	if !store.Cacheable(cfg) {
+		httpError(w, http.StatusBadRequest, "eval: config is not cacheable; evaluate it locally")
+		return
+	}
+
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	key, payload, err := s.batcher.EvalConfigJSON(sweep.WithGate(fabric.NoForward(ctx), s.adm.admit), req.Config)
+	rep, err := s.eng.RunOneContext(sweep.WithGate(fabric.NoForward(ctx), s.adm.admit), cfg)
 	if errors.Is(err, errQueueFull) {
 		s.rejectQueueFull(w)
 		return
@@ -153,10 +181,16 @@ func (s *server) handleFabricEval(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "eval: %v", err)
 		return
 	}
-	if store.Key(key) != wantKey {
+	payload, err := json.Marshal(store.RecordOf(rep))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "eval: %v", err)
+		return
+	}
+	key := store.KeyOf(cfg)
+	if key != wantKey {
 		httpError(w, http.StatusConflict,
 			"key mismatch: you derived %s, this node derives %s (canonical encoding skew?)",
-			wantKey, store.Key(key))
+			wantKey, key)
 		return
 	}
 	env := fabric.NewEnvelope(key, payload)

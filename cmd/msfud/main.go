@@ -167,11 +167,6 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl cluste
 		fmt.Println("msfud: WARNING: store fault injection active (-fault-store); not for production")
 	}
 
-	opts := magicstate.BatcherOptions{
-		Parallelism: cfg.MaxParallel,
-		Checkpoint:  storeDir,
-		StoreFaults: faultSpec,
-	}
 	var fab *fabric.Fabric
 	if cl.Peers != "" || cl.NodeID != "" {
 		nodes, urls, err := parsePeers(cl.Peers)
@@ -188,15 +183,6 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl cluste
 		if err != nil {
 			return err
 		}
-		opts.RemoteFetch = func(ctx context.Context, key [32]byte) ([]byte, bool) {
-			return fab.Fetch(ctx, key)
-		}
-		opts.RemoteEval = func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool) {
-			return fab.Evaluate(ctx, key, cfgJSON)
-		}
-		opts.OnStore = func(key [32]byte, payload []byte) {
-			fab.NotifyPut(key, payload)
-		}
 		cfg.Fabric = fab
 	}
 	if cl.FaultPlan != "" {
@@ -211,11 +197,16 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl cluste
 		fmt.Println("msfud: WARNING: peer fault injection active (-fault-peer); not for production")
 	}
 
-	b, err := magicstate.NewBatcher(opts)
+	b, err := magicstate.NewBatcher(magicstate.BatcherOptions{
+		Parallelism: cfg.MaxParallel,
+		Checkpoint:  storeDir,
+		StoreFaults: faultSpec,
+	})
 	if err != nil {
 		return err
 	}
 	defer b.Close()
+	srv := newServer(b, cfg)
 
 	if fab != nil {
 		// The replication worker and breaker prober live until shutdown;
@@ -226,7 +217,6 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl cluste
 		go fab.Run(fabCtx)
 	}
 
-	srv := newServer(b, cfg)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

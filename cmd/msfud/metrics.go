@@ -10,6 +10,7 @@ import (
 
 	"magicstate"
 	"magicstate/internal/fabric"
+	"magicstate/internal/sweep"
 )
 
 // metrics is the service's single observability registry: every counter
@@ -35,6 +36,7 @@ type metrics struct {
 
 	// Live sources, wired once at construction.
 	batcher      *magicstate.Batcher
+	eng          *sweep.Engine // the batcher's engine, for the peer-tier counters
 	adm          *admission
 	rl           *rateLimiter
 	jobsInFlight func() int
@@ -47,12 +49,13 @@ type reqSeries struct {
 	code int
 }
 
-func newMetrics(b *magicstate.Batcher, adm *admission, rl *rateLimiter, jobsInFlight func() int) *metrics {
+func newMetrics(b *magicstate.Batcher, eng *sweep.Engine, adm *admission, rl *rateLimiter, jobsInFlight func() int) *metrics {
 	return &metrics{
 		started:      time.Now(),
 		requests:     make(map[reqSeries]*int64),
 		latency:      newHistogram(),
 		batcher:      b,
+		eng:          eng,
 		adm:          adm,
 		rl:           rl,
 		jobsInFlight: jobsInFlight,
@@ -159,8 +162,8 @@ func (m *metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_hits_total In-memory memo hits.\n# TYPE msfud_cache_memory_hits_total counter\nmsfud_cache_memory_hits_total %d\n", cs.MemoryHits)
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_misses_total In-memory memo misses.\n# TYPE msfud_cache_memory_misses_total counter\nmsfud_cache_memory_misses_total %d\n", cs.MemoryMisses)
 	fmt.Fprintf(w, "# HELP msfud_cache_disk_hits_total Points served from the durable store.\n# TYPE msfud_cache_disk_hits_total counter\nmsfud_cache_disk_hits_total %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# HELP msfud_cache_peer_fetch_hits_total Points served by fetching a peer's final record (subset of disk hits).\n# TYPE msfud_cache_peer_fetch_hits_total counter\nmsfud_cache_peer_fetch_hits_total %d\n", cs.PeerFetchHits)
-	fmt.Fprintf(w, "# HELP msfud_cache_remote_eval_hits_total Points computed by their owning peer on this node's behalf.\n# TYPE msfud_cache_remote_eval_hits_total counter\nmsfud_cache_remote_eval_hits_total %d\n", cs.RemoteEvalHits)
+	fmt.Fprintf(w, "# HELP msfud_cache_peer_fetch_hits_total Points served by fetching a peer's final record (subset of disk hits).\n# TYPE msfud_cache_peer_fetch_hits_total counter\nmsfud_cache_peer_fetch_hits_total %d\n", m.eng.PeerFetchHits())
+	fmt.Fprintf(w, "# HELP msfud_cache_remote_eval_hits_total Points computed by their owning peer on this node's behalf.\n# TYPE msfud_cache_remote_eval_hits_total counter\nmsfud_cache_remote_eval_hits_total %d\n", m.eng.RemoteEvalHits())
 	fmt.Fprintf(w, "# HELP msfud_store_records Live final records in the durable store.\n# TYPE msfud_store_records gauge\nmsfud_store_records %d\n", cs.StoredRecords)
 	fmt.Fprintf(w, "# HELP msfud_store_bytes Durable store log size in bytes.\n# TYPE msfud_store_bytes gauge\nmsfud_store_bytes %d\n", cs.StoredBytes)
 	fmt.Fprintf(w, "# HELP msfud_store_stage_records Live stage artifacts in the durable store.\n# TYPE msfud_store_stage_records gauge\nmsfud_store_stage_records %d\n", cs.StageRecords)

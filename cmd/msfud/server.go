@@ -16,6 +16,7 @@ import (
 	"magicstate"
 	"magicstate/internal/fabric"
 	"magicstate/internal/presets"
+	"magicstate/internal/store"
 	"magicstate/internal/sweep"
 )
 
@@ -53,9 +54,10 @@ type serverConfig struct {
 	// pipeline, so timed-out work stops at the next stage boundary.
 	RequestTimeout time.Duration
 	// Fabric, when non-nil, joins this node to a consistent-hash
-	// cluster: the peer endpoints (/v1/record, /v1/fabric/eval,
-	// /v1/ping) and the cluster view (/v1/cluster) are registered, and
-	// fabric counters join /v1/stats and /metrics.
+	// cluster: newServer makes it the batcher's peer tier and its
+	// store's replication feed, the peer endpoints (/v1/record,
+	// /v1/fabric/eval, /v1/ping) and the cluster view (/v1/cluster) are
+	// registered, and fabric counters join /v1/stats and /metrics.
 	Fabric *fabric.Fabric
 	// PeerFaults is the TESTING ONLY peer-layer fault plan
 	// (-fault-peer): scheduled drops, stalls and corruptions applied to
@@ -70,7 +72,11 @@ type serverConfig struct {
 // same compute budget.
 type server struct {
 	batcher *magicstate.Batcher
-	cfg     serverConfig
+	// eng and st are the batcher's engine and store (st is nil when
+	// memory-only), which the peer endpoints serve from directly.
+	eng *sweep.Engine
+	st  *store.Store
+	cfg serverConfig
 
 	adm *admission
 	rl  *rateLimiter
@@ -106,9 +112,22 @@ type job struct {
 }
 
 // newServer wires a server around a batcher under the given budget.
+// With cfg.Fabric set it also joins the batcher's cache tier to the
+// cluster, so call it before the batcher serves anything: the fabric
+// becomes the engine's peer tier and observes every record the store
+// persists.
 func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
+	eng, st := sweep.TierOf(b)
+	if cfg.Fabric != nil {
+		eng.SetPeers(cfg.Fabric)
+		if st != nil {
+			st.SetOnPut(cfg.Fabric.NotifyPut)
+		}
+	}
 	s := &server{
 		batcher:       b,
+		eng:           eng,
+		st:            st,
 		cfg:           cfg,
 		adm:           newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		rl:            newRateLimiter(cfg.Rate, cfg.Burst),
@@ -116,7 +135,7 @@ func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
 		streamCancels: make(map[int64]context.CancelFunc),
 		pruneFrom:     1,
 	}
-	s.met = newMetrics(b, s.adm, s.rl, s.jobsInFlight)
+	s.met = newMetrics(b, eng, s.adm, s.rl, s.jobsInFlight)
 	s.met.fabric = cfg.Fabric
 	return s
 }
@@ -812,8 +831,8 @@ func (s *server) statsPayload() map[string]any {
 			"memory_hits":      cs.MemoryHits,
 			"memory_misses":    cs.MemoryMisses,
 			"disk_hits":        cs.DiskHits,
-			"peer_fetch_hits":  cs.PeerFetchHits,
-			"remote_eval_hits": cs.RemoteEvalHits,
+			"peer_fetch_hits":  s.eng.PeerFetchHits(),
+			"remote_eval_hits": s.eng.RemoteEvalHits(),
 			"stored_records":   cs.StoredRecords,
 			"stored_bytes":     cs.StoredBytes,
 			"checkpoint_dir":   cs.CheckpointDir,

@@ -165,7 +165,7 @@ func TestOptimizeDiskHitPromotedToMemo(t *testing.T) {
 // pays through the admission gate, so a full budget answers 429 (not
 // 400); a point already cached is answered without a slot.
 func TestFabricEvalAdmission(t *testing.T) {
-	_, srv, b := newRobustServer(t, serverConfig{MaxInflight: 1, MaxQueue: 0})
+	_, srv, _ := newRobustServer(t, serverConfig{MaxInflight: 1, MaxQueue: 0})
 	eval := func(cfg core.Config) *httptest.ResponseRecorder {
 		t.Helper()
 		cfgJSON, err := json.Marshal(cfg)
@@ -178,8 +178,7 @@ func TestFabricEvalAdmission(t *testing.T) {
 		return w
 	}
 	cached := core.Config{K: 2, Levels: 1, Strategy: core.StrategyLinear}
-	cfgJSON, _ := json.Marshal(cached)
-	if _, _, err := b.EvalConfigJSON(context.Background(), cfgJSON); err != nil {
+	if _, err := srv.eng.RunOne(cached); err != nil {
 		t.Fatal(err)
 	}
 	release, err := srv.adm.acquire(context.Background())

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 
 	"magicstate/internal/core"
 	"magicstate/internal/store"
@@ -18,6 +19,20 @@ type Peers interface {
 	// cfgJSON, and returns its final-record payload.
 	Evaluate(ctx context.Context, k store.Key, cfgJSON []byte) ([]byte, bool)
 }
+
+// SetPeers adds the cluster tier beneath the store: with a store, final
+// records and stage artifacts missed locally are fetched from p, and a
+// point missed by every tier is offered to p for forwarded evaluation
+// before it is computed here. Call it once, before the engine is used
+// or derived from, like store.SetOnPut.
+func (e *Engine) SetPeers(p Peers) { e.peers = p }
+
+// TierOf returns the engine and store (nil when memory-only) behind a
+// *magicstate.Batcher, which package magicstate sets in its init. It
+// takes any because this package cannot name the root package's type;
+// it is how cmd/msfud wires its fabric into a batcher's cache tier
+// without the public API naming internal types.
+var TierOf func(batcher any) (*Engine, *store.Store)
 
 // lookup answers a cacheable cfg from the tiers beneath the memo, in
 // order: local store, peer fetch, forwarded evaluation. Final records
@@ -67,6 +82,21 @@ func fetchPeer[T any](ctx context.Context, e *Engine, k store.Key, decode func([
 	}
 	var zero T
 	return zero, false
+}
+
+// CheckPayload is admit's rule for payloads that arrive unasked (a
+// peer's replication feed): payload must decode as a stored record,
+// either a stage-framed pipeline artifact of its stage or, strictly, a
+// final record. A digest-valid payload that fails it is never stored.
+func CheckPayload(payload []byte) error {
+	if st, body, isStage := store.StagePayload(payload); isStage {
+		if err := core.ValidateStageArtifact(st, body); err != nil {
+			return fmt.Errorf("sweep: stage %s payload does not decode: %w", st, err)
+		}
+		return nil
+	}
+	_, err := store.DecodeRecord(payload)
+	return err
 }
 
 // admit is the one admission rule for bytes a peer produced for k: they

@@ -40,6 +40,12 @@ func (p *fakePeers) Evaluate(ctx context.Context, k store.Key, cfgJSON []byte) (
 	return p.eval(ctx, k, cfgJSON)
 }
 
+// withPeers sets p as e's peer tier and returns e.
+func withPeers(e *Engine, p Peers) *Engine {
+	e.SetPeers(p)
+	return e
+}
+
 // openStore opens a store in a fresh temp dir, closed at test end.
 func openStore(t *testing.T) *store.Store {
 	t.Helper()
@@ -95,7 +101,7 @@ func TestRemoteTierServesPoints(t *testing.T) {
 		payload, err := json.Marshal(store.RecordOf(rep))
 		return payload, err == nil
 	}}
-	eng := New(Options{Workers: 2, Store: st, Peers: peers})
+	eng := withPeers(New(Options{Workers: 2, Store: st}), peers)
 
 	got, err := eng.Run(context.Background(), cfgs)
 	if err != nil {
@@ -122,7 +128,7 @@ func TestRemoteTierServesPoints(t *testing.T) {
 // checks the engine computes everything itself, correctly.
 func TestRemoteTierFallsBackToLocalCompute(t *testing.T) {
 	peers := &fakePeers{}
-	eng := New(Options{Workers: 1, Peers: peers})
+	eng := withPeers(New(Options{Workers: 1}), peers)
 	reps, err := eng.Run(context.Background(), smallGrid())
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +150,7 @@ func TestRemoteTierFallsBackToLocalCompute(t *testing.T) {
 // record form, so they are never offered for forwarded eval.
 func TestRemoteTierSkipsUncacheablePoints(t *testing.T) {
 	peers := &fakePeers{}
-	eng := New(Options{Workers: 1, Store: openStore(t), Peers: peers})
+	eng := withPeers(New(Options{Workers: 1, Store: openStore(t)}), peers)
 	if _, err := eng.RunOne(core.Config{K: 2, Levels: 1, RecordPaths: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +175,7 @@ func TestPeerFetchSkipsUncacheablePoints(t *testing.T) {
 		}
 		return nil, false
 	}}
-	eng := New(Options{Workers: 1, Store: openStore(t), Peers: peers})
+	eng := withPeers(New(Options{Workers: 1, Store: openStore(t)}), peers)
 	rep, err := eng.RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +193,7 @@ func TestRemoteTierOrderBelowStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := &fakePeers{}
-	eng := New(Options{Workers: 1, Store: st, Peers: peers})
+	eng := withPeers(New(Options{Workers: 1, Store: st}), peers)
 	if _, err := eng.RunOne(peerPoint); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +215,7 @@ func TestPeerFetchReadThrough(t *testing.T) {
 		fetched = append(fetched, k)
 		return payload, k == want
 	}}
-	eng := New(Options{Workers: 1, Store: st, Peers: peers})
+	eng := withPeers(New(Options{Workers: 1, Store: st}), peers)
 	rep, err := eng.RunOne(peerPoint)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +235,7 @@ func TestPeerFetchReadThrough(t *testing.T) {
 	}
 
 	// A fresh engine on the same store (no memo) answers from disk.
-	again := New(Options{Workers: 1, Store: st, Peers: peers})
+	again := withPeers(New(Options{Workers: 1, Store: st}), peers)
 	if rep, err := again.RunOne(peerPoint); err != nil || rep.Latency != 42 {
 		t.Fatalf("second lookup = %+v, %v", rep, err)
 	}
@@ -268,7 +274,7 @@ func TestPeerRecordRejected(t *testing.T) {
 			} else {
 				peers.eval = func(context.Context, store.Key, []byte) ([]byte, bool) { return serveBad() }
 			}
-			eng := New(Options{Workers: 1, Store: st, Peers: peers})
+			eng := withPeers(New(Options{Workers: 1, Store: st}), peers)
 			rep, err := eng.RunOne(peerPoint)
 			if err != nil {
 				t.Fatal(err)
@@ -294,7 +300,7 @@ func TestPeerFetchNeedsStore(t *testing.T) {
 		t.Error("fetch without a store")
 		return nil, false
 	}}
-	eng := New(Options{Workers: 1, Peers: peers})
+	eng := withPeers(New(Options{Workers: 1}), peers)
 	if rep, err := eng.RunOne(peerPoint); err != nil || rep.Latency <= 0 {
 		t.Fatalf("RunOne = %+v, %v", rep, err)
 	}
@@ -314,7 +320,7 @@ func TestPeerFetchServedWhenAdmissionWriteFails(t *testing.T) {
 	defer st.Close()
 	payload := recordPayload(t, &core.Report{Strategy: "peer", Latency: 42, Area: 7, Volume: 294})
 	peers := &fakePeers{fetch: func(context.Context, store.Key) ([]byte, bool) { return payload, true }}
-	eng := New(Options{Workers: 1, Store: st, Peers: peers})
+	eng := withPeers(New(Options{Workers: 1, Store: st}), peers)
 	rep, err := eng.RunOne(peerPoint)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +351,7 @@ func peerWithStages(t *testing.T) *store.Store {
 // TestPeerStageFetchAdmitsArtifact: a point the peer never computed,
 // sharing its build with one the peer did, computes locally but replays
 // the build fetched from the peer. The artifact is admitted and counted
-// as a stage hit, not as a final-record peer hit.
+// as a stage hit, not as a final-record peer hit or a disk hit.
 func TestPeerStageFetchAdmitsArtifact(t *testing.T) {
 	peer := peerWithStages(t)
 	cfg := peerPoint
@@ -355,9 +361,9 @@ func TestPeerStageFetchAdmitsArtifact(t *testing.T) {
 		t.Fatal("test point must share the peer's build but not its final record")
 	}
 	st := openStore(t)
-	eng := New(Options{Workers: 1, Store: st, Peers: &fakePeers{fetch: func(_ context.Context, k store.Key) ([]byte, bool) {
+	eng := withPeers(New(Options{Workers: 1, Store: st}), &fakePeers{fetch: func(_ context.Context, k store.Key) ([]byte, bool) {
 		return peer.Get(k)
-	}}})
+	}})
 	rep, err := eng.RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +379,9 @@ func TestPeerStageFetchAdmitsArtifact(t *testing.T) {
 	if ss.BuildHits != 1 || ss.BuildComputes != 0 {
 		t.Fatalf("build hits/computes = %d/%d, want 1/0", ss.BuildHits, ss.BuildComputes)
 	}
-	if eng.PeerFetchHits() != 0 {
-		t.Fatalf("PeerFetchHits = %d, want 0: stage fetches are not final-record hits", eng.PeerFetchHits())
+	if eng.PeerFetchHits() != 0 || eng.DiskHits() != 0 {
+		t.Fatalf("PeerFetchHits=%d DiskHits=%d, want 0/0: stage fetches are not final-record hits",
+			eng.PeerFetchHits(), eng.DiskHits())
 	}
 	if _, ok := st.GetStage(core.StageBuild, cfg); !ok {
 		t.Fatal("fetched build artifact not admitted locally")
@@ -403,7 +410,7 @@ func TestPeerStageFetchRejectsBadPayload(t *testing.T) {
 		peers := &fakePeers{fetch: func(_ context.Context, k store.Key) ([]byte, bool) {
 			return bad, k == buildKey
 		}}
-		eng := New(Options{Workers: 1, Store: st, Peers: peers})
+		eng := withPeers(New(Options{Workers: 1, Store: st}), peers)
 		if _, err := eng.RunOne(peerPoint); err != nil {
 			t.Fatal(err)
 		}

@@ -267,7 +267,7 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 		}
 		return nil, false
 	}}
-	e := New(Options{Workers: 2, Store: st, Peers: peers})
+	e := withPeers(New(Options{Workers: 2, Store: st}), peers)
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()

@@ -30,11 +30,6 @@ type Options struct {
 	// freshly computed cacheable results. The engine never closes the
 	// store — its owner does.
 	Store *store.Store
-	// Peers, when set, adds the cluster tier beneath the store: with a
-	// Store, final records and stage artifacts missed locally are
-	// fetched from peers, and a point missed by every tier is offered
-	// for forwarded evaluation before it is computed here (peers.go).
-	Peers Peers
 }
 
 // Engine is a reusable batch executor. An Engine is safe for concurrent
@@ -68,7 +63,6 @@ func New(opts Options) *Engine {
 		stageCache: memo.New(stageCacheLimit),
 		stage:      new(stageCounters),
 		store:      opts.Store,
-		peers:      opts.Peers,
 		diskHits:   new(atomic.Int64),
 		fetchHits:  new(atomic.Int64),
 		evalHits:   new(atomic.Int64),
@@ -78,7 +72,7 @@ func New(opts Options) *Engine {
 
 // Derive returns an engine that shares e's memo caches, result store,
 // peer tier and every counter but runs with its own worker width and
-// progress callback; opts.Store and opts.Peers are ignored. It is how
+// progress callback; opts.Store is ignored. It is how
 // one process serves many differently-shaped callers from a single
 // cache tier: the msfud service derives a width-capped engine per
 // request (opts.Workers above e's width is clamped down to it, so a

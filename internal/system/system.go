@@ -58,6 +58,11 @@ func (c Config) Validate() error {
 	if !(c.DemandRate >= 0 && c.DemandRate < 1<<53) {
 		return fmt.Errorf("system: demand rate %v out of [0,2^53)", c.DemandRate)
 	}
+	// No request waits longer than the horizon, so this bounds
+	// StallCycles, which must fit in an int.
+	if worst := (math.Ceil(c.DemandRate*float64(c.Cycles)) + 1) * float64(c.Cycles); !(worst < math.MaxInt) {
+		return fmt.Errorf("system: %d cycles at demand rate %v may stall %v request-cycles, past an int", c.Cycles, c.DemandRate, worst)
+	}
 	if c.BufferSize < 0 || c.MaintenanceReserve < 0 {
 		return fmt.Errorf("system: negative capacities")
 	}
@@ -167,23 +172,27 @@ func Simulate(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		// Demand.
+		// Demand: the cycle's n arrivals are served from the buffer in
+		// order until it runs dry, unless a backlog already waits; the
+		// rest stall. Below 2^53 every acc-1 is exact, so subtracting n
+		// at once equals n single decrements.
 		demandAcc += cfg.DemandRate
-		for demandAcc >= 1 {
-			demandAcc--
-			if buffer > 0 && backlog == 0 {
-				buffer--
-				res.Served++
-			} else {
-				backlog++
-				res.Stalled++
+		if demandAcc >= 1 {
+			n := int(demandAcc)
+			demandAcc -= float64(n)
+			served := 0
+			if backlog == 0 {
+				served = min(n, buffer)
 			}
+			buffer -= served
+			res.Served += served
+			backlog += n - served
+			res.Stalled += n - served
 		}
 		// Drain backlog.
-		for backlog > 0 && buffer > 0 {
-			buffer--
-			backlog--
-		}
+		drained := min(backlog, buffer)
+		buffer -= drained
+		backlog -= drained
 		// This cycle and the quiet ones up to the next completion or
 		// arrival end with the same buffer and backlog.
 		phase++
@@ -329,9 +338,12 @@ func FactoriesFor(cfg Config, headroom float64) int {
 
 // BufferSweepPoint is one (buffer size, stall fraction) sample.
 type BufferSweepPoint struct {
-	BufferSize    int
+	// BufferSize is the prepared-state buffer cap simulated.
+	BufferSize int
+	// StallFraction is the fraction of requests that stalled.
 	StallFraction float64
-	AvgOccupancy  float64
+	// AvgOccupancy is the mean buffer fill over the horizon.
+	AvgOccupancy float64
 }
 
 // BufferSweep measures stall fraction across buffer sizes, holding the

@@ -3,6 +3,7 @@ package system
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func base() Config {
@@ -52,6 +53,9 @@ func TestValidate(t *testing.T) {
 		{"success NaN", func(c *Config) { c.SuccessProb = math.NaN() }},
 		{"success +Inf", func(c *Config) { c.SuccessProb = math.Inf(1) }},
 		{"success -Inf", func(c *Config) { c.SuccessProb = math.Inf(-1) }},
+		// Stall cycles past an int would wrap silently.
+		{"stall cycles past an int", func(c *Config) { c.DemandRate, c.Cycles = 1<<40, 1<<20 }},
+		{"demand 2^53-1 over 1024 cycles", func(c *Config) { c.DemandRate, c.Cycles = 1<<53-1, 1024 }},
 	} {
 		bad = base()
 		c.mutate(&bad)
@@ -62,11 +66,34 @@ func TestValidate(t *testing.T) {
 			t.Fatalf("%s: Simulate accepted %+v", c.name, bad)
 		}
 	}
-	// The largest rate below 2^53 stays valid.
+	// The largest rate below 2^53 stays valid over a horizon whose stall
+	// cycles fit in an int.
 	ok := base()
-	ok.DemandRate = 1<<53 - 1
+	ok.DemandRate, ok.Cycles = 1<<53-1, 10
 	if err := ok.Validate(); err != nil {
-		t.Fatalf("demand 2^53-1: %v", err)
+		t.Fatalf("demand 2^53-1 over 10 cycles: %v", err)
+	}
+}
+
+// TestSimulateSettlesBurstsAtOnce: a cycle's arrivals are settled in one
+// step, not one per request, so 10^9 requests over 10 cycles return at
+// once with the closed-form counts. One factory fills the buffer with 4
+// states at cycle 0 and never completes again; the 10^8 requests of
+// cycle t leave a backlog of (t+1)*10^8 - 4 behind it.
+func TestSimulateSettlesBurstsAtOnce(t *testing.T) {
+	cfg := Config{FactoryLatency: 1000, BatchSize: 4, SuccessProb: 1, Factories: 1,
+		BufferSize: 10, DemandRate: 1e8, Cycles: 10, Seed: 1}
+	start := time.Now()
+	r, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("Simulate took %v for 10 cycles", d)
+	}
+	want := Result{Served: 4, Stalled: 1e9 - 4, StallCycles: 55e8 - 40, Produced: 4}
+	if *r != want {
+		t.Fatalf("Simulate = %+v, want %+v", *r, want)
 	}
 }
 

@@ -88,8 +88,8 @@ type FactorySpec struct {
 	Reuse bool
 }
 
-// Params converts the spec to protocol parameters.
-func (s FactorySpec) Params() (bravyi.Params, error) {
+// params converts the spec to protocol parameters.
+func (s FactorySpec) params() (bravyi.Params, error) {
 	p, err := bravyi.ParamsForCapacity(s.Capacity, s.Levels)
 	if err != nil {
 		return p, err
@@ -223,7 +223,7 @@ type ResourceEstimate struct {
 // EstimateResources evaluates spec under the default error model
 // (p_phys = 1e-3, injected state error 5e-3).
 func EstimateResources(spec FactorySpec) (*ResourceEstimate, error) {
-	p, err := spec.Params()
+	p, err := spec.params()
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func EstimateResources(spec FactorySpec) (*ResourceEstimate, error) {
 
 // Validate checks a spec without running anything.
 func (s FactorySpec) Validate() error {
-	if _, err := s.Params(); err != nil {
+	if _, err := s.params(); err != nil {
 		return fmt.Errorf("magicstate: %w", err)
 	}
 	return nil
