@@ -1,56 +1,82 @@
 package magicstate
 
 import (
+	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"testing"
+
+	"magicstate/internal/core"
+	"magicstate/internal/store"
+	"magicstate/internal/sweep"
 )
 
-// parseTestKey converts PointKey's hex form to the raw 32-byte key the
-// cluster hooks deal in.
-func parseTestKey(t *testing.T, s string) (k [32]byte) {
-	t.Helper()
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != 32 {
-		t.Fatalf("bad key %q: %v", s, err)
-	}
-	copy(k[:], b)
-	return k
+// batcherPeer is an in-process peer tier backed by another batcher: it
+// serves fetches from that batcher's store and evaluates forwarded
+// points on its engine, the way cmd/msfud's peer endpoints do over
+// HTTP. With fetchOnly it refuses every forwarded evaluation. Calls
+// are counted.
+type batcherPeer struct {
+	eng            *sweep.Engine
+	st             *store.Store
+	fetchOnly      bool
+	fetches, evals int
 }
 
-// TestBatcherClusterHooks wires two batchers into a miniature two-node
-// cluster in-process: node A's remote hooks call straight into node B's
-// serving methods (RecordGet, EvalConfigJSON), the way cmd/msfud wires
-// them through the fabric's HTTP calls.
-func TestBatcherClusterHooks(t *testing.T) {
+func (p *batcherPeer) Fetch(ctx context.Context, k store.Key) ([]byte, bool) {
+	p.fetches++
+	return p.st.Get(k)
+}
+
+func (p *batcherPeer) Evaluate(ctx context.Context, k store.Key, cfgJSON []byte) ([]byte, bool) {
+	p.evals++
+	if p.fetchOnly {
+		return nil, false
+	}
+	var cfg core.Config
+	dec := json.NewDecoder(bytes.NewReader(cfgJSON))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil || !store.Cacheable(cfg) || store.KeyOf(cfg) != k {
+		return nil, false
+	}
+	rep, err := p.eng.RunOneContext(ctx, cfg)
+	if err != nil {
+		return nil, false
+	}
+	payload, err := json.Marshal(store.RecordOf(rep))
+	if err != nil {
+		return nil, false
+	}
+	return payload, true
+}
+
+// clusterPair returns two checkpointed batchers with node A's cache
+// tier wired, through sweep.TierOf, to node B as its peer.
+func clusterPair(t *testing.T, fetchOnly bool) (nodeA, nodeB *Batcher, peer *batcherPeer) {
+	t.Helper()
 	nodeB, err := NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nodeB.Close()
-
-	var fetches, evals int
-	nodeA, err := NewBatcher(BatcherOptions{
-		Parallelism: 1,
-		Checkpoint:  t.TempDir(),
-		RemoteFetch: func(ctx context.Context, key [32]byte) ([]byte, bool) {
-			fetches++
-			return nodeB.RecordGet(key)
-		},
-		RemoteEval: func(ctx context.Context, key [32]byte, cfgJSON []byte) ([]byte, bool) {
-			evals++
-			gotKey, payload, err := nodeB.EvalConfigJSON(ctx, cfgJSON)
-			if err != nil || gotKey != key {
-				return nil, false
-			}
-			return payload, true
-		},
-	})
+	t.Cleanup(func() { nodeB.Close() })
+	nodeA, err = NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nodeA.Close()
+	t.Cleanup(func() { nodeA.Close() })
+	engB, stB := sweep.TierOf(nodeB)
+	peer = &batcherPeer{eng: engB, st: stB, fetchOnly: fetchOnly}
+	engA, _ := sweep.TierOf(nodeA)
+	engA.SetPeers(peer)
+	return nodeA, nodeB, peer
+}
+
+// TestBatcherClusterHooks wires two batchers into a miniature two-node
+// cluster in-process: node A's peer tier, installed through
+// sweep.TierOf, calls straight into node B's store and engine.
+func TestBatcherClusterHooks(t *testing.T) {
+	nodeA, nodeB, peer := clusterPair(t, false)
+	engA, _ := sweep.TierOf(nodeA)
 
 	spec := FactorySpec{Capacity: 2, Levels: 1}
 	want, err := nodeB.Optimize(spec, Options{})
@@ -59,7 +85,7 @@ func TestBatcherClusterHooks(t *testing.T) {
 	}
 
 	// Node A's first sight of the point: local memo miss, local store
-	// miss, then the fetch hook finds node B's record.
+	// miss, then the peer fetch finds node B's record.
 	got, err := nodeA.Optimize(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -67,32 +93,32 @@ func TestBatcherClusterHooks(t *testing.T) {
 	if *got != *want {
 		t.Fatalf("fetched result %+v differs from origin %+v", *got, *want)
 	}
-	if fetches != 1 {
-		t.Fatalf("fetch hook called %d times, want 1", fetches)
+	if peer.fetches != 1 {
+		t.Fatalf("peer fetched %d times, want 1", peer.fetches)
 	}
-	if st := nodeA.Stats(); st.PeerFetchHits != 1 {
-		t.Fatalf("PeerFetchHits = %d, want 1", st.PeerFetchHits)
+	if hits := engA.PeerFetchHits(); hits != 1 {
+		t.Fatalf("PeerFetchHits = %d, want 1", hits)
 	}
 
-	// A point node B has never seen: the fetch misses, the eval hook
-	// forwards the computation to node B.
+	// A point node B has never seen: the fetch misses, and the
+	// evaluation is forwarded to node B.
 	spec2 := FactorySpec{Capacity: 4, Levels: 1}
 	want2, err := nodeA.Optimize(spec2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evals != 1 {
-		t.Fatalf("eval hook called %d times, want 1", evals)
+	if peer.evals != 1 {
+		t.Fatalf("peer evaluated %d times, want 1", peer.evals)
 	}
-	if nodeA.Stats().RemoteEvalHits != 1 {
-		t.Fatalf("RemoteEvalHits = %d, want 1", nodeA.Stats().RemoteEvalHits)
+	if hits := engA.RemoteEvalHits(); hits != 1 {
+		t.Fatalf("RemoteEvalHits = %d, want 1", hits)
 	}
 	// Node B computed and stored it; node A persisted the result too.
 	if direct, err := nodeB.Optimize(spec2, Options{}); err != nil || *direct != *want2 {
 		t.Fatalf("node B's own result %+v (err %v) differs from forwarded %+v", direct, err, *want2)
 	}
-	if nodeA.Stats().StoredRecords != 2 {
-		t.Fatalf("node A stored %d records, want 2", nodeA.Stats().StoredRecords)
+	if n := nodeA.Stats().StoredRecords; n != 2 {
+		t.Fatalf("node A stored %d records, want 2", n)
 	}
 }
 
@@ -101,20 +127,8 @@ func TestBatcherClusterHooks(t *testing.T) {
 // did compute, is fetched from the peer. That fetch is a stage hit, not
 // a PeerFetchHits point.
 func TestPeerFetchHitsCountFinalRecordsOnly(t *testing.T) {
-	nodeB, err := NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeB.Close()
-	nodeA, err := NewBatcher(BatcherOptions{
-		Parallelism: 1,
-		Checkpoint:  t.TempDir(),
-		RemoteFetch: func(ctx context.Context, key [32]byte) ([]byte, bool) { return nodeB.RecordGet(key) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeA.Close()
+	nodeA, nodeB, _ := clusterPair(t, true)
+	engA, _ := sweep.TierOf(nodeA)
 
 	spec := FactorySpec{Capacity: 2, Levels: 1}
 	opts := Options{Seed: 1}.WithStrategy(LinearMapping)
@@ -129,80 +143,7 @@ func TestPeerFetchHitsCountFinalRecordsOnly(t *testing.T) {
 	if st.StageBuildHits != 1 || st.StageBuildComputes != 0 {
 		t.Fatalf("build hits/computes = %d/%d, want 1/0", st.StageBuildHits, st.StageBuildComputes)
 	}
-	if st.PeerFetchHits != 0 || st.DiskHits != 0 {
-		t.Fatalf("PeerFetchHits=%d DiskHits=%d, want 0/0 for a locally computed point", st.PeerFetchHits, st.DiskHits)
-	}
-}
-
-func TestRecordPutVerifiesPayload(t *testing.T) {
-	b, err := NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	keyHex, err := PointKey(FactorySpec{Capacity: 2, Levels: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := parseTestKey(t, keyHex)
-
-	if err := b.RecordPut(k, []byte(`{"strategy":"x","latency":1,"area":1,"volume":1,"critical_latency":1,"critical_volume":1,"perm_latency":0,"stalls":0}`)); err != nil {
-		t.Fatalf("valid record refused: %v", err)
-	}
-	if _, ok := b.RecordGet(k); !ok {
-		t.Fatal("admitted record not served")
-	}
-	if err := b.RecordPut(k, []byte(`not a record`)); err == nil {
-		t.Fatal("garbage payload admitted")
-	}
-	if err := b.RecordPut(k, []byte(`{"strategy":"x","surprise_field":1}`)); err == nil {
-		t.Fatal("unknown-field payload admitted (version-skew guard)")
-	}
-}
-
-func TestEvalConfigJSONContract(t *testing.T) {
-	b, err := NewBatcher(BatcherOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	cfg, err := optimizeConfig(FactorySpec{Capacity: 2, Levels: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, payload, err := b.EvalConfigJSON(context.Background(), cfgJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKey, _ := PointKey(FactorySpec{Capacity: 2, Levels: 1}, Options{})
-	if hex.EncodeToString(key[:]) != wantKey {
-		t.Fatalf("key = %x, want %s", key, wantKey)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		t.Fatalf("payload does not decode: %v", err)
-	}
-	if rec["latency"].(float64) <= 0 {
-		t.Fatalf("payload = %s", payload)
-	}
-
-	// Strict decode: unknown fields are refused.
-	if _, _, err := b.EvalConfigJSON(context.Background(), []byte(`{"K":2,"NoSuchField":1}`)); err == nil {
-		t.Fatal("unknown config field accepted")
-	}
-	// Uncacheable (trace-carrying) configs are refused, not computed.
-	traceCfg, err := optimizeConfig(FactorySpec{Capacity: 2, Levels: 1}, Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceJSON, _ := json.Marshal(traceCfg)
-	if _, _, err := b.EvalConfigJSON(context.Background(), traceJSON); err == nil {
-		t.Fatal("uncacheable config accepted")
+	if hits := engA.PeerFetchHits(); hits != 0 || st.DiskHits != 0 {
+		t.Fatalf("PeerFetchHits=%d DiskHits=%d, want 0/0 for a locally computed point", hits, st.DiskHits)
 	}
 }
