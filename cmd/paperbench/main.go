@@ -47,8 +47,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -62,25 +64,36 @@ import (
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "random seed shared by all experiments")
-	quick := flag.Bool("quick", false, "shrink capacity sweeps for a fast smoke pass")
-	samples := flag.Int("fig6samples", 60, "randomized mappings for fig6")
-	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "sweep-engine workers per experiment grid (1 = serial)")
-	progress := flag.Bool("progress", false, "report per-artifact grid progress on stderr")
-	checkpoint := flag.String("checkpoint", "", "durable result store directory; resumed runs skip already-stored points")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is paperbench's body: it parses args, writes the artifacts to
+// stdout and timings, progress and errors to stderr, and returns the
+// process exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	seed := fs.Int64("seed", 1, "random seed shared by all experiments")
+	quick := fs.Bool("quick", false, "shrink capacity sweeps for a fast smoke pass")
+	samples := fs.Int("fig6samples", 60, "randomized mappings for fig6")
+	csvDir := fs.String("csv", "", "also write plot-ready CSV files into this directory")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep-engine workers per experiment grid (1 = serial)")
+	progress := fs.Bool("progress", false, "report per-artifact grid progress on stderr")
+	checkpoint := fs.String("checkpoint", "", "durable result store directory; resumed runs skip already-stored points")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	// Parse flags interleaved with artifact names, so
 	// `paperbench all -quick -parallel 4` means what it says (the stdlib
 	// parser would silently treat everything after `all` as artifacts).
 	var artifacts []string
-	rest := os.Args[1:]
+	rest := args
 	for len(rest) > 0 {
-		if err := flag.CommandLine.Parse(rest); err != nil {
-			os.Exit(2)
+		if err := fs.Parse(rest); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return 0
+			}
+			return 2
 		}
-		rest = flag.Args()
+		rest = fs.Args()
 		if len(rest) == 0 {
 			break
 		}
@@ -88,10 +101,20 @@ func main() {
 		rest = rest[1:]
 	}
 
-	// Profiles must be flushed on every exit path — os.Exit skips defers,
-	// and a profile of a failing run is exactly the one worth keeping —
-	// so error paths below go through exitWith, not os.Exit.
-	stopProfiles := func() {
+	// Profiles are flushed on every return path: a profile of a failing
+	// run is exactly the one worth keeping.
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+	}
+	defer func() {
 		if *cpuProfile != "" {
 			pprof.StopCPUProfile()
 		}
@@ -107,29 +130,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}
-	}
-	// closeCheckpoint flushes the -checkpoint store and prints the cache
-	// summary; reassigned once the store is open, and called on every
-	// exit path (a crash-killed run skips it by design — recovery at the
-	// next open picks up whatever reached the log).
-	closeCheckpoint := func() {}
-	exitWith := func(code int) {
-		closeCheckpoint()
-		stopProfiles()
-		os.Exit(code)
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	defer stopProfiles()
+	}()
 
 	// `paperbench preset <name>` runs a named sweep suite and prints one
 	// JSON result per line — the same points and bytes msfud's
@@ -139,13 +140,13 @@ func main() {
 	if len(artifacts) > 0 && artifacts[0] == "preset" {
 		if len(artifacts) != 2 {
 			fmt.Fprintln(os.Stderr, "usage: paperbench preset <name> [-parallel N] [-checkpoint DIR]")
-			exitWith(2)
+			return 2
 		}
-		if err := runPreset(artifacts[1], *parallel, *checkpoint); err != nil {
+		if err := runPreset(stdout, artifacts[1], *parallel, *checkpoint); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exitWith(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	var artifact atomic.Value // name of the artifact currently sweeping
@@ -164,15 +165,17 @@ func main() {
 		st, err := store.Open(*checkpoint)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exitWith(1)
+			return 1
 		}
 		engOpts.Store = st
 	}
 	eng := sweep.New(engOpts)
 	experiments.SetEngine(eng)
 	if st := engOpts.Store; st != nil {
-		closeCheckpoint = func() {
-			closeCheckpoint = func() {} // once
+		// Flush the -checkpoint store and print the cache summary on
+		// every return path (a crash-killed run skips it by design —
+		// recovery at the next open picks up whatever reached the log).
+		defer func() {
 			stats := st.Stats()
 			fmt.Fprintf(os.Stderr, "checkpoint: %d from store, %d computed, %d records in %s\n",
 				eng.DiskHits(), stats.Puts, stats.Records, *checkpoint)
@@ -184,32 +187,27 @@ func main() {
 			if err := st.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
-		}
-		defer func() { closeCheckpoint() }()
+		}()
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			exitWith(1)
+			return 1
 		}
 	}
-	writeCSV := func(name string, header []string, rows [][]string) {
+	writeCSV := func(name string, header []string, rows [][]string) error {
 		if *csvDir == "" {
-			return
+			return nil
 		}
 		f, err := os.Create(filepath.Join(*csvDir, name))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitWith(1)
+			return err
 		}
 		err = experiments.CSV(f, header, rows)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err) // an *os.PathError: it names the file
-			exitWith(1)
-		}
+		return err // an *os.PathError names the file
 	}
 
 	if len(artifacts) == 0 {
@@ -227,7 +225,7 @@ func main() {
 	for _, a := range artifacts {
 		if !known[a] {
 			fmt.Fprintf(os.Stderr, "unknown artifact %q (see doc comment for the list)\n", a)
-			exitWith(2)
+			return 2
 		}
 		want[a] = true
 	}
@@ -248,8 +246,12 @@ func main() {
 		*samples = 24
 	}
 
-	run := func(name string, fn func() error) {
-		if !all && !want[name] {
+	// section runs one selected artifact and times it on stderr. After
+	// the first failure every later section is skipped and run returns
+	// 1.
+	code := 0
+	section := func(name string, selected bool, fn func() error) {
+		if code != 0 || !selected {
 			return
 		}
 		artifact.Store(name)
@@ -259,109 +261,94 @@ func main() {
 				fmt.Fprintln(os.Stderr) // finish any partial \r progress line
 			}
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			exitWith(1)
+			code = 1
+			return
 		}
 		fmt.Fprintf(os.Stderr, "(%s in %s)\n", name, time.Since(start).Round(time.Millisecond))
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	paper := func(name string, fn func() error) { section(name, all || want[name], fn) }
 
-	run("fig6", func() error {
+	paper("fig6", func() error {
 		r, err := experiments.Fig6(8, *samples, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig6(os.Stdout, r)
+		experiments.WriteFig6(stdout, r)
 		var rows [][]string
 		for _, p := range r.Points {
 			rows = append(rows, []string{
 				fmt.Sprint(p.Crossings), fmt.Sprintf("%.4f", p.AvgManhattan),
 				fmt.Sprintf("%.4f", p.AvgSpacing), fmt.Sprint(p.Latency)})
 		}
-		writeCSV("fig6.csv", []string{"crossings", "avg_manhattan", "avg_spacing", "latency"}, rows)
-		return nil
+		return writeCSV("fig6.csv", []string{"crossings", "avg_manhattan", "avg_spacing", "latency"}, rows)
 	})
-	run("fig7a", func() error {
+	paper("fig7a", func() error {
 		rows, err := experiments.Fig7(1, f7l1, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig7(os.Stdout, 1, rows)
+		experiments.WriteFig7(stdout, 1, rows)
 		return nil
 	})
-	run("fig7b", func() error {
+	paper("fig7b", func() error {
 		rows, err := experiments.Fig7(2, f7l2, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig7(os.Stdout, 2, rows)
+		experiments.WriteFig7(stdout, 2, rows)
 		return nil
 	})
-	run("fig9ab", func() error {
+	paper("fig9ab", func() error {
 		rows, err := experiments.Fig9Reuse(f9, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig9Reuse(os.Stdout, rows)
+		experiments.WriteFig9Reuse(stdout, rows)
 		return nil
 	})
-	run("fig9d", func() error {
+	paper("fig9d", func() error {
 		rows, err := experiments.Fig9Hops(f9, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig9Hops(os.Stdout, rows)
+		experiments.WriteFig9Hops(stdout, rows)
 		return nil
 	})
-	run("fig10a", func() error {
+	paper("fig10a", func() error {
 		rows, err := experiments.Fig10(1, f10l1, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig10(os.Stdout, 1, rows)
+		experiments.WriteFig10(stdout, 1, rows)
 		return nil
 	})
-	run("fig10b", func() error {
+	paper("fig10b", func() error {
 		rows, err := experiments.Fig10(2, f10l2, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteFig10(os.Stdout, 2, rows)
+		experiments.WriteFig10(stdout, 2, rows)
 		var csv [][]string
 		for _, r := range rows {
 			csv = append(csv, []string{r.Strategy, fmt.Sprint(r.Capacity),
 				fmt.Sprint(r.Latency), fmt.Sprint(r.Area), fmt.Sprintf("%.6g", r.Volume),
 				fmt.Sprint(r.Reuse)})
 		}
-		writeCSV("fig10_level2.csv", []string{"strategy", "capacity", "latency", "area", "volume", "reuse"}, csv)
-		return nil
+		return writeCSV("fig10_level2.csv", []string{"strategy", "capacity", "latency", "area", "volume", "reuse"}, csv)
 	})
-	run("table1", func() error {
+	paper("table1", func() error {
 		t, err := experiments.Table1(t1l1, t1l2, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteTable1(os.Stdout, t)
+		experiments.WriteTable1(stdout, t)
 		return nil
 	})
 
 	// Extension artifacts (§IX future work and §III related work); run
 	// with `paperbench ext` or by individual name.
-	extRun := func(name string, fn func() error) {
-		if !all && !want[name] && !want["ext"] {
-			return
-		}
-		artifact.Store(name)
-		start := time.Now()
-		if err := fn(); err != nil {
-			if *progress {
-				fmt.Fprintln(os.Stderr) // finish any partial \r progress line
-			}
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			exitWith(1)
-		}
-		fmt.Fprintf(os.Stderr, "(%s in %s)\n", name, time.Since(start).Round(time.Millisecond))
-		fmt.Println()
-	}
+	ext := func(name string, fn func() error) { section(name, all || want[name] || want["ext"], fn) }
 	styleLevel, styleK := 2, 4
 	yieldKs := []int{2, 4, 6}
 	yieldTrials := 20000
@@ -370,101 +357,100 @@ func main() {
 		yieldKs = []int{2, 4}
 		yieldTrials = 3000
 	}
-	extRun("ext-styles", func() error {
+	ext("ext-styles", func() error {
 		rows, err := experiments.StylesExperiment(styleK, styleLevel, []int{3, 5, 7, 11, 15, 21}, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteStyles(os.Stdout, styleK, styleLevel, rows)
+		experiments.WriteStyles(stdout, styleK, styleLevel, rows)
 		var csv [][]string
 		for _, r := range rows {
 			csv = append(csv, []string{r.Style, fmt.Sprint(r.Distance),
 				fmt.Sprint(r.Latency), fmt.Sprint(r.Stalls), fmt.Sprintf("%.6g", r.Volume)})
 		}
-		writeCSV("ext_styles.csv", []string{"style", "distance", "latency", "stalls", "volume"}, csv)
-		fmt.Println()
+		if err := writeCSV("ext_styles.csv", []string{"style", "distance", "latency", "stalls", "volume"}, csv); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
 		cross, err := experiments.StylesByStrategy(4, 7, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteStylesByStrategy(os.Stdout, 4, 7, cross)
+		experiments.WriteStylesByStrategy(stdout, 4, 7, cross)
 		return nil
 	})
-	extRun("ext-area", func() error {
+	ext("ext-area", func() error {
 		rows, err := experiments.AreaExpansion(4, styleLevel, []float64{1, 1.25, 1.5, 2, 3}, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteAreaExpansion(os.Stdout, 4, styleLevel, rows)
+		experiments.WriteAreaExpansion(stdout, 4, styleLevel, rows)
 		var csv [][]string
 		for _, r := range rows {
 			csv = append(csv, []string{fmt.Sprintf("%.2f", r.Factor),
 				fmt.Sprint(r.Latency), fmt.Sprint(r.Stalls),
 				fmt.Sprint(r.HullArea), fmt.Sprintf("%.6g", r.HullVolume)})
 		}
-		writeCSV("ext_area.csv", []string{"factor", "latency", "stalls", "hull_area", "hull_volume"}, csv)
-		return nil
+		return writeCSV("ext_area.csv", []string{"factor", "latency", "stalls", "hull_area", "hull_volume"}, csv)
 	})
-	extRun("ext-protocols", func() error {
+	ext("ext-protocols", func() error {
 		rows := experiments.ProtocolComparison(1e-3, 1e-10)
-		experiments.WriteProtocols(os.Stdout, 1e-3, 1e-10, rows)
+		experiments.WriteProtocols(stdout, 1e-3, 1e-10, rows)
 		return nil
 	})
-	extRun("ext-yield", func() error {
+	ext("ext-yield", func() error {
 		rows, err := experiments.Yield(yieldKs, 2, yieldTrials, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteYield(os.Stdout, 2, yieldTrials, rows)
+		experiments.WriteYield(stdout, 2, yieldTrials, rows)
 		var csv [][]string
 		for _, r := range rows {
 			csv = append(csv, []string{fmt.Sprint(r.K), fmt.Sprint(r.Capacity),
 				fmt.Sprintf("%.4f", r.AnalyticFullYield), fmt.Sprintf("%.4f", r.SampledFullYield),
 				fmt.Sprintf("%.3f", r.MeanOutputs), fmt.Sprintf("%.4f", r.ReserveFullYield)})
 		}
-		writeCSV("ext_yield.csv", []string{"k", "capacity", "analytic_full", "sampled_full", "mean_outputs", "reserve_full"}, csv)
-		return nil
+		return writeCSV("ext_yield.csv", []string{"k", "capacity", "analytic_full", "sampled_full", "mean_outputs", "reserve_full"}, csv)
 	})
-	extRun("ext-stitchgen", func() error {
+	ext("ext-stitchgen", func() error {
 		rows, err := experiments.StitchGeneralization(*seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteStitchGen(os.Stdout, rows)
+		experiments.WriteStitchGen(stdout, rows)
 		return nil
 	})
-	extRun("ext-bk15", func() error {
+	ext("ext-bk15", func() error {
 		rows, err := experiments.BK15Mapping(*seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteBK15(os.Stdout, rows)
+		experiments.WriteBK15(stdout, rows)
 		return nil
 	})
-	extRun("ext-l3", func() error {
+	ext("ext-l3", func() error {
 		rows, err := experiments.ThreeLevel(2, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteThreeLevel(os.Stdout, 2, rows)
+		experiments.WriteThreeLevel(stdout, 2, rows)
 		return nil
 	})
-	extRun("ext-defects", func() error {
+	ext("ext-defects", func() error {
 		rates := []float64{0, 0.02, 0.05, 0.1}
 		rows, err := experiments.DefectImpact(4, 1, rates, *seed)
 		if err != nil {
 			return err
 		}
-		experiments.WriteDefectImpact(os.Stdout, 4, 1, rows)
+		experiments.WriteDefectImpact(stdout, 4, 1, rows)
 		var csv [][]string
 		for _, r := range rows {
 			csv = append(csv, []string{fmt.Sprintf("%.2f", r.Rate), fmt.Sprint(r.DefectTiles),
 				fmt.Sprint(r.Latency), fmt.Sprint(r.Area), fmt.Sprint(r.Stalls), r.Defects})
 		}
-		writeCSV("ext_defects.csv", []string{"rate", "dead_tiles", "latency", "area", "stalls", "map"}, csv)
-		return nil
+		return writeCSV("ext_defects.csv", []string{"rate", "dead_tiles", "latency", "area", "stalls", "map"}, csv)
 	})
-	extRun("ext-sched", func() error {
+	ext("ext-sched", func() error {
 		caps := []int{4, 16, 36}
 		if *quick {
 			caps = []int{4, 16}
@@ -473,7 +459,8 @@ func main() {
 		if err != nil {
 			return err
 		}
-		experiments.WriteSchedReorder(os.Stdout, 2, rows)
+		experiments.WriteSchedReorder(stdout, 2, rows)
 		return nil
 	})
+	return code
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"magicstate"
@@ -24,11 +24,11 @@ type presetResult struct {
 	PermutationLatency int     `json:"permutation_latency,omitempty"`
 }
 
-// runPreset evaluates a named preset suite and prints one JSON result
-// per line, in point order. Parallelism and checkpointing behave like
+// runPreset evaluates a named preset suite and writes one JSON result
+// per line to w, in point order. Parallelism and checkpointing behave like
 // the artifact sweeps: results are byte-identical at every -parallel
 // setting and across checkpoint resumes.
-func runPreset(name string, parallel int, checkpoint string) error {
+func runPreset(w io.Writer, name string, parallel int, checkpoint string) error {
 	p, ok := presets.Get(name)
 	if !ok {
 		return fmt.Errorf("unknown preset %q (available: %s)",
@@ -41,7 +41,7 @@ func runPreset(name string, parallel int, checkpoint string) error {
 	if err != nil {
 		return fmt.Errorf("preset %s: %w", name, err)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	for _, r := range results {
 		if err := enc.Encode(presetResult{
 			Strategy:           r.Strategy,
