@@ -72,16 +72,6 @@ func NewBatcher(opts BatcherOptions) (*Batcher, error) {
 	}, nil
 }
 
-// The sweep package's TierOf hands a batcher's engine and store to
-// cmd/msfud, which wires its cluster fabric into them, so the public
-// API never names either.
-func init() {
-	sweep.TierOf = func(b any) (*sweep.Engine, *store.Store) {
-		bt := b.(*Batcher)
-		return bt.eng, bt.st
-	}
-}
-
 // Optimize is Optimize routed through the batcher's cache tier: a point
 // already computed by this batcher (or stored by any earlier process
 // sharing the checkpoint directory) is served without running the

@@ -423,7 +423,7 @@ func BenchmarkExtInteractionStyles(b *testing.B) {
 	// §IX interaction-style study: same factory under braiding, lattice
 	// surgery and teleportation at a representative code distance.
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.StylesExperiment(4, 1, []int{5, 15}, 1)
+		rows, err := experiments.StylesExperiment(4, 1, []int{5, 15})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func BenchmarkExtStitchGeneralization(b *testing.B) {
 func BenchmarkExtSchedReorder(b *testing.B) {
 	// §V.A gate-reordering study: commuting-sift vs program order.
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SchedReorder(2, []int{4, 16}, 1)
+		rows, err := experiments.SchedReorder(2, []int{4, 16})
 		if err != nil {
 			b.Fatal(err)
 		}

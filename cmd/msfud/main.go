@@ -10,7 +10,6 @@
 //	msfud [-addr HOST:PORT] [-store DIR] [-parallel N] [-max-points N]
 //	      [-max-inflight N] [-max-queue N] [-rate R] [-burst B]
 //	      [-request-timeout D] [-drain-timeout D] [-addr-file FILE]
-//	      [-node-id ID -peers ID=URL,...] [-replicate] [-peer-timeout D]
 //
 // Endpoints (see API.md for request/response bodies and curl examples):
 //
@@ -20,17 +19,6 @@
 //	DELETE /v1/jobs/{id}  cancel a batch job
 //	GET    /v1/stats      cache hit rates, job counters, uptime
 //	GET    /metrics       the same counters, Prometheus text format
-//
-// Cluster mode (see DESIGN.md "Fabric & failover"): -node-id names this
-// node and -peers lists every cluster member as ID=URL pairs (the entry
-// for this node's own ID may omit the URL). Each canonical point key is
-// owned by one node on a consistent-hash ring; misses route to the
-// owner first (record fetch, then forwarded evaluation) and fall back
-// to local compute when the owner is unreachable or its circuit breaker
-// is open, so a partitioned cluster degrades to N independent nodes,
-// never to wrong answers. Cluster mode adds peer endpoints
-// (/v1/record/{key}, /v1/fabric/eval, /v1/ping) and GET /v1/cluster,
-// the aggregated cluster view.
 //
 // -parallel caps the worker pool any single request may use (default:
 // one per CPU); requests may ask for less, never more. -max-points
@@ -65,12 +53,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"magicstate"
-	"magicstate/internal/fabric"
 	"magicstate/internal/store"
 )
 
@@ -87,11 +73,6 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 0, "deadline for one synchronous request, queue wait included (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight work")
 	faultStore := flag.String("fault-store", "", "TESTING ONLY: store fault injection plan, e.g. failwrite=3,stall=5:10ms")
-	nodeID := flag.String("node-id", "", "this node's name in the cluster (required with -peers)")
-	peers := flag.String("peers", "", "cluster members as ID=URL pairs, comma separated (this node's own URL may be omitted)")
-	replicate := flag.Bool("replicate", true, "in cluster mode, replicate fresh records to the next node on the ring")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "deadline for one peer fetch or forwarded evaluation")
-	faultPeer := flag.String("fault-peer", "", "TESTING ONLY: peer fault injection plan, e.g. drop=5,stall=10:50ms,corrupt=7")
 	flag.Parse()
 
 	cfg := serverConfig{
@@ -103,98 +84,21 @@ func main() {
 		Burst:          *burst,
 		RequestTimeout: *requestTimeout,
 	}
-	cl := clusterConfig{
-		NodeID:      *nodeID,
-		Peers:       *peers,
-		Replicate:   *replicate,
-		PeerTimeout: *peerTimeout,
-		FaultPlan:   *faultPeer,
-	}
-	if err := run(*addr, *addrFile, *storeDir, *faultStore, cfg, cl, *drainTimeout); err != nil {
+	if err := run(*addr, *addrFile, *storeDir, *faultStore, cfg, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// clusterConfig carries the cluster flags from main to run.
-type clusterConfig struct {
-	NodeID      string
-	Peers       string
-	Replicate   bool
-	PeerTimeout time.Duration
-	FaultPlan   string
-}
-
-// parsePeers splits "-peers a=http://host:1,b=http://host:2" into the
-// member list and the URL map. An entry with no '=' names a member
-// without an address (legal only for the node itself — it never dials
-// its own URL).
-func parsePeers(spec string) (nodes []string, urls map[string]string, err error) {
-	urls = make(map[string]string)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, found := strings.Cut(part, "=")
-		id = strings.TrimSpace(id)
-		if id == "" {
-			return nil, nil, fmt.Errorf("peer entry %q has no node id", part)
-		}
-		nodes = append(nodes, id)
-		if found {
-			url = strings.TrimRight(strings.TrimSpace(url), "/")
-			if url == "" {
-				return nil, nil, fmt.Errorf("peer entry %q has an empty URL", part)
-			}
-			urls[id] = url
-		}
-	}
-	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("-peers lists no members")
-	}
-	return nodes, urls, nil
-}
-
-// run wires the batcher, fabric, listener and signal handling; split
-// from main so every exit path returns through the deferred cleanup.
-func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl clusterConfig, drainTimeout time.Duration) error {
+// run wires the batcher, listener and signal handling; split from main
+// so every exit path returns through the deferred cleanup.
+func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, drainTimeout time.Duration) error {
 	if faultSpec != "" {
 		// Validate eagerly so a typo'd plan fails at boot, not mid-soak.
 		if _, err := store.ParseFaultPlan(faultSpec); err != nil {
 			return fmt.Errorf("-fault-store: %w", err)
 		}
 		fmt.Println("msfud: WARNING: store fault injection active (-fault-store); not for production")
-	}
-
-	var fab *fabric.Fabric
-	if cl.Peers != "" || cl.NodeID != "" {
-		nodes, urls, err := parsePeers(cl.Peers)
-		if err != nil {
-			return fmt.Errorf("-peers: %w", err)
-		}
-		fab, err = fabric.New(fabric.Options{
-			Self:      cl.NodeID,
-			Nodes:     nodes,
-			URLs:      urls,
-			Timeout:   cl.PeerTimeout,
-			Replicate: cl.Replicate,
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Fabric = fab
-	}
-	if cl.FaultPlan != "" {
-		if fab == nil {
-			return fmt.Errorf("-fault-peer requires cluster mode (-peers)")
-		}
-		plan, err := fabric.ParsePeerFaultPlan(cl.FaultPlan)
-		if err != nil {
-			return fmt.Errorf("-fault-peer: %w", err)
-		}
-		cfg.PeerFaults = plan
-		fmt.Println("msfud: WARNING: peer fault injection active (-fault-peer); not for production")
 	}
 
 	b, err := magicstate.NewBatcher(magicstate.BatcherOptions{
@@ -208,15 +112,6 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl cluste
 	defer b.Close()
 	srv := newServer(b, cfg)
 
-	if fab != nil {
-		// The replication worker and breaker prober live until shutdown;
-		// cancelling before the deferred b.Close keeps them from racing
-		// the closing store.
-		fabCtx, fabCancel := context.WithCancel(context.Background())
-		defer fabCancel()
-		go fab.Run(fabCtx)
-	}
-
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -225,10 +120,6 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, cl cluste
 	fmt.Printf("msfud listening on http://%s\n", resolved)
 	if storeDir != "" {
 		fmt.Printf("msfud durable store: %s (%d records)\n", storeDir, b.Stats().StoredRecords)
-	}
-	if fab != nil {
-		fmt.Printf("msfud cluster: node %s of %s (replicate=%v)\n",
-			fab.Self(), strings.Join(fab.Nodes(), ","), cl.Replicate)
 	}
 	if addrFile != "" {
 		if err := os.WriteFile(addrFile, []byte(resolved), 0o644); err != nil {

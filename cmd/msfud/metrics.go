@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"magicstate"
-	"magicstate/internal/fabric"
-	"magicstate/internal/sweep"
 )
 
 // metrics is the service's single observability registry: every counter
@@ -36,11 +34,9 @@ type metrics struct {
 
 	// Live sources, wired once at construction.
 	batcher      *magicstate.Batcher
-	eng          *sweep.Engine // the batcher's engine, for the peer-tier counters
 	adm          *admission
 	rl           *rateLimiter
 	jobsInFlight func() int
-	fabric       *fabric.Fabric // nil on a single-node service
 }
 
 // reqSeries is one requests_total series: route pattern x status code.
@@ -49,13 +45,12 @@ type reqSeries struct {
 	code int
 }
 
-func newMetrics(b *magicstate.Batcher, eng *sweep.Engine, adm *admission, rl *rateLimiter, jobsInFlight func() int) *metrics {
+func newMetrics(b *magicstate.Batcher, adm *admission, rl *rateLimiter, jobsInFlight func() int) *metrics {
 	return &metrics{
 		started:      time.Now(),
 		requests:     make(map[reqSeries]*int64),
 		latency:      newHistogram(),
 		batcher:      b,
-		eng:          eng,
 		adm:          adm,
 		rl:           rl,
 		jobsInFlight: jobsInFlight,
@@ -162,8 +157,6 @@ func (m *metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_hits_total In-memory memo hits.\n# TYPE msfud_cache_memory_hits_total counter\nmsfud_cache_memory_hits_total %d\n", cs.MemoryHits)
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_misses_total In-memory memo misses.\n# TYPE msfud_cache_memory_misses_total counter\nmsfud_cache_memory_misses_total %d\n", cs.MemoryMisses)
 	fmt.Fprintf(w, "# HELP msfud_cache_disk_hits_total Points served from the durable store.\n# TYPE msfud_cache_disk_hits_total counter\nmsfud_cache_disk_hits_total %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# HELP msfud_cache_peer_fetch_hits_total Points served by fetching a peer's final record (subset of disk hits).\n# TYPE msfud_cache_peer_fetch_hits_total counter\nmsfud_cache_peer_fetch_hits_total %d\n", m.eng.PeerFetchHits())
-	fmt.Fprintf(w, "# HELP msfud_cache_remote_eval_hits_total Points computed by their owning peer on this node's behalf.\n# TYPE msfud_cache_remote_eval_hits_total counter\nmsfud_cache_remote_eval_hits_total %d\n", m.eng.RemoteEvalHits())
 	fmt.Fprintf(w, "# HELP msfud_store_records Live final records in the durable store.\n# TYPE msfud_store_records gauge\nmsfud_store_records %d\n", cs.StoredRecords)
 	fmt.Fprintf(w, "# HELP msfud_store_bytes Durable store log size in bytes.\n# TYPE msfud_store_bytes gauge\nmsfud_store_bytes %d\n", cs.StoredBytes)
 	fmt.Fprintf(w, "# HELP msfud_store_stage_records Live stage artifacts in the durable store.\n# TYPE msfud_store_stage_records gauge\nmsfud_store_stage_records %d\n", cs.StageRecords)
@@ -177,64 +170,11 @@ func (m *metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "msfud_cache_stage_computes_total{stage=\"place\"} %d\n", cs.StagePlaceComputes)
 	fmt.Fprintf(w, "msfud_cache_stage_computes_total{stage=\"sim\"} %d\n", cs.StageSimComputes)
 
-	m.writeFabric(w)
-
 	fmt.Fprintf(w, "# HELP msfud_jobs_completed_total Batch jobs finished successfully.\n# TYPE msfud_jobs_completed_total counter\nmsfud_jobs_completed_total %d\n", m.jobsCompleted.Load())
 	fmt.Fprintf(w, "# HELP msfud_jobs_failed_total Batch jobs that failed or were cancelled.\n# TYPE msfud_jobs_failed_total counter\nmsfud_jobs_failed_total %d\n", m.jobsFailed.Load())
 	fmt.Fprintf(w, "# HELP msfud_jobs_inflight Batch jobs currently running.\n# TYPE msfud_jobs_inflight gauge\nmsfud_jobs_inflight %d\n", m.jobsInFlight())
 
 	m.latency.write(w, "msfud_request_seconds", "Service time of accepted requests, seconds.")
-}
-
-// writeFabric renders the per-peer fabric series. Peers come from the
-// fabric's snapshot already sorted, so scrapes are stable; the whole
-// block is absent on a single-node service rather than zero-valued.
-func (m *metrics) writeFabric(w http.ResponseWriter) {
-	if m.fabric == nil {
-		return
-	}
-	snap := m.fabric.Stats()
-
-	peerCounter := func(name, help string, value func(fabric.PeerSnapshot) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, p := range snap.Peers {
-			fmt.Fprintf(w, "%s{peer=%q} %d\n", name, p.Node, value(p))
-		}
-	}
-	peerCounter("msfud_fabric_fetch_hits_total", "Peer record fetches that returned a verified record.",
-		func(p fabric.PeerSnapshot) int64 { return p.FetchHits })
-	peerCounter("msfud_fabric_fetch_misses_total", "Peer record fetches answered 404 (clean miss).",
-		func(p fabric.PeerSnapshot) int64 { return p.FetchMisses })
-	peerCounter("msfud_fabric_fetch_failures_total", "Peer record fetches that failed (transport or HTTP error).",
-		func(p fabric.PeerSnapshot) int64 { return p.FetchFailures })
-	peerCounter("msfud_fabric_fetch_rejected_total", "Peer record fetches rejected by byte verification.",
-		func(p fabric.PeerSnapshot) int64 { return p.FetchRejected })
-	peerCounter("msfud_fabric_forward_total", "Point evaluations forwarded to their owning peer.",
-		func(p fabric.PeerSnapshot) int64 { return p.Forwards })
-	peerCounter("msfud_fabric_forward_failures_total", "Forwarded evaluations that failed and fell back to local compute.",
-		func(p fabric.PeerSnapshot) int64 { return p.ForwardFailures })
-	peerCounter("msfud_fabric_replication_sent_total", "Records successfully replicated to this peer.",
-		func(p fabric.PeerSnapshot) int64 { return p.ReplicationSent })
-	peerCounter("msfud_fabric_replication_failed_total", "Record replications to this peer that failed.",
-		func(p fabric.PeerSnapshot) int64 { return p.ReplicationFailed })
-	peerCounter("msfud_fabric_breaker_opened_total", "Times this peer's circuit breaker tripped open.",
-		func(p fabric.PeerSnapshot) int64 { return p.BreakerOpened })
-
-	fmt.Fprintf(w, "# HELP msfud_fabric_breaker_state Circuit breaker state per peer (0=closed, 1=half-open, 2=open).\n# TYPE msfud_fabric_breaker_state gauge\n")
-	for _, p := range snap.Peers {
-		var v int
-		switch p.Breaker {
-		case "half-open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		fmt.Fprintf(w, "msfud_fabric_breaker_state{peer=%q} %d\n", p.Node, v)
-	}
-
-	fmt.Fprintf(w, "# HELP msfud_fabric_fallback_computes_total Peer-owned points computed locally because the owner was unavailable.\n# TYPE msfud_fabric_fallback_computes_total counter\nmsfud_fabric_fallback_computes_total %d\n", snap.FallbackComputes)
-	fmt.Fprintf(w, "# HELP msfud_fabric_replication_queue Records waiting in the async replication queue.\n# TYPE msfud_fabric_replication_queue gauge\nmsfud_fabric_replication_queue %d\n", snap.ReplicationQueue)
-	fmt.Fprintf(w, "# HELP msfud_fabric_replication_dropped_total Replication jobs dropped because the queue was full.\n# TYPE msfud_fabric_replication_dropped_total counter\nmsfud_fabric_replication_dropped_total %d\n", snap.ReplicationDropped)
 }
 
 // histogram is a fixed-bucket latency histogram in seconds, shaped like

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -593,6 +594,24 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	if stats.Requests["200"] != 2 || stats.Requests["400"] != 1 {
 		t.Fatalf("request counts = %v, want 2x200 and 1x400", stats.Requests)
 	}
+	// The key sets are API.md's /v1/stats example, exactly: a
+	// single-node service reports no peer counters and no fabric view.
+	r, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := decode[map[string]any](t, r)
+	if got, want := strings.Join(sortedKeys(body), " "),
+		"admission cache draining jobs latency_seconds max_parallel requests singleflight uptime_seconds"; got != want {
+		t.Errorf("/v1/stats keys = %s, want %s", got, want)
+	}
+	cache, _ := body["cache"].(map[string]any)
+	if got, want := strings.Join(sortedKeys(cache), " "),
+		"checkpoint_dir disk_hits memory_hits memory_misses stage_build_computes stage_build_hits "+
+			"stage_place_computes stage_place_hits stage_records stage_sim_computes stage_sim_hits "+
+			"stored_bytes stored_records"; got != want {
+		t.Errorf("/v1/stats cache keys = %s, want %s", got, want)
+	}
 	// The staged pipeline ran once (a computed point, no durable store
 	// on this server), and the labeled stage series agree with stats.
 	if stats.Cache.StageBuildComputes != 1 || stats.Cache.StagePlaceComputes != 1 || stats.Cache.StageSimComputes != 1 {
@@ -624,6 +643,16 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	if got := scrapeMetric(t, ts.URL, "msfud_request_seconds_count"); got != 2 {
 		t.Fatalf("histogram count = %g, want 2 (only 2xx requests observed)", got)
 	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestHistogramQuantiles(t *testing.T) {

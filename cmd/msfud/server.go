@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"magicstate"
-	"magicstate/internal/fabric"
 	"magicstate/internal/presets"
-	"magicstate/internal/store"
 	"magicstate/internal/sweep"
 )
 
@@ -53,16 +51,6 @@ type serverConfig struct {
 	// propagates as a context through the sweep engine into the
 	// pipeline, so timed-out work stops at the next stage boundary.
 	RequestTimeout time.Duration
-	// Fabric, when non-nil, joins this node to a consistent-hash
-	// cluster: newServer makes it the batcher's peer tier and its
-	// store's replication feed, the peer endpoints (/v1/record,
-	// /v1/fabric/eval, /v1/ping) and the cluster view (/v1/cluster) are
-	// registered, and fabric counters join /v1/stats and /metrics.
-	Fabric *fabric.Fabric
-	// PeerFaults is the TESTING ONLY peer-layer fault plan
-	// (-fault-peer): scheduled drops, stalls and corruptions applied to
-	// this node's peer-facing endpoints.
-	PeerFaults *fabric.PeerFaultPlan
 }
 
 // server is the msfud HTTP service: request parsing, admission control,
@@ -72,11 +60,7 @@ type serverConfig struct {
 // same compute budget.
 type server struct {
 	batcher *magicstate.Batcher
-	// eng and st are the batcher's engine and store (st is nil when
-	// memory-only), which the peer endpoints serve from directly.
-	eng *sweep.Engine
-	st  *store.Store
-	cfg serverConfig
+	cfg     serverConfig
 
 	adm *admission
 	rl  *rateLimiter
@@ -112,22 +96,9 @@ type job struct {
 }
 
 // newServer wires a server around a batcher under the given budget.
-// With cfg.Fabric set it also joins the batcher's cache tier to the
-// cluster, so call it before the batcher serves anything: the fabric
-// becomes the engine's peer tier and observes every record the store
-// persists.
 func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
-	eng, st := sweep.TierOf(b)
-	if cfg.Fabric != nil {
-		eng.SetPeers(cfg.Fabric)
-		if st != nil {
-			st.SetOnPut(cfg.Fabric.NotifyPut)
-		}
-	}
 	s := &server{
 		batcher:       b,
-		eng:           eng,
-		st:            st,
 		cfg:           cfg,
 		adm:           newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		rl:            newRateLimiter(cfg.Rate, cfg.Burst),
@@ -135,8 +106,7 @@ func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
 		streamCancels: make(map[int64]context.CancelFunc),
 		pruneFrom:     1,
 	}
-	s.met = newMetrics(b, eng, s.adm, s.rl, s.jobsInFlight)
-	s.met.fabric = cfg.Fabric
+	s.met = newMetrics(b, s.adm, s.rl, s.jobsInFlight)
 	return s
 }
 
@@ -204,13 +174,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJobCancel))
 	mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.met.handleMetrics))
-	if s.cfg.Fabric != nil {
-		mux.HandleFunc("GET /v1/record/{key}", s.instrument("/v1/record", s.handleRecordGet))
-		mux.HandleFunc("PUT /v1/record/{key}", s.instrument("/v1/record", s.handleRecordPut))
-		mux.HandleFunc("POST /v1/fabric/eval", s.instrument("/v1/fabric/eval", s.handleFabricEval))
-		mux.HandleFunc("GET /v1/ping", s.instrument("/v1/ping", s.handlePing))
-		mux.HandleFunc("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
-	}
 	return mux
 }
 
@@ -518,8 +481,8 @@ func (s *server) requestContext(r *http.Request) (context.Context, context.Cance
 // call. The request context — with the client's disconnect and the
 // server's -request-timeout deadline — carries the admission gate,
 // which the point's flight calls only when every cache tier has missed:
-// memo hits, requests joining a flight already under way, and disk or
-// peer answers never take a slot. A client leaving early gets nothing;
+// memo hits, requests joining a flight already under way, and disk
+// answers never take a slot. A client leaving early gets nothing;
 // the shared computation stops once no request waits for it.
 func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !s.gate(w, r) {
@@ -816,26 +779,18 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // the metrics registry and the subsystems it borrows gauges from — so
 // the two views cannot drift.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsPayload())
-}
-
-// statsPayload builds the /v1/stats body; /v1/cluster reuses it for
-// this node's own entry so the cluster view and the local view agree.
-func (s *server) statsPayload() map[string]any {
 	cs := s.batcher.Stats()
-	payload := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": int64(time.Since(s.met.started).Seconds()),
 		"max_parallel":   s.cfg.MaxParallel,
 		"draining":       s.draining.Load(),
 		"cache": map[string]any{
-			"memory_hits":      cs.MemoryHits,
-			"memory_misses":    cs.MemoryMisses,
-			"disk_hits":        cs.DiskHits,
-			"peer_fetch_hits":  s.eng.PeerFetchHits(),
-			"remote_eval_hits": s.eng.RemoteEvalHits(),
-			"stored_records":   cs.StoredRecords,
-			"stored_bytes":     cs.StoredBytes,
-			"checkpoint_dir":   cs.CheckpointDir,
+			"memory_hits":    cs.MemoryHits,
+			"memory_misses":  cs.MemoryMisses,
+			"disk_hits":      cs.DiskHits,
+			"stored_records": cs.StoredRecords,
+			"stored_bytes":   cs.StoredBytes,
+			"checkpoint_dir": cs.CheckpointDir,
 			// Stage-tier traffic: artifacts replayed from the durable
 			// store (hits) vs pipeline stages actually executed
 			// (computes), per stage.
@@ -870,9 +825,5 @@ func (s *server) statsPayload() map[string]any {
 			"p50": s.met.latency.quantile(0.50),
 			"p99": s.met.latency.quantile(0.99),
 		},
-	}
-	if s.cfg.Fabric != nil {
-		payload["fabric"] = s.cfg.Fabric.Stats()
-	}
-	return payload
+	})
 }

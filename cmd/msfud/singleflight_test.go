@@ -2,16 +2,10 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
-
-	"magicstate/internal/core"
-	"magicstate/internal/fabric"
-	"magicstate/internal/store"
 )
 
 // statNum reads one numeric /v1/stats field, e.g. ("cache", "memory_hits").
@@ -158,41 +152,5 @@ func TestOptimizeDiskHitPromotedToMemo(t *testing.T) {
 	}
 	if mem := statNum(t, ts2.URL, "cache", "memory_hits"); mem != 1 {
 		t.Fatalf("memory_hits = %g, want 1 (the disk hit must be promoted)", mem)
-	}
-}
-
-// TestFabricEvalAdmission: a forwarded evaluation that must compute
-// pays through the admission gate, so a full budget answers 429 (not
-// 400); a point already cached is answered without a slot.
-func TestFabricEvalAdmission(t *testing.T) {
-	_, srv, _ := newRobustServer(t, serverConfig{MaxInflight: 1, MaxQueue: 0})
-	eval := func(cfg core.Config) *httptest.ResponseRecorder {
-		t.Helper()
-		cfgJSON, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := json.Marshal(fabric.EvalRequest{Key: store.KeyOf(cfg).String(), Config: cfgJSON})
-		w := httptest.NewRecorder()
-		srv.handleFabricEval(w, httptest.NewRequest(http.MethodPost, "/v1/fabric/eval", bytes.NewReader(body)))
-		return w
-	}
-	cached := core.Config{K: 2, Levels: 1, Strategy: core.StrategyLinear}
-	if _, err := srv.eng.RunOne(cached); err != nil {
-		t.Fatal(err)
-	}
-	release, err := srv.adm.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	fresh := cached
-	fresh.Seed = 9
-	if w := eval(fresh); w.Code != http.StatusTooManyRequests {
-		t.Fatalf("uncached eval under a full budget: status = %d (%s), want 429", w.Code, w.Body)
-	}
-	if w := eval(cached); w.Code != http.StatusOK {
-		t.Fatalf("cached eval under a full budget: status = %d (%s), want 200", w.Code, w.Body)
 	}
 }

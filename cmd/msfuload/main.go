@@ -1,10 +1,10 @@
 // Command msfuload is the load generator and soak harness for msfud:
 // it drives a mixed workload — synchronous /v1/optimize points, async
 // /v1/batch jobs polled to completion, and streamed SSE batches — at a
-// configurable duplicate ratio, through the retrying client
-// (internal/httpclient) that honors the server's 429/503 + Retry-After
-// pushback, and then asserts the service-level objectives the
-// robustness layer promises:
+// configurable duplicate ratio against one running msfud, through the
+// retrying client (internal/httpclient) that honors the server's
+// 429/503 + Retry-After pushback, and then asserts the service-level
+// objectives the robustness layer promises:
 //
 //   - bounded p99 latency for accepted optimize requests (-slo-p99);
 //   - zero dropped SSE streams: every stream the server accepted ends
@@ -12,36 +12,20 @@
 //   - zero non-injected 5xx responses (rejections are 429/503, which
 //     don't count; those are the mechanism working);
 //   - served results byte-identical to an in-process serial reference
-//     for a sample of points (-verify).
+//     for a sample of points (-verify);
+//   - duplicate traffic collapses: the server computes no more distinct
+//     points than the workload's universe holds.
 //
 // A violated SLO exits non-zero and says why. -out writes a JSON report
-// whose benchmarks array carries serve_optimize_p50/p99 entries in the
-// repo's bench-trajectory shape, so CI can diff soak runs against the
-// committed BENCH_PR*.json numbers.
+// of the totals, the server's counters and the violations; its
+// benchmarks array carries serve_optimize_p50/p99 entries.
 //
 // Usage:
 //
 //	msfuload -addr 127.0.0.1:8350 [-duration 30s] [-workers 8]
 //	         [-dup 0.7] [-hot 4] [-batch-every 20] [-sse-every 25]
 //	         [-slo-p99 5s] [-verify 8] [-out soak.json] [-seed 1]
-//
-// -addr accepts a comma-separated list; workers rotate requests across
-// all targets, which is how a multi-node msfud cluster is soaked.
-//
-// Cluster mode spawns and supervises the cluster itself:
-//
-//	msfuload -exec ./msfud -cluster 3 [-chaos-kill 5s] [-chaos-down 2s]
-//	         [-store-root DIR] [-node-fault-peer PLAN] [-replicate]
-//
-// Each node gets its own store directory and a -node-id/-peers wiring;
-// -chaos-kill SIGKILLs a random node on that interval and restarts it
-// after -chaos-down. Before the final verification pass every node is
-// restarted and node 0's /v1/cluster view must report the whole
-// membership healthy — a chaos soak has to end with the cluster
-// reassembled, serving byte-identical results. SIGKILL chaos disables
-// the SSE mix (a killed node legitimately drops its live streams), and
-// -node-fault-peer hands every node a peer fault plan so byte
-// verification and fallback compute run hot for the whole soak.
+
 package main
 
 import (
@@ -186,15 +170,13 @@ func (t *tally) classify(status int, err error) {
 	}
 }
 
-// worker drives one goroutine's share of the workload until ctx ends,
-// rotating ops across every target so a cluster is loaded evenly.
-func worker(ctx context.Context, id int, bases []string, c *httpclient.Client, pts []point, cfg workloadConfig, t *tally) {
+// worker drives one goroutine's share of the workload until ctx ends.
+func worker(ctx context.Context, id int, base string, c *httpclient.Client, pts []point, cfg workloadConfig, t *tally) {
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)))
 	for op := 1; ; op++ {
 		if ctx.Err() != nil {
 			return
 		}
-		base := bases[(id+op)%len(bases)]
 		switch {
 		case cfg.sseEvery > 0 && op%cfg.sseEvery == 0:
 			runSSE(ctx, base, pts, rng, t)
@@ -382,10 +364,9 @@ func main() {
 	os.Exit(run())
 }
 
-// run is main's body, returning the exit code so the managed cluster's
-// deferred teardown always executes.
+// run is main's body, returning the exit code.
 func run() int {
-	addr := flag.String("addr", "", "msfud address(es), comma separated (host:port or http:// URL); required unless -cluster")
+	addr := flag.String("addr", "", "msfud address (host:port or http:// URL); required")
 	duration := flag.Duration("duration", 30*time.Second, "how long to generate load")
 	workers := flag.Int("workers", 8, "concurrent load-generating workers")
 	dup := flag.Float64("dup", 0.7, "probability a request draws from the hot set (duplicate-heavy traffic)")
@@ -396,72 +377,17 @@ func run() int {
 	verify := flag.Int("verify", 8, "distinct points to verify against the in-process serial reference")
 	out := flag.String("out", "", "write a JSON soak report to this file")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
-	execPath := flag.String("exec", "", "msfud binary for self-managed cluster mode")
-	clusterN := flag.Int("cluster", 0, "spawn and supervise this many msfud nodes (requires -exec)")
-	storeRoot := flag.String("store-root", "", "root directory for spawned nodes' stores (default: a temp dir, removed on exit)")
-	chaosKill := flag.Duration("chaos-kill", 0, "in cluster mode, SIGKILL a random node on this interval (0 = never)")
-	chaosDown := flag.Duration("chaos-down", 2*time.Second, "how long a chaos-killed node stays down before restart")
-	nodeFaultPeer := flag.String("node-fault-peer", "", "in cluster mode, pass this -fault-peer plan to every spawned node")
-	replicate := flag.Bool("replicate", true, "in cluster mode, spawn nodes with record replication enabled")
 	flag.Parse()
 
-	// Resolve the target set: either a spawned cluster or -addr targets.
-	var bases []string
-	var mc *managedCluster
-	if *clusterN > 0 {
-		if *execPath == "" {
-			fmt.Fprintln(os.Stderr, "msfuload: -cluster requires -exec (path to the msfud binary)")
-			return 2
-		}
-		root := *storeRoot
-		if root == "" {
-			tmp, err := os.MkdirTemp("", "msfuload-cluster-")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "msfuload:", err)
-				return 1
-			}
-			defer os.RemoveAll(tmp)
-			root = tmp
-		}
-		var err error
-		mc, err = newManagedCluster(*execPath, *clusterN, root, *nodeFaultPeer, *replicate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "msfuload:", err)
-			return 1
-		}
-		defer mc.stopAll()
-		if err := mc.startAll(10 * time.Second); err != nil {
-			fmt.Fprintln(os.Stderr, "msfuload:", err)
-			return 1
-		}
-		bases = mc.bases()
-		fmt.Printf("msfuload: spawned %d-node cluster: %s\n", *clusterN, strings.Join(bases, " "))
-		if *chaosKill > 0 && *sseEvery > 0 {
-			// SIGKILL drops a node's live SSE streams by definition; the
-			// zero-dropped-streams SLO only makes sense without kills.
-			fmt.Println("msfuload: chaos-kill active; disabling the SSE mix (-sse-every 0)")
-			*sseEvery = 0
-		}
-	} else {
-		if *addr == "" {
-			fmt.Fprintln(os.Stderr, "msfuload: -addr is required (or use -cluster/-exec)")
-			return 2
-		}
-		for _, a := range strings.Split(*addr, ",") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
-			if !strings.HasPrefix(a, "http://") && !strings.HasPrefix(a, "https://") {
-				a = "http://" + a
-			}
-			bases = append(bases, strings.TrimRight(a, "/"))
-		}
-		if len(bases) == 0 {
-			fmt.Fprintln(os.Stderr, "msfuload: -addr lists no targets")
-			return 2
-		}
+	base := strings.TrimSpace(*addr)
+	if base == "" {
+		fmt.Fprintln(os.Stderr, "msfuload: -addr is required")
+		return 2
 	}
+	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+		base = "http://" + base
+	}
+	base = strings.TrimRight(base, "/")
 
 	pts := universe()
 	if *hot <= 0 || *hot > len(pts) {
@@ -470,7 +396,7 @@ func run() int {
 	cfg := workloadConfig{dup: *dup, hot: *hot, batchEvery: *batchEvery, sseEvery: *sseEvery, seed: *seed}
 	client := &httpclient.Client{MaxAttempts: 6, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 
-	fmt.Printf("msfuload: %d workers x %v against %s (dup=%.2f hot=%d)\n", *workers, *duration, strings.Join(bases, " "), *dup, *hot)
+	fmt.Printf("msfuload: %d workers x %v against %s (dup=%.2f hot=%d)\n", *workers, *duration, base, *dup, *hot)
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	defer cancel()
 	t := &tally{}
@@ -480,49 +406,19 @@ func run() int {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			worker(ctx, i, bases, client, pts, cfg, t)
+			worker(ctx, i, base, client, pts, cfg, t)
 		}(i)
-	}
-	var chaosWg sync.WaitGroup
-	if mc != nil && *chaosKill > 0 {
-		chaosWg.Add(1)
-		go func() {
-			defer chaosWg.Done()
-			mc.runChaos(ctx, *chaosKill, *chaosDown, *seed)
-		}()
 	}
 	wg.Wait()
 	cancel()
-	chaosWg.Wait()
 	elapsed := time.Since(start)
 
 	var violations []string
 
-	// A chaos soak must end on a whole, healthy cluster: restart
-	// whatever is down and demand the full membership in the cluster
-	// view before verifying anything.
-	if mc != nil {
-		if err := mc.ensureAllUp(10 * time.Second); err != nil {
-			fmt.Fprintln(os.Stderr, "msfuload:", err)
-			return 1
-		}
-		if kills := mc.kills.Load(); kills > 0 {
-			fmt.Printf("msfuload: chaos: %d kills; all nodes restarted\n", kills)
-		}
-		if err := mc.checkClusterView(client); err != nil {
-			violations = append(violations, "cluster view: "+err.Error())
-		}
-	}
-
-	// Post-run verification and metrics against every now-idle target:
-	// after a partition-and-heal, each node must still serve reference
-	// answers.
-	var mismatches []string
-	for _, base := range bases {
-		mismatches = append(mismatches, verifyPoints(base, client, pts, *verify)...)
-	}
+	// Post-run verification and metrics against the now-idle server.
+	mismatches := verifyPoints(base, client, pts, *verify)
 	var snap metricsSnapshot
-	if _, err := client.GetJSON(context.Background(), bases[0]+"/v1/stats", &snap); err != nil {
+	if _, err := client.GetJSON(context.Background(), base+"/v1/stats", &snap); err != nil {
 		fmt.Fprintf(os.Stderr, "msfuload: scraping /v1/stats: %v\n", err)
 	}
 
@@ -558,18 +454,12 @@ func run() int {
 	for _, m := range mismatches {
 		violations = append(violations, "verification: "+m)
 	}
-	// Duplicate-heavy traffic must collapse: the distinct points any one
-	// node computed can never exceed the universe, no matter how many
+	// Duplicate-heavy traffic must collapse: the distinct points the
+	// server computed can never exceed the universe, no matter how many
 	// requests were served.
-	for _, base := range bases {
-		var s metricsSnapshot
-		if _, err := client.GetJSON(context.Background(), base+"/v1/stats", &s); err != nil {
-			continue
-		}
-		if s.Cache.MemoryMisses > int64(len(pts)) {
-			violations = append(violations,
-				fmt.Sprintf("%s computed %d points for a %d-point universe (dedup failed)", base, s.Cache.MemoryMisses, len(pts)))
-		}
+	if snap.Cache.MemoryMisses > int64(len(pts)) {
+		violations = append(violations,
+			fmt.Sprintf("server computed %d points for a %d-point universe (dedup failed)", snap.Cache.MemoryMisses, len(pts)))
 	}
 
 	if *out != "" {
@@ -595,9 +485,6 @@ func run() int {
 				{"name": "serve_optimize_p99", "ns_per_op": p99.Nanoseconds()},
 			},
 			"violations": violations,
-		}
-		if mc != nil {
-			report["cluster"] = map[string]any{"nodes": len(mc.nodes), "kills": mc.kills.Load()}
 		}
 		data, _ := json.MarshalIndent(report, "", "  ")
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {

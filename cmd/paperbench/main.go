@@ -358,7 +358,7 @@ func run(args []string, stdout io.Writer) int {
 		yieldTrials = 3000
 	}
 	ext("ext-styles", func() error {
-		rows, err := experiments.StylesExperiment(styleK, styleLevel, []int{3, 5, 7, 11, 15, 21}, *seed)
+		rows, err := experiments.StylesExperiment(styleK, styleLevel, []int{3, 5, 7, 11, 15, 21})
 		if err != nil {
 			return err
 		}
@@ -455,7 +455,7 @@ func run(args []string, stdout io.Writer) int {
 		if *quick {
 			caps = []int{4, 16}
 		}
-		rows, err := experiments.SchedReorder(2, caps, *seed)
+		rows, err := experiments.SchedReorder(2, caps)
 		if err != nil {
 			return err
 		}

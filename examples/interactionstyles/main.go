@@ -16,7 +16,7 @@ import (
 func main() {
 	const k, level = 4, 2
 	distances := []int{3, 5, 7, 9, 11, 15, 21, 27}
-	rows, err := experiments.StylesExperiment(k, level, distances, 1)
+	rows, err := experiments.StylesExperiment(k, level, distances)
 	if err != nil {
 		log.Fatal(err)
 	}

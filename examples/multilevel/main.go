@@ -22,7 +22,10 @@ func run(name string, opt stitch.Options) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	perm, _ := stitch.PermutationLatency(r.Factory, sim.Start, sim.End, 2)
+	perm, err := stitch.PermutationLatency(r.Factory, sim.Start, sim.End, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-34s latency %5d  area %4d  volume %10.4g  permutation %4d\n",
 		name, sim.Latency, sim.Area, float64(sim.Latency)*float64(sim.Area), perm)
 }

@@ -516,8 +516,8 @@ func DecodeSimArtifact(data []byte) (*mesh.Result, error) {
 }
 
 // ValidateStageArtifact checks that body decodes as an artifact of the
-// given stage, without retaining the result. It is the admission check
-// shared by the store's scrub pass and the replication receiver.
+// given stage, without retaining the result. The store's scrub pass
+// runs it on every stage record.
 func ValidateStageArtifact(st Stage, body []byte) error {
 	switch st {
 	case StageBuild:

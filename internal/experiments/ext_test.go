@@ -8,7 +8,7 @@ import (
 )
 
 func TestStylesExperiment(t *testing.T) {
-	rows, err := StylesExperiment(2, 1, []int{5, 10, 20}, 1)
+	rows, err := StylesExperiment(2, 1, []int{5, 10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestStylesExperiment(t *testing.T) {
 }
 
 func TestStylesExperimentRejectsBadDistance(t *testing.T) {
-	if _, err := StylesExperiment(2, 1, []int{0}, 1); err == nil {
+	if _, err := StylesExperiment(2, 1, []int{0}); err == nil {
 		t.Error("d=0 accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestStitchGeneralization(t *testing.T) {
 }
 
 func TestSchedReorder(t *testing.T) {
-	rows, err := SchedReorder(2, []int{4, 16}, 1)
+	rows, err := SchedReorder(2, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

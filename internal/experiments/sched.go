@@ -31,8 +31,9 @@ type SchedRow struct {
 // bound gate mobility, so sifting commuting gates earlier barely moves
 // the dependency bound, and the realized latency can even regress when
 // early gates congest the network. Factories are mapped with the linear
-// baseline so the schedule is the only variable.
-func SchedReorder(level int, capacities []int, seed int64) ([]SchedRow, error) {
+// baseline so the schedule is the only variable. It takes no seed: the
+// linear mapping and sifting are deterministic.
+func SchedReorder(level int, capacities []int) ([]SchedRow, error) {
 	cm := resource.DefaultCost()
 	// One reusable simulator serves every capacity point: the program and
 	// sifted schedules share placements, so the lattice and router arenas
@@ -69,7 +70,6 @@ func SchedReorder(level int, capacities []int, seed int64) ([]SchedRow, error) {
 			CriticalSifted:  cm.CriticalPath(sifted),
 		})
 	}
-	_ = seed // the linear mapping and sifting are deterministic
 	return rows, nil
 }
 

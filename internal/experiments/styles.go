@@ -28,8 +28,9 @@ type StyleRow struct {
 // level-`level` capacity-K^level factory with the linear mapping, so the
 // differences between rows come only from the interaction discipline.
 // Braiding rows are distance-insensitive by construction (§II.C) and act
-// as the horizontal reference the other styles cross.
-func StylesExperiment(k, level int, distances []int, seed int64) ([]StyleRow, error) {
+// as the horizontal reference the other styles cross. It takes no seed:
+// the linear mapping and the simulator are deterministic.
+func StylesExperiment(k, level int, distances []int) ([]StyleRow, error) {
 	params := bravyi.Params{K: k, Levels: level, Reuse: level >= 2, Barriers: true}
 	f, err := bravyi.Build(params)
 	if err != nil {
@@ -66,7 +67,6 @@ func StylesExperiment(k, level int, distances []int, seed int64) ([]StyleRow, er
 	if err != nil {
 		return nil, err
 	}
-	_ = seed // the linear mapping and the simulator are deterministic
 	return rows, nil
 }
 

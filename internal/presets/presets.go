@@ -3,9 +3,9 @@
 // from every surface: `paperbench preset <name>` on the CLI and
 // POST /v1/batch {"preset": "<name>"} on msfud. A preset expands to
 // plain magicstate.BatchPoints, so everything downstream (memo cache,
-// durable store, cluster fabric) treats preset points exactly like
-// hand-written ones; two surfaces running the same preset produce
-// byte-identical result sets because they lower to identical configs.
+// durable store) treats preset points exactly like hand-written ones;
+// two surfaces running the same preset produce byte-identical result
+// sets because they lower to identical configs.
 //
 // Presets are part of the repo's compatibility surface: renaming one,
 // or changing its point list, changes what a pinned name reproduces.

@@ -14,24 +14,8 @@ import (
 // result independent of which process (or machine) computed it.
 type Key [sha256.Size]byte
 
-// String renders the key as lowercase hex, the form used in logs and
-// the /v1/stats output.
+// String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// ParseKey parses the hex form String produces. It is the inverse used
-// by the cluster record endpoints, where keys travel in URL paths.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return k, fmt.Errorf("store: bad key %q: %w", s, err)
-	}
-	if len(b) != len(k) {
-		return k, fmt.Errorf("store: bad key %q: want %d hex bytes, got %d", s, len(k), len(b))
-	}
-	copy(k[:], b)
-	return k, nil
-}
 
 // keyFormatVersion is bumped whenever the canonical encoding below
 // changes meaning (field added, renamed, or reinterpreted). Bumping it

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"magicstate/internal/core"
 )
@@ -77,25 +75,6 @@ func (s *Store) LookupReport(cfg core.Config) (rep *core.Report, ok bool) {
 		return nil, false
 	}
 	return r.Report(cfg), true
-}
-
-// DecodeRecord is the strict decode for final-record payloads that
-// arrive from another node (peer fetch, forwarded evaluation,
-// replication): exactly one JSON Record with no unknown fields and
-// nothing after it. An unknown field is version skew between nodes and
-// is refused rather than misread. Records already in the local store
-// are read laxly by LookupReport instead, so they keep answering.
-func DecodeRecord(payload []byte) (Record, error) {
-	var r Record
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return Record{}, fmt.Errorf("store: record payload does not decode: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Record{}, fmt.Errorf("store: record payload has trailing data")
-	}
-	return r, nil
 }
 
 // PutReport persists rep's scalar outcome under cfg's key. Uncacheable

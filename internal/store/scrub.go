@@ -126,7 +126,7 @@ func Scrub(dir string, repair bool) (*ScrubReport, error) {
 			rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d: duplicate key %s", entryNo, k))
 		}
 		seen[k] = true
-		if st, body, isStage := StagePayload(payload); isStage {
+		if st, body, isStage := stagePayload(payload); isStage {
 			rep.StageRecords++
 			if err := core.ValidateStageArtifact(st, body); err != nil {
 				rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d (%s): stage %s payload does not decode: %v", entryNo, k, st, err))

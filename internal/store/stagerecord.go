@@ -3,7 +3,7 @@ package store
 import "magicstate/internal/core"
 
 // Stage records share the final-record store: same append-only log,
-// same index, same crash recovery and same peer tier — a stage
+// same index and same crash recovery — a stage
 // artifact is just a payload filed under a stage-scoped key
 // (StageKeyOf). Two layers keep the kinds from ever mixing:
 //
@@ -13,8 +13,8 @@ import "magicstate/internal/core"
 //     SHA-256.
 //   - Payloads are framed. Every stage payload opens with
 //     stagePayloadMagic plus the stage byte, which no JSON record can
-//     start with, so scrubbing and admission checks can tell the kinds
-//     apart without consulting the key.
+//     start with, so scrubbing and recovery can tell the kinds apart
+//     without consulting the key.
 
 // stagePayloadMagic opens every stage-artifact payload. The next byte
 // is the stage id (core.Stage), then the stage codec body.
@@ -28,10 +28,10 @@ func stageWrap(st core.Stage, body []byte) []byte {
 	return append(p, body...)
 }
 
-// StagePayload recognizes a stage-record payload, returning its stage
+// stagePayload recognizes a stage-record payload, returning its stage
 // id and codec body. ok=false means the payload is not stage-framed (a
 // final JSON record, or foreign data).
-func StagePayload(payload []byte) (st core.Stage, body []byte, ok bool) {
+func stagePayload(payload []byte) (st core.Stage, body []byte, ok bool) {
 	if len(payload) < len(stagePayloadMagic)+1 ||
 		string(payload[:len(stagePayloadMagic)]) != stagePayloadMagic {
 		return 0, nil, false
@@ -49,8 +49,7 @@ func (s *Store) PutStage(st core.Stage, cfg core.Config, body []byte) error {
 	return s.Put(StageKeyOf(st, cfg), stageWrap(st, body))
 }
 
-// GetStage returns the stage artifact body stored for cfg, strictly
-// locally. A payload under the key that is not framed as this stage's
+// GetStage returns the stage artifact body stored for cfg. A payload under the key that is not framed as this stage's
 // record is treated as a miss: the caller recomputes and the store
 // serves final records none the worse.
 func (s *Store) GetStage(st core.Stage, cfg core.Config) ([]byte, bool) {
@@ -61,7 +60,7 @@ func (s *Store) GetStage(st core.Stage, cfg core.Config) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	gotSt, body, ok := StagePayload(payload)
+	gotSt, body, ok := stagePayload(payload)
 	if !ok || gotSt != st {
 		return nil, false
 	}

@@ -27,8 +27,7 @@ const (
 var ErrClosed = errors.New("store: closed")
 
 // Stats is a point-in-time snapshot of a store's counters, exposed to
-// callers (sweep engine stats, the msfud /v1/stats endpoint). Every
-// counter is local traffic; peer hits are counted by the sweep engine.
+// callers (sweep engine stats, the msfud /v1/stats endpoint).
 type Stats struct {
 	// Hits and Misses count final-record Get outcomes since Open.
 	Hits, Misses int64
@@ -71,9 +70,7 @@ type storeFile interface {
 // each key's extent in the log and its payload CRC — because payloads
 // range from a few dozen bytes (final records) to kilobytes (stage
 // artifacts); Get reads the payload back from the log and verifies its
-// CRC. Store is safe for concurrent use within one process. It never
-// talks to cluster peers; the sweep engine's peer tier admits what
-// peers send through Put.
+// CRC. Store is safe for concurrent use within one process.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -92,11 +89,6 @@ type Store struct {
 	// stats consumers, however many intermediate artifacts ride along.
 	stageHits, stageMisses, stagePuts int64
 	stageRecs                         int
-
-	// hookMu guards onPut, which is configured once at wiring time but
-	// read on every Put.
-	hookMu sync.RWMutex
-	onPut  func(k Key, payload []byte)
 }
 
 // extent locates one record's payload in the log.
@@ -209,7 +201,7 @@ func (s *Store) recover() error {
 		var k Key
 		copy(k[:], e[:32])
 		s.mem[k] = extent{off: recOff, n: uint32(recLen), crc: binary.LittleEndian.Uint32(e[44:48])}
-		if _, _, isStage := StagePayload(payload); isStage {
+		if _, _, isStage := stagePayload(payload); isStage {
 			s.stageRecs++
 		}
 		validEntries++
@@ -239,16 +231,6 @@ func (s *Store) recover() error {
 
 // Dir reports the directory the store lives in.
 func (s *Store) Dir() string { return s.dir }
-
-// SetOnPut installs a hook invoked after every fresh Put (duplicates
-// and failed appends do not fire it), outside the store's lock. The
-// fabric uses it to replicate freshly computed records; the hook must
-// treat the payload as read-only.
-func (s *Store) SetOnPut(h func(k Key, payload []byte)) {
-	s.hookMu.Lock()
-	s.onPut = h
-	s.hookMu.Unlock()
-}
 
 // Get returns the payload stored under k, read from the log. The
 // boolean reports whether the key was present and its payload read
@@ -303,33 +285,17 @@ func (s *Store) read(k Key) ([]byte, bool) {
 // — a torn index fragment left in place would break the fixed-width
 // entry alignment and cost every later record at the next recovery.
 func (s *Store) Put(k Key, payload []byte) error {
-	fresh, err := s.put(k, payload)
-	if err != nil || !fresh {
-		return err
-	}
-	s.hookMu.RLock()
-	h := s.onPut
-	s.hookMu.RUnlock()
-	if h != nil {
-		h(k, payload)
-	}
-	return nil
-}
-
-// put appends the record under the store lock and reports whether the
-// key was freshly added (false for duplicates).
-func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false, ErrClosed
+		return ErrClosed
 	}
 	if _, ok := s.mem[k]; ok {
-		return false, nil
+		return nil
 	}
 	if _, err := s.logF.Write(payload); err != nil {
 		s.rollback()
-		return false, fmt.Errorf("store: append log: %w", err)
+		return fmt.Errorf("store: append log: %w", err)
 	}
 	x := extent{off: s.logLen, n: uint32(len(payload)), crc: crc32.ChecksumIEEE(payload)}
 	var e [entrySize]byte
@@ -340,18 +306,18 @@ func (s *Store) put(k Key, payload []byte) (fresh bool, err error) {
 	binary.LittleEndian.PutUint32(e[48:52], crc32.ChecksumIEEE(e[:48]))
 	if _, err := s.idxF.Write(e[:]); err != nil {
 		s.rollback()
-		return false, fmt.Errorf("store: append index: %w", err)
+		return fmt.Errorf("store: append index: %w", err)
 	}
 	s.logLen += int64(len(payload))
 	s.idxLen += entrySize
 	s.mem[k] = x
-	if _, _, isStage := StagePayload(payload); isStage {
+	if _, _, isStage := stagePayload(payload); isStage {
 		s.stagePuts++
 		s.stageRecs++
 	} else {
 		s.puts++
 	}
-	return true, nil
+	return nil
 }
 
 // rollback restores both files to the last committed record boundary

@@ -17,8 +17,7 @@
 //     then compute-and-persist — so results survive the process and a
 //     killed sweep resumes by recomputing nothing it already stored.
 //     Such an engine memoizes cacheable points as their stored records
-//     (see RunOne). Engine.SetPeers adds a cluster tier beneath the disk
-//     (peers.go);
+//     (see RunOne);
 //   - deterministic ordering: results[i] always corresponds to
 //     cfgs[i]; on failure, the engine stops dispatching and reports
 //     the lowest-indexed point that ran and failed (a serial run

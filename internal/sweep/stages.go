@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"magicstate/internal/core"
@@ -11,7 +10,7 @@ import (
 
 // The stage tier: on a final-record miss the engine runs core.Compose,
 // the pipeline's one composition, with a resolver that answers each
-// stage memory → disk → peer fetch → compute → persist (resolve). A
+// stage memory → disk → compute → persist (resolve). A
 // config that shares upstream axes with earlier work — a sweep varying
 // only Seed reuses every factory build; one varying only Style reuses
 // factory + placement — replays the shared artifacts instead of
@@ -26,9 +25,6 @@ import (
 // the config memo's default; the durable tier backstops evictions.
 const stageCacheLimit = 256
 
-// errNotStage rejects a peer payload not framed as the wanted stage.
-var errNotStage = errors.New("sweep: peer payload is not framed as the wanted stage")
-
 // stageMemoKey identifies one stage artifact in the in-memory memo.
 // recordPaths joins the key only because the place stage's memoized
 // value can carry a force-directed simulation byproduct, whose
@@ -42,7 +38,7 @@ type stageMemoKey struct {
 
 // stageCounters tracks stage-tier traffic per stage, shared by every
 // engine a Derive chain produces (like diskHits). Hits count artifacts
-// replayed from the durable tier (disk or peer fetch); computes count
+// replayed from the durable tier; computes count
 // stage executions. In-memory stage reuse surfaces as neither — same as
 // the config memo.
 type stageCounters struct {
@@ -75,7 +71,7 @@ func (e *Engine) StageStats() StageStats {
 
 // resolve returns the engine's hook for stage st, whose artifacts
 // persist through encode and replay through decode. The hook answers
-// memory → disk → peer fetch → compute, persisting what it computes.
+// memory → disk → compute, persisting what it computes.
 // Points sharing a stage share its flight, which computes on the
 // flight's own context: one point's cancellation never fails another
 // point still waiting for the artifact. A config whose stage artifact is not cacheable (a
@@ -84,14 +80,6 @@ func (e *Engine) StageStats() StageStats {
 // its winner; that is persisted under the sim stage's key too, so a
 // future placement replay skips the resimulation as well.
 func resolve[T any](e *Engine, st core.Stage, encode func(T) []byte, decode func([]byte) (T, error)) core.Resolve[T] {
-	// framed decodes a peer's payload, which must be framed as st's.
-	framed := func(payload []byte) (T, error) {
-		if got, body, ok := store.StagePayload(payload); ok && got == st {
-			return decode(body)
-		}
-		var zero T
-		return zero, errNotStage
-	}
 	return func(ctx context.Context, cfg core.Config, compute func(context.Context) (T, error)) (T, error) {
 		if !store.StageCacheable(st, cfg) {
 			v, err := compute(ctx)
@@ -108,9 +96,6 @@ func resolve[T any](e *Engine, st core.Stage, encode func(T) []byte, decode func
 						e.stage.hits[st].Add(1)
 						return v, nil
 					}
-				} else if v, ok := fetchPeer(ctx, e, k.key, framed); ok {
-					e.stage.hits[st].Add(1)
-					return v, nil
 				}
 			}
 			v, err := compute(ctx)

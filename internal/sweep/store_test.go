@@ -235,8 +235,8 @@ func TestPersistFailuresCounted(t *testing.T) {
 
 // TestSharedStageSurvivesOnePointCancel: two points share one factory
 // build. The point whose flight started the build is cancelled while
-// the build is under way; the other point, still wanted, must get its
-// report — the stage flight belongs to both, not to its first caller.
+// the build is under way; the other point, still wanted, must get the
+// artifact — the stage flight belongs to both, not to its first caller.
 func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -246,45 +246,41 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 	a := core.Config{K: 4, Levels: 1, Strategy: core.StrategyLinear, Seed: 1}
 	b := a
 	b.Seed = 2
-	buildKey := store.StageKeyOf(core.StageBuild, a)
-	if buildKey != store.StageKeyOf(core.StageBuild, b) {
+	if store.StageKeyOf(core.StageBuild, a) != store.StageKeyOf(core.StageBuild, b) {
 		t.Fatal("test points do not share their build stage")
 	}
-	// The peer fetch of the build artifact parks until released (or its
-	// context ends), holding the build stage flight open.
-	fetching := make(chan struct{}, 1)
+	e := New(Options{Workers: 2, Store: st})
+	build := resolve(e, core.StageBuild, core.EncodeBuildArtifact, core.DecodeBuildArtifact)
+	// The build parks until released or its flight's context ends, so
+	// a build running on the first caller's context fails once that
+	// caller is cancelled.
+	building := make(chan struct{})
 	release := make(chan struct{})
-	peers := &fakePeers{fetch: func(ctx context.Context, k store.Key) ([]byte, bool) {
-		if k == buildKey {
-			select {
-			case fetching <- struct{}{}:
-			default:
-			}
-			select {
-			case <-release:
-			case <-ctx.Done():
-			}
+	compute := func(ctx context.Context) (*core.BuildArtifact, error) {
+		close(building)
+		select {
+		case <-release:
+		case <-ctx.Done():
 		}
-		return nil, false
-	}}
-	e := withPeers(New(Options{Workers: 2, Store: st}), peers)
+		return core.BuildStage(ctx, a)
+	}
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	errA := make(chan error, 1)
 	go func() {
-		_, err := e.RunOneContext(ctxA, a)
+		_, err := build(ctxA, a, compute)
 		errA <- err
 	}()
-	<-fetching
+	<-building
 	type outcome struct {
-		rep *core.Report
+		art *core.BuildArtifact
 		err error
 	}
 	outB := make(chan outcome, 1)
 	go func() {
-		rep, err := e.RunOneContext(context.Background(), b)
-		outB <- outcome{rep, err}
+		art, err := build(context.Background(), b, compute)
+		outB <- outcome{art, err}
 	}()
 	// b has joined the build flight once the stage memo counts a hit.
 	for hits, _ := e.stageCache.Stats(); hits == 0; hits, _ = e.stageCache.Stats() {
@@ -297,14 +293,13 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 	close(release)
 	got := <-outB
 	if got.err != nil {
-		t.Fatalf("live point failed with %v, want its report", got.err)
+		t.Fatalf("live point failed with %v, want the build artifact", got.err)
 	}
-	want, err := core.Run(b)
-	if err != nil {
-		t.Fatal(err)
+	if got.art == nil || got.art.Factory == nil {
+		t.Fatalf("live point got %+v, want a built factory", got.art)
 	}
-	if got.rep.Latency != want.Latency || got.rep.Area != want.Area {
-		t.Fatalf("live point = %d x %d, want %d x %d", got.rep.Latency, got.rep.Area, want.Latency, want.Area)
+	if c := e.StageStats().BuildComputes; c != 1 {
+		t.Fatalf("build computes = %d, want 1 shared build", c)
 	}
 }
 

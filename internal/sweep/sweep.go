@@ -43,10 +43,7 @@ type Engine struct {
 	stageCache *memo.Cache    // stage artifacts (see stages.go)
 	stage      *stageCounters // stage-tier traffic, shared via Derive
 	store      *store.Store
-	peers      Peers
 	diskHits   *atomic.Int64 // shared by every engine Derive produces
-	fetchHits  *atomic.Int64 // final records fetched from a peer
-	evalHits   *atomic.Int64 // points evaluated by a peer
 	putFails   *atomic.Int64 // failed durable writes, shared via Derive
 }
 
@@ -64,15 +61,13 @@ func New(opts Options) *Engine {
 		stage:      new(stageCounters),
 		store:      opts.Store,
 		diskHits:   new(atomic.Int64),
-		fetchHits:  new(atomic.Int64),
-		evalHits:   new(atomic.Int64),
 		putFails:   new(atomic.Int64),
 	}
 }
 
-// Derive returns an engine that shares e's memo caches, result store,
-// peer tier and every counter but runs with its own worker width and
-// progress callback; opts.Store is ignored. It is how
+// Derive returns an engine that shares e's memo caches, result store
+// and every counter but runs with its own worker width and progress
+// callback; opts.Store is ignored. It is how
 // one process serves many differently-shaped callers from a single
 // cache tier: the msfud service derives a width-capped engine per
 // request (opts.Workers above e's width is clamped down to it, so a
@@ -89,10 +84,7 @@ func (e *Engine) Derive(opts Options) *Engine {
 		stageCache: e.stageCache,
 		stage:      e.stage,
 		store:      e.store,
-		peers:      e.peers,
 		diskHits:   e.diskHits,
-		fetchHits:  e.fetchHits,
-		evalHits:   e.evalHits,
 		putFails:   e.putFails,
 	}
 }
@@ -107,18 +99,8 @@ func (e *Engine) FlightStats() (shared int64, inFlight int) { return e.cache.Fli
 
 // DiskHits reports how many points were served from the durable tier
 // instead of being recomputed, across this engine and every engine
-// sharing its cache via Derive. Final records fetched from a peer and
-// admitted to the store count here too (see PeerFetchHits).
+// sharing its cache via Derive.
 func (e *Engine) DiskHits() int64 { return e.diskHits.Load() }
-
-// PeerFetchHits reports how many points were served by fetching their
-// final record from a peer, a subset of DiskHits. Stage artifacts
-// fetched from peers count in StageStats instead.
-func (e *Engine) PeerFetchHits() int64 { return e.fetchHits.Load() }
-
-// RemoteEvalHits reports how many points a peer evaluated on this
-// engine's behalf instead of them being computed here.
-func (e *Engine) RemoteEvalHits() int64 { return e.evalHits.Load() }
 
 // PutFailures reports how many durable writes (final records and stage
 // artifacts) failed, across this engine and every engine sharing its
@@ -146,9 +128,8 @@ func (e *Engine) Run(ctx context.Context, cfgs []core.Config) ([]*core.Report, e
 
 // RunOne executes a single Config through the engine's cache tier:
 // the in-memory memo answers repeats within the process, the durable
-// store (when the engine has one) answers repeats across processes,
-// the peer tier (when the engine has one) answers from other nodes, and
-// only a miss on all of them computes — persisting the fresh result so
+// store (when the engine has one) answers repeats across processes, and
+// only a miss on both computes — persisting the fresh result so
 // no process ever computes this point again. It is how grid stages that
 // need per-point error context (or mix pipeline runs with other work)
 // still share the cache: call RunOne from inside a Map function instead
@@ -172,7 +153,7 @@ func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 // ctx (WithGate) is called only after every cache tier has missed.
 func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Report, error) {
 	v, err := e.cache.DoContext(ctx, cfg, func(ctx context.Context) (any, error) {
-		if rep, ok := e.lookup(ctx, cfg); ok {
+		if rep, ok := e.lookup(cfg); ok {
 			return rep, nil
 		}
 		if gate, ok := ctx.Value(gateKey{}).(Gate); ok {
@@ -195,7 +176,7 @@ func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Repo
 			return nil, err
 		}
 		// With a store, a cacheable point is memoized as the record the
-		// store keeps, so memo, disk and peer answers share one shape
+		// store keeps, so memo and disk answers share one shape
 		// and the memo holds no factory, placement or simulation.
 		if e.store != nil && store.Cacheable(cfg) {
 			e.persisted(e.store.PutReport(cfg, rep))
@@ -234,13 +215,20 @@ func (e *Engine) PeekOne(cfg core.Config) (*core.Report, bool) {
 	if v, ok := e.cache.Peek(cfg); ok {
 		return v.(*core.Report), true
 	}
-	if e.store != nil {
-		if rep, ok := e.store.LookupReport(cfg); ok {
-			e.diskHits.Add(1)
-			return rep, true
-		}
+	return e.lookup(cfg)
+}
+
+// lookup answers cfg from the durable store, when the engine has one,
+// and counts the disk hit.
+func (e *Engine) lookup(cfg core.Config) (*core.Report, bool) {
+	if e.store == nil {
+		return nil, false
 	}
-	return nil, false
+	rep, ok := e.store.LookupReport(cfg)
+	if ok {
+		e.diskHits.Add(1)
+	}
+	return rep, ok
 }
 
 // tick reports one completed point.
