@@ -25,9 +25,9 @@ type presetResult struct {
 }
 
 // runPreset evaluates a named preset suite and writes one JSON result
-// per line to w, in point order. Parallelism and checkpointing behave like
-// the artifact sweeps: results are byte-identical at every -parallel
-// setting and across checkpoint resumes.
+// per line to w, in point order. Parallelism and checkpointing behave
+// like the artifact sweeps: results are byte-identical at every
+// -parallel setting and across checkpoint resumes.
 func runPreset(w io.Writer, name string, parallel int, checkpoint string) error {
 	p, ok := presets.Get(name)
 	if !ok {

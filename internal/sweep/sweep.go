@@ -67,11 +67,11 @@ func New(opts Options) *Engine {
 
 // Derive returns an engine that shares e's memo caches, result store
 // and every counter but runs with its own worker width and progress
-// callback; opts.Store is ignored. It is how
-// one process serves many differently-shaped callers from a single
-// cache tier: the msfud service derives a width-capped engine per
-// request (opts.Workers above e's width is clamped down to it, so a
-// request can narrow the shared pool but never widen it).
+// callback; opts.Store is ignored. It is how one process serves many
+// differently-shaped callers from a single cache tier: the msfud
+// service derives a width-capped engine per request (opts.Workers above
+// e's width is clamped down to it, so a request can narrow the shared
+// pool but never widen it).
 func (e *Engine) Derive(opts Options) *Engine {
 	w := opts.Workers
 	if w <= 0 || w > e.workers {
