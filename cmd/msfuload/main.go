@@ -305,15 +305,12 @@ type workloadConfig struct {
 	seed       int64
 }
 
-// verifyPoints recomputes sample points in-process (serial reference)
-// and compares the server's answers byte-for-byte after normalizing
-// through the same struct. Returns the mismatches.
+// verifyPoints recomputes n sample points in-process (serial
+// reference) and compares the server's answers byte-for-byte after
+// normalizing through the same struct. Returns the mismatches.
 func verifyPoints(base string, c *httpclient.Client, pts []point, n int) []string {
 	var bad []string
-	if n > len(pts) {
-		n = len(pts)
-	}
-	for _, pt := range pts[:n] {
+	for _, pt := range spread(pts, n) {
 		var got struct {
 			Strategy           string  `json:"strategy"`
 			Latency            int     `json:"latency"`
@@ -340,6 +337,19 @@ func verifyPoints(base string, c *httpclient.Client, pts []point, n int) []strin
 		}
 	}
 	return bad
+}
+
+// spread returns n points evenly strided across pts, the first point
+// included. universe lists its points family by family (capacities,
+// strategies, levels, frontend workloads), so even a short sample
+// verifies every family, not just the first one.
+func spread(pts []point, n int) []point {
+	n = min(n, len(pts))
+	out := make([]point, n)
+	for i := range out {
+		out[i] = pts[i*len(pts)/n]
+	}
+	return out
 }
 
 // metricsSnapshot pulls the counters the report and assertions need

@@ -70,7 +70,7 @@ func main() {
 // run is paperbench's body: it parses args, writes the artifacts to
 // stdout and timings, progress and errors to stderr, and returns the
 // process exit code.
-func run(args []string, stdout io.Writer) int {
+func run(args []string, stdout io.Writer) (code int) {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "random seed shared by all experiments")
 	quick := fs.Bool("quick", false, "shrink capacity sweeps for a fast smoke pass")
@@ -102,7 +102,9 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	// Profiles are flushed on every return path: a profile of a failing
-	// run is exactly the one worth keeping.
+	// run is exactly the one worth keeping. A profile that cannot be
+	// written in full fails the run.
+	var cpuF *os.File
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -110,24 +112,32 @@ func run(args []string, stdout io.Writer) int {
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
+		cpuF = f
 	}
 	defer func() {
-		if *cpuProfile != "" {
+		if cpuF != nil {
 			pprof.StopCPUProfile()
+			if err := cpuF.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				code = 1
+			}
 		}
 		if *memProfile != "" {
 			f, err := os.Create(*memProfile)
+			if err == nil {
+				runtime.GC() // settle the heap so the profile shows retained state
+				err = pprof.WriteHeapProfile(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained state
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				code = 1
 			}
 		}
 	}()
@@ -186,6 +196,7 @@ func run(args []string, stdout io.Writer) int {
 			}
 			if err := st.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, err)
+				code = 1
 			}
 		}()
 	}
@@ -249,7 +260,6 @@ func run(args []string, stdout io.Writer) int {
 	// section runs one selected artifact and times it on stderr. After
 	// the first failure every later section is skipped and run returns
 	// 1.
-	code := 0
 	section := func(name string, selected bool, fn func() error) {
 		if code != 0 || !selected {
 			return

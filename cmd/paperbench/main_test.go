@@ -104,3 +104,20 @@ func renderDigests(sums map[string]string) string {
 	}
 	return b.String()
 }
+
+// TestCPUProfileWritten: -cpuprofile leaves a complete profile behind
+// once run returns, because run stops the profile and closes its file.
+func TestCPUProfileWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	var stdout bytes.Buffer
+	if code := run([]string{"ext-bk15", "-quick", "-cpuprofile", path}, &stdout); code != 0 {
+		t.Fatalf("paperbench ext-bk15 -quick -cpuprofile exited %d", code)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("CPU profile is empty")
+	}
+}

@@ -59,6 +59,63 @@ func (s Stage) String() string {
 //deadcheck:keep every-stage key tests in store's stagekey_test and stagekey_fuzz_test
 func Stages() []Stage { return []Stage{StageBuild, StagePlace, StageSim} }
 
+// Scope returns cfg with every field zeroed that stage st and the
+// stages upstream of it ignore: two configs with equal scopes get
+// byte-identical artifacts from st. It is the one place a Config field
+// is classified, and every cache key derives from it (internal/store
+// digests the scope, the sweep engine's stage memo is keyed by it), so
+// configs that differ only in downstream axes share upstream artifacts:
+//
+//   - StageBuild: {K, Levels, Reuse, NoBarriers, Workload,
+//     WorkloadSource}. Stitching also keeps Strategy and Seed, since
+//     building and placing are one fused, seeded optimization there
+//     (the artifact carries the placement). A "random" workload keeps
+//     Seed, which draws its circuit. Every other flat build shares
+//     Strategy 0: every seed, style and mapper shares one factory.
+//   - StagePlace: the build scope plus Strategy, Defects (every mapper,
+//     the stitch pass-through included, relocates qubits off defective
+//     tiles) and what the mapper reads — Seed for the seeded mappers
+//     (Random, GP, FD), nothing more for Linear, and for FD also the FD
+//     options and the mesh fields {MeshMode, Style, Distance}, because
+//     FD scores its candidates in simulation.
+//   - StageSim (and any later stage): the place scope plus the mesh
+//     fields {MeshMode, Style, Distance}.
+//
+// RecordPaths is in no scope: it changes which diagnostics a
+// simulation retains, never its outcome, so it gates cacheability
+// instead (store.StageCacheable). FD.RestartWorkers is zeroed too: the
+// annealer never reads it. Assemble reads only Levels and Strategy
+// beyond the artifacts, so a report is a function of its sim scope.
+func (st Stage) Scope(cfg Config) Config {
+	s := Config{
+		K: cfg.K, Levels: cfg.Levels, Reuse: cfg.Reuse, NoBarriers: cfg.NoBarriers,
+		Workload: cfg.Workload, WorkloadSource: cfg.WorkloadSource,
+	}
+	if cfg.Strategy == StrategyStitch {
+		s.Strategy, s.Seed = cfg.Strategy, cfg.Seed
+	}
+	if cfg.Workload == "random" {
+		s.Seed = cfg.Seed
+	}
+	if st == StageBuild {
+		return s
+	}
+	s.Strategy, s.Defects = cfg.Strategy, cfg.Defects
+	switch cfg.Strategy {
+	case StrategyRandom, StrategyGraphPartition:
+		s.Seed = cfg.Seed
+	case StrategyForceDirected:
+		s.Seed, s.FD = cfg.Seed, cfg.FD
+		s.FD.RestartWorkers = 0
+		s.MeshMode, s.Style, s.Distance = cfg.MeshMode, cfg.Style, cfg.Distance
+	}
+	if st == StagePlace {
+		return s
+	}
+	s.MeshMode, s.Style, s.Distance = cfg.MeshMode, cfg.Style, cfg.Distance
+	return s
+}
+
 // BuildArtifact is the output of StageBuild: the generated factory and,
 // for hierarchical stitching only (where building and placing are one
 // fused optimization), the placement it fixed. Artifacts are shared

@@ -1,6 +1,10 @@
 // Package store is the durable tier of the repository's result cache: a
-// content-addressed, append-only on-disk store of pipeline results keyed
-// by a canonical hash of core.Config. It is what lets a result outlive
+// content-addressed, append-only on-disk store of pipeline results and
+// stage artifacts. Every key is one canonical hash over a config scope:
+// core.Stage.Scope zeroes the fields an artifact does not depend on — it
+// is the one place a new core.Config field gets classified — and KeyOf
+// (a final record, keyed by its sim scope) and StageKeyOf (one stage's
+// artifact) digest what it keeps. It is what lets a result outlive
 // the process that computed it — the in-memory memo cache of
 // internal/sweep/memo answers repeats within a process, and this package
 // answers repeats across processes, so any given (capacity, level,
@@ -26,7 +30,8 @@
 //
 // Open recovers the longest valid prefix of the two files: index
 // entries are replayed in order and validated (entry CRC, contiguous
-// extents, payload CRC), and the first invalid entry — a torn write
+// extents, payload CRC — the one chain walk Scrub also uses), and the
+// first invalid entry — a torn write
 // from a crash, a truncated log, flipped bits — ends the replay. Both
 // files are then truncated back to the validated prefix, so a store
 // that crashed mid-append reopens to exactly the records that were
@@ -39,7 +44,8 @@
 // volume, bounds, stalls — see Record), not the simulation itself:
 // reports served from disk carry no Factory/Placement/Sim pointers.
 // Configurations whose callers need those pointers (RecordPaths, i.e.
-// trace rendering) are excluded by Cacheable and always recompute.
+// trace rendering) are excluded by StageCacheable's sim-stage rule and
+// always recompute.
 //
 // Store is safe for concurrent use by multiple goroutines of one
 // process, and Open refuses a directory this process already has open —

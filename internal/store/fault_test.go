@@ -95,7 +95,7 @@ func TestFaultInjectedWriteIsConfined(t *testing.T) {
 				if wantFail >= 0 {
 					wantLive = n - 1
 				}
-				if got := s.Len(); got != wantLive {
+				if got := liveRecords(s); got != wantLive {
 					t.Fatalf("live records = %d, want %d", got, wantLive)
 				}
 				if err := s.Close(); err != nil {
@@ -106,7 +106,7 @@ func TestFaultInjectedWriteIsConfined(t *testing.T) {
 					t.Fatalf("reopen after injected fault: %v", err)
 				}
 				defer rs.Close()
-				if got := rs.Len(); got != wantLive {
+				if got := liveRecords(rs); got != wantLive {
 					t.Fatalf("recovered %d records, want %d", got, wantLive)
 				}
 				for i, k := range keys {
@@ -179,7 +179,7 @@ func TestFaultTornWriteThenCrash(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rec %d cut %d: Open: %v", rec, cut, err)
 			}
-			if got := rs.Len(); got != want {
+			if got := liveRecords(rs); got != want {
 				t.Fatalf("rec %d cut %d: recovered %d records, want %d", rec, cut, got, want)
 			}
 			for i := 0; i < want; i++ {
@@ -217,7 +217,7 @@ func TestFaultSyncErrorSurfacesButPreservesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if got := rs.Len(); got != 5 {
+	if got := liveRecords(rs); got != 5 {
 		t.Fatalf("recovered %d records, want 5", got)
 	}
 	for i, k := range keys {

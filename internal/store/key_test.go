@@ -11,17 +11,21 @@ import (
 func TestKeyOfPinnedDigest(t *testing.T) {
 	// The canonical encoding must be stable across processes and
 	// releases: a silent change would orphan every existing store. This
-	// digest was produced by keyFormatVersion 4 (which dropped the cost
-	// model, RouteMargin, the stitch options and the force-directed
-	// weights, sample size and restarts); if the encoding must change,
-	// bump keyFormatVersion and re-pin.
-	const want = "01aa69db8bc5a3b7809d6d998c26050fb51dcabab88712bd8062f70a7e3745f0"
+	// digest was produced by keyFormatVersion 5 (which keys a final
+	// record by the digest of its sim scope, core.StageSim.Scope); if
+	// the encoding or the scope must change, bump keyFormatVersion and
+	// re-pin.
+	const want = "96023ffba59c18e83daba2ebef8bbc7784fb8a814479fe846ee818ab3f5167ce"
 	got := KeyOf(core.Config{K: 4, Levels: 2, Reuse: true, Strategy: core.StrategyStitch, Seed: 7}).String()
 	if got != want {
 		t.Fatalf("KeyOf digest drifted:\n got %s\nwant %s\n(bump keyFormatVersion if the encoding changed on purpose)", got, want)
 	}
 }
 
+// TestKeyOfDistinguishesEveryField: the canonical encoder writes every
+// field, so no two configs that differ in one field share a digest.
+// Which fields an artifact depends on is the scope's decision
+// (core.Stage.Scope), never the encoder's.
 func TestKeyOfDistinguishesEveryField(t *testing.T) {
 	base := core.Config{K: 4, Levels: 2, Seed: 1}
 	mutations := map[string]core.Config{}
@@ -42,35 +46,39 @@ func TestKeyOfDistinguishesEveryField(t *testing.T) {
 	add("RecordPaths", func(c *core.Config) { c.RecordPaths = true })
 	add("FD", func(c *core.Config) { c.FD = force.Options{Iterations: 9} })
 	add("FD.MarginRows", func(c *core.Config) { c.FD.MarginRows = 2 })
+	add("FD.RestartWorkers", func(c *core.Config) { c.FD.RestartWorkers = 8 })
 	add("Workload", func(c *core.Config) { c.Workload = "random" })
 	add("WorkloadSource", func(c *core.Config) { c.WorkloadSource = "q=8;layers=2" })
 	add("Defects", func(c *core.Config) { c.Defects = "1,1" })
 
-	baseKey := KeyOf(base)
-	seen := map[Key]string{baseKey: "base"}
+	const header = "test\n"
+	seen := map[Key]string{digest(header, base): "base"}
 	for name, cfg := range mutations {
-		k := KeyOf(cfg)
+		k := digest(header, cfg)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("mutating %s collides with %s", name, prev)
 		}
 		seen[k] = name
 	}
 
-	// RestartWorkers must NOT change the key: the annealer never reads
-	// it, and keying on it would fracture the store for nothing.
-	workers := base
-	workers.FD.RestartWorkers = 8
-	if KeyOf(workers) != baseKey {
-		t.Error("FD.RestartWorkers changed the key; nothing reads it and it must stay excluded")
+	// KeyOf digests the sim scope, so fields no stage reads — Linear's
+	// seed, the path diagnostics, the annealer's unread worker count —
+	// leave the final key alone.
+	line := core.Config{K: 4, Levels: 2, Strategy: core.StrategyLinear, Seed: 1}
+	out := line
+	out.Seed, out.RecordPaths, out.FD = 2, true, force.Options{Iterations: 9, RestartWorkers: 8}
+	if KeyOf(out) != KeyOf(line) {
+		t.Error("KeyOf changed with fields outside Linear's sim scope")
 	}
 }
 
 // TestKeyGuardsConfigFields pins the exact field sets of core.Config
 // and its nested option structs. If this test fails, a field was added
-// (or renamed) without teaching KeyOf about it — extend the canonical
-// encoding in key.go, bump keyFormatVersion, and update the lists here.
-// Skipping that step would make the store serve stale results for
-// configs that differ only in the new field.
+// (or renamed) without teaching the encoder about it — extend digest in
+// key.go, classify the field in core.Stage.Scope, bump both key format
+// versions, and update the lists here. Skipping that step would make
+// the store serve stale results for configs that differ only in the
+// new field.
 func TestKeyGuardsConfigFields(t *testing.T) {
 	check := func(v any, want []string) {
 		t.Helper()
@@ -80,7 +88,7 @@ func TestKeyGuardsConfigFields(t *testing.T) {
 			got = append(got, rt.Field(i).Name)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s fields = %v, want %v — update KeyOf and keyFormatVersion", rt, got, want)
+			t.Errorf("%s fields = %v, want %v — update digest and the key format versions", rt, got, want)
 		}
 	}
 	check(core.Config{}, []string{
@@ -88,19 +96,8 @@ func TestKeyGuardsConfigFields(t *testing.T) {
 		"MeshMode", "Style", "Distance", "RecordPaths", "FD",
 		"Workload", "WorkloadSource", "Defects",
 	})
-	// RestartWorkers is in this guard list but intentionally absent from
-	// KeyOf: the annealer never reads it.
 	check(force.Options{}, []string{
 		"Iterations", "Seed", "MarginRows", "DisableDipole", "DisableCommunity",
 		"RestartWorkers",
 	})
-}
-
-func TestCacheable(t *testing.T) {
-	if !Cacheable(core.Config{K: 4}) {
-		t.Fatal("plain config should be cacheable")
-	}
-	if Cacheable(core.Config{K: 4, RecordPaths: true}) {
-		t.Fatal("RecordPaths config must not be cacheable")
-	}
 }

@@ -43,8 +43,8 @@ func RecordOf(rep *core.Report) Record {
 
 // Report rebuilds a core.Report for cfg from the stored scalars. The
 // Factory, Placement and Sim pointers are nil — disk-served reports
-// only feed consumers of the scalar fields (Cacheable gates out the
-// configs whose callers need more).
+// only feed consumers of the scalar fields (StageCacheable's sim rule
+// gates out the configs whose callers need more).
 func (r Record) Report(cfg core.Config) *core.Report {
 	return &core.Report{
 		Config:          cfg,
@@ -63,7 +63,7 @@ func (r Record) Report(cfg core.Config) *core.Report {
 // is not cacheable, absent, or stored in an undecodable form (treated
 // as a miss: the caller recomputes and overwrites nothing).
 func (s *Store) LookupReport(cfg core.Config) (rep *core.Report, ok bool) {
-	if !Cacheable(cfg) {
+	if !StageCacheable(core.StageSim, cfg) {
 		return nil, false
 	}
 	payload, ok := s.Get(KeyOf(cfg))
@@ -81,7 +81,7 @@ func (s *Store) LookupReport(cfg core.Config) (rep *core.Report, ok bool) {
 // configs are silently skipped, so callers can offer every result to
 // the store without gating.
 func (s *Store) PutReport(cfg core.Config, rep *core.Report) error {
-	if !Cacheable(cfg) {
+	if !StageCacheable(core.StageSim, cfg) {
 		return nil
 	}
 	payload, err := json.Marshal(RecordOf(rep))

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -50,8 +48,8 @@ func (r *ScrubReport) Clean() bool {
 }
 
 // Scrub verifies a store directory offline, without opening it as a
-// live Store: it replays the index against the log exactly the way
-// recovery does (entry CRC, contiguity, range, payload CRC), then
+// live Store: it replays the index against the log with the walk
+// recovery uses (entry CRC, contiguity, range, payload CRC), then
 // applies softer checks within the valid prefix (payloads must decode
 // as Records — or, when stage-framed, under their stage artifact codec
 // — and keys must be unique). With repair set, files holding data
@@ -65,18 +63,10 @@ func Scrub(dir string, repair bool) (*ScrubReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	openDirs.mu.Lock()
-	if openDirs.dirs[absDir] {
-		openDirs.mu.Unlock()
+	if !claimDir(absDir) {
 		return nil, fmt.Errorf("store: %s is open in this process; close it before scrubbing", dir)
 	}
-	openDirs.dirs[absDir] = true
-	openDirs.mu.Unlock()
-	defer func() {
-		openDirs.mu.Lock()
-		delete(openDirs.dirs, absDir)
-		openDirs.mu.Unlock()
-	}()
+	defer releaseDir(absDir)
 
 	logBytes, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
@@ -92,36 +82,8 @@ func Scrub(dir string, repair bool) (*ScrubReport, error) {
 		IndexBytes: int64(len(idxBytes)),
 		LogBytes:   int64(len(logBytes)),
 	}
-	if len(idxBytes)%entrySize != 0 {
-		rep.Reason = fmt.Sprintf("index length %d is not a multiple of the %d-byte entry size (torn tail)", len(idxBytes), entrySize)
-	}
-
 	seen := make(map[Key]bool, rep.Entries)
-	var validLog int64
-	for off := 0; off+entrySize <= len(idxBytes); off += entrySize {
-		e := idxBytes[off : off+entrySize]
-		entryNo := off / entrySize
-		if crc32.ChecksumIEEE(e[:48]) != binary.LittleEndian.Uint32(e[48:52]) {
-			rep.Reason = fmt.Sprintf("entry %d fails its entry CRC", entryNo)
-			break
-		}
-		recOff := int64(binary.LittleEndian.Uint64(e[32:40]))
-		recLen := int64(binary.LittleEndian.Uint32(e[40:44]))
-		if recOff != validLog {
-			rep.Reason = fmt.Sprintf("entry %d is non-contiguous (offset %d, want %d)", entryNo, recOff, validLog)
-			break
-		}
-		if recOff+recLen > int64(len(logBytes)) {
-			rep.Reason = fmt.Sprintf("entry %d extends past the log end (%d+%d > %d)", entryNo, recOff, recLen, len(logBytes))
-			break
-		}
-		payload := logBytes[recOff : recOff+recLen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(e[44:48]) {
-			rep.Reason = fmt.Sprintf("entry %d payload fails its CRC", entryNo)
-			break
-		}
-		var k Key
-		copy(k[:], e[:32])
+	rep.Valid, rep.ValidLogBytes, rep.Reason = walk(idxBytes, logBytes, func(entryNo int, k Key, _ extent, payload []byte) {
 		if seen[k] {
 			rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d: duplicate key %s", entryNo, k))
 		}
@@ -137,11 +99,8 @@ func Scrub(dir string, repair bool) (*ScrubReport, error) {
 				rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d (%s): payload does not decode as a record: %v", entryNo, k, err))
 			}
 		}
-		rep.Valid++
-		validLog = recOff + recLen
-	}
+	})
 	rep.ValidIndexBytes = int64(rep.Valid * entrySize)
-	rep.ValidLogBytes = validLog
 	rep.Truncated = rep.ValidIndexBytes != rep.IndexBytes || rep.ValidLogBytes != rep.LogBytes
 
 	if repair && rep.Truncated {

@@ -94,7 +94,7 @@ func TestScrubDetectsAndRepairsCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Len(); got != 7 {
+	if got := liveRecords(s); got != 7 {
 		t.Fatalf("post-repair Len = %d, want 7", got)
 	}
 }
@@ -245,5 +245,32 @@ func TestScrubRefusesOpenStore(t *testing.T) {
 func TestScrubMissingDir(t *testing.T) {
 	if _, err := Scrub(filepath.Join(t.TempDir(), "nope"), false); err == nil {
 		t.Fatal("scrub of a missing directory succeeded")
+	}
+}
+
+// TestScrubNamesOrphanLogTail: a crash between a payload's log write
+// and its index write leaves log bytes no entry covers. Every entry
+// still verifies, so the reason must name the orphan tail itself.
+func TestScrubNamesOrphanLogTail(t *testing.T) {
+	dir := buildScrubDir(t, 3)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(`{"orphan":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scrub(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Truncated || rep.Valid != 3 || rep.LogBytes-rep.ValidLogBytes != 15 {
+		t.Fatalf("scrub of a store with an orphan log tail = %+v", rep)
+	}
+	if !strings.Contains(rep.Reason, "15 bytes past the last indexed record") {
+		t.Fatalf("reason %q does not name the orphan tail", rep.Reason)
 	}
 }

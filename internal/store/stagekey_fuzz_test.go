@@ -72,6 +72,14 @@ func FuzzStageKeyScope(f *testing.F) {
 			expect("Seed", base.diff(keysOf(mut)), "")
 		}
 
+		// A random workload draws its circuit from Seed, so there the
+		// seed reaches the build whatever the strategy.
+		rw := cfg
+		rw.Workload, rw.WorkloadSource = "random", "q=8;layers=2"
+		mut = rw
+		mut.Seed++
+		expect("random-workload Seed", keysOf(rw).diff(keysOf(mut)), "build+place+sim")
+
 		// The mesh scope (distance here) reaches the simulation; FD
 		// additionally scores placements with it.
 		mut = cfg
@@ -99,8 +107,8 @@ func FuzzStageKeyScope(f *testing.F) {
 		mut.FD.RestartWorkers += 4
 		expect("FD.RestartWorkers", base.diff(keysOf(mut)), "")
 
-		// Stage keys never alias each other, the final key, or an
-		// unknown stage's key, whatever the config.
+		// Stage keys never alias each other, the final key, or a key
+		// under a stage past StageSim, whatever the config.
 		seen := map[Key]string{KeyOf(cfg): "final"}
 		for _, st := range append(core.Stages(), core.Stage(200)) {
 			sk := StageKeyOf(st, cfg)

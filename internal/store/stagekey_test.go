@@ -80,6 +80,11 @@ func TestStageKeyScopes(t *testing.T) {
 		{"Defects", func(c *core.Config) { c.Defects = "1,1" }, "place+sim"},
 		{"RecordPaths", func(c *core.Config) { c.RecordPaths = true }, ""},
 		{"FD.RestartWorkers", func(c *core.Config) { c.FD.RestartWorkers = 8 }, ""},
+		// A random workload draws its circuit from Seed, so the seed
+		// reaches the build under every strategy.
+		{"random-workload Seed", func(c *core.Config) {
+			c.Workload, c.WorkloadSource, c.Seed = "random", "q=8;layers=2", c.Seed+1
+		}, "build+place+sim"},
 	}
 
 	t.Run("linear", func(t *testing.T) {
@@ -141,7 +146,8 @@ func TestStageKeyScopes(t *testing.T) {
 
 // TestStageKeysNeverAliasAcrossStagesOrFinals: the same config's keys
 // for different stages — and its final key — must all be distinct, or a
-// lookup could replay the wrong kind of record.
+// lookup could replay the wrong kind of record. The header names the
+// stage, so equal scopes under two stages still get two keys.
 func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{K: 4, Levels: 2, Strategy: core.StrategyLinear},
@@ -155,7 +161,8 @@ func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 			}
 			seen[k] = st.String()
 		}
-		// Unknown stages get a total key too, and it must not alias.
+		// A stage past StageSim takes the sim scope under its own
+		// header, and must not alias either.
 		k := StageKeyOf(core.Stage(99), cfg)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("unknown-stage key collides with %s", prev)
@@ -166,16 +173,15 @@ func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 // TestStageKeyPinnedDigests pins the canonical stage encodings the way
 // TestKeyOfPinnedDigest pins the final one: silent drift would orphan
 // every stage record in every existing store. Produced by
-// stageKeyFormatVersion 3 (which dropped the stitch options from the
-// stitch build scope, the cost model and RouteMargin from the mesh
-// scope, and the removed force-directed knobs from the FD place scope);
-// if an encoding must change, bump the version and re-pin.
+// stageKeyFormatVersion 4 (which digests core.Stage.Scope with the one
+// canonical encoder); if an encoding or a scope must change, bump the
+// version and re-pin.
 func TestStageKeyPinnedDigests(t *testing.T) {
 	cfg := core.Config{K: 4, Levels: 2, Reuse: true, Strategy: core.StrategyStitch, Seed: 7}
 	for st, want := range map[core.Stage]string{
-		core.StageBuild: "22f86597b109d3307bb19fd02fbb6f96c902c5b755f16e916956e7ebb565cf5a",
-		core.StagePlace: "94622c08110f0f188ba391ad06985b0b875001f8ce8cbdeaf4300707e6ab8bd4",
-		core.StageSim:   "e58b727dba983e5368a6e80050007ea6bc50cf3adb607780e9cdc50591f98bca",
+		core.StageBuild: "4e5b14db5a9a9935d55f46d025063bae12a48d9398e326596fc86c80749d30fa",
+		core.StagePlace: "d174c556033ecad24f9aa8c5998bdd239829c7d0b31d9fc409faf7b9f8d2f5e9",
+		core.StageSim:   "257c0ccd5239a7c4e6f48afdcdb604d12e3ec57afdd714a6268187a2128db9c4",
 	} {
 		if got := StageKeyOf(st, cfg).String(); got != want {
 			t.Errorf("stage %s digest drifted:\n got %s\nwant %s\n(bump stageKeyFormatVersion if the encoding changed on purpose)", st, got, want)
@@ -183,44 +189,101 @@ func TestStageKeyPinnedDigests(t *testing.T) {
 	}
 }
 
-// TestStageKeyGuardsConfigFields is the reflection pin for the scope
-// matrix: every core.Config field must be explicitly classified below.
-// When a field is added, this fails until the new field is placed into
-// a scope class — teaching StageKeyOf about it (and bumping
-// stageKeyFormatVersion) or recording why no stage consumes it.
+// TestStageKeyGuardsConfigFields is the reflection guard for the
+// scopes the stage keys digest (core.Stage.Scope, the one place a
+// Config field is classified): every Config field, and every field of
+// the nested force-directed options, is listed with the earliest stage
+// whose key it moves for some strategy and workload kind, checked by
+// perturbing the field on a base config per strategy and workload. A
+// new field fails here until Scope classifies it and both key format
+// versions are bumped.
 func TestStageKeyGuardsConfigFields(t *testing.T) {
-	// Classification of every Config field by the earliest stage whose
-	// key carries it (later stages inherit their inputs' scope):
-	//   build       — in the build scope for at least one strategy
-	//   place       — joins at the placement key
-	//   sim         — joins at the simulation key
-	//   excluded    — deliberately in no stage scope
-	scope := map[string]string{
-		"K":              "build",
-		"Levels":         "build",
-		"Reuse":          "build",
-		"NoBarriers":     "build",
-		"Seed":           "build", // stitch fuses it into the build; seeded mappers at place
-		"Strategy":       "place",
-		"FD":             "place", // FD mapper only (minus RestartWorkers)
-		"MeshMode":       "sim",   // and place, for FD's simulation-scored candidates
-		"Style":          "sim",
-		"Distance":       "sim",
-		"RecordPaths":    "excluded", // diagnostics-only; gates StageCacheable instead
-		"Workload":       "build",    // the frontend fixes the circuit for every stage
-		"WorkloadSource": "build",
-		"Defects":        "place", // mappers relocate around defects; sim routes around them
+	want := map[string]string{
+		"K":          "build",
+		"Levels":     "build",
+		"Reuse":      "build",
+		"NoBarriers": "build",
+		"Strategy":   "build", // stitching fuses it into the build; mappers at place
+		"Seed":       "build", // stitching and random workloads; seeded mappers at place
+		"MeshMode":   "place", // FD scores candidates in simulation; sim for the rest
+		"Style":      "place",
+		"Distance":   "place",
+		// RecordPaths changes diagnostics only; it gates StageCacheable.
+		"RecordPaths":         "none",
+		"FD.Iterations":       "place",
+		"FD.Seed":             "place",
+		"FD.MarginRows":       "place",
+		"FD.DisableDipole":    "place",
+		"FD.DisableCommunity": "place",
+		"FD.RestartWorkers":   "none", // the annealer never reads it
+		"Workload":            "build",
+		"WorkloadSource":      "build",
+		"Defects":             "place", // mappers relocate around dead tiles
 	}
-	rt := reflect.TypeOf(core.Config{})
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if _, ok := scope[name]; !ok {
-			t.Errorf("core.Config field %s is not classified in the stage-key scope matrix — place it in a scope (updating StageKeyOf and stageKeyFormatVersion) or record it as excluded", name)
+	var bases []core.Config
+	for _, st := range []core.Strategy{
+		core.StrategyRandom, core.StrategyLinear, core.StrategyForceDirected,
+		core.StrategyGraphPartition, core.StrategyStitch,
+	} {
+		bases = append(bases,
+			core.Config{K: 2, Levels: 2, Strategy: st, Seed: 1},
+			core.Config{K: 2, Levels: 2, Strategy: st, Seed: 1, Workload: "random", WorkloadSource: "q=8;layers=2"})
+	}
+	// earliest names the first stage whose key moves when perturb is
+	// applied to some base, or "none".
+	earliest := func(perturb func(reflect.Value)) string {
+		first := len(core.Stages())
+		for _, base := range bases {
+			mut := base
+			perturb(reflect.ValueOf(&mut).Elem())
+			for i, st := range core.Stages() {
+				if StageKeyOf(st, base) != StageKeyOf(st, mut) {
+					first = min(first, i)
+					break
+				}
+			}
 		}
-		delete(scope, name)
+		if first == len(core.Stages()) {
+			return "none"
+		}
+		return core.Stages()[first].String()
 	}
-	for name := range scope {
-		t.Errorf("scope matrix lists %s, which is no longer a core.Config field", name)
+	var walk func(prefix string, path []int, rt reflect.Type)
+	walk = func(prefix string, path []int, rt reflect.Type) {
+		for i := 0; i < rt.NumField(); i++ {
+			f := rt.Field(i)
+			fieldPath := append(append([]int(nil), path...), i)
+			name := prefix + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(name+".", fieldPath, f.Type)
+				continue
+			}
+			got := earliest(func(v reflect.Value) {
+				fv := v.FieldByIndex(fieldPath)
+				switch fv.Kind() {
+				case reflect.Int, reflect.Int64:
+					fv.SetInt(fv.Int() + 1)
+				case reflect.Bool:
+					fv.SetBool(!fv.Bool())
+				case reflect.String:
+					fv.SetString(fv.String() + "x")
+				default:
+					t.Fatalf("%s: no perturbation for kind %s — extend this guard", name, fv.Kind())
+				}
+			})
+			w, ok := want[name]
+			switch {
+			case !ok:
+				t.Errorf("core.Config field %s is not classified — teach core.Stage.Scope about it, bump both key format versions, and list it here (its keys move from %q)", name, got)
+			case got != w:
+				t.Errorf("core.Config field %s first moves the %q key, want %q", name, got, w)
+			}
+			delete(want, name)
+		}
+	}
+	walk("", nil, reflect.TypeOf(core.Config{}))
+	for name := range want {
+		t.Errorf("classification lists %s, which is no longer a core.Config field", name)
 	}
 }
 

@@ -108,6 +108,25 @@ var openDirs = struct {
 	dirs map[string]bool
 }{dirs: make(map[string]bool)}
 
+// claimDir takes absDir's in-process single-writer slot, or reports
+// false when a Store (or a running Scrub) already holds it.
+func claimDir(absDir string) bool {
+	openDirs.mu.Lock()
+	defer openDirs.mu.Unlock()
+	if openDirs.dirs[absDir] {
+		return false
+	}
+	openDirs.dirs[absDir] = true
+	return true
+}
+
+// releaseDir gives back a slot claimDir took.
+func releaseDir(absDir string) {
+	openDirs.mu.Lock()
+	delete(openDirs.dirs, absDir)
+	openDirs.mu.Unlock()
+}
+
 // Open opens (creating if needed) the store in dir and recovers the
 // longest valid prefix of its files: replay stops at the first index
 // entry that fails its own CRC, references a non-contiguous or
@@ -133,27 +152,18 @@ func open(dir string, plan *FaultPlan) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	openDirs.mu.Lock()
-	if openDirs.dirs[absDir] {
-		openDirs.mu.Unlock()
+	if !claimDir(absDir) {
 		return nil, fmt.Errorf("store: %s is already open in this process (one writer per directory)", dir)
-	}
-	openDirs.dirs[absDir] = true
-	openDirs.mu.Unlock()
-	release := func() {
-		openDirs.mu.Lock()
-		delete(openDirs.dirs, absDir)
-		openDirs.mu.Unlock()
 	}
 	rawLog, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		release()
+		releaseDir(absDir)
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	rawIdx, err := os.OpenFile(filepath.Join(dir, idxName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		rawLog.Close()
-		release()
+		releaseDir(absDir)
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var logF, idxF storeFile = rawLog, rawIdx
@@ -164,7 +174,7 @@ func open(dir string, plan *FaultPlan) (*Store, error) {
 	if err := s.recover(); err != nil {
 		logF.Close()
 		idxF.Close()
-		release()
+		releaseDir(absDir)
 		return nil, err
 	}
 	return s, nil
@@ -182,31 +192,12 @@ func (s *Store) recover() error {
 		return fmt.Errorf("store: read index: %w", err)
 	}
 
-	var validEntries int
-	var validLog int64
-	for off := 0; off+entrySize <= len(idxBytes); off += entrySize {
-		e := idxBytes[off : off+entrySize]
-		if crc32.ChecksumIEEE(e[:48]) != binary.LittleEndian.Uint32(e[48:52]) {
-			break // torn or corrupt index entry
-		}
-		recOff := int64(binary.LittleEndian.Uint64(e[32:40]))
-		recLen := int64(binary.LittleEndian.Uint32(e[40:44]))
-		if recOff != validLog || recOff+recLen > int64(len(logBytes)) {
-			break // non-contiguous entry, or log truncated under it
-		}
-		payload := logBytes[recOff : recOff+recLen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(e[44:48]) {
-			break // payload corrupt
-		}
-		var k Key
-		copy(k[:], e[:32])
-		s.mem[k] = extent{off: recOff, n: uint32(recLen), crc: binary.LittleEndian.Uint32(e[44:48])}
+	validEntries, validLog, _ := walk(idxBytes, logBytes, func(_ int, k Key, x extent, payload []byte) {
+		s.mem[k] = x
 		if _, _, isStage := stagePayload(payload); isStage {
 			s.stageRecs++
 		}
-		validEntries++
-		validLog = recOff + recLen
-	}
+	})
 
 	if int64(validEntries*entrySize) != int64(len(idxBytes)) {
 		if err := s.idxF.Truncate(int64(validEntries * entrySize)); err != nil {
@@ -227,6 +218,50 @@ func (s *Store) recover() error {
 	s.logLen = validLog
 	s.idxLen = int64(validEntries * entrySize)
 	return nil
+}
+
+// walk replays an index against its log, the one chain walk behind
+// recovery and Scrub. It calls visit for each entry, in order, while
+// the chain holds: the entry passes its own CRC, its extent starts
+// where the previous one ended and lies inside the log, and its payload
+// passes the payload CRC. It returns the valid prefix — its entry count
+// and log length — and the reason for the first break, "" when every
+// byte of both files replays.
+func walk(idx, log []byte, visit func(entry int, k Key, x extent, payload []byte)) (entries int, logLen int64, reason string) {
+	for off := 0; off+entrySize <= len(idx); off += entrySize {
+		e := idx[off : off+entrySize]
+		if crc32.ChecksumIEEE(e[:48]) != binary.LittleEndian.Uint32(e[48:52]) {
+			return entries, logLen, fmt.Sprintf("entry %d fails its entry CRC", entries)
+		}
+		x := extent{
+			off: int64(binary.LittleEndian.Uint64(e[32:40])),
+			n:   binary.LittleEndian.Uint32(e[40:44]),
+			crc: binary.LittleEndian.Uint32(e[44:48]),
+		}
+		if x.off != logLen {
+			return entries, logLen, fmt.Sprintf("entry %d is non-contiguous (offset %d, want %d)", entries, x.off, logLen)
+		}
+		end := x.off + int64(x.n)
+		if end > int64(len(log)) {
+			return entries, logLen, fmt.Sprintf("entry %d extends past the log end (%d+%d > %d)", entries, x.off, x.n, len(log))
+		}
+		payload := log[x.off:end]
+		if crc32.ChecksumIEEE(payload) != x.crc {
+			return entries, logLen, fmt.Sprintf("entry %d payload fails its CRC", entries)
+		}
+		var k Key
+		copy(k[:], e[:32])
+		visit(entries, k, x, payload)
+		entries++
+		logLen = end
+	}
+	if len(idx)%entrySize != 0 {
+		return entries, logLen, fmt.Sprintf("index length %d is not a multiple of the %d-byte entry size (torn tail)", len(idx), entrySize)
+	}
+	if logLen != int64(len(log)) {
+		return entries, logLen, fmt.Sprintf("log holds %d bytes past the last indexed record", int64(len(log))-logLen)
+	}
+	return entries, logLen, ""
 }
 
 // Dir reports the directory the store lives in.
@@ -333,15 +368,6 @@ func (s *Store) rollback() {
 	s.idxF.Seek(s.idxLen, io.SeekStart)
 }
 
-// Len reports the live record count, stage artifacts included. Callers
-// asking "how many pipeline points does this store answer" want
-// Stats().Records instead.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
-}
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -387,9 +413,7 @@ func (s *Store) Close() error {
 	errSync2 := s.idxF.Sync()
 	err1 := s.logF.Close()
 	err2 := s.idxF.Close()
-	openDirs.mu.Lock()
-	delete(openDirs.dirs, s.absDir)
-	openDirs.mu.Unlock()
+	releaseDir(s.absDir)
 	for _, err := range []error{errSync1, errSync2, err1, err2} {
 		if err != nil {
 			return fmt.Errorf("store: close: %w", err)

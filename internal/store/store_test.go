@@ -26,6 +26,13 @@ func fill(t *testing.T, s *Store, n int) []Key {
 	return keys
 }
 
+// liveRecords is the store's live record count, final records and
+// stage artifacts together.
+func liveRecords(s *Store) int {
+	st := s.Stats()
+	return st.Records + st.StageRecords
+}
+
 func TestPutGetReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -33,7 +40,7 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := fill(t, s, 25)
-	if got := s.Len(); got != 25 {
+	if got := liveRecords(s); got != 25 {
 		t.Fatalf("Len = %d, want 25", got)
 	}
 	// Duplicate put is a no-op.
@@ -52,7 +59,7 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Len(); got != 25 {
+	if got := liveRecords(s2); got != 25 {
 		t.Fatalf("reopened Len = %d, want 25", got)
 	}
 	for i, k := range keys {
@@ -86,7 +93,7 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if got := s3.Len(); got != 26 {
+	if got := liveRecords(s3); got != 26 {
 		t.Fatalf("Len after append+reopen = %d, want 26", got)
 	}
 }
@@ -145,7 +152,7 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
-		if got := rs.Len(); got != want {
+		if got := liveRecords(rs); got != want {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, want)
 		}
 		for i := 0; i < want; i++ {
@@ -164,7 +171,7 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		if got := rs2.Len(); got != want+1 {
+		if got := liveRecords(rs2); got != want+1 {
 			t.Fatalf("cut %d: after append+reopen got %d records, want %d", cut, got, want+1)
 		}
 		rs2.Close()
@@ -199,7 +206,7 @@ func TestRecoverIdxTruncatedAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: Open: %v", cut, err)
 		}
-		if got := rs.Len(); got != want {
+		if got := liveRecords(rs); got != want {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, want)
 		}
 		for i := 0; i < want; i++ {
@@ -238,7 +245,7 @@ func TestRecoverCorruptPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if got := rs.Len(); got != 2 {
+	if got := liveRecords(rs); got != 2 {
 		t.Fatalf("recovered %d records, want 2", got)
 	}
 	for i := 0; i < 2; i++ {
@@ -273,7 +280,7 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := s.Len(); got != 50 {
+	if got := liveRecords(s); got != 50 {
 		t.Fatalf("Len = %d, want 50", got)
 	}
 	st := s.Stats()
@@ -315,7 +322,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if _, ok := s.LookupReport(traced); ok {
 		t.Fatal("LookupReport served a RecordPaths config from disk")
 	}
-	if got := s.Len(); got != 1 {
+	if got := liveRecords(s); got != 1 {
 		t.Fatalf("Len = %d, want 1 (uncacheable config must not be stored)", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package memo is the repository's one singleflight: a concurrency-safe
 // memoization table. Keys are arbitrary comparable values (the sweep
-// engine keys final reports by core.Config and stage artifacts by their
-// stage-scoped content key), and concurrent callers asking for the same
-// key share one computation — a flight — instead of racing to repeat it.
+// engine keys final reports by core.Config and stage artifacts by the
+// stage's scope, core.Stage.Scope — the one place a new Config field
+// gets classified), and concurrent callers asking for the same key
+// share one computation — a flight — instead of racing to repeat it.
 //
 // A flight outlives any single caller: it runs on a context that keeps
 // its first caller's values but not its cancellation, each caller waits

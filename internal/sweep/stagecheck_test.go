@@ -3,12 +3,14 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"magicstate/internal/core"
 	"magicstate/internal/force"
+	"magicstate/internal/layout"
 	"magicstate/internal/store"
 )
 
@@ -25,8 +27,9 @@ func recordBytes(t *testing.T, rep *core.Report) string {
 }
 
 // randomStageConfig draws one config from the full strategy × style ×
-// levels space, sized to stay cheap: the harness cares about pipeline
-// composition, not factory scale.
+// levels × workload × defects space, sized to stay cheap: the harness
+// cares about pipeline composition, not factory scale. Defects stay in
+// row 0, where the linear mapping cannot deadlock the router.
 func randomStageConfig(rng *rand.Rand) core.Config {
 	cfg := core.Config{
 		K:        2 + rng.Intn(3),
@@ -50,14 +53,29 @@ func randomStageConfig(rng *rand.Rand) core.Config {
 	if cfg.Strategy == core.StrategyStitch {
 		cfg.K = 2
 		cfg.Levels = 2
+	} else {
+		// Frontend circuits replace the factory; stitching needs its
+		// round structure, so only the flat strategies draw them.
+		switch rng.Intn(4) {
+		case 1:
+			cfg.Workload, cfg.WorkloadSource = "random", "q=12;layers=8;cx=0.5;t=0.25"
+		case 2:
+			cfg.Workload, cfg.WorkloadSource = "qasm", "OPENQASM 2.0;\nqreg q[4];\nh q[0];\ncx q[0],q[1];\nt q[1];\ncx q[1],q[2];\ncx q[2],q[3];\ncx q[0],q[3];\n"
+		}
+	}
+	if rng.Intn(3) == 0 {
+		if dm := layout.SampleDefects(12, 1, 0.15, rng); dm != nil {
+			cfg.Defects = dm.String()
+		}
 	}
 	return cfg
 }
 
 // mutateForPartialReuse returns a sibling of cfg that shares the given
 // upstream stages: seedSibling keeps the factory build (except for
-// stitch, whose build is seed-fused); styleSibling keeps build and —
-// for every strategy but FD — the placement too.
+// stitch and random workloads, whose builds read the seed);
+// styleSibling keeps build and — for every strategy but FD — the
+// placement too.
 func seedSibling(cfg core.Config) core.Config {
 	s := cfg
 	s.Seed += 1000
@@ -71,27 +89,28 @@ func styleSibling(cfg core.Config) core.Config {
 }
 
 // TestStagedReusePathsMatchMonolithic is the stage-equivalence harness:
-// over randomized configs spanning every strategy, style and level
-// count, each partial-reuse path — cold, factory-hit, factory+placement
-// hit, and full-record hit — must produce a report byte-identical (in
-// its durable record form) to the monolithic serial pipeline. Paths run
-// concurrently per config, so `go test -race` also checks the tier's
-// locking.
+// over randomized configs spanning every strategy, style, level count,
+// frontend workload and defect map, each partial-reuse path — cold,
+// factory-hit, factory+placement hit, and full-record hit — must
+// produce a report byte-identical (in its durable record form) to the
+// monolithic serial pipeline. Paths run concurrently per config, so
+// `go test -race` also checks the tier's locking. Subtests are named by
+// draw index and strategy, which no key format change renames.
 func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	n := 10
 	if testing.Short() {
 		n = 4
 	}
-	seen := map[string]bool{}
+	seen := map[store.Key]bool{}
 	for i := 0; i < n; i++ {
 		cfg := randomStageConfig(rng)
-		ck := store.KeyOf(cfg).String()
+		ck := store.KeyOf(cfg)
 		if seen[ck] {
 			continue
 		}
 		seen[ck] = true
-		t.Run(ck[:8], func(t *testing.T) {
+		t.Run(fmt.Sprintf("%02d-%s", i, cfg.Strategy), func(t *testing.T) {
 			t.Parallel()
 			mono, err := core.RunContext(context.Background(), cfg)
 			if err != nil {
@@ -163,11 +182,31 @@ func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 // TestStagedReuseCountsFactoryHits pins that the partial-reuse paths
 // actually take the stage tier, not just agree on results: a second
 // config differing only in Seed must replay the factory build for every
-// strategy whose build scope excludes the seed.
+// seeded mapper. Linear reads no seed at all, so its seed sibling has
+// the same sim scope and is the same final record: a disk hit with no
+// stage traffic.
 func TestStagedReuseCountsFactoryHits(t *testing.T) {
-	for _, strat := range []core.Strategy{
-		core.StrategyLinear, core.StrategyRandom, core.StrategyGraphPartition,
-	} {
+	lineSt, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lineSt.Close()
+	line := core.Config{K: 3, Levels: 2, Strategy: core.StrategyLinear, Seed: 1}
+	if _, err := New(Options{Store: lineSt, Workers: 1}).RunOne(line); err != nil {
+		t.Fatal(err)
+	}
+	lineEng := New(Options{Store: lineSt, Workers: 1})
+	if _, err := lineEng.RunOne(seedSibling(line)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lineEng.DiskHits(); got != 1 {
+		t.Errorf("Line seed sibling: disk hits = %d, want 1 (same sim scope, same record)", got)
+	}
+	if got := lineEng.StageStats(); got != (StageStats{}) {
+		t.Errorf("Line seed sibling: stage stats %+v, want no stage traffic", got)
+	}
+
+	for _, strat := range []core.Strategy{core.StrategyRandom, core.StrategyGraphPartition} {
 		cfg := core.Config{K: 3, Levels: 2, Strategy: strat, Seed: 1}
 		st, err := store.Open(t.TempDir())
 		if err != nil {
@@ -226,5 +265,46 @@ func TestStagedReuseCountsFactoryHits(t *testing.T) {
 	}
 	if got, want := fd.StageStats(), (StageStats{BuildComputes: 1, PlaceComputes: 1}); got != want {
 		t.Errorf("cold FD point: stage stats %+v, want %+v", got, want)
+	}
+}
+
+// TestRandomWorkloadSeedsNeverAlias: a "random" workload draws its
+// circuit from Seed, so configs that differ only in Seed are different
+// circuits under every strategy and must never share a build artifact.
+// Each engine — memo-only and store-backed — runs the seeds in turn and
+// must match core.RunContext on every one.
+func TestRandomWorkloadSeedsNeverAlias(t *testing.T) {
+	for _, strat := range []core.Strategy{
+		core.StrategyLinear, core.StrategyRandom, core.StrategyGraphPartition,
+	} {
+		for _, withStore := range []bool{false, true} {
+			opts := Options{Workers: 1}
+			if withStore {
+				st, err := store.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				opts.Store = st
+			}
+			eng := New(opts)
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := core.Config{
+					K: 2, Levels: 1, Strategy: strat, Seed: seed,
+					Workload: "random", WorkloadSource: "q=24;layers=12;cx=0.5;t=0.25",
+				}
+				mono, err := core.RunContext(context.Background(), cfg)
+				if err != nil {
+					t.Fatalf("%+v: monolithic pipeline: %v", cfg, err)
+				}
+				rep, err := eng.RunOne(cfg)
+				if err != nil {
+					t.Fatalf("%+v: engine: %v", cfg, err)
+				}
+				if got, want := recordBytes(t, rep), recordBytes(t, mono); got != want {
+					t.Errorf("%v seed %d (store %t): engine served another seed's circuit:\n got %s\nwant %s", strat, seed, withStore, got, want)
+				}
+			}
+		}
 	}
 }

@@ -25,14 +25,16 @@ import (
 // the config memo's default; the durable tier backstops evictions.
 const stageCacheLimit = 256
 
-// stageMemoKey identifies one stage artifact in the in-memory memo.
+// stageMemoKey identifies one stage artifact in the in-memory memo by
+// the stage's scope (core.Stage.Scope), the same value the durable
+// tier digests into its stage key, so an in-memory hit hashes nothing.
 // recordPaths joins the key only because the place stage's memoized
 // value can carry a force-directed simulation byproduct, whose
 // diagnostic payload depends on RecordPaths even though the placement
 // itself does not.
 type stageMemoKey struct {
 	stage       core.Stage
-	key         store.Key
+	scope       core.Config
 	recordPaths bool
 }
 
@@ -88,7 +90,7 @@ func resolve[T any](e *Engine, st core.Stage, encode func(T) []byte, decode func
 			}
 			return v, err
 		}
-		k := stageMemoKey{stage: st, key: store.StageKeyOf(st, cfg), recordPaths: st == core.StagePlace && cfg.RecordPaths}
+		k := stageMemoKey{stage: st, scope: st.Scope(cfg), recordPaths: st == core.StagePlace && cfg.RecordPaths}
 		v, err := e.stageCache.DoContext(ctx, k, func(ctx context.Context) (any, error) {
 			if e.store != nil {
 				if body, ok := e.store.GetStage(st, cfg); ok {

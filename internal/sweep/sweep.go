@@ -135,11 +135,11 @@ func (e *Engine) Run(ctx context.Context, cfgs []core.Config) ([]*core.Report, e
 // still share the cache: call RunOne from inside a Map function instead
 // of core.Run.
 //
-// An engine with a store answers a store.Cacheable point with the
-// scalars of its store.Record from every tier, a fresh computation
-// included: the report's Factory, Placement and Sim are nil. A
-// store-less engine, and any point that records paths, returns the full
-// report.
+// An engine with a store answers a cacheable point (one whose sim
+// stage store.StageCacheable admits) with the scalars of its
+// store.Record from every tier, a fresh computation included: the
+// report's Factory, Placement and Sim are nil. A store-less engine, and
+// any point that records paths, returns the full report.
 func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 	return e.RunOneContext(context.Background(), cfg)
 }
@@ -178,7 +178,7 @@ func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Repo
 		// With a store, a cacheable point is memoized as the record the
 		// store keeps, so memo and disk answers share one shape
 		// and the memo holds no factory, placement or simulation.
-		if e.store != nil && store.Cacheable(cfg) {
+		if e.store != nil && store.StageCacheable(core.StageSim, cfg) {
 			e.persisted(e.store.PutReport(cfg, rep))
 			rep = store.RecordOf(rep).Report(cfg)
 		}
