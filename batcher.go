@@ -158,14 +158,14 @@ type CacheStats struct {
 	// DiskHits counts points served from the checkpoint store instead
 	// of recomputed (always zero without a checkpoint).
 	DiskHits int64
-	// StoredRecords is the checkpoint store's live final-record count —
+	// StoredRecords is the checkpoint store's live report-record count —
 	// one per pipeline point answered.
 	StoredRecords int
 	// StoredBytes is the checkpoint store's record log size.
 	StoredBytes int64
 	// CheckpointDir is the store directory ("" when memory-only).
 	CheckpointDir string
-	// Stage-tier traffic: on a final-record miss the pipeline resolves
+	// Stage-tier traffic: on a report miss the pipeline resolves
 	// each stage (factory build, placement, simulation) through its own
 	// cache tier. Hits count stage artifacts replayed from the durable
 	// store instead of recomputed; Computes count actual stage
@@ -178,8 +178,8 @@ type CacheStats struct {
 	// StageSimHits and StageSimComputes are the simulation stage's
 	// replayed/executed split.
 	StageSimHits, StageSimComputes int64
-	// StageRecords is the checkpoint store's live stage-artifact count,
-	// held apart from StoredRecords.
+	// StageRecords is the checkpoint store's live count of upstream
+	// stage artifacts, held apart from StoredRecords.
 	StageRecords int
 }
 

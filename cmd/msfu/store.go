@@ -49,9 +49,9 @@ func storeCmd(args []string) int {
 
 	fmt.Printf("%s: %d index entries (%d bytes index, %d bytes log)\n",
 		dir, rep.Entries, rep.IndexBytes, rep.LogBytes)
-	if rep.StageRecords > 0 {
-		fmt.Printf("  records: %d final, %d stage artifacts\n",
-			rep.Valid-rep.StageRecords, rep.StageRecords)
+	if rep.Valid > rep.Reports {
+		fmt.Printf("  records: %d reports, %d other\n",
+			rep.Reports, rep.Valid-rep.Reports)
 	}
 	if rep.Truncated {
 		fmt.Printf("  torn tail: %s\n", rep.Reason)

@@ -142,7 +142,7 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, drainTime
 		// + Retry-After, jobs and SSE streams are cancelled), then let
 		// the HTTP layer finish writing responses, then wait for job
 		// goroutines before the deferred store close, so nothing races
-		// a PutReport against the closing store.
+		// a PutStage against the closing store.
 		srv.startDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()

@@ -157,7 +157,7 @@ func (m *metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_hits_total In-memory memo hits.\n# TYPE msfud_cache_memory_hits_total counter\nmsfud_cache_memory_hits_total %d\n", cs.MemoryHits)
 	fmt.Fprintf(w, "# HELP msfud_cache_memory_misses_total In-memory memo misses.\n# TYPE msfud_cache_memory_misses_total counter\nmsfud_cache_memory_misses_total %d\n", cs.MemoryMisses)
 	fmt.Fprintf(w, "# HELP msfud_cache_disk_hits_total Points served from the durable store.\n# TYPE msfud_cache_disk_hits_total counter\nmsfud_cache_disk_hits_total %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# HELP msfud_store_records Live final records in the durable store.\n# TYPE msfud_store_records gauge\nmsfud_store_records %d\n", cs.StoredRecords)
+	fmt.Fprintf(w, "# HELP msfud_store_records Live report records (one per pipeline point) in the durable store.\n# TYPE msfud_store_records gauge\nmsfud_store_records %d\n", cs.StoredRecords)
 	fmt.Fprintf(w, "# HELP msfud_store_bytes Durable store log size in bytes.\n# TYPE msfud_store_bytes gauge\nmsfud_store_bytes %d\n", cs.StoredBytes)
 	fmt.Fprintf(w, "# HELP msfud_store_stage_records Live stage artifacts in the durable store.\n# TYPE msfud_store_stage_records gauge\nmsfud_store_stage_records %d\n", cs.StageRecords)
 

@@ -143,7 +143,7 @@ func (s *server) startDrain() {
 }
 
 // awaitJobs waits (up to the deadline) for job goroutines to finish, so
-// the store can be closed without racing in-flight PutReport calls.
+// the store can be closed without racing in-flight PutStage calls.
 // Called during shutdown, after startDrain cancelled the jobs.
 func (s *server) awaitJobs(timeout time.Duration) {
 	done := make(chan struct{})

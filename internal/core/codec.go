@@ -11,8 +11,8 @@ import (
 )
 
 // Stage artifact codecs: compact, versioned binary encodings of the
-// intermediate artifacts the staged pipeline persists (BuildArtifact,
-// PlaceArtifact, the simulation mesh.Result). The format is
+// artifacts the staged pipeline persists (BuildArtifact, PlaceArtifact,
+// the simulation mesh.Result and the report's scalars). The format is
 // deliberately boring — a magic string, a version byte, then every
 // field in declaration order as varints — because the properties that
 // matter are elsewhere:
@@ -22,6 +22,8 @@ import (
 //     (a policy func consulted only during Build, never replayed) and
 //     mesh.Result.Paths/HoldEnd (diagnostic fields populated only under
 //     RecordPaths; configs that need them never cache the sim stage).
+//     A report artifact holds only the integers Assemble computes; its
+//     Strategy and volumes are rederived from the config on decode.
 //   - Strict on decode: a corrupt or truncated record is rejected with
 //     an error, never admitted — every count is bounded by the bytes
 //     that remain, every index is range-checked against the structure
@@ -29,23 +31,25 @@ import (
 //     target FuzzStageArtifactDecode hammers exactly this contract.
 //   - Versioned: bumping a stage's codec version orphans (never
 //     misreads) records written by older encodings, the same contract
-//     internal/store's key format version gives final records.
+//     internal/store's key format version gives its keys.
 
 // Codec version bytes, one per artifact kind. Bump on any change to the
 // corresponding encoding's meaning.
 const (
-	buildCodecVersion = 1
-	placeCodecVersion = 1
-	simCodecVersion   = 1
+	buildCodecVersion  = 1
+	placeCodecVersion  = 1
+	simCodecVersion    = 1
+	reportCodecVersion = 1
 )
 
 // Codec magic strings. Distinct per artifact kind so a record can never
 // decode as the wrong kind even if stage framing above this layer is
 // confused.
 const (
-	buildMagic = "msc/build"
-	placeMagic = "msc/place"
-	simMagic   = "msc/sim"
+	buildMagic  = "msc/build"
+	placeMagic  = "msc/place"
+	simMagic    = "msc/sim"
+	reportMagic = "msc/report"
 )
 
 // enc is an append-only varint writer.
@@ -515,6 +519,42 @@ func DecodeSimArtifact(data []byte) (*mesh.Result, error) {
 	return r, nil
 }
 
+// EncodeReportArtifact serializes a StageReport artifact: the integers
+// Assemble computes (Latency, Area, CriticalLatency, PermLatency,
+// Stalls). Strategy and the volumes are functions of the config and
+// these, so they are rederived on decode rather than stored.
+func EncodeReportArtifact(r *Report) []byte {
+	e := &enc{}
+	e.magic(reportMagic, reportCodecVersion)
+	e.int(r.Latency)
+	e.int(r.Area)
+	e.int(r.CriticalLatency)
+	e.int(r.PermLatency)
+	e.int(r.Stalls)
+	return e.b
+}
+
+// DecodeReportArtifact is the strict inverse of EncodeReportArtifact: it
+// rebuilds cfg's report from the stored integers. The Factory,
+// Placement and Sim pointers are nil — a replayed report feeds only
+// consumers of the scalar fields (StageCacheable's report rule gates
+// out the configs whose callers need more).
+func DecodeReportArtifact(cfg Config, data []byte) (*Report, error) {
+	d := &dec{data: data}
+	d.magic(reportMagic, reportCodecVersion)
+	r := &Report{Config: cfg}
+	r.Latency = d.int()
+	r.Area = d.int()
+	r.CriticalLatency = d.int()
+	r.PermLatency = d.int()
+	r.Stalls = d.int()
+	if err := d.done(); err != nil {
+		return nil, fmt.Errorf("core: decode report artifact: %w", err)
+	}
+	r.derive()
+	return r, nil
+}
+
 // ValidateStageArtifact checks that body decodes as an artifact of the
 // given stage, without retaining the result. The store's scrub pass
 // runs it on every stage record.
@@ -528,6 +568,9 @@ func ValidateStageArtifact(st Stage, body []byte) error {
 		return err
 	case StageSim:
 		_, err := DecodeSimArtifact(body)
+		return err
+	case StageReport:
+		_, err := DecodeReportArtifact(Config{}, body)
 		return err
 	}
 	return fmt.Errorf("core: unknown stage %d", st)

@@ -40,6 +40,7 @@ func FuzzStageArtifactDecode(f *testing.F) {
 		EncodeBuildArtifact(&BuildArtifact{Factory: b.Factory, Placement: p.Placement}),
 		EncodePlaceArtifact(p),
 		EncodeSimArtifact(sim),
+		EncodeReportArtifact(Assemble(cfg, b, p, sim)),
 	}
 	for _, s := range seeds {
 		for _, st := range Stages() {
@@ -78,6 +79,12 @@ func FuzzStageArtifactDecode(f *testing.F) {
 				t.Fatalf("ValidateStageArtifact admitted what DecodeSimArtifact rejects: %v", err)
 			}
 			reenc = EncodeSimArtifact(a)
+		case StageReport:
+			a, err := DecodeReportArtifact(Config{}, data)
+			if err != nil {
+				t.Fatalf("ValidateStageArtifact admitted what DecodeReportArtifact rejects: %v", err)
+			}
+			reenc = EncodeReportArtifact(a)
 		default:
 			t.Fatalf("unknown stage %d was admitted", st)
 		}
@@ -97,6 +104,9 @@ func FuzzStageArtifactDecode(f *testing.F) {
 		case StageSim:
 			a, _ := DecodeSimArtifact(reenc)
 			again = EncodeSimArtifact(a)
+		case StageReport:
+			a, _ := DecodeReportArtifact(Config{}, reenc)
+			again = EncodeReportArtifact(a)
 		}
 		if !bytes.Equal(reenc, again) {
 			t.Fatal("re-encoding is not a fixed point; the codec admits a non-canonical form it cannot reproduce")

@@ -76,7 +76,8 @@ type Config struct {
 	// RecordPaths keeps braid paths in the simulation result so callers
 	// can audit overlaps or draw congestion maps.
 	RecordPaths bool
-	// FD carries force-directed overrides (Iterations etc.).
+	// FD carries force-directed overrides (Iterations etc.). Its Seed
+	// is never read: the annealer is seeded from Seed.
 	FD force.Options
 	// Workload selects an alternative circuit frontend. Empty (the
 	// default) builds the paper's Bravyi-Haah factory from K/Levels;

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -137,12 +138,29 @@ func TestScopeOracle(t *testing.T) {
 			continue
 		}
 
-		// A final record is keyed by the sim scope, so assembly must be
-		// a function of it too.
-		rep, repS := scalars(Assemble(cfg, b, p, sim)), scalars(Assemble(StageSim.Scope(cfg), b, p, sim))
+		// A report is keyed by the sim scope, so assembly must be a
+		// function of it too.
+		full := Assemble(cfg, b, p, sim)
+		rep, repS := scalars(full), scalars(Assemble(StageSim.Scope(cfg), b, p, sim))
 		rep.Config, repS.Config = Config{}, Config{}
 		if rep != repS {
 			t.Errorf("report of %+v differs when assembled on its sim scope:\n full   %+v\n scoped %+v", cfg, rep, repS)
+		}
+
+		// The report artifact replays every scalar, the derived volumes
+		// bit for bit.
+		dec, err := DecodeReportArtifact(cfg, EncodeReportArtifact(full))
+		if err != nil {
+			t.Errorf("report artifact of %+v does not decode: %v", cfg, err)
+			continue
+		}
+		if math.Float64bits(dec.Volume) != math.Float64bits(full.Volume) ||
+			math.Float64bits(dec.CriticalVolume) != math.Float64bits(full.CriticalVolume) {
+			t.Errorf("report artifact of %+v replays volumes %v/%v, want %v/%v",
+				cfg, dec.Volume, dec.CriticalVolume, full.Volume, full.CriticalVolume)
+		}
+		if scalars(dec) != scalars(full) {
+			t.Errorf("report artifact of %+v replays\n %+v\nwant\n %+v", cfg, scalars(dec), scalars(full))
 		}
 	}
 }

@@ -20,11 +20,10 @@ import (
 
 // Stage identifies one cacheable slice of the pipeline. The pipeline is
 // a short DAG — build feeds placement feeds simulation feeds report
-// assembly — and each of the three compute-bearing stages produces a
-// serializable artifact a caching tier can persist and replay
-// (assembly is arithmetic over the others' outputs and is never cached
-// on its own). The numeric values are durable: they frame stage
-// records on disk (see internal/store), so they must never be
+// assembly — and each stage produces a serializable artifact a caching
+// tier can persist and replay; the report's is the scalar outcome a
+// point is answered with. The numeric values are durable: they frame
+// stage records on disk (see internal/store), so they must never be
 // renumbered — add new stages at the end.
 type Stage uint8
 
@@ -38,12 +37,16 @@ const (
 	StagePlace Stage = 2
 	// StageSim executes the mapped circuit on the cycle-accurate mesh.
 	StageSim Stage = 3
+	// StageReport assembles the report (Assemble); its durable artifact
+	// is the report's scalars. It reads nothing beyond the sim scope.
+	StageReport Stage = 4
 )
 
 var stageNames = map[Stage]string{
-	StageBuild: "build",
-	StagePlace: "place",
-	StageSim:   "sim",
+	StageBuild:  "build",
+	StagePlace:  "place",
+	StageSim:    "sim",
+	StageReport: "report",
 }
 
 // String returns the short stage label used in keys, stats and logs.
@@ -57,7 +60,7 @@ func (s Stage) String() string {
 // Stages lists every cacheable stage in pipeline order.
 //
 //deadcheck:keep every-stage key tests in store's stagekey_test and stagekey_fuzz_test
-func Stages() []Stage { return []Stage{StageBuild, StagePlace, StageSim} }
+func Stages() []Stage { return []Stage{StageBuild, StagePlace, StageSim, StageReport} }
 
 // Scope returns cfg with every field zeroed that stage st and the
 // stages upstream of it ignore: two configs with equal scopes get
@@ -78,14 +81,16 @@ func Stages() []Stage { return []Stage{StageBuild, StagePlace, StageSim} }
 //     (Random, GP, FD), nothing more for Linear, and for FD also the FD
 //     options and the mesh fields {MeshMode, Style, Distance}, because
 //     FD scores its candidates in simulation.
-//   - StageSim (and any later stage): the place scope plus the mesh
-//     fields {MeshMode, Style, Distance}.
+//   - StageSim and StageReport (and any later stage): the place scope
+//     plus the mesh fields {MeshMode, Style, Distance}. Assemble reads
+//     only Levels and Strategy beyond the artifacts, so a report is a
+//     function of its sim scope.
 //
 // RecordPaths is in no scope: it changes which diagnostics a
 // simulation retains, never its outcome, so it gates cacheability
-// instead (store.StageCacheable). FD.RestartWorkers is zeroed too: the
-// annealer never reads it. Assemble reads only Levels and Strategy
-// beyond the artifacts, so a report is a function of its sim scope.
+// instead (store.StageCacheable). FD.RestartWorkers and FD.Seed are
+// zeroed too: the annealer never reads the first, and placeFD seeds it
+// from Config.Seed, never from the second.
 func (st Stage) Scope(cfg Config) Config {
 	s := Config{
 		K: cfg.K, Levels: cfg.Levels, Reuse: cfg.Reuse, NoBarriers: cfg.NoBarriers,
@@ -106,7 +111,7 @@ func (st Stage) Scope(cfg Config) Config {
 		s.Seed = cfg.Seed
 	case StrategyForceDirected:
 		s.Seed, s.FD = cfg.Seed, cfg.FD
-		s.FD.RestartWorkers = 0
+		s.FD.RestartWorkers, s.FD.Seed = 0, 0
 		s.MeshMode, s.Style, s.Distance = cfg.MeshMode, cfg.Style, cfg.Distance
 	}
 	if st == StagePlace {
@@ -258,25 +263,24 @@ var permLatencyFailures atomic.Int64
 // have failed process-wide. A healthy pipeline never increments it.
 func PermLatencyFailures() int64 { return permLatencyFailures.Load() }
 
-// Assemble derives the report from the three stage artifacts: scalar
-// outcomes from the simulation, the dependency-limited lower bound from
-// the cost model, and the round-2 permutation window for multi-level
-// runs. It is pure arithmetic — cheap enough that it is never cached.
+// Assemble derives the report from the three upstream artifacts:
+// scalar outcomes from the simulation, the dependency-limited lower
+// bound from the cost model, and the round-2 permutation window for
+// multi-level runs. The durable form of its output is the report
+// artifact (EncodeReportArtifact).
 func Assemble(cfg Config, b *BuildArtifact, p *PlaceArtifact, sim *mesh.Result) *Report {
 	cm := resource.DefaultCost()
 	rep := &Report{
 		Config:          cfg,
-		Strategy:        cfg.Strategy.String(),
 		Latency:         sim.Latency,
 		Area:            sim.Area,
-		Volume:          float64(sim.Latency) * float64(sim.Area),
 		CriticalLatency: cm.CriticalPath(b.Factory.Circuit),
 		Stalls:          sim.Stalls,
 		Factory:         b.Factory,
 		Placement:       p.Placement,
 		Sim:             sim,
 	}
-	rep.CriticalVolume = float64(rep.CriticalLatency) * float64(rep.Area)
+	rep.derive()
 	if cfg.Levels >= 2 {
 		if perm, err := stitch.PermutationLatency(b.Factory, sim.Start, sim.End, 2); err != nil {
 			permLatencyFailures.Add(1)
@@ -285,6 +289,16 @@ func Assemble(cfg Config, b *BuildArtifact, p *PlaceArtifact, sim *mesh.Result) 
 		}
 	}
 	return rep
+}
+
+// derive sets the fields a report computes from its Config and its
+// stored integers: the strategy label and the two volumes. Assemble and
+// DecodeReportArtifact both call it, so a replayed report is
+// bit-identical to the assembled one by construction.
+func (r *Report) derive() {
+	r.Strategy = r.Config.Strategy.String()
+	r.Volume = float64(r.Latency) * float64(r.Area)
+	r.CriticalVolume = float64(r.CriticalLatency) * float64(r.Area)
 }
 
 // place maps the factory under every non-stitching strategy. When the

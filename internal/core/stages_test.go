@@ -176,9 +176,10 @@ func TestStageCodecRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := map[Stage][]byte{
-		StageBuild: EncodeBuildArtifact(b),
-		StagePlace: EncodePlaceArtifact(p),
-		StageSim:   EncodeSimArtifact(sim),
+		StageBuild:  EncodeBuildArtifact(b),
+		StagePlace:  EncodePlaceArtifact(p),
+		StageSim:    EncodeSimArtifact(sim),
+		StageReport: EncodeReportArtifact(Assemble(cfg, b, p, sim)),
 	}
 	for st, rec := range records {
 		if err := ValidateStageArtifact(st, rec); err != nil {
@@ -221,6 +222,8 @@ func stageMagicOf(st Stage) string {
 		return buildMagic
 	case StagePlace:
 		return placeMagic
+	case StageReport:
+		return reportMagic
 	default:
 		return simMagic
 	}

@@ -36,9 +36,9 @@ func TestResumeByteIdentical(t *testing.T) {
 	if !bytes.Equal(want, first) {
 		t.Fatal("store-backed run differs from plain run")
 	}
-	// Count final records only: the staged pipeline also persists
-	// intermediate artifacts, but the resume contract is stated in
-	// points (one final record each).
+	// Count reports only: the staged pipeline also persists upstream
+	// artifacts, but the resume contract is stated in points (one
+	// report each).
 	stored := st.Stats().Records
 	if stored == 0 {
 		t.Fatal("store-backed run persisted nothing")

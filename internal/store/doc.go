@@ -1,11 +1,12 @@
 // Package store is the durable tier of the repository's result cache: a
-// content-addressed, append-only on-disk store of pipeline results and
-// stage artifacts. Every key is one canonical hash over a config scope:
-// core.Stage.Scope zeroes the fields an artifact does not depend on — it
-// is the one place a new core.Config field gets classified — and KeyOf
-// (a final record, keyed by its sim scope) and StageKeyOf (one stage's
-// artifact) digest what it keeps. It is what lets a result outlive
-// the process that computed it — the in-memory memo cache of
+// content-addressed, append-only on-disk store of pipeline stage
+// artifacts. Every record is one stage's artifact (core.Stage) — a
+// factory build, a placement, a simulation, or the report a point is
+// answered with — under one key function, StageKeyOf: a canonical hash
+// of the stage's config scope. core.Stage.Scope zeroes the fields an
+// artifact does not depend on; it is the one place a new core.Config
+// field gets classified. The store is what lets a result outlive the
+// process that computed it — the in-memory memo cache of
 // internal/sweep/memo answers repeats within a process, and this package
 // answers repeats across processes, so any given (capacity, level,
 // strategy, style, seed) grid point — the unit of the paper's entire
@@ -15,8 +16,9 @@
 //
 // A store directory holds two files:
 //
-//   - store.log — record payloads (JSON, one per result), written
-//     back-to-back in append order;
+//   - store.log — record payloads, written back-to-back in append
+//     order. Each payload is stage-framed: a magic string and the stage
+//     byte, then the stage's core codec body;
 //   - store.idx — fixed-width index entries, one per record, each
 //     holding the record's key, its [offset, length) extent in the log,
 //     a CRC of the payload, and a CRC of the entry itself.
@@ -40,12 +42,12 @@
 //
 // # What is stored
 //
-// Records hold the scalar outcome of a pipeline run (latency, area,
-// volume, bounds, stalls — see Record), not the simulation itself:
-// reports served from disk carry no Factory/Placement/Sim pointers.
-// Configurations whose callers need those pointers (RecordPaths, i.e.
-// trace rendering) are excluded by StageCacheable's sim-stage rule and
-// always recompute.
+// A report record holds the scalar outcome of a pipeline run (latency,
+// area, bounds, stalls — see core.EncodeReportArtifact), not the
+// simulation itself: reports served from disk carry no
+// Factory/Placement/Sim pointers. Configurations whose callers need
+// those pointers (RecordPaths, i.e. trace rendering) are excluded by
+// StageCacheable's sim and report rule and always recompute.
 //
 // Store is safe for concurrent use by multiple goroutines of one
 // process, and Open refuses a directory this process already has open —

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"magicstate/internal/core"
 )
 
 // fillFaulty puts n records, tolerating injected Put failures, and
@@ -20,9 +18,8 @@ func fillFaulty(t *testing.T, s *Store, n int) (keys []Key, firstFail int) {
 	firstFail = -1
 	keys = make([]Key, n)
 	for i := 0; i < n; i++ {
-		keys[i] = KeyOf(core.Config{K: 2 + i, Levels: 1, Seed: int64(i)})
-		payload := []byte(fmt.Sprintf(`{"record":%d,"pad":%q}`, i, bytes.Repeat([]byte{'x'}, i%17)))
-		err := s.Put(keys[i], payload)
+		keys[i] = recordKey(i)
+		err := s.put(keys[i], recordPayload(i))
 		if err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("Put %d failed with a non-injected error: %v", i, err)
@@ -110,13 +107,13 @@ func TestFaultInjectedWriteIsConfined(t *testing.T) {
 					t.Fatalf("recovered %d records, want %d", got, wantLive)
 				}
 				for i, k := range keys {
-					_, ok := rs.Get(k)
+					_, ok := rs.get(k)
 					if want := i != wantFail; ok != want {
 						t.Fatalf("record %d present = %v, want %v", i, ok, want)
 					}
 				}
 				// The recovered store accepts appends again.
-				if err := rs.Put(KeyOf(core.Config{K: 5000 + op}), []byte(`{"resumed":true}`)); err != nil {
+				if err := rs.put(recordKey(5000+op), recordPayload(0)); err != nil {
 					t.Fatalf("Put after recovery: %v", err)
 				}
 			})
@@ -145,8 +142,8 @@ func TestFaultTornWriteThenCrash(t *testing.T) {
 		keys := make([]Key, n)
 		var tornLog, tornIdx []byte
 		for i := 0; i < n; i++ {
-			keys[i] = KeyOf(core.Config{K: 2 + i, Levels: 1, Seed: int64(i)})
-			err := s.Put(keys[i], []byte(fmt.Sprintf(`{"record":%d}`, i)))
+			keys[i] = recordKey(i)
+			err := s.put(keys[i], recordPayload(i))
 			if i == rec {
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("rec %d: Put %d = %v, want injected fault", rec, i, err)
@@ -157,7 +154,7 @@ func TestFaultTornWriteThenCrash(t *testing.T) {
 				// the crash-before-rollback image.
 				tornLog, _ = os.ReadFile(filepath.Join(dir, logName))
 				tornIdx, _ = os.ReadFile(filepath.Join(dir, idxName))
-				tornLog = append(tornLog, []byte(fmt.Sprintf(`{"record":%d}`, i))...)
+				tornLog = append(tornLog, recordPayload(i)...)
 				tornIdx = append(tornIdx, bytes.Repeat([]byte{0xAB}, entrySize/2)...)
 			} else if err != nil {
 				t.Fatalf("rec %d: Put %d: %v", rec, i, err)
@@ -183,7 +180,7 @@ func TestFaultTornWriteThenCrash(t *testing.T) {
 				t.Fatalf("rec %d cut %d: recovered %d records, want %d", rec, cut, got, want)
 			}
 			for i := 0; i < want; i++ {
-				if _, ok := rs.Get(keys[i]); !ok {
+				if _, ok := rs.get(keys[i]); !ok {
 					t.Fatalf("rec %d cut %d: surviving record %d missing", rec, cut, i)
 				}
 			}
@@ -221,7 +218,7 @@ func TestFaultSyncErrorSurfacesButPreservesRecords(t *testing.T) {
 		t.Fatalf("recovered %d records, want 5", got)
 	}
 	for i, k := range keys {
-		if _, ok := rs.Get(k); !ok {
+		if _, ok := rs.get(k); !ok {
 			t.Fatalf("record %d missing after sync fault", i)
 		}
 	}
@@ -247,7 +244,7 @@ func TestFaultStallKeepsStoreCorrect(t *testing.T) {
 	}
 	defer rs.Close()
 	for i, k := range keys {
-		if _, ok := rs.Get(k); !ok {
+		if _, ok := rs.get(k); !ok {
 			t.Fatalf("record %d missing", i)
 		}
 	}

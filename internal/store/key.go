@@ -18,19 +18,35 @@ type Key [sha256.Size]byte
 // String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// keyFormatVersion is bumped whenever a final key changes meaning: the
-// canonical encoding below (a field added, renamed, or reinterpreted)
-// or the scope it digests. Bumping it changes every key, which safely
-// orphans — never misreads — records written by older encodings.
-const keyFormatVersion = 5
+// stageKeyFormatVersion is bumped whenever a stage key changes meaning:
+// the canonical encoding (digest) or a stage's scope (core.Stage.Scope)
+// — a field added to a scope, removed from it, or reinterpreted.
+// Bumping it changes every key, which safely orphans — never misreads —
+// records written by older encodings.
+const stageKeyFormatVersion = 4
 
-// KeyOf returns the content address of cfg's final record: the digest
-// of its sim scope. A report is a pure function of that scope (beyond
-// the stage artifacts, core.Assemble reads only Levels and Strategy),
-// so configs that differ only in fields no stage reads share one
-// record.
-func KeyOf(cfg core.Config) Key {
-	return digest(fmt.Sprintf("magicstate/store v%d\n", keyFormatVersion), core.StageSim.Scope(cfg))
+// StageKeyOf returns the content address of cfg's artifact for one
+// pipeline stage: the digest of st.Scope(cfg) under a stage header.
+// The scope holds exactly the fields the stage and its upstream stages
+// read, so configs that differ only in downstream axes share upstream
+// artifacts; core.Stage.Scope documents the classification field by
+// field. TestStageKeyScopes pins the resulting scope matrix. The header
+// names the stage, so a report and its simulation, which share a
+// scope, still get two keys.
+func StageKeyOf(st core.Stage, cfg core.Config) Key {
+	return digest(fmt.Sprintf("magicstate/store stage/%s v%d\n", st, stageKeyFormatVersion), st.Scope(cfg))
+}
+
+// StageCacheable reports whether cfg's artifact for the given stage can
+// be served from (and persisted to) the durable tier. Build and place
+// artifacts are lossless for every config. Sim and report artifacts
+// omit the Paths/HoldEnd diagnostics (a report replays without its
+// simulation), so configs that record them must always resimulate.
+func StageCacheable(st core.Stage, cfg core.Config) bool {
+	if st == core.StageSim || st == core.StageReport {
+		return !cfg.RecordPaths
+	}
+	return true
 }
 
 // digest is the one canonical encoder behind every key: header, then

@@ -8,17 +8,17 @@ import (
 	"magicstate/internal/force"
 )
 
+// TestKeyOfPinnedDigest pins the report key, the one every pipeline
+// point is answered under, beside TestStageKeyPinnedDigests' upstream
+// pins: a silent change would orphan every report in every existing
+// store. Produced by stageKeyFormatVersion 4 (a report is keyed by its
+// sim scope under the "report" stage header); if the encoding or the
+// scope must change, bump the version and re-pin.
 func TestKeyOfPinnedDigest(t *testing.T) {
-	// The canonical encoding must be stable across processes and
-	// releases: a silent change would orphan every existing store. This
-	// digest was produced by keyFormatVersion 5 (which keys a final
-	// record by the digest of its sim scope, core.StageSim.Scope); if
-	// the encoding or the scope must change, bump keyFormatVersion and
-	// re-pin.
-	const want = "96023ffba59c18e83daba2ebef8bbc7784fb8a814479fe846ee818ab3f5167ce"
-	got := KeyOf(core.Config{K: 4, Levels: 2, Reuse: true, Strategy: core.StrategyStitch, Seed: 7}).String()
+	const want = "8a6e86180c1faf5f87caa2b87180342366cadc020e477f3ca08efb082137e269"
+	got := StageKeyOf(core.StageReport, core.Config{K: 4, Levels: 2, Reuse: true, Strategy: core.StrategyStitch, Seed: 7}).String()
 	if got != want {
-		t.Fatalf("KeyOf digest drifted:\n got %s\nwant %s\n(bump keyFormatVersion if the encoding changed on purpose)", got, want)
+		t.Fatalf("report key digest drifted:\n got %s\nwant %s\n(bump stageKeyFormatVersion if the encoding changed on purpose)", got, want)
 	}
 }
 
@@ -61,22 +61,22 @@ func TestKeyOfDistinguishesEveryField(t *testing.T) {
 		seen[k] = name
 	}
 
-	// KeyOf digests the sim scope, so fields no stage reads — Linear's
-	// seed, the path diagnostics, the annealer's unread worker count —
-	// leave the final key alone.
+	// A report is keyed by its sim scope, so fields no stage reads —
+	// Linear's seed, the path diagnostics, the annealer's unread worker
+	// count — leave the report key alone.
 	line := core.Config{K: 4, Levels: 2, Strategy: core.StrategyLinear, Seed: 1}
 	out := line
 	out.Seed, out.RecordPaths, out.FD = 2, true, force.Options{Iterations: 9, RestartWorkers: 8}
-	if KeyOf(out) != KeyOf(line) {
-		t.Error("KeyOf changed with fields outside Linear's sim scope")
+	if StageKeyOf(core.StageReport, out) != StageKeyOf(core.StageReport, line) {
+		t.Error("the report key changed with fields outside Linear's sim scope")
 	}
 }
 
 // TestKeyGuardsConfigFields pins the exact field sets of core.Config
 // and its nested option structs. If this test fails, a field was added
 // (or renamed) without teaching the encoder about it — extend digest in
-// key.go, classify the field in core.Stage.Scope, bump both key format
-// versions, and update the lists here. Skipping that step would make
+// key.go, classify the field in core.Stage.Scope, bump
+// stageKeyFormatVersion, and update the lists here. Skipping that step would make
 // the store serve stale results for configs that differ only in the
 // new field.
 func TestKeyGuardsConfigFields(t *testing.T) {
@@ -88,7 +88,7 @@ func TestKeyGuardsConfigFields(t *testing.T) {
 			got = append(got, rt.Field(i).Name)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s fields = %v, want %v — update digest and the key format versions", rt, got, want)
+			t.Errorf("%s fields = %v, want %v — update digest and the key format version", rt, got, want)
 		}
 	}
 	check(core.Config{}, []string{

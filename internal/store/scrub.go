@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,15 +18,16 @@ type ScrubReport struct {
 	// in-range, and its payload passes the payload CRC.
 	Valid int
 	// BadRecords lists soft findings within the valid prefix: records
-	// whose payload does not decode as a Record (or, for stage-framed
-	// payloads, under the stage's artifact codec), and duplicate keys.
-	// These never block reads (lookups decode-check anyway) but point
-	// at a writer bug or foreign data.
+	// whose payload is not stage-framed (foreign data, or a record of
+	// an older unframed encoding) or does not decode under its stage's
+	// artifact codec, and duplicate keys. These never block reads
+	// (lookups frame- and decode-check anyway) but point at a writer
+	// bug or foreign data.
 	BadRecords []string
-	// StageRecords counts records within the valid prefix framed as
-	// stage artifacts (the staged pipeline's intermediate results);
-	// Valid - StageRecords are final result records.
-	StageRecords int
+	// Reports counts records within the valid prefix framed as report
+	// artifacts (one per pipeline point); Valid - Reports are upstream
+	// stage artifacts and unframed payloads.
+	Reports int
 	// Truncated reports whether the files hold data past the valid
 	// prefix — the condition -repair would (or did) truncate away.
 	Truncated bool
@@ -50,9 +50,9 @@ func (r *ScrubReport) Clean() bool {
 // Scrub verifies a store directory offline, without opening it as a
 // live Store: it replays the index against the log with the walk
 // recovery uses (entry CRC, contiguity, range, payload CRC), then
-// applies softer checks within the valid prefix (payloads must decode
-// as Records — or, when stage-framed, under their stage artifact codec
-// — and keys must be unique). With repair set, files holding data
+// applies softer checks within the valid prefix (payloads must be
+// stage-framed and decode under their stage's artifact codec, and keys
+// must be unique). With repair set, files holding data
 // past the valid prefix are truncated back to it — the same operation
 // the next Open would perform, done eagerly and reported.
 //
@@ -88,16 +88,16 @@ func Scrub(dir string, repair bool) (*ScrubReport, error) {
 			rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d: duplicate key %s", entryNo, k))
 		}
 		seen[k] = true
-		if st, body, isStage := stagePayload(payload); isStage {
-			rep.StageRecords++
-			if err := core.ValidateStageArtifact(st, body); err != nil {
-				rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d (%s): stage %s payload does not decode: %v", entryNo, k, st, err))
-			}
-		} else {
-			var r Record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d (%s): payload does not decode as a record: %v", entryNo, k, err))
-			}
+		st, body, ok := stagePayload(payload)
+		if !ok {
+			rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d (%s): payload is not a framed stage record", entryNo, k))
+			return
+		}
+		if st == core.StageReport {
+			rep.Reports++
+		}
+		if err := core.ValidateStageArtifact(st, body); err != nil {
+			rep.BadRecords = append(rep.BadRecords, fmt.Sprintf("entry %d (%s): stage %s payload does not decode: %v", entryNo, k, st, err))
 		}
 	})
 	rep.ValidIndexBytes = int64(rep.Valid * entrySize)

@@ -10,7 +10,7 @@ import (
 	"magicstate/internal/core"
 )
 
-// buildScrubDir writes a store of n JSON records and returns its dir.
+// buildScrubDir writes a store of n report records and returns its dir.
 func buildScrubDir(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -105,8 +105,7 @@ func TestScrubFlagsUndecodablePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := KeyOf(core.Config{K: 3, Levels: 1})
-	if err := s.Put(k, []byte("not json at all")); err != nil {
+	if err := s.PutStage(core.StageReport, core.Config{K: 3, Levels: 1}, []byte("not a report")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -116,14 +115,65 @@ func TestScrubFlagsUndecodablePayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CRC-valid but not a record: a soft finding, not a truncation.
-	if rep.Truncated || len(rep.BadRecords) != 1 {
-		t.Fatalf("scrub = %+v, want one bad record and no truncation", rep)
+	// CRC-valid but not a report: a soft finding, not a truncation.
+	if rep.Truncated || len(rep.BadRecords) != 1 || !strings.Contains(rep.BadRecords[0], "stage report") {
+		t.Fatalf("scrub = %+v, want one bad report record and no truncation", rep)
 	}
 }
 
-// TestScrubWalksStageRecords: scrub must tell stage records from final
-// ones, count them, and soft-flag a stage body that no longer decodes
+// TestScrubFlagsUnframedRecords: a store written before reports became
+// stage records holds unframed JSON payloads. Each is a soft finding,
+// never a chain break: the records around it still verify, and a
+// reopened store keeps serving them while the old payload answers
+// nothing.
+func TestScrubFlagsUnframedRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, s, 2)
+	legacy := core.Config{K: 4, Levels: 2, Strategy: core.StrategyLinear}
+	if err := s.put(StageKeyOf(core.StageReport, legacy), []byte(`{"strategy":"Line","latency":1234,"area":56,"volume":69104}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.put(recordKey(2), recordPayload(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scrub(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Truncated || rep.Valid != 4 || rep.Reports != 3 {
+		t.Fatalf("scrub = %+v, want 4 valid entries, 3 reports and no truncation", rep)
+	}
+	if len(rep.BadRecords) != 1 || !strings.Contains(rep.BadRecords[0], "entry 2") ||
+		!strings.Contains(rep.BadRecords[0], "not a framed stage record") {
+		t.Fatalf("BadRecords = %q, want one finding naming unframed entry 2", rep.BadRecords)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok := s.GetStage(core.StageReport, legacy); ok {
+		t.Fatal("an unframed payload answered a report lookup")
+	}
+	for i := 0; i < 3; i++ {
+		if p, ok := s.get(recordKey(i)); !ok || string(p) != string(recordPayload(i)) {
+			t.Fatalf("record %d around the unframed payload = %q, %v", i, p, ok)
+		}
+	}
+	if st := s.Stats(); st.Records != 3 || st.StageRecords != 1 {
+		t.Fatalf("stats = %+v, want 3 reports and the unframed payload counted apart", st)
+	}
+}
+
+// TestScrubWalksStageRecords: scrub must tell reports from the other
+// stage records, count them, and soft-flag a stage body that no longer decodes
 // under its stage codec — without truncating anything, since the frames
 // themselves are CRC-clean.
 func TestScrubWalksStageRecords(t *testing.T) {
@@ -144,7 +194,7 @@ func TestScrubWalksStageRecords(t *testing.T) {
 	// A stage frame whose body is garbage: CRC-valid on disk, so it is a
 	// writer bug, not corruption — a soft finding naming the stage.
 	rot := core.Config{K: 3, Levels: 1, Strategy: core.StrategyLinear}
-	if err := s.Put(StageKeyOf(core.StagePlace, rot), stageWrap(core.StagePlace, []byte("not a place artifact"))); err != nil {
+	if err := s.PutStage(core.StagePlace, rot, []byte("not a place artifact")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -158,8 +208,8 @@ func TestScrubWalksStageRecords(t *testing.T) {
 	if rep.Truncated || rep.Valid != 5 {
 		t.Fatalf("scrub = %+v, want 5 valid entries and no truncation", rep)
 	}
-	if rep.StageRecords != 2 {
-		t.Fatalf("StageRecords = %d, want 2", rep.StageRecords)
+	if rep.Reports != 3 {
+		t.Fatalf("Reports = %d, want 3", rep.Reports)
 	}
 	if len(rep.BadRecords) != 1 || !strings.Contains(rep.BadRecords[0], "stage place") {
 		t.Fatalf("BadRecords = %q, want one finding naming stage place", rep.BadRecords)
@@ -167,8 +217,8 @@ func TestScrubWalksStageRecords(t *testing.T) {
 }
 
 // TestScrubRepairsTornTailInsideStageArtifact: a crash mid-append can
-// tear the log inside a stage artifact's payload just as inside a JSON
-// record. Scrub must report the torn entry, repair must drop exactly
+// tear the log inside a build artifact's payload just as inside a
+// report. Scrub must report the torn entry, repair must drop exactly
 // it, and the reopened store must miss on that stage and keep everything
 // before it.
 func TestScrubRepairsTornTailInsideStageArtifact(t *testing.T) {
@@ -205,8 +255,8 @@ func TestScrubRepairsTornTailInsideStageArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Truncated || rep.Valid != 3 || rep.StageRecords != 0 {
-		t.Fatalf("scrub of torn stage tail = %+v, want 3 valid finals and no stage records", rep)
+	if !rep.Truncated || rep.Valid != 3 || rep.Reports != 3 {
+		t.Fatalf("scrub of torn stage tail = %+v, want 3 valid reports and nothing else", rep)
 	}
 	if !strings.Contains(rep.Reason, "entry 3") {
 		t.Fatalf("reason %q does not name the torn entry", rep.Reason)
@@ -226,7 +276,7 @@ func TestScrubRepairsTornTailInsideStageArtifact(t *testing.T) {
 		t.Fatal("torn stage artifact survived the repair")
 	}
 	if st := s.Stats(); st.Records != 3 || st.StageRecords != 0 {
-		t.Fatalf("post-repair stats = %+v, want 3 finals and no stage records", st)
+		t.Fatalf("post-repair stats = %+v, want 3 reports and no other stage records", st)
 	}
 }
 

@@ -123,6 +123,8 @@ func TestStageKeyScopes(t *testing.T) {
 		run(t, base, append([]mutation{
 			{"Seed", func(c *core.Config) { c.Seed = 2 }, "place+sim"},
 			{"FD.Iterations", func(c *core.Config) { c.FD.Iterations = 9 }, "place+sim"},
+			// The annealer is seeded from Seed; FD.Seed is never read.
+			{"FD.Seed", func(c *core.Config) { c.FD.Seed = 9 }, ""},
 			// FD scores candidates in simulation, so the simulator's
 			// configuration reaches the placement key too.
 			{"MeshMode", func(c *core.Config) { c.MeshMode = 1 }, "place+sim"},
@@ -145,15 +147,16 @@ func TestStageKeyScopes(t *testing.T) {
 }
 
 // TestStageKeysNeverAliasAcrossStagesOrFinals: the same config's keys
-// for different stages — and its final key — must all be distinct, or a
-// lookup could replay the wrong kind of record. The header names the
-// stage, so equal scopes under two stages still get two keys.
+// for different stages — its report key included — must all be
+// distinct, or a lookup could replay the wrong kind of record. The
+// header names the stage, so equal scopes under two stages (sim and
+// report) still get two keys.
 func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{K: 4, Levels: 2, Strategy: core.StrategyLinear},
 		{K: 4, Levels: 2, Strategy: core.StrategyStitch, Seed: 3},
 	} {
-		seen := map[Key]string{KeyOf(cfg): "final"}
+		seen := map[Key]string{}
 		for _, st := range core.Stages() {
 			k := StageKeyOf(st, cfg)
 			if prev, dup := seen[k]; dup {
@@ -161,7 +164,7 @@ func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 			}
 			seen[k] = st.String()
 		}
-		// A stage past StageSim takes the sim scope under its own
+		// A stage past StageReport takes the sim scope under its own
 		// header, and must not alias either.
 		k := StageKeyOf(core.Stage(99), cfg)
 		if prev, dup := seen[k]; dup {
@@ -171,7 +174,7 @@ func TestStageKeysNeverAliasAcrossStagesOrFinals(t *testing.T) {
 }
 
 // TestStageKeyPinnedDigests pins the canonical stage encodings the way
-// TestKeyOfPinnedDigest pins the final one: silent drift would orphan
+// TestKeyOfPinnedDigest pins the report's: silent drift would orphan
 // every stage record in every existing store. Produced by
 // stageKeyFormatVersion 4 (which digests core.Stage.Scope with the one
 // canonical encoder); if an encoding or a scope must change, bump the
@@ -195,8 +198,8 @@ func TestStageKeyPinnedDigests(t *testing.T) {
 // the nested force-directed options, is listed with the earliest stage
 // whose key it moves for some strategy and workload kind, checked by
 // perturbing the field on a base config per strategy and workload. A
-// new field fails here until Scope classifies it and both key format
-// versions are bumped.
+// new field fails here until Scope classifies it and
+// stageKeyFormatVersion is bumped.
 func TestStageKeyGuardsConfigFields(t *testing.T) {
 	want := map[string]string{
 		"K":          "build",
@@ -211,7 +214,7 @@ func TestStageKeyGuardsConfigFields(t *testing.T) {
 		// RecordPaths changes diagnostics only; it gates StageCacheable.
 		"RecordPaths":         "none",
 		"FD.Iterations":       "place",
-		"FD.Seed":             "place",
+		"FD.Seed":             "none", // placeFD seeds the annealer from Seed
 		"FD.MarginRows":       "place",
 		"FD.DisableDipole":    "place",
 		"FD.DisableCommunity": "place",
@@ -299,7 +302,7 @@ func TestStageCacheableGatesSimOnly(t *testing.T) {
 	if !StageCacheable(core.StageBuild, paths) || !StageCacheable(core.StagePlace, paths) {
 		t.Error("build/place artifacts are lossless and must stay cacheable under RecordPaths")
 	}
-	if StageCacheable(core.StageSim, paths) {
-		t.Error("sim artifacts drop the path diagnostics and must not be cacheable under RecordPaths")
+	if StageCacheable(core.StageSim, paths) || StageCacheable(core.StageReport, paths) {
+		t.Error("sim and report artifacts drop the path diagnostics and must not be cacheable under RecordPaths")
 	}
 }

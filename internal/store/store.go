@@ -29,25 +29,21 @@ var ErrClosed = errors.New("store: closed")
 // Stats is a point-in-time snapshot of a store's counters, exposed to
 // callers (sweep engine stats, the msfud /v1/stats endpoint).
 type Stats struct {
-	// Hits and Misses count final-record Get outcomes since Open.
-	Hits, Misses int64
-	// Puts counts final records appended since Open (duplicates
-	// excluded). Because every cacheable pipeline run persists exactly
-	// one final record, this doubles as the "points computed" count.
+	// Puts counts report records (core.StageReport) appended since Open
+	// (duplicates excluded). Because every cacheable pipeline run
+	// persists exactly one report, this doubles as the "points
+	// computed" count.
 	Puts int64
-	// Records is the live final-record count, recovered entries
+	// Records is the live report-record count, recovered entries
 	// included.
 	Records int
-	// StageHits and StageMisses count GetStage outcomes since Open.
-	StageHits, StageMisses int64
-	// StagePuts counts stage-artifact records appended since Open
-	// (duplicates excluded).
+	// StagePuts counts the other stage records (build, place, sim
+	// artifacts) appended since Open (duplicates excluded).
 	StagePuts int64
-	// StageRecords is the live stage-artifact record count; Records +
+	// StageRecords is the live count of every other record; Records +
 	// StageRecords is the total the log holds.
 	StageRecords int
-	// LogBytes is the current size of the record log in bytes, stage
-	// and final records together.
+	// LogBytes is the current size of the record log in bytes.
 	LogBytes int64
 }
 
@@ -64,13 +60,14 @@ type storeFile interface {
 	Close() error
 }
 
-// Store is a durable, append-only map from Key to an opaque payload,
-// with crash-safe recovery (see the package comment for the file format
-// and recovery rules). Only the index is held in memory once opened —
-// each key's extent in the log and its payload CRC — because payloads
-// range from a few dozen bytes (final records) to kilobytes (stage
-// artifacts); Get reads the payload back from the log and verifies its
-// CRC. Store is safe for concurrent use within one process.
+// Store is a durable, append-only map from a stage key to a framed
+// stage artifact, with crash-safe recovery (see the package comment for
+// the file format and recovery rules). Only the index is held in memory
+// once opened — each key's extent in the log and its payload CRC —
+// because payloads range from a dozen bytes (reports) to kilobytes
+// (factory builds); GetStage reads the payload back from the log and
+// verifies its CRC. Store is safe for concurrent use within one
+// process.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -82,13 +79,11 @@ type Store struct {
 	idxLen int64
 	closed bool
 
-	hits, misses, puts int64
-
-	// Stage-artifact traffic is counted apart from final records so
+	// Reports are counted apart from the upstream artifacts so
 	// "records stored" keeps meaning "pipeline points answered" for
 	// stats consumers, however many intermediate artifacts ride along.
-	stageHits, stageMisses, stagePuts int64
-	stageRecs                         int
+	puts, stagePuts int64
+	reports         int
 }
 
 // extent locates one record's payload in the log.
@@ -194,8 +189,8 @@ func (s *Store) recover() error {
 
 	validEntries, validLog, _ := walk(idxBytes, logBytes, func(_ int, k Key, x extent, payload []byte) {
 		s.mem[k] = x
-		if _, _, isStage := stagePayload(payload); isStage {
-			s.stageRecs++
+		if isReport(payload) {
+			s.reports++
 		}
 	})
 
@@ -267,39 +262,14 @@ func walk(idx, log []byte, visit func(entry int, k Key, x extent, payload []byte
 // Dir reports the directory the store lives in.
 func (s *Store) Dir() string { return s.dir }
 
-// Get returns the payload stored under k, read from the log. The
-// boolean reports whether the key was present and its payload read
-// back intact: a read error, a payload that no longer matches its CRC
-// and a closed store all report a miss, so the caller recomputes.
-func (s *Store) Get(k Key) ([]byte, bool) {
+// get returns the payload stored under k, read from the log and
+// checked against the CRC its index entry recorded. The boolean reports
+// whether the key was present and its payload read back intact: a read
+// error, a payload that no longer matches its CRC and a closed store
+// all report a miss, so the caller recomputes.
+func (s *Store) get(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.read(k)
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return p, ok
-}
-
-// getStage is Get under a stage key, counted on the stage side of the
-// stats ledger so final-record hit rates stay meaningful.
-func (s *Store) getStage(k Key) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.read(k)
-	if ok {
-		s.stageHits++
-	} else {
-		s.stageMisses++
-	}
-	return p, ok
-}
-
-// read reads k's payload from the log and checks it against the CRC
-// its index entry recorded. The caller holds s.mu.
-func (s *Store) read(k Key) ([]byte, bool) {
 	x, ok := s.mem[k]
 	if !ok || s.closed {
 		return nil, false
@@ -311,15 +281,15 @@ func (s *Store) read(k Key) ([]byte, bool) {
 	return p, true
 }
 
-// Put appends a record under k. A key already present is left untouched
+// put appends a record under k. A key already present is left untouched
 // (results are deterministic per key, so the first record is as good as
-// any) and Put returns nil. The payload is written to the log first and
+// any) and put returns nil. The payload is written to the log first and
 // the index entry second, so a crash between the two leaves an orphan
 // payload that recovery discards; if either write fails outright (a
-// full disk, say), both files are rolled back to their pre-Put lengths
+// full disk, say), both files are rolled back to their pre-put lengths
 // — a torn index fragment left in place would break the fixed-width
 // entry alignment and cost every later record at the next recovery.
-func (s *Store) Put(k Key, payload []byte) error {
+func (s *Store) put(k Key, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -346,18 +316,18 @@ func (s *Store) Put(k Key, payload []byte) error {
 	s.logLen += int64(len(payload))
 	s.idxLen += entrySize
 	s.mem[k] = x
-	if _, _, isStage := stagePayload(payload); isStage {
-		s.stagePuts++
-		s.stageRecs++
-	} else {
+	if isReport(payload) {
 		s.puts++
+		s.reports++
+	} else {
+		s.stagePuts++
 	}
 	return nil
 }
 
 // rollback restores both files to the last committed record boundary
 // after a failed append — partial payloads and torn index fragments are
-// truncated away so the next Put (or the next recovery) sees aligned,
+// truncated away so the next put (or the next recovery) sees aligned,
 // contiguous files. Errors are deliberately dropped: if even truncation
 // fails the on-disk CRCs still confine the damage, at worst costing the
 // records after the tear at the next Open.
@@ -373,11 +343,9 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits: s.hits, Misses: s.misses, Puts: s.puts,
-		Records:   len(s.mem) - s.stageRecs,
-		StageHits: s.stageHits, StageMisses: s.stageMisses, StagePuts: s.stagePuts,
-		StageRecords: s.stageRecs,
-		LogBytes:     s.logLen,
+		Puts: s.puts, Records: s.reports,
+		StagePuts: s.stagePuts, StageRecords: len(s.mem) - s.reports,
+		LogBytes: s.logLen,
 	}
 }
 
@@ -400,8 +368,8 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close syncs and closes the store's files. A closed store rejects Put
-// and Sync, and every Get on it is a miss.
+// Close syncs and closes the store's files. A closed store rejects
+// PutStage and Sync, and every GetStage on it is a miss.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

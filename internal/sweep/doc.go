@@ -16,8 +16,8 @@
 //     consults it beneath the in-memory memo — memory first, then disk,
 //     then compute-and-persist — so results survive the process and a
 //     killed sweep resumes by recomputing nothing it already stored.
-//     Such an engine memoizes cacheable points as their stored records
-//     (see RunOne);
+//     Such an engine memoizes cacheable points as the decode of their
+//     stored report artifacts (see RunOne);
 //   - deterministic ordering: results[i] always corresponds to
 //     cfgs[i]; on failure, the engine stops dispatching and reports
 //     the lowest-indexed point that ran and failed (a serial run

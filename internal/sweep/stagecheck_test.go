@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,16 +14,10 @@ import (
 )
 
 // recordBytes canonicalizes a report for byte-identity comparison the
-// same way the durable tier does: through store.RecordOf's JSON form.
-// If a reuse path drifted on any recorded field, these bytes differ.
-func recordBytes(t *testing.T, rep *core.Report) string {
-	t.Helper()
-	b, err := json.Marshal(store.RecordOf(rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
+// same way the durable tier does: through the report codec. If a reuse
+// path drifted on any stored field, these bytes differ; the rest of the
+// report is derived from them and the config.
+func recordBytes(rep *core.Report) string { return string(core.EncodeReportArtifact(rep)) }
 
 // randomStageConfig draws one config from the full strategy × style ×
 // levels × workload × defects space, sized to stay cheap: the harness
@@ -105,7 +98,7 @@ func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 	seen := map[store.Key]bool{}
 	for i := 0; i < n; i++ {
 		cfg := randomStageConfig(rng)
-		ck := store.KeyOf(cfg)
+		ck := store.StageKeyOf(core.StageReport, cfg)
 		if seen[ck] {
 			continue
 		}
@@ -116,7 +109,7 @@ func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%+v: monolithic pipeline: %v", cfg, err)
 			}
-			want := recordBytes(t, mono)
+			want := recordBytes(mono)
 
 			st, err := store.Open(t.TempDir())
 			if err != nil {
@@ -130,7 +123,7 @@ func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cold: %v", err)
 			}
-			if got := recordBytes(t, rep); got != want {
+			if got := recordBytes(rep); got != want {
 				t.Fatalf("cold path diverged:\n got %s\nwant %s", got, want)
 			}
 
@@ -169,7 +162,7 @@ func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 						t.Errorf("%s: %v", name, err)
 						return
 					}
-					if got := recordBytes(t, rep); got != want {
+					if got := recordBytes(rep); got != want {
 						t.Errorf("%s path diverged:\n got %s\nwant %s", name, got, want)
 					}
 				}(p.name, p.warm)
@@ -183,7 +176,7 @@ func TestStagedReusePathsMatchMonolithic(t *testing.T) {
 // actually take the stage tier, not just agree on results: a second
 // config differing only in Seed must replay the factory build for every
 // seeded mapper. Linear reads no seed at all, so its seed sibling has
-// the same sim scope and is the same final record: a disk hit with no
+// the same sim scope and is the same report record: a disk hit with no
 // stage traffic.
 func TestStagedReuseCountsFactoryHits(t *testing.T) {
 	lineSt, err := store.Open(t.TempDir())
@@ -301,7 +294,7 @@ func TestRandomWorkloadSeedsNeverAlias(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%+v: engine: %v", cfg, err)
 				}
-				if got, want := recordBytes(t, rep), recordBytes(t, mono); got != want {
+				if got, want := recordBytes(rep), recordBytes(mono); got != want {
 					t.Errorf("%v seed %d (store %t): engine served another seed's circuit:\n got %s\nwant %s", strat, seed, withStore, got, want)
 				}
 			}

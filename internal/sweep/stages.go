@@ -8,7 +8,7 @@ import (
 	"magicstate/internal/store"
 )
 
-// The stage tier: on a final-record miss the engine runs core.Compose,
+// The stage tier: on a report miss the engine runs core.Compose,
 // the pipeline's one composition, with a resolver that answers each
 // stage memory → disk → compute → persist (resolve). A
 // config that shares upstream axes with earlier work — a sweep varying
@@ -39,12 +39,12 @@ type stageMemoKey struct {
 }
 
 // stageCounters tracks stage-tier traffic per stage, shared by every
-// engine a Derive chain produces (like diskHits). Hits count artifacts
-// replayed from the durable tier; computes count
-// stage executions. In-memory stage reuse surfaces as neither — same as
-// the config memo.
+// engine a Derive chain produces. Hits count artifacts replayed from the
+// durable tier (report hits are DiskHits); computes count stage
+// executions. In-memory stage reuse surfaces as neither — same as the
+// config memo.
 type stageCounters struct {
-	hits, computes [core.StageSim + 1]atomic.Int64
+	hits, computes [core.StageReport + 1]atomic.Int64
 }
 
 // StageStats snapshots the stage tier's counters. For each stage, Hits

@@ -106,11 +106,11 @@ func TestStoreTierRecoversTruncatedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	// Final records only: stage artifacts also live in the log, but the
-	// recompute accounting below is stated in points.
+	// Reports only: upstream stage artifacts also live in the log, but
+	// the recompute accounting below is stated in points.
 	survivors := st2.Stats().Records
 	if survivors >= 3 {
-		t.Fatalf("truncation left %d final records, expected fewer than 3", survivors)
+		t.Fatalf("truncation left %d reports, expected fewer than 3", survivors)
 	}
 	eng2 := New(Options{Workers: 1, Store: st2})
 	got, err := eng2.Run(context.Background(), cfgs)
@@ -148,16 +148,23 @@ func TestUncacheableConfigBypassesStore(t *testing.T) {
 	if rep.Sim == nil {
 		t.Fatal("RecordPaths run must keep its simulation artifacts")
 	}
-	// RecordPaths makes the final report uncacheable (its value is the
-	// diagnostic payload the record format drops) and likewise the sim
+	// RecordPaths makes the report uncacheable (its value is the
+	// diagnostic payload the report artifact drops) and likewise the sim
 	// stage. The build and place stages are lossless for any config, so
 	// those artifacts may — and should — still be persisted.
 	stats := st.Stats()
 	if stats.Records != 0 {
-		t.Fatalf("store holds %d final records, want 0 for an uncacheable config", stats.Records)
+		t.Fatalf("store holds %d reports, want 0 for an uncacheable config", stats.Records)
 	}
-	if _, ok := st.Get(store.StageKeyOf(core.StageSim, cfg)); ok {
-		t.Fatal("sim stage artifact persisted for a RecordPaths config")
+	// RecordPaths is in no scope, so the plain config names the keys a
+	// leaked artifact would sit under (GetStage on cfg itself would miss
+	// by the cacheability gate alone).
+	plain := cfg
+	plain.RecordPaths = false
+	for _, stage := range []core.Stage{core.StageSim, core.StageReport} {
+		if _, ok := st.GetStage(stage, plain); ok {
+			t.Fatalf("%s artifact persisted for a RecordPaths config", stage)
+		}
 	}
 	if stats.StageRecords == 0 {
 		t.Fatal("build/place stage artifacts should persist even for RecordPaths configs")
@@ -193,8 +200,8 @@ func TestDeriveSharesCacheAndClampsWorkers(t *testing.T) {
 // TestPersistFailuresCounted pins that a failed durable write is
 // counted, not dropped, and never fails the point. A serial Linear
 // point appends four records — build, place and sim artifacts, then the
-// final record — each as a log write followed by an index write, so
-// write 1 is the build artifact's and write 7 the final record's.
+// report — each as a log write followed by an index write, so write 1
+// is the build artifact's and write 7 the report's.
 func TestPersistFailuresCounted(t *testing.T) {
 	cfg := core.Config{K: 2, Levels: 1, Strategy: core.StrategyLinear, Seed: 1}
 	want, err := core.Run(cfg)
@@ -208,7 +215,7 @@ func TestPersistFailuresCounted(t *testing.T) {
 		wantStage int64
 	}{
 		{"stage artifact", 1, 1, 2},
-		{"final record", 7, 0, 3},
+		{"report", 7, 0, 3},
 	} {
 		st, err := store.OpenWithFaults(t.TempDir(), &store.FaultPlan{FailWriteOp: tc.op})
 		if err != nil {
@@ -226,7 +233,7 @@ func TestPersistFailuresCounted(t *testing.T) {
 			t.Errorf("%s: PutFailures = %d, want 1", tc.name, got)
 		}
 		if s := st.Stats(); s.Puts != tc.wantPuts || s.StagePuts != tc.wantStage {
-			t.Errorf("%s: stored %d final / %d stage records, want %d / %d",
+			t.Errorf("%s: stored %d report / %d other stage records, want %d / %d",
 				tc.name, s.Puts, s.StagePuts, tc.wantPuts, tc.wantStage)
 		}
 		st.Close()
@@ -304,10 +311,11 @@ func TestSharedStageSurvivesOnePointCancel(t *testing.T) {
 }
 
 // TestStoreBackedEngineMemoizesRecords: with a store, a cacheable point
-// is answered with the same record-shaped report (the store.Record
-// scalars, no Factory/Placement/Sim) by every tier — the computing
-// flight's leader and a caller that joined it, the memo, and the disk —
-// while a store-less engine and a RecordPaths point keep full reports.
+// is answered with the same record-shaped report (the decode of its
+// report artifact: scalars, no Factory/Placement/Sim) by every tier —
+// the computing flight's leader and a caller that joined it, the memo,
+// and the disk — while a store-less engine and a RecordPaths point keep
+// full reports.
 func TestStoreBackedEngineMemoizesRecords(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -319,7 +327,10 @@ func TestStoreBackedEngineMemoizesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := *store.RecordOf(full).Report(cfg)
+	want, err := core.DecodeReportArtifact(cfg, core.EncodeReportArtifact(full))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The leader's gate holds the flight open until a second caller has
 	// joined it.
@@ -352,7 +363,7 @@ func TestStoreBackedEngineMemoizesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, rep := range map[string]*core.Report{"leader or joiner": <-reps, "joiner or leader": <-reps, "memo": memo, "disk": disk} {
-		if rep == nil || *rep != want {
+		if rep == nil || *rep != *want {
 			t.Fatalf("%s answered %+v, want the record-shaped %+v", name, rep, want)
 		}
 	}

@@ -43,7 +43,6 @@ type Engine struct {
 	stageCache *memo.Cache    // stage artifacts (see stages.go)
 	stage      *stageCounters // stage-tier traffic, shared via Derive
 	store      *store.Store
-	diskHits   *atomic.Int64 // shared by every engine Derive produces
 	putFails   *atomic.Int64 // failed durable writes, shared via Derive
 }
 
@@ -60,7 +59,6 @@ func New(opts Options) *Engine {
 		stageCache: memo.New(stageCacheLimit),
 		stage:      new(stageCounters),
 		store:      opts.Store,
-		diskHits:   new(atomic.Int64),
 		putFails:   new(atomic.Int64),
 	}
 }
@@ -84,7 +82,6 @@ func (e *Engine) Derive(opts Options) *Engine {
 		stageCache: e.stageCache,
 		stage:      e.stage,
 		store:      e.store,
-		diskHits:   e.diskHits,
 		putFails:   e.putFails,
 	}
 }
@@ -100,10 +97,10 @@ func (e *Engine) FlightStats() (shared int64, inFlight int) { return e.cache.Fli
 // DiskHits reports how many points were served from the durable tier
 // instead of being recomputed, across this engine and every engine
 // sharing its cache via Derive.
-func (e *Engine) DiskHits() int64 { return e.diskHits.Load() }
+func (e *Engine) DiskHits() int64 { return e.stage.hits[core.StageReport].Load() }
 
-// PutFailures reports how many durable writes (final records and stage
-// artifacts) failed, across this engine and every engine sharing its
+// PutFailures reports how many durable writes (stage artifacts, reports
+// included) failed, across this engine and every engine sharing its
 // cache via Derive. Persistence is an optimization, not a correctness
 // step: a failed write — a full disk, say — never fails the point,
 // which keeps its result, but it is counted here instead of dropped.
@@ -135,11 +132,11 @@ func (e *Engine) Run(ctx context.Context, cfgs []core.Config) ([]*core.Report, e
 // still share the cache: call RunOne from inside a Map function instead
 // of core.Run.
 //
-// An engine with a store answers a cacheable point (one whose sim
-// stage store.StageCacheable admits) with the scalars of its
-// store.Record from every tier, a fresh computation included: the
-// report's Factory, Placement and Sim are nil. A store-less engine, and
-// any point that records paths, returns the full report.
+// An engine with a store answers a cacheable point (one whose report
+// stage store.StageCacheable admits) with the decode of its report
+// artifact from every tier, a fresh computation included: the report's
+// Factory, Placement and Sim are nil. A store-less engine, and any
+// point that records paths, returns the full report.
 func (e *Engine) RunOne(cfg core.Config) (*core.Report, error) {
 	return e.RunOneContext(context.Background(), cfg)
 }
@@ -175,12 +172,16 @@ func (e *Engine) RunOneContext(ctx context.Context, cfg core.Config) (*core.Repo
 		if err != nil {
 			return nil, err
 		}
-		// With a store, a cacheable point is memoized as the record the
-		// store keeps, so memo and disk answers share one shape
-		// and the memo holds no factory, placement or simulation.
-		if e.store != nil && store.StageCacheable(core.StageSim, cfg) {
-			e.persisted(e.store.PutReport(cfg, rep))
-			rep = store.RecordOf(rep).Report(cfg)
+		// With a store, a cacheable point is memoized as the decode of
+		// the report artifact it persists, so memo and disk answers
+		// share one shape and the memo holds no factory, placement or
+		// simulation.
+		if e.store != nil && store.StageCacheable(core.StageReport, cfg) {
+			body := core.EncodeReportArtifact(rep)
+			e.persisted(e.store.PutStage(core.StageReport, cfg, body))
+			if rep, err = core.DecodeReportArtifact(cfg, body); err != nil {
+				return nil, err
+			}
 		}
 		return rep, nil
 	})
@@ -218,17 +219,23 @@ func (e *Engine) PeekOne(cfg core.Config) (*core.Report, bool) {
 	return e.lookup(cfg)
 }
 
-// lookup answers cfg from the durable store, when the engine has one,
-// and counts the disk hit.
+// lookup answers cfg from its report artifact in the durable store,
+// when the engine has one, and counts the disk hit. A record that does
+// not decode is a miss: the caller recomputes.
 func (e *Engine) lookup(cfg core.Config) (*core.Report, bool) {
 	if e.store == nil {
 		return nil, false
 	}
-	rep, ok := e.store.LookupReport(cfg)
-	if ok {
-		e.diskHits.Add(1)
+	body, ok := e.store.GetStage(core.StageReport, cfg)
+	if !ok {
+		return nil, false
 	}
-	return rep, ok
+	rep, err := core.DecodeReportArtifact(cfg, body)
+	if err != nil {
+		return nil, false
+	}
+	e.stage.hits[core.StageReport].Add(1)
+	return rep, true
 }
 
 // tick reports one completed point.
