@@ -72,8 +72,18 @@ func OptimizeBatch(points []BatchPoint, opts BatchOptions) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer b.Close()
-	return b.OptimizeBatch(points, opts)
+	return b.batchOnce(points, opts)
+}
+
+// batchOnce runs one batch on b, then closes b. A failed close — the
+// checkpoint store's final sync or close — fails a batch that otherwise
+// succeeded, since its points may not have reached the disk.
+func (b *Batcher) batchOnce(points []BatchPoint, opts BatchOptions) ([]*Result, error) {
+	res, err := b.OptimizeBatch(points, opts)
+	if cerr := b.Close(); err == nil && cerr != nil {
+		return nil, cerr
+	}
+	return res, err
 }
 
 // optimizeOn is Optimize routed through a sweep engine's memo cache.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"magicstate/internal/store"
 )
 
 // TestBatcherCheckpointAcrossProcesses simulates two process lifetimes
@@ -121,6 +123,29 @@ func TestOptimizeBatchCheckpointOption(t *testing.T) {
 	}
 	if *plain[0] != *ck[0] || *plain[0] != *again[0] {
 		t.Fatalf("checkpointed results diverge: %+v / %+v / %+v", *plain[0], *ck[0], *again[0])
+	}
+}
+
+// TestOptimizeBatchReportsCloseError: OptimizeBatch closes the
+// checkpoint store it opened, and a failed final sync there fails the
+// batch instead of vanishing. The batch itself still ran and persisted.
+func TestOptimizeBatchReportsCloseError(t *testing.T) {
+	dir := t.TempDir()
+	points := []BatchPoint{{Spec: FactorySpec{Capacity: 2, Levels: 1}}}
+	b, err := NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: dir, StoreFaults: "failsync=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := b.batchOnce(points, BatchOptions{}); !errors.Is(err, store.ErrInjected) || res != nil {
+		t.Fatalf("batch over a store whose close fails = %v, %v; want no results and the injected fault", res, err)
+	}
+	b, err = NewBatcher(BatcherOptions{Parallelism: 1, Checkpoint: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if got := b.Stats().StoredRecords; got != 1 {
+		t.Fatalf("reopened checkpoint holds %d records, want 1", got)
 	}
 }
 

@@ -47,23 +47,22 @@ func storeCmd(args []string) int {
 		return 1
 	}
 
-	fmt.Printf("%s: %d index entries (%d bytes index, %d bytes log)\n",
-		dir, rep.Entries, rep.IndexBytes, rep.LogBytes)
+	fmt.Printf("%s: %d records (%d bytes log)\n", dir, rep.Valid, rep.LogBytes)
 	if rep.Valid > rep.Reports {
 		fmt.Printf("  records: %d reports, %d other\n",
 			rep.Reports, rep.Valid-rep.Reports)
 	}
 	if rep.Truncated {
 		fmt.Printf("  torn tail: %s\n", rep.Reason)
-		fmt.Printf("  valid prefix: %d of %d entries (%d bytes index, %d bytes log)\n",
-			rep.Valid, rep.Entries, rep.ValidIndexBytes, rep.ValidLogBytes)
+		fmt.Printf("  valid prefix: %d records, %d of %d bytes\n",
+			rep.Valid, rep.ValidLogBytes, rep.LogBytes)
 		if rep.Repaired {
-			fmt.Printf("  repaired: truncated %d entries past the valid prefix\n", rep.Entries-rep.Valid)
+			fmt.Printf("  repaired: truncated %d bytes past the valid prefix\n", rep.LogBytes-rep.ValidLogBytes)
 		} else {
 			fmt.Println("  not repaired (run with -repair to truncate, or let the next open do it)")
 		}
 	} else {
-		fmt.Printf("  chain: all %d entries verify (entry CRC, contiguity, payload CRC)\n", rep.Valid)
+		fmt.Printf("  chain: all %d records verify (header CRC, payload CRC)\n", rep.Valid)
 	}
 	for _, bad := range rep.BadRecords {
 		fmt.Printf("  soft finding: %s\n", bad)

@@ -84,15 +84,19 @@ func main() {
 		Burst:          *burst,
 		RequestTimeout: *requestTimeout,
 	}
-	if err := run(*addr, *addrFile, *storeDir, *faultStore, cfg, *drainTimeout); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(*addr, *addrFile, *storeDir, *faultStore, cfg, *drainTimeout, sig); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// run wires the batcher, listener and signal handling; split from main
-// so every exit path returns through the deferred cleanup.
-func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, drainTimeout time.Duration) error {
+// run wires the batcher and listener and serves until a signal arrives
+// on sig; split from main so every exit path returns through the
+// deferred cleanup. A failed final flush or close of the store fails
+// an otherwise clean run.
+func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, drainTimeout time.Duration, sig <-chan os.Signal) (err error) {
 	if faultSpec != "" {
 		// Validate eagerly so a typo'd plan fails at boot, not mid-soak.
 		if _, err := store.ParseFaultPlan(faultSpec); err != nil {
@@ -109,7 +113,11 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, drainTime
 	if err != nil {
 		return err
 	}
-	defer b.Close()
+	defer func() {
+		if cerr := b.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	srv := newServer(b, cfg)
 
 	ln, err := net.Listen("tcp", addr)
@@ -131,8 +139,6 @@ func run(addr, addrFile, storeDir, faultSpec string, cfg serverConfig, drainTime
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

@@ -48,7 +48,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 
 	// Kill: drop the tail of the record log mid-record.
-	logPath := filepath.Join(dir, "store.log")
+	logPath := filepath.Join(dir, "stages.log")
 	info, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)

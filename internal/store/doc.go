@@ -14,31 +14,31 @@
 //
 // # Layout
 //
-// A store directory holds two files:
+// A store directory holds one append-only file, stages.log: records
+// back-to-back in append order. Each record is a fixed header — the
+// record's key, its stage byte, the payload length, a CRC of the
+// payload and a CRC of the header itself — followed by the payload, the
+// stage's core codec body. Nothing is ever rewritten in place. An open
+// store keeps only each key's record offset in memory and reads the
+// record back on demand, checking both CRCs and that the header names
+// the key and stage asked for; a record that fails any check is a miss,
+// never an answer.
 //
-//   - store.log — record payloads, written back-to-back in append
-//     order. Each payload is stage-framed: a magic string and the stage
-//     byte, then the stage's core codec body;
-//   - store.idx — fixed-width index entries, one per record, each
-//     holding the record's key, its [offset, length) extent in the log,
-//     a CRC of the payload, and a CRC of the entry itself.
-//
-// Both files are append-only; nothing is ever rewritten in place. An
-// open store keeps only the index in memory and reads each payload back
-// from the log on demand, checking it against its CRC; a payload that
-// fails the check is a miss, never an answer.
+// A directory written before the single-file layout holds store.idx
+// and store.log instead. Those files are no longer read; the store
+// starts empty beside them, and they may be deleted.
 //
 // # Crash safety
 //
-// Open recovers the longest valid prefix of the two files: index
-// entries are replayed in order and validated (entry CRC, contiguous
-// extents, payload CRC — the one chain walk Scrub also uses), and the
-// first invalid entry — a torn write
-// from a crash, a truncated log, flipped bits — ends the replay. Both
-// files are then truncated back to the validated prefix, so a store
-// that crashed mid-append reopens to exactly the records that were
-// fully written, and the next append continues from there. The
-// store_test.go property test drives this at every byte boundary.
+// Open recovers the longest valid prefix of the log: records are
+// replayed in order and validated (header CRC, payload inside the file,
+// payload CRC — the one chain walk Scrub also uses), and the first
+// invalid record — a torn write from a crash, a truncated file, flipped
+// bits — ends the replay. The log is then truncated back to the
+// validated prefix, so a store that crashed mid-append reopens to
+// exactly the records that were fully written, and the next append
+// continues from there. The store_test.go property test drives this at
+// every byte boundary.
 //
 // # What is stored
 //
@@ -52,7 +52,7 @@
 // Store is safe for concurrent use by multiple goroutines of one
 // process, and Open refuses a directory this process already has open —
 // two independently buffered writers would interleave appends and
-// corrupt both files. Across processes there is no file locking: keep
+// corrupt the log. Across processes there is no file locking: keep
 // one writing process per directory at a time (readers that open after
 // the writer closed are always safe).
 package store

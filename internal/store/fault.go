@@ -16,10 +16,10 @@ var ErrInjected = errors.New("store: injected fault")
 
 // FaultPlan schedules deliberate failures into a store's file
 // operations so that recovery behavior is exercised on purpose rather
-// than hoped for. Operation counts are 1-based and shared across both
-// store files (log and index) in issue order, which makes a plan
-// deterministic for a serial writer: "the 7th write fails" names one
-// specific record boundary. The zero value injects nothing.
+// than hoped for. Operation counts are 1-based, in issue order, and
+// each record append is one write, which makes a plan deterministic for
+// a serial writer: "the 7th write fails" names the 7th record. The zero
+// value injects nothing.
 //
 // A plan must not be shared between stores — its counters are the
 // fault schedule's clock, and two stores advancing one clock would

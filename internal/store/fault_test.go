@@ -1,13 +1,14 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"magicstate/internal/core"
 )
 
 // fillFaulty puts n records, tolerating injected Put failures, and
@@ -19,7 +20,7 @@ func fillFaulty(t *testing.T, s *Store, n int) (keys []Key, firstFail int) {
 	keys = make([]Key, n)
 	for i := 0; i < n; i++ {
 		keys[i] = recordKey(i)
-		err := s.put(keys[i], recordPayload(i))
+		err := s.put(keys[i], core.StageReport, recordPayload(i))
 		if err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("Put %d failed with a non-injected error: %v", i, err)
@@ -59,15 +60,14 @@ func TestFaultPlanParse(t *testing.T) {
 // the byte-truncation property tests: for every write operation n, a
 // store whose nth write fails (outright or torn) must (a) surface
 // ErrInjected from exactly one Put, (b) keep serving and accepting
-// records afterwards — the failed Put rolled both files back to a
-// record boundary — and (c) reopen to exactly the records whose Puts
-// reported success. Each record costs two writes (payload, index
-// entry), so sweeping n over 2*records+1 hits every boundary: payload
-// write, index write, and the no-fault control past the end.
+// records afterwards — the failed Put rolled the log back to a record
+// boundary — and (c) reopen to exactly the records whose Puts reported
+// success. Each record is one write, so sweeping n over records+1 hits
+// every record and the no-fault control past the end.
 func TestFaultInjectedWriteIsConfined(t *testing.T) {
-	const n = 10
+	const n = 20
 	for _, mode := range []string{"failwrite", "shortwrite"} {
-		for op := 1; op <= 2*n+1; op++ {
+		for op := 1; op <= n+1; op++ {
 			t.Run(fmt.Sprintf("%s_op%d", mode, op), func(t *testing.T) {
 				dir := t.TempDir()
 				plan, err := ParseFaultPlan(fmt.Sprintf("%s=%d", mode, op))
@@ -80,8 +80,8 @@ func TestFaultInjectedWriteIsConfined(t *testing.T) {
 				}
 				keys, firstFail := fillFaulty(t, s, n)
 				wantFail := -1
-				if op <= 2*n {
-					wantFail = (op - 1) / 2 // record whose payload or index write was op
+				if op <= n {
+					wantFail = op - 1 // records are 0-based, ops 1-based
 				}
 				if firstFail != wantFail {
 					t.Fatalf("Put %d failed, want %d", firstFail, wantFail)
@@ -107,13 +107,13 @@ func TestFaultInjectedWriteIsConfined(t *testing.T) {
 					t.Fatalf("recovered %d records, want %d", got, wantLive)
 				}
 				for i, k := range keys {
-					_, ok := rs.get(k)
+					_, ok := rs.get(k, core.StageReport)
 					if want := i != wantFail; ok != want {
 						t.Fatalf("record %d present = %v, want %v", i, ok, want)
 					}
 				}
 				// The recovered store accepts appends again.
-				if err := rs.put(recordKey(5000+op), recordPayload(0)); err != nil {
+				if err := rs.put(recordKey(5000+op), core.StageReport, recordPayload(0)); err != nil {
 					t.Fatalf("Put after recovery: %v", err)
 				}
 			})
@@ -122,55 +122,50 @@ func TestFaultInjectedWriteIsConfined(t *testing.T) {
 }
 
 // TestFaultTornWriteThenCrash composes injected mid-op faults with the
-// byte-truncation property: a torn index write whose rollback never ran
-// (the process died mid-Put) must still recover to the longest valid
-// prefix at every subsequent truncation point. The torn state is
-// manufactured by copying the files the instant the short write lands,
-// before Put's rollback truncates them.
+// byte-truncation property: a torn record write whose rollback never
+// ran (the process died mid-Put) must still recover to the longest
+// valid prefix at every subsequent truncation point. The torn state is
+// manufactured from the log as the failed Put left it plus the half
+// record the short write landed before its rollback.
 func TestFaultTornWriteThenCrash(t *testing.T) {
 	const n = 6
-	// Op 2*k writes record k's index entry short (ops are 1-based:
-	// record k costs ops 2k+1 and 2k+2, so op 2k+2 is its index write).
+	// Record k is write op k+1 (ops are 1-based).
 	for rec := 1; rec < n; rec++ {
-		op := 2*rec + 2
 		dir := t.TempDir()
-		plan := &FaultPlan{ShortWriteOp: int64(op)}
+		plan := &FaultPlan{ShortWriteOp: int64(rec + 1)}
 		s, err := OpenWithFaults(dir, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		keys := make([]Key, n)
-		var tornLog, tornIdx []byte
+		var torn []byte
 		for i := 0; i < n; i++ {
 			keys[i] = recordKey(i)
-			err := s.put(keys[i], recordPayload(i))
+			err := s.put(keys[i], core.StageReport, recordPayload(i))
 			if i == rec {
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("rec %d: Put %d = %v, want injected fault", rec, i, err)
 				}
-				// Snapshot the torn on-disk state before this loop's next
-				// Put appends past the rollback point. Put already rolled
-				// back, so re-tear: append half an index entry to simulate
-				// the crash-before-rollback image.
-				tornLog, _ = os.ReadFile(filepath.Join(dir, logName))
-				tornIdx, _ = os.ReadFile(filepath.Join(dir, idxName))
-				tornLog = append(tornLog, recordPayload(i)...)
-				tornIdx = append(tornIdx, bytes.Repeat([]byte{0xAB}, entrySize/2)...)
+				// Snapshot the log before this loop's next Put appends
+				// past the rollback point. Put already rolled back, so
+				// re-tear: append the half record the short write landed.
+				torn, _ = os.ReadFile(filepath.Join(dir, logName))
+				whole := appendRecord(nil, keys[i], core.StageReport, recordPayload(i))
+				torn = append(torn, whole[:len(whole)/2]...)
 			} else if err != nil {
 				t.Fatalf("rec %d: Put %d: %v", rec, i, err)
 			}
 		}
 		s.Close()
 
-		// Replay the torn image at every index truncation point.
-		for cut := 0; cut <= len(tornIdx); cut++ {
+		// Replay the torn image at every truncation point.
+		for cut := 0; cut <= len(torn); cut++ {
 			cdir := filepath.Join(dir, fmt.Sprintf("cut%d", cut))
 			os.MkdirAll(cdir, 0o755)
-			os.WriteFile(filepath.Join(cdir, logName), tornLog, 0o644)
-			os.WriteFile(filepath.Join(cdir, idxName), tornIdx[:cut], 0o644)
-			want := cut / entrySize
-			if want > rec {
-				want = rec // entries at and past the torn record never validate
+			os.WriteFile(filepath.Join(cdir, logName), torn[:cut], 0o644)
+			want := 0
+			for want < rec && recordEnd(want) <= int64(cut) {
+				want++ // the torn record and anything past it never validate
 			}
 			rs, err := Open(cdir)
 			if err != nil {
@@ -180,7 +175,7 @@ func TestFaultTornWriteThenCrash(t *testing.T) {
 				t.Fatalf("rec %d cut %d: recovered %d records, want %d", rec, cut, got, want)
 			}
 			for i := 0; i < want; i++ {
-				if _, ok := rs.get(keys[i]); !ok {
+				if _, ok := rs.get(keys[i], core.StageReport); !ok {
 					t.Fatalf("rec %d cut %d: surviving record %d missing", rec, cut, i)
 				}
 			}
@@ -218,7 +213,7 @@ func TestFaultSyncErrorSurfacesButPreservesRecords(t *testing.T) {
 		t.Fatalf("recovered %d records, want 5", got)
 	}
 	for i, k := range keys {
-		if _, ok := rs.get(k); !ok {
+		if _, ok := rs.get(k, core.StageReport); !ok {
 			t.Fatalf("record %d missing after sync fault", i)
 		}
 	}
@@ -244,7 +239,7 @@ func TestFaultStallKeepsStoreCorrect(t *testing.T) {
 	}
 	defer rs.Close()
 	for i, k := range keys {
-		if _, ok := rs.get(k); !ok {
+		if _, ok := rs.get(k, core.StageReport); !ok {
 			t.Fatalf("record %d missing", i)
 		}
 	}

@@ -9,18 +9,19 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"magicstate/internal/core"
 )
 
 const (
-	// logName and idxName are the two files of a store directory.
-	logName = "store.log"
-	idxName = "store.idx"
+	// logName is the one file of a store directory.
+	logName = "stages.log"
 
-	// entrySize is the fixed width of one index entry:
-	// key[32] | log offset uint64 | payload length uint32 |
-	// payload CRC32 uint32 | entry CRC32 uint32 (over the first 48
-	// bytes). All integers are little-endian.
-	entrySize = 32 + 8 + 4 + 4 + 4
+	// headerSize is the fixed width of the header that opens every
+	// record: key[32] | stage byte | payload length uint32 |
+	// payload CRC32 uint32 | header CRC32 uint32 (over the first 41
+	// bytes). All integers are little-endian; the payload follows.
+	headerSize = 32 + 1 + 4 + 4 + 4
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -34,7 +35,7 @@ type Stats struct {
 	// persists exactly one report, this doubles as the "points
 	// computed" count.
 	Puts int64
-	// Records is the live report-record count, recovered entries
+	// Records is the live report-record count, recovered records
 	// included.
 	Records int
 	// StagePuts counts the other stage records (build, place, sim
@@ -48,7 +49,7 @@ type Stats struct {
 }
 
 // storeFile is the slice of *os.File the store drives. Production opens
-// real files; fault-injection tests and soak harnesses wrap them in a
+// a real file; fault-injection tests and soak harnesses wrap it in a
 // faultFile that fails, stalls or tears writes on demand (see fault.go).
 type storeFile interface {
 	io.Reader
@@ -60,23 +61,20 @@ type storeFile interface {
 	Close() error
 }
 
-// Store is a durable, append-only map from a stage key to a framed
-// stage artifact, with crash-safe recovery (see the package comment for
-// the file format and recovery rules). Only the index is held in memory
-// once opened — each key's extent in the log and its payload CRC —
-// because payloads range from a dozen bytes (reports) to kilobytes
-// (factory builds); GetStage reads the payload back from the log and
-// verifies its CRC. Store is safe for concurrent use within one
-// process.
+// Store is a durable, append-only map from a stage key to a stage
+// artifact, with crash-safe recovery (see the package comment for the
+// file format and recovery rules). Only each key's record offset and
+// payload length are held in memory once opened, because payloads range
+// from a dozen bytes (reports) to kilobytes (factory builds); GetStage
+// reads the record back from the log and verifies it. Store is safe for
+// concurrent use within one process.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
 	absDir string
 	logF   storeFile
-	idxF   storeFile
 	mem    map[Key]extent
 	logLen int64
-	idxLen int64
 	closed bool
 
 	// Reports are counted apart from the upstream artifacts so
@@ -86,16 +84,48 @@ type Store struct {
 	reports         int
 }
 
-// extent locates one record's payload in the log.
+// extent locates one record in the log: its header's offset and its
+// payload's length.
 type extent struct {
 	off int64
+	n   uint32
+}
+
+// header is one record's decoded header.
+type header struct {
+	key Key
+	st  core.Stage
 	n   uint32
 	crc uint32 // CRC32 (IEEE) of the payload
 }
 
+// appendRecord appends the framed record for (k, st, body) to dst.
+func appendRecord(dst []byte, k Key, st core.Stage, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, k[:]...)
+	dst = append(dst, byte(st))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return append(dst, body...)
+}
+
+// parseHeader decodes a record header; ok is false when it fails its
+// own CRC.
+func parseHeader(b []byte) (h header, ok bool) {
+	if crc32.ChecksumIEEE(b[:headerSize-4]) != binary.LittleEndian.Uint32(b[headerSize-4:headerSize]) {
+		return h, false
+	}
+	copy(h.key[:], b[:32])
+	h.st = core.Stage(b[32])
+	h.n = binary.LittleEndian.Uint32(b[33:37])
+	h.crc = binary.LittleEndian.Uint32(b[37:41])
+	return h, true
+}
+
 // openDirs guards against two Stores writing one directory from the
 // same process — independently tracked append offsets would interleave
-// and corrupt both files. Cross-process exclusion is the operator's job
+// and corrupt the log. Cross-process exclusion is the operator's job
 // (see the package comment); in-process it is cheap to make a hard
 // error instead of a corruption.
 var openDirs = struct {
@@ -123,11 +153,11 @@ func releaseDir(absDir string) {
 }
 
 // Open opens (creating if needed) the store in dir and recovers the
-// longest valid prefix of its files: replay stops at the first index
-// entry that fails its own CRC, references a non-contiguous or
-// out-of-range log extent, or points at a payload that fails its CRC;
-// both files are truncated back to the validated prefix so subsequent
-// appends continue from a clean end of log.
+// longest valid prefix of its log: replay stops at the first record
+// whose header is torn or fails its CRC, whose payload runs past the
+// end of the file, or whose payload fails its CRC; the log is truncated
+// back to the validated prefix so subsequent appends continue from a
+// clean end of log.
 func Open(dir string) (*Store, error) { return open(dir, nil) }
 
 // OpenWithFaults is Open with deliberate fault injection: every file
@@ -137,8 +167,8 @@ func Open(dir string) (*Store, error) { return open(dir, nil) }
 // way — and has no place in production use. A nil plan is plain Open.
 func OpenWithFaults(dir string, plan *FaultPlan) (*Store, error) { return open(dir, plan) }
 
-// open opens (creating if needed) the store in dir, wrapping its files
-// in plan's fault injectors when plan is non-nil.
+// open opens (creating if needed) the store in dir, wrapping its log
+// in plan's fault injector when plan is non-nil.
 func open(dir string, plan *FaultPlan) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -150,56 +180,37 @@ func open(dir string, plan *FaultPlan) (*Store, error) {
 	if !claimDir(absDir) {
 		return nil, fmt.Errorf("store: %s is already open in this process (one writer per directory)", dir)
 	}
-	rawLog, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
+	raw, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		releaseDir(absDir)
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	rawIdx, err := os.OpenFile(filepath.Join(dir, idxName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		rawLog.Close()
-		releaseDir(absDir)
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var logF, idxF storeFile = rawLog, rawIdx
+	var logF storeFile = raw
 	if plan != nil {
-		logF, idxF = plan.wrap(rawLog), plan.wrap(rawIdx)
+		logF = plan.wrap(raw)
 	}
-	s := &Store{dir: dir, absDir: absDir, logF: logF, idxF: idxF, mem: make(map[Key]extent)}
+	s := &Store{dir: dir, absDir: absDir, logF: logF, mem: make(map[Key]extent)}
 	if err := s.recover(); err != nil {
 		logF.Close()
-		idxF.Close()
 		releaseDir(absDir)
 		return nil, err
 	}
 	return s, nil
 }
 
-// recover replays the index against the log and truncates both files to
-// the longest valid prefix.
+// recover replays the log and truncates it to the longest valid prefix.
 func (s *Store) recover() error {
-	logBytes, err := io.ReadAll(s.logF)
+	log, err := io.ReadAll(s.logF)
 	if err != nil {
 		return fmt.Errorf("store: read log: %w", err)
 	}
-	idxBytes, err := io.ReadAll(s.idxF)
-	if err != nil {
-		return fmt.Errorf("store: read index: %w", err)
-	}
-
-	validEntries, validLog, _ := walk(idxBytes, logBytes, func(_ int, k Key, x extent, payload []byte) {
-		s.mem[k] = x
-		if isReport(payload) {
+	_, validLog, _ := walk(log, func(_ int, off int64, h header, _ []byte) {
+		s.mem[h.key] = extent{off: off, n: h.n}
+		if h.st == core.StageReport {
 			s.reports++
 		}
 	})
-
-	if int64(validEntries*entrySize) != int64(len(idxBytes)) {
-		if err := s.idxF.Truncate(int64(validEntries * entrySize)); err != nil {
-			return fmt.Errorf("store: truncate index: %w", err)
-		}
-	}
-	if validLog != int64(len(logBytes)) {
+	if validLog != int64(len(log)) {
 		if err := s.logF.Truncate(validLog); err != nil {
 			return fmt.Errorf("store: truncate log: %w", err)
 		}
@@ -207,89 +218,94 @@ func (s *Store) recover() error {
 	if _, err := s.logF.Seek(validLog, io.SeekStart); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := s.idxF.Seek(int64(validEntries*entrySize), io.SeekStart); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	s.logLen = validLog
-	s.idxLen = int64(validEntries * entrySize)
 	return nil
 }
 
-// walk replays an index against its log, the one chain walk behind
-// recovery and Scrub. It calls visit for each entry, in order, while
-// the chain holds: the entry passes its own CRC, its extent starts
-// where the previous one ended and lies inside the log, and its payload
-// passes the payload CRC. It returns the valid prefix — its entry count
-// and log length — and the reason for the first break, "" when every
-// byte of both files replays.
-func walk(idx, log []byte, visit func(entry int, k Key, x extent, payload []byte)) (entries int, logLen int64, reason string) {
-	for off := 0; off+entrySize <= len(idx); off += entrySize {
-		e := idx[off : off+entrySize]
-		if crc32.ChecksumIEEE(e[:48]) != binary.LittleEndian.Uint32(e[48:52]) {
-			return entries, logLen, fmt.Sprintf("entry %d fails its entry CRC", entries)
+// walk replays a log, the one chain walk behind recovery and Scrub. It
+// calls visit for each record, in order, with the record's offset,
+// while the chain holds: the header is whole and passes its CRC, and
+// the payload lies inside the log and passes the payload CRC. It
+// returns the valid prefix — its record count and byte length — and
+// the reason for the first break, "" when every byte replays.
+func walk(log []byte, visit func(rec int, off int64, h header, payload []byte)) (records int, logLen int64, reason string) {
+	for logLen < int64(len(log)) {
+		rest := log[logLen:]
+		if len(rest) < headerSize {
+			return records, logLen, fmt.Sprintf("record %d header is torn (%d of %d bytes)", records, len(rest), headerSize)
 		}
-		x := extent{
-			off: int64(binary.LittleEndian.Uint64(e[32:40])),
-			n:   binary.LittleEndian.Uint32(e[40:44]),
-			crc: binary.LittleEndian.Uint32(e[44:48]),
+		h, ok := parseHeader(rest)
+		if !ok {
+			return records, logLen, fmt.Sprintf("record %d fails its header CRC", records)
 		}
-		if x.off != logLen {
-			return entries, logLen, fmt.Sprintf("entry %d is non-contiguous (offset %d, want %d)", entries, x.off, logLen)
+		if int64(h.n) > int64(len(rest)-headerSize) {
+			return records, logLen, fmt.Sprintf("record %d payload extends past the log end (%d of %d bytes)", records, len(rest)-headerSize, h.n)
 		}
-		end := x.off + int64(x.n)
-		if end > int64(len(log)) {
-			return entries, logLen, fmt.Sprintf("entry %d extends past the log end (%d+%d > %d)", entries, x.off, x.n, len(log))
+		payload := rest[headerSize : headerSize+int(h.n)]
+		if crc32.ChecksumIEEE(payload) != h.crc {
+			return records, logLen, fmt.Sprintf("record %d payload fails its CRC", records)
 		}
-		payload := log[x.off:end]
-		if crc32.ChecksumIEEE(payload) != x.crc {
-			return entries, logLen, fmt.Sprintf("entry %d payload fails its CRC", entries)
-		}
-		var k Key
-		copy(k[:], e[:32])
-		visit(entries, k, x, payload)
-		entries++
-		logLen = end
+		visit(records, logLen, h, payload)
+		records++
+		logLen += int64(headerSize + len(payload))
 	}
-	if len(idx)%entrySize != 0 {
-		return entries, logLen, fmt.Sprintf("index length %d is not a multiple of the %d-byte entry size (torn tail)", len(idx), entrySize)
-	}
-	if logLen != int64(len(log)) {
-		return entries, logLen, fmt.Sprintf("log holds %d bytes past the last indexed record", int64(len(log))-logLen)
-	}
-	return entries, logLen, ""
+	return records, logLen, ""
 }
 
 // Dir reports the directory the store lives in.
 func (s *Store) Dir() string { return s.dir }
 
-// get returns the payload stored under k, read from the log and
-// checked against the CRC its index entry recorded. The boolean reports
-// whether the key was present and its payload read back intact: a read
-// error, a payload that no longer matches its CRC and a closed store
-// all report a miss, so the caller recomputes.
-func (s *Store) get(k Key) ([]byte, bool) {
+// PutStage persists a stage artifact body under its stage-scoped key.
+// Uncacheable combinations are silently skipped so callers can offer
+// every artifact without gating.
+func (s *Store) PutStage(st core.Stage, cfg core.Config, body []byte) error {
+	if !StageCacheable(st, cfg) {
+		return nil
+	}
+	return s.put(StageKeyOf(st, cfg), st, body)
+}
+
+// GetStage returns the stage artifact body stored for cfg. A miss
+// means the caller recomputes.
+func (s *Store) GetStage(st core.Stage, cfg core.Config) ([]byte, bool) {
+	if !StageCacheable(st, cfg) {
+		return nil, false
+	}
+	return s.get(StageKeyOf(st, cfg), st)
+}
+
+// get returns the payload of the record under k, read back from the
+// log. The boolean reports whether the key was present and its record
+// read back intact as a stage-st record: a read error, a header or
+// payload that no longer matches its CRC, a header naming another key
+// or stage, and a closed store all report a miss, so the caller
+// recomputes.
+func (s *Store) get(k Key, st core.Stage) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	x, ok := s.mem[k]
 	if !ok || s.closed {
 		return nil, false
 	}
-	p := make([]byte, x.n)
-	if _, err := s.logF.ReadAt(p, x.off); err != nil || crc32.ChecksumIEEE(p) != x.crc {
+	rec := make([]byte, headerSize+int(x.n))
+	if _, err := s.logF.ReadAt(rec, x.off); err != nil {
 		return nil, false
 	}
-	return p, true
+	h, ok := parseHeader(rec)
+	payload := rec[headerSize:]
+	if !ok || h.key != k || h.st != st || h.n != x.n || crc32.ChecksumIEEE(payload) != h.crc {
+		return nil, false
+	}
+	return payload, true
 }
 
-// put appends a record under k. A key already present is left untouched
-// (results are deterministic per key, so the first record is as good as
-// any) and put returns nil. The payload is written to the log first and
-// the index entry second, so a crash between the two leaves an orphan
-// payload that recovery discards; if either write fails outright (a
-// full disk, say), both files are rolled back to their pre-put lengths
-// — a torn index fragment left in place would break the fixed-width
-// entry alignment and cost every later record at the next recovery.
-func (s *Store) put(k Key, payload []byte) error {
+// put appends a stage-st record under k. A key already present is left
+// untouched (results are deterministic per key, so the first record is
+// as good as any) and put returns nil. The record is one write, header
+// and payload together; if it fails (a full disk, say), the log is
+// rolled back to its pre-put length, so a torn fragment never costs the
+// records appended after it.
+func (s *Store) put(k Key, st core.Stage, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -298,25 +314,14 @@ func (s *Store) put(k Key, payload []byte) error {
 	if _, ok := s.mem[k]; ok {
 		return nil
 	}
-	if _, err := s.logF.Write(payload); err != nil {
+	rec := appendRecord(make([]byte, 0, headerSize+len(body)), k, st, body)
+	if _, err := s.logF.Write(rec); err != nil {
 		s.rollback()
-		return fmt.Errorf("store: append log: %w", err)
+		return fmt.Errorf("store: append: %w", err)
 	}
-	x := extent{off: s.logLen, n: uint32(len(payload)), crc: crc32.ChecksumIEEE(payload)}
-	var e [entrySize]byte
-	copy(e[:32], k[:])
-	binary.LittleEndian.PutUint64(e[32:40], uint64(x.off))
-	binary.LittleEndian.PutUint32(e[40:44], x.n)
-	binary.LittleEndian.PutUint32(e[44:48], x.crc)
-	binary.LittleEndian.PutUint32(e[48:52], crc32.ChecksumIEEE(e[:48]))
-	if _, err := s.idxF.Write(e[:]); err != nil {
-		s.rollback()
-		return fmt.Errorf("store: append index: %w", err)
-	}
-	s.logLen += int64(len(payload))
-	s.idxLen += entrySize
-	s.mem[k] = x
-	if isReport(payload) {
+	s.mem[k] = extent{off: s.logLen, n: uint32(len(body))}
+	s.logLen += int64(len(rec))
+	if st == core.StageReport {
 		s.puts++
 		s.reports++
 	} else {
@@ -325,17 +330,13 @@ func (s *Store) put(k Key, payload []byte) error {
 	return nil
 }
 
-// rollback restores both files to the last committed record boundary
-// after a failed append — partial payloads and torn index fragments are
-// truncated away so the next put (or the next recovery) sees aligned,
-// contiguous files. Errors are deliberately dropped: if even truncation
+// rollback restores the log to the last committed record boundary after
+// a failed append. Errors are deliberately dropped: if even truncation
 // fails the on-disk CRCs still confine the damage, at worst costing the
 // records after the tear at the next Open.
 func (s *Store) rollback() {
 	s.logF.Truncate(s.logLen)
 	s.logF.Seek(s.logLen, io.SeekStart)
-	s.idxF.Truncate(s.idxLen)
-	s.idxF.Seek(s.idxLen, io.SeekStart)
 }
 
 // Stats snapshots the store's counters.
@@ -349,8 +350,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Sync flushes both files to stable storage. Appends are otherwise left
-// to the OS page cache — recovery tolerates anything short of a flushed
+// Sync flushes the log to stable storage. Appends are otherwise left to
+// the OS page cache — recovery tolerates anything short of a flushed
 // write — so callers that need a hard durability point (the service's
 // graceful shutdown) call Sync explicitly.
 func (s *Store) Sync() error {
@@ -362,14 +363,11 @@ func (s *Store) Sync() error {
 	if err := s.logF.Sync(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := s.idxF.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 
-// Close syncs and closes the store's files. A closed store rejects
-// PutStage and Sync, and every GetStage on it is a miss.
+// Close syncs and closes the log. A closed store rejects PutStage and
+// Sync, and every GetStage on it is a miss.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -377,15 +375,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	errSync1 := s.logF.Sync()
-	errSync2 := s.idxF.Sync()
-	err1 := s.logF.Close()
-	err2 := s.idxF.Close()
+	errSync := s.logF.Sync()
+	errClose := s.logF.Close()
 	releaseDir(s.absDir)
-	for _, err := range []error{errSync1, errSync2, err1, err2} {
-		if err != nil {
-			return fmt.Errorf("store: close: %w", err)
-		}
+	if err := errors.Join(errSync, errClose); err != nil {
+		return fmt.Errorf("store: close: %w", err)
 	}
 	return nil
 }

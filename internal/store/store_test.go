@@ -17,10 +17,19 @@ func recordKey(i int) Key {
 	return StageKeyOf(core.StageReport, core.Config{K: 2 + i, Levels: 1, Seed: int64(i)})
 }
 
-// recordPayload is fill's i-th payload: a framed report artifact whose
-// length varies with i.
+// recordPayload is fill's i-th payload: a report artifact whose length
+// varies with i.
 func recordPayload(i int) []byte {
-	return stageWrap(core.StageReport, core.EncodeReportArtifact(&core.Report{Latency: i, Area: 1 + i, Stalls: 1 << (3 * (i % 17))}))
+	return core.EncodeReportArtifact(&core.Report{Latency: i, Area: 1 + i, Stalls: 1 << (3 * (i % 17))})
+}
+
+// recordEnd is the log offset just past fill's i-th record.
+func recordEnd(i int) int64 {
+	var end int64
+	for j := 0; j <= i; j++ {
+		end += int64(headerSize + len(recordPayload(j)))
+	}
+	return end
 }
 
 // fill writes n records with deterministic keys and payloads and
@@ -30,7 +39,7 @@ func fill(t *testing.T, s *Store, n int) []Key {
 	keys := make([]Key, n)
 	for i := 0; i < n; i++ {
 		keys[i] = recordKey(i)
-		if err := s.put(keys[i], recordPayload(i)); err != nil {
+		if err := s.put(keys[i], core.StageReport, recordPayload(i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -55,10 +64,10 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatalf("Len = %d, want 25", got)
 	}
 	// Duplicate put is a no-op.
-	if err := s.put(keys[3], []byte("overwrite")); err != nil {
+	if err := s.put(keys[3], core.StageReport, []byte("overwrite")); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := s.get(keys[3]); bytes.Equal(p, []byte("overwrite")) {
+	if p, _ := s.get(keys[3], core.StageReport); bytes.Equal(p, []byte("overwrite")) {
 		t.Fatal("duplicate put overwrote an existing record")
 	}
 	if err := s.Close(); err != nil {
@@ -74,7 +83,7 @@ func TestPutGetReopen(t *testing.T) {
 		t.Fatalf("reopened Len = %d, want 25", got)
 	}
 	for i, k := range keys {
-		p, ok := s2.get(k)
+		p, ok := s2.get(k, core.StageReport)
 		if !ok {
 			t.Fatalf("record %d missing after reopen", i)
 		}
@@ -83,12 +92,12 @@ func TestPutGetReopen(t *testing.T) {
 		}
 	}
 	// A reopened store keeps appending.
-	if err := s2.put(recordKey(99), recordPayload(99)); err != nil {
+	if err := s2.put(recordKey(99), core.StageReport, recordPayload(99)); err != nil {
 		t.Fatal(err)
 	}
 
 	// While s2 is open, a second open of the same directory is refused
-	// (two writers would interleave appends and corrupt both files).
+	// (two writers would interleave appends and corrupt the log).
 	if dup, err := Open(dir); err == nil {
 		dup.Close()
 		t.Fatal("second Open of an open directory succeeded")
@@ -108,9 +117,9 @@ func TestPutGetReopen(t *testing.T) {
 }
 
 // TestRecoverLogTruncatedAtEveryByte is the crash-safety property test:
-// for a log truncated at any byte boundary, Open must recover exactly
-// the records whose payloads are fully contained in the remaining
-// prefix, and leave the store appendable.
+// for a log truncated at any byte boundary — inside a header or inside
+// a payload — Open must recover exactly the whole records before the
+// cut, and leave the store appendable.
 func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 	const n = 12
 	master := t.TempDir()
@@ -126,20 +135,8 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxBytes, err := os.ReadFile(filepath.Join(master, idxName))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Record extents, recomputed from the index, give the expected
-	// survivor count per truncation point.
-	ends := make([]int64, n)
-	for i := 0; i < n; i++ {
-		e := idxBytes[i*entrySize : (i+1)*entrySize]
-		off := int64(uint64(e[32]) | uint64(e[33])<<8 | uint64(e[34])<<16 | uint64(e[35])<<24 |
-			uint64(e[36])<<32 | uint64(e[37])<<40 | uint64(e[38])<<48 | uint64(e[39])<<56)
-		length := int64(uint32(e[40]) | uint32(e[41])<<8 | uint32(e[42])<<16 | uint32(e[43])<<24)
-		ends[i] = off + length
+	if int64(len(logBytes)) != recordEnd(n-1) {
+		t.Fatalf("log holds %d bytes, want %d", len(logBytes), recordEnd(n-1))
 	}
 
 	for cut := 0; cut <= len(logBytes); cut++ {
@@ -150,11 +147,8 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, logName), logBytes[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, idxName), idxBytes, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		want := 0
-		for want < n && ends[want] <= int64(cut) {
+		for want < n && recordEnd(want) <= int64(cut) {
 			want++
 		}
 		rs, err := Open(dir)
@@ -165,12 +159,12 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, want)
 		}
 		for i := 0; i < want; i++ {
-			if _, ok := rs.get(keys[i]); !ok {
+			if _, ok := rs.get(keys[i], core.StageReport); !ok {
 				t.Fatalf("cut %d: surviving record %d missing", cut, i)
 			}
 		}
 		// The recovered store must accept appends again.
-		if err := rs.put(recordKey(1000+cut), recordPayload(0)); err != nil {
+		if err := rs.put(recordKey(1000+cut), core.StageReport, recordPayload(0)); err != nil {
 			t.Fatalf("cut %d: put after recovery: %v", cut, err)
 		}
 		if err := rs.Close(); err != nil {
@@ -188,79 +182,46 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 	}
 }
 
-// TestRecoverIdxTruncatedAtEveryByte drives the same property on the
-// index file: a torn index entry must drop exactly the records at and
-// after the tear.
-func TestRecoverIdxTruncatedAtEveryByte(t *testing.T) {
-	const n = 8
-	master := t.TempDir()
-	s, err := Open(master)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := fill(t, s, n)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logBytes, _ := os.ReadFile(filepath.Join(master, logName))
-	idxBytes, _ := os.ReadFile(filepath.Join(master, idxName))
+// TestRecoverCorruptPayload flips a byte inside record 2's header, then
+// inside its payload: every record from record 2 on must be dropped
+// (the log is truncated back there), earlier ones kept.
+func TestRecoverCorruptPayload(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		off  int64
+	}{
+		{"header", recordEnd(1) + 33},
+		{"payload", recordEnd(1) + headerSize},
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := fill(t, s, 6)
+		s.Close()
 
-	for cut := 0; cut <= len(idxBytes); cut++ {
-		dir := filepath.Join(master, fmt.Sprintf("icut%d", cut))
-		os.MkdirAll(dir, 0o755)
-		os.WriteFile(filepath.Join(dir, logName), logBytes, 0o644)
-		os.WriteFile(filepath.Join(dir, idxName), idxBytes[:cut], 0o644)
-		want := cut / entrySize
+		logPath := filepath.Join(dir, logName)
+		logBytes, _ := os.ReadFile(logPath)
+		logBytes[tc.off] ^= 0xff
+		os.WriteFile(logPath, logBytes, 0o644)
+
 		rs, err := Open(dir)
 		if err != nil {
-			t.Fatalf("cut %d: Open: %v", cut, err)
+			t.Fatal(err)
 		}
-		if got := liveRecords(rs); got != want {
-			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, want)
+		if got := liveRecords(rs); got != 2 {
+			t.Fatalf("%s: recovered %d records, want 2", tc.name, got)
 		}
-		for i := 0; i < want; i++ {
-			if _, ok := rs.get(keys[i]); !ok {
-				t.Fatalf("cut %d: surviving record %d missing", cut, i)
+		for i := 0; i < 2; i++ {
+			if _, ok := rs.get(keys[i], core.StageReport); !ok {
+				t.Fatalf("%s: record %d missing", tc.name, i)
 			}
 		}
-		rs.Close()
-		os.RemoveAll(dir)
-	}
-}
-
-// TestRecoverCorruptPayload flips a byte inside an early payload: every
-// record from that payload on must be dropped (the log is truncated
-// back, so later extents no longer validate), earlier ones kept.
-func TestRecoverCorruptPayload(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := fill(t, s, 6)
-	s.Close()
-
-	logPath := filepath.Join(dir, logName)
-	logBytes, _ := os.ReadFile(logPath)
-	idxBytes, _ := os.ReadFile(filepath.Join(dir, idxName))
-	// Corrupt a byte inside record 2's payload.
-	e := idxBytes[2*entrySize : 3*entrySize]
-	off := int(uint32(e[32]) | uint32(e[33])<<8 | uint32(e[34])<<16 | uint32(e[35])<<24)
-	logBytes[off] ^= 0xff
-	os.WriteFile(logPath, logBytes, 0o644)
-
-	rs, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if got := liveRecords(rs); got != 2 {
-		t.Fatalf("recovered %d records, want 2", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, ok := rs.get(keys[i]); !ok {
-			t.Fatalf("record %d missing", i)
+		if fi, _ := os.Stat(logPath); fi.Size() != recordEnd(1) {
+			t.Fatalf("%s: log is %d bytes after recovery, want %d", tc.name, fi.Size(), recordEnd(1))
 		}
+		rs.Close()
 	}
 }
 
@@ -277,11 +238,11 @@ func TestConcurrentPutGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := recordKey(i) // all workers contend on the same keys
-				if err := s.put(k, recordPayload(i)); err != nil {
+				if err := s.put(k, core.StageReport, recordPayload(i)); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
-				if p, ok := s.get(k); !ok || !bytes.Equal(p, recordPayload(i)) {
+				if p, ok := s.get(k, core.StageReport); !ok || !bytes.Equal(p, recordPayload(i)) {
 					t.Errorf("get(%d) = %q, %v", i, p, ok)
 					return
 				}
@@ -354,7 +315,7 @@ func TestPutAfterClose(t *testing.T) {
 	}
 }
 
-// TestCorruptPayloadAfterOpenIsMiss: get reads payloads from the log,
+// TestCorruptPayloadAfterOpenIsMiss: get reads records from the log,
 // so bytes damaged on disk after Open fail their CRC and read as a
 // miss, while the other records keep answering.
 func TestCorruptPayloadAfterOpenIsMiss(t *testing.T) {
@@ -369,7 +330,7 @@ func TestCorruptPayloadAfterOpenIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := s.mem[keys[2]].off
+	off := s.mem[keys[2]].off + headerSize
 	b := make([]byte, 1)
 	if _, err := f.ReadAt(b, off); err != nil {
 		t.Fatal(err)
@@ -379,11 +340,11 @@ func TestCorruptPayloadAfterOpenIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if p, ok := s.get(keys[2]); ok {
+	if p, ok := s.get(keys[2], core.StageReport); ok {
 		t.Fatalf("get served a corrupted payload %q", p)
 	}
 	for _, i := range []int{0, 1, 3} {
-		if _, ok := s.get(keys[i]); !ok {
+		if _, ok := s.get(keys[i], core.StageReport); !ok {
 			t.Fatalf("record %d missing after a neighbour's corruption", i)
 		}
 	}
@@ -395,11 +356,49 @@ func TestGetAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := fill(t, s, 2)
-	if _, ok := s.get(keys[0]); !ok {
+	if _, ok := s.get(keys[0], core.StageReport); !ok {
 		t.Fatal("get missed a stored record before Close")
 	}
 	s.Close()
-	if _, ok := s.get(keys[0]); ok {
+	if _, ok := s.get(keys[0], core.StageReport); ok {
 		t.Fatal("get after Close reported a hit")
+	}
+}
+
+// TestStageMismatchIsMiss: a record whose header names another stage
+// than the one asked for is a miss, whether the header was just
+// written or read back from disk on Open. The key preimage names the
+// stage, so only foreign or damaged bytes can put such a record under
+// a key; the check keeps them from ever answering.
+func TestStageMismatchIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{K: 4, Levels: 2, Strategy: core.StrategyLinear}
+	body := core.EncodeReportArtifact(&core.Report{Latency: 10, Area: 3})
+	if err := s.put(StageKeyOf(core.StageReport, cfg), core.StageSim, body); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetStage(core.StageReport, cfg); ok {
+		t.Fatal("a sim-stage record answered a report lookup")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := liveRecords(s); got != 1 {
+		t.Fatalf("reopened store holds %d records, want 1", got)
+	}
+	if _, ok := s.GetStage(core.StageReport, cfg); ok {
+		t.Fatal("a sim-stage record read back from disk answered a report lookup")
+	}
+	if _, ok := s.get(StageKeyOf(core.StageReport, cfg), core.StageSim); !ok {
+		t.Fatal("the record is not readable under the stage its header names")
 	}
 }

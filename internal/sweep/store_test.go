@@ -92,7 +92,7 @@ func TestStoreTierRecoversTruncatedLog(t *testing.T) {
 	st.Close()
 
 	// Chop the tail off the log — the crash-consistency of a killed run.
-	logPath := filepath.Join(dir, "store.log")
+	logPath := filepath.Join(dir, "stages.log")
 	info, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +200,8 @@ func TestDeriveSharesCacheAndClampsWorkers(t *testing.T) {
 // TestPersistFailuresCounted pins that a failed durable write is
 // counted, not dropped, and never fails the point. A serial Linear
 // point appends four records — build, place and sim artifacts, then the
-// report — each as a log write followed by an index write, so write 1
-// is the build artifact's and write 7 the report's.
+// report — each as one write, so write 1 is the build artifact's and
+// write 4 the report's.
 func TestPersistFailuresCounted(t *testing.T) {
 	cfg := core.Config{K: 2, Levels: 1, Strategy: core.StrategyLinear, Seed: 1}
 	want, err := core.Run(cfg)
@@ -215,7 +215,7 @@ func TestPersistFailuresCounted(t *testing.T) {
 		wantStage int64
 	}{
 		{"stage artifact", 1, 1, 2},
-		{"report", 7, 0, 3},
+		{"report", 4, 0, 3},
 	} {
 		st, err := store.OpenWithFaults(t.TempDir(), &store.FaultPlan{FailWriteOp: tc.op})
 		if err != nil {
