@@ -182,6 +182,71 @@ func TestRecoverLogTruncatedAtEveryByte(t *testing.T) {
 	}
 }
 
+// TestRecoverIdxTruncatedAtEveryByte covers a directory written before
+// the single-file layout: whatever its old store.idx holds, cut at any
+// byte, Open recovers every record of stages.log, and neither store.idx
+// nor store.log is read, truncated or deleted by Open, put or Close.
+func TestRecoverIdxTruncatedAtEveryByte(t *testing.T) {
+	const n = 4
+	master := t.TempDir()
+	s, err := Open(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fill(t, s, n)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logBytes, err := os.ReadFile(filepath.Join(master, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stand-ins for the old files: record bytes, so a reader that
+	// mistook either file for the log would find valid-looking frames.
+	oldIdx := append([]byte(nil), logBytes...)
+	oldLog := append([]byte(nil), logBytes[:recordEnd(0)]...)
+
+	for cut := 0; cut <= len(oldIdx); cut++ {
+		dir := filepath.Join(master, fmt.Sprintf("icut%d", cut))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{logName: logBytes, "store.idx": oldIdx[:cut], "store.log": oldLog} {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", cut, err)
+		}
+		if got := liveRecords(rs); got != n {
+			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, n)
+		}
+		for i := 0; i < n; i++ {
+			if _, ok := rs.get(keys[i], core.StageReport); !ok {
+				t.Fatalf("cut %d: record %d missing", cut, i)
+			}
+		}
+		if err := rs.put(recordKey(1000+cut), core.StageReport, recordPayload(0)); err != nil {
+			t.Fatalf("cut %d: put: %v", cut, err)
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatalf("cut %d: Close: %v", cut, err)
+		}
+		for name, want := range map[string][]byte{"store.idx": oldIdx[:cut], "store.log": oldLog} {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("cut %d: %s: %v", cut, name, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cut %d: %s changed: %d bytes, want %d", cut, name, len(got), len(want))
+			}
+		}
+		os.RemoveAll(dir)
+	}
+}
+
 // TestRecoverCorruptPayload flips a byte inside record 2's header, then
 // inside its payload: every record from record 2 on must be dropped
 // (the log is truncated back there), earlier ones kept.
