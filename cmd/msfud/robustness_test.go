@@ -197,7 +197,7 @@ func TestCacheHitsBypassAdmission(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up status = %d, want 200", resp.StatusCode)
 	}
-	want := decode[resultJSON](t, resp)
+	want := decode[magicstate.Result](t, resp)
 
 	// Saturate the budget: the cached point must still be served.
 	release, err := srv.adm.acquire(context.Background())
@@ -209,7 +209,7 @@ func TestCacheHitsBypassAdmission(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached point under saturation: status = %d, want 200", resp.StatusCode)
 	}
-	if got := decode[resultJSON](t, resp); got != want {
+	if got := decode[magicstate.Result](t, resp); got != want {
 		t.Fatalf("cached result %+v differs from computed %+v", got, want)
 	}
 }
@@ -543,6 +543,66 @@ func TestStreamDrainSendsTerminalFrame(t *testing.T) {
 	}
 	if lastEvent != "error" && lastEvent != "done" {
 		t.Fatalf("stream ended on %q, want a terminal error/done frame", lastEvent)
+	}
+}
+
+// TestDrainReachesLateBatches: a stream or job that starts after the
+// drain, as one that passed the drain gate just before it would, is
+// born cancelled: the stream ends on an error frame and the job
+// resolves failed.
+func TestDrainReachesLateBatches(t *testing.T) {
+	ts, srv, _ := newRobustServer(t, serverConfig{MaxInflight: 2, MaxQueue: 4})
+	pt, err := optimizeRequest{Capacity: 4, Levels: 1}.point()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := []magicstate.BatchPoint{pt}
+	srv.startDrain()
+
+	rec := httptest.NewRecorder()
+	srv.streamBatch(rec, httptest.NewRequest(http.MethodPost, "/v1/batch?stream=1", nil), points, 1)
+	var lastEvent string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if ev, ok := strings.CutPrefix(line, "event: "); ok {
+			lastEvent = ev
+		}
+	}
+	if lastEvent != "error" {
+		t.Fatalf("late stream ended on %q, want an error frame:\n%s", lastEvent, rec.Body.String())
+	}
+
+	j := srv.startJob(points, 1)
+	if jr := awaitJob(t, ts.URL, j.id, 30*time.Second); jr["status"] != "failed" {
+		t.Fatalf("late job resolved %v, want failed", jr)
+	}
+}
+
+// TestFinishedJobRetention: past maxFinishedJobs, the earliest finished
+// jobs are evicted as later ones finish, not only at the next submit.
+func TestFinishedJobRetention(t *testing.T) {
+	ts, _, _ := newRobustServer(t, serverConfig{MaxInflight: 2, MaxQueue: 4})
+	req := batchRequest{Points: []optimizeRequest{{Capacity: 4, Levels: 1}}}
+	for i := 0; i < maxFinishedJobs+2; i++ {
+		if jr := awaitJob(t, ts.URL, submitJob(t, ts.URL, req), 30*time.Second); jr["status"] != "done" {
+			t.Fatalf("job %d resolved %v, want done", i+1, jr)
+		}
+	}
+	for n := 1; n <= maxFinishedJobs+2; n++ {
+		r, err := http.Get(fmt.Sprintf("%s/v1/jobs/job-%d", ts.URL, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		want := http.StatusOK
+		if n <= 2 {
+			want = http.StatusNotFound
+		}
+		if r.StatusCode != want {
+			t.Errorf("job-%d: status = %d, want %d", n, r.StatusCode, want)
+		}
+	}
+	if got := scrapeMetric(t, ts.URL, "msfud_jobs_inflight"); got != 0 {
+		t.Fatalf("msfud_jobs_inflight = %g, want 0", got)
 	}
 }
 

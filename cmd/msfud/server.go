@@ -69,16 +69,18 @@ type server struct {
 	// draining flips once at shutdown: new compute requests answer 503
 	// + Retry-After while in-flight work finishes or is cancelled.
 	draining atomic.Bool
+	// drainCtx is the parent of every job and SSE stream, and drain
+	// cancels it, so a batch that passed the drain gate just before the
+	// drain still stops, and one started after it is born cancelled.
+	drainCtx context.Context
+	drain    context.CancelFunc
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	nextJob   int64
-	pruneFrom int64 // lowest job number that might still be evictable
-
-	// streamCancels tracks live SSE requests so drain can end them with
-	// a terminal frame instead of stalling shutdown behind them.
-	streamCancels map[int64]context.CancelFunc
-	nextStream    int64
+	mu      sync.Mutex
+	jobs    map[string]*job
+	nextJob int64
+	// finished lists the ids of the finished jobs still in jobs, oldest
+	// first.
+	finished []string
 
 	jobWG sync.WaitGroup
 }
@@ -91,21 +93,20 @@ type job struct {
 	done   atomic.Int64
 
 	finished chan struct{} // closed when results/err are set
-	results  []resultJSON
+	results  []*magicstate.Result
 	err      error
 }
 
 // newServer wires a server around a batcher under the given budget.
 func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
 	s := &server{
-		batcher:       b,
-		cfg:           cfg,
-		adm:           newAdmission(cfg.MaxInflight, cfg.MaxQueue),
-		rl:            newRateLimiter(cfg.Rate, cfg.Burst),
-		jobs:          make(map[string]*job),
-		streamCancels: make(map[int64]context.CancelFunc),
-		pruneFrom:     1,
+		batcher: b,
+		cfg:     cfg,
+		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue),
+		rl:      newRateLimiter(cfg.Rate, cfg.Burst),
+		jobs:    make(map[string]*job),
 	}
+	s.drainCtx, s.drain = context.WithCancel(context.Background())
 	s.met = newMetrics(b, s.adm, s.rl, s.jobsInFlight)
 	return s
 }
@@ -114,32 +115,15 @@ func newServer(b *magicstate.Batcher, cfg serverConfig) *server {
 func (s *server) jobsInFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		select {
-		case <-j.finished:
-		default:
-			n++
-		}
-	}
-	return n
+	return len(s.jobs) - len(s.finished)
 }
 
 // startDrain begins graceful shutdown: new compute requests answer 503
-// + Retry-After, running jobs are cancelled, and live SSE streams get
-// their terminal frame. Idempotent.
+// + Retry-After, and cancelling the drain context cancels every job and
+// ends every SSE stream with its terminal frame. Idempotent.
 func (s *server) startDrain() {
-	if s.draining.Swap(true) {
-		return
-	}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		j.cancel()
-	}
-	for _, cancel := range s.streamCancels {
-		cancel()
-	}
-	s.mu.Unlock()
+	s.draining.Store(true)
+	s.drain()
 }
 
 // awaitJobs waits (up to the deadline) for job goroutines to finish, so
@@ -304,29 +288,6 @@ type optimizeRequest struct {
 	Defects        string `json:"defects,omitempty"`
 }
 
-// resultJSON is the wire form of magicstate.Result.
-type resultJSON struct {
-	Strategy           string  `json:"strategy"`
-	Latency            int     `json:"latency"`
-	Area               int     `json:"area"`
-	Volume             float64 `json:"volume"`
-	CriticalLatency    int     `json:"critical_latency"`
-	CriticalVolume     float64 `json:"critical_volume"`
-	PermutationLatency int     `json:"permutation_latency,omitempty"`
-}
-
-func resultToJSON(r *magicstate.Result) resultJSON {
-	return resultJSON{
-		Strategy:           r.Strategy,
-		Latency:            r.Latency,
-		Area:               r.Area,
-		Volume:             r.Volume,
-		CriticalLatency:    r.CriticalLatency,
-		CriticalVolume:     r.CriticalVolume,
-		PermutationLatency: r.PermutationLatency,
-	}
-}
-
 // point lowers a request to the public API's batch point, rejecting
 // unknown names and invalid factory shapes up front so bad requests
 // answer 400, not 500.
@@ -468,13 +429,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // requestContext derives the compute context for one synchronous
-// request: the client's own context, bounded by the server's
-// per-request deadline when one is configured.
-func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+// request from parent, bounded by the server's per-request deadline
+// when one is configured.
+func (s *server) requestContext(parent context.Context) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		return context.WithTimeout(parent, s.cfg.RequestTimeout)
 	}
-	return context.WithCancel(r.Context())
+	return context.WithCancel(parent)
 }
 
 // handleOptimize evaluates one point synchronously with one Batcher
@@ -498,12 +459,12 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := s.requestContext(r.Context())
 	defer cancel()
 	res, err := s.batcher.OptimizeContext(sweep.WithGate(ctx, s.adm.admit), pt.Spec, pt.Opts)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, resultToJSON(res))
+		writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, errQueueFull):
 		s.rejectQueueFull(w)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -559,42 +520,62 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	j := s.startJob(points, parallel)
+	writeJSON(w, http.StatusAccepted, map[string]any{
+		"job_id": j.id,
+		"total":  j.total,
+		"poll":   "/v1/jobs/" + j.id,
+	})
+}
+
+// runBatch evaluates points on the shared batcher under ctx; each
+// pipeline run takes its turn through admission.admitBatch.
+func (s *server) runBatch(ctx context.Context, points []magicstate.BatchPoint, parallel int, progress func(done, total int)) ([]*magicstate.Result, error) {
+	return s.batcher.OptimizeBatch(points, magicstate.BatchOptions{
+		Parallelism: parallel,
+		Context:     sweep.WithGate(ctx, s.adm.admitBatch),
+		Progress:    progress,
+	})
+}
+
+// maxFinishedJobs bounds how many finished jobs stay queryable; the
+// earliest finished are dropped first. Running jobs are never evicted.
+const maxFinishedJobs = 256
+
+// startJob registers a job for points and runs it in the background on
+// the drain context. Once the job finishes, its id joins the finished
+// list, which evicts the earliest finished job past maxFinishedJobs,
+// and only then is the job's finished channel closed, so a poller that
+// sees it done also sees the eviction it caused.
+func (s *server) startJob(points []magicstate.BatchPoint, parallel int) *job {
+	ctx, cancel := context.WithCancel(s.drainCtx)
 	j := &job{cancel: cancel, total: len(points), finished: make(chan struct{})}
 	s.mu.Lock()
 	s.nextJob++
 	j.id = fmt.Sprintf("job-%d", s.nextJob)
 	s.jobs[j.id] = j
-	s.pruneJobsLocked()
 	s.mu.Unlock()
 
 	s.jobWG.Add(1)
 	go func() {
 		defer s.jobWG.Done()
 		defer cancel()
-		results, err := s.batcher.OptimizeBatch(points, magicstate.BatchOptions{
-			Parallelism: parallel,
-			Context:     sweep.WithGate(ctx, s.adm.admitBatch),
-			Progress:    func(done, total int) { j.done.Store(int64(done)) },
-		})
-		if err != nil {
-			j.err = err
+		j.results, j.err = s.runBatch(ctx, points, parallel, func(done, _ int) { j.done.Store(int64(done)) })
+		if j.err != nil {
 			s.met.jobsFailed.Add(1)
 		} else {
-			j.results = make([]resultJSON, len(results))
-			for i, res := range results {
-				j.results[i] = resultToJSON(res)
-			}
 			s.met.jobsCompleted.Add(1)
 		}
+		s.mu.Lock()
+		s.finished = append(s.finished, j.id)
+		if len(s.finished) > maxFinishedJobs {
+			delete(s.jobs, s.finished[0])
+			s.finished = s.finished[1:]
+		}
+		s.mu.Unlock()
 		close(j.finished)
 	}()
-
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"job_id": j.id,
-		"total":  j.total,
-		"poll":   "/v1/jobs/" + j.id,
-	})
+	return j
 }
 
 // streamBatch runs points inside the request and reports progress as
@@ -603,7 +584,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // failure). The request context cancels evaluation when the client
 // goes away; a drain cancels it server-side, and either way the stream
 // always ends with a terminal frame when the connection is writable —
-// an SSE stream is never silently dropped by the server.
+// an SSE stream is never silently dropped by the server. The stream
+// derives from the drain context, so a drain that came first fails it
+// at once.
 func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, points []magicstate.BatchPoint, parallel int) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -611,20 +594,9 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, points []ma
 		return
 	}
 
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := s.requestContext(s.drainCtx)
 	defer cancel()
-	// Register with the drain set so shutdown can end this stream with
-	// a terminal frame instead of waiting out the whole batch.
-	s.mu.Lock()
-	s.nextStream++
-	streamID := s.nextStream
-	s.streamCancels[streamID] = cancel
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.streamCancels, streamID)
-		s.mu.Unlock()
-	}()
+	defer context.AfterFunc(r.Context(), cancel)()
 
 	// A full queue rejects before any SSE bytes are written; the
 	// stream's pipeline runs then wait their turn.
@@ -647,31 +619,21 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, points []ma
 	frames := make(chan frame, 16)
 	go func() {
 		defer close(frames)
-		results, err := s.batcher.OptimizeBatch(points, magicstate.BatchOptions{
-			Parallelism: parallel,
-			Context:     sweep.WithGate(ctx, s.adm.admitBatch),
-			Progress: func(done, total int) {
-				// Never block the worker pool on the client: progress
-				// frames are advisory, so when the client reads slower
-				// than points complete the backlog is dropped (the next
-				// progress frame carries the up-to-date count anyway).
-				select {
-				case frames <- frame{"progress", map[string]int{"done": done, "total": total}}:
-				default:
-				}
-			},
+		results, err := s.runBatch(ctx, points, parallel, func(done, total int) {
+			// Never block the worker pool on the client: progress
+			// frames are advisory, so when the client reads slower than
+			// points complete the backlog is dropped (the next progress
+			// frame carries the up-to-date count anyway).
+			select {
+			case frames <- frame{"progress", map[string]int{"done": done, "total": total}}:
+			default:
+			}
 		})
 		// The terminal frame is never dropped — but a client that went
 		// away must not pin this goroutine either.
-		var final frame
+		final := frame{"done", map[string]any{"results": results}}
 		if err != nil {
 			final = frame{"error", map[string]string{"error": err.Error()}}
-		} else {
-			out := make([]resultJSON, len(results))
-			for i, res := range results {
-				out[i] = resultToJSON(res)
-			}
-			final = frame{"done", map[string]any{"results": out}}
 		}
 		select {
 		case frames <- final:
@@ -685,49 +647,6 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, points []ma
 		}
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.event, data)
 		fl.Flush()
-	}
-}
-
-// maxFinishedJobs bounds how many completed jobs stay queryable; the
-// oldest finished jobs are dropped first. Running jobs are never
-// evicted.
-const maxFinishedJobs = 256
-
-// pruneJobsLocked evicts the lowest-numbered finished jobs beyond the
-// retention cap. Callers hold s.mu. Job ids are dense ("job-N") and
-// eviction is oldest-first, so the scan starts at pruneFrom — the
-// lowest number that might still be live — and advances the cursor
-// past ids that are gone, keeping each prune proportional to the live
-// job count rather than to every job the server has ever issued.
-func (s *server) pruneJobsLocked() {
-	finished := 0
-	for _, j := range s.jobs {
-		select {
-		case <-j.finished:
-			finished++
-		default:
-		}
-	}
-	for n := s.pruneFrom; finished > maxFinishedJobs && n <= s.nextJob; n++ {
-		id := fmt.Sprintf("job-%d", n)
-		j, ok := s.jobs[id]
-		if !ok {
-			if n == s.pruneFrom {
-				s.pruneFrom++
-			}
-			continue
-		}
-		select {
-		case <-j.finished:
-			delete(s.jobs, id)
-			finished--
-			if n == s.pruneFrom {
-				s.pruneFrom++
-			}
-		default:
-			// Still running: it may finish and become evictable later,
-			// so the cursor cannot move past it.
-		}
 	}
 }
 

@@ -60,13 +60,13 @@ func TestOptimizeEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	res := decode[resultJSON](t, resp)
+	res := decode[magicstate.Result](t, resp)
 	want, err := magicstate.Optimize(magicstate.FactorySpec{Capacity: 4, Levels: 1}, magicstate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != resultToJSON(want) {
-		t.Fatalf("service result %+v differs from library result %+v", res, resultToJSON(want))
+	if res != *want {
+		t.Fatalf("service result %+v differs from library result %+v", res, *want)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestBatchStreamSSE(t *testing.T) {
 		t.Fatalf("saw %d progress and %d done events, want 2 and 1", progress, done)
 	}
 	var final struct {
-		Results []resultJSON `json:"results"`
+		Results []magicstate.Result `json:"results"`
 	}
 	if err := json.Unmarshal([]byte(lastData), &final); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestStatsReflectsDurableTier(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	first := decode[resultJSON](t, resp)
+	first := decode[magicstate.Result](t, resp)
 	ts1.Close()
 	if err := b1.Close(); err != nil { // release the store for the "restarted" server
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestStatsReflectsDurableTier(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restarted server: status = %d, want 200", resp.StatusCode)
 	}
-	second := decode[resultJSON](t, resp)
+	second := decode[magicstate.Result](t, resp)
 	if first != second {
 		t.Fatalf("disk-served result %+v differs from computed %+v", second, first)
 	}

@@ -237,16 +237,6 @@ func contiguousAssigner(round, moduleInRound, need int, pool []circuit.Qubit) []
 	return pool[:need]
 }
 
-// Outputs returns the final round's output qubits, the factory's product.
-func (f *Factory) Outputs() []circuit.Qubit {
-	last := f.Rounds[len(f.Rounds)-1]
-	var outs []circuit.Qubit
-	for _, mi := range last.Modules {
-		outs = append(outs, f.Modules[mi].Out...)
-	}
-	return outs
-}
-
 // ReassignPorts applies a permutation of module pm's output ports: every
 // wire previously sourced from port j is re-sourced from port perm[j].
 // The permutation Move gates' sources are rewritten in place; slots and

@@ -165,11 +165,6 @@ func (p *Placement) Normalize() {
 	p.W, p.H = maxX+1, maxY+1
 }
 
-// Swap exchanges the tiles of qubits a and b.
-func (p *Placement) Swap(a, b int) {
-	p.Pos[a], p.Pos[b] = p.Pos[b], p.Pos[a]
-}
-
 // CenterOfMass returns the mean position of a set of qubits.
 func (p *Placement) CenterOfMass(qs []int) (float64, float64) {
 	if len(qs) == 0 {

@@ -186,8 +186,8 @@ func TestFaultTornWriteThenCrash(t *testing.T) {
 }
 
 // TestFaultSyncErrorSurfacesButPreservesRecords: an injected fsync
-// failure must be reported to the caller (Sync and Close propagate it)
-// without costing any committed record.
+// failure must be reported to the caller (Close propagates it) without
+// costing any committed record.
 func TestFaultSyncErrorSurfacesButPreservesRecords(t *testing.T) {
 	dir := t.TempDir()
 	plan := &FaultPlan{FailSyncOp: 1}
@@ -196,14 +196,10 @@ func TestFaultSyncErrorSurfacesButPreservesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys, _ := fillFaulty(t, s, 5)
-	if err := s.Sync(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Sync = %v, want injected fault", err)
+	if err := s.Close(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Close = %v, want injected fault", err)
 	}
-	// The next sync (op 2) passes; Close must succeed and the records
-	// must all be there on reopen.
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close after failed sync: %v", err)
-	}
+	// The failed sync must not cost a record: all are there on reopen.
 	rs, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -350,24 +350,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Sync flushes the log to stable storage. Appends are otherwise left to
-// the OS page cache — recovery tolerates anything short of a flushed
-// write — so callers that need a hard durability point (the service's
-// graceful shutdown) call Sync explicitly.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.logF.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// Close syncs and closes the log. A closed store rejects PutStage and
-// Sync, and every GetStage on it is a miss.
+// Close syncs and closes the log. A closed store rejects PutStage, and
+// every GetStage on it is a miss.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -245,20 +245,3 @@ func (c *Cache) Flights() (shared int64, inFlight int) {
 	defer c.mu.Unlock()
 	return c.shared, c.flying
 }
-
-// Len reports the live entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Reset drops every entry (the counters survive; callers already
-// waiting on a flight still get its result).
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[any]*entry)
-	clear(c.ring)
-	c.ring, c.free, c.hand = c.ring[:0], c.free[:0], 0
-}

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// live reads the cache's entry count under its lock.
+func live(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 func TestDoMemoizes(t *testing.T) {
 	c := New(0)
 	calls := 0
@@ -44,8 +51,8 @@ func TestDoDropsErrors(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("fn ran %d times, want 2 (a failure must not be cached)", calls)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after failed flights, want 0", c.Len())
+	if live(c) != 0 {
+		t.Fatalf("len = %d after failed flights, want 0", live(c))
 	}
 }
 
@@ -79,8 +86,8 @@ func TestLimitResets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() > 2 {
-		t.Fatalf("len = %d, want <= limit 2", c.Len())
+	if live(c) > 2 {
+		t.Fatalf("len = %d, want <= limit 2", live(c))
 	}
 	// Evicted keys recompute and still return the right value.
 	v, err := c.Do(0, func() (any, error) { return 100, nil })
@@ -109,8 +116,8 @@ func TestClockKeepsHotKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if c.Len() > limit {
-			t.Fatalf("len = %d past limit %d", c.Len(), limit)
+		if live(c) > limit {
+			t.Fatalf("len = %d past limit %d", live(c), limit)
 		}
 	}
 	if hotCalls != hot {
@@ -128,8 +135,8 @@ func TestClockReusesFreedSlots(t *testing.T) {
 	if _, ok := c.Peek("a"); !ok {
 		t.Fatal("a cached entry was evicted while a freed slot was open")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if live(c) != 2 {
+		t.Fatalf("len = %d, want 2", live(c))
 	}
 }
 
@@ -186,8 +193,8 @@ func TestClockAdmitsPastAllFlights(t *testing.T) {
 	if v, err := c.Do("new", func() (any, error) { return 3, nil }); err != nil || v != 3 {
 		t.Fatalf("Do(new) = %v, %v; want 3", v, err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if live(c) != 2 {
+		t.Fatalf("len = %d, want 2", live(c))
 	}
 	close(release)
 	if va, vb := <-a, <-b; va != 1 || vb != 2 {
@@ -198,21 +205,12 @@ func TestClockAdmitsPastAllFlights(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(0)
-	c.Do("a", func() (any, error) { return 1, nil })
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("len after reset = %d", c.Len())
-	}
-}
-
 // TestDoDropsContextErrors: a computation that fails with a context
 // error must not poison the cache — context errors describe the caller
 // that asked, not the point itself, so the next caller recomputes.
 func TestDoDropsContextErrors(t *testing.T) {
-	c := New(0)
 	for _, ctxErr := range []error{context.Canceled, context.DeadlineExceeded} {
+		c := New(0)
 		calls := 0
 		if _, err := c.Do("k", func() (any, error) { calls++; return nil, ctxErr }); !errors.Is(err, ctxErr) {
 			t.Fatalf("Do = %v, want %v", err, ctxErr)
@@ -224,9 +222,9 @@ func TestDoDropsContextErrors(t *testing.T) {
 		if calls != 2 {
 			t.Fatalf("calls = %d, want 2 (the %v entry must have been dropped)", calls, ctxErr)
 		}
-		c.Reset()
 	}
 	// A wrapped context error is still a context error.
+	c := New(0)
 	wrapped := fmt.Errorf("stage 3: %w", context.Canceled)
 	c.Do("w", func() (any, error) { return nil, wrapped })
 	recomputed := false
@@ -300,7 +298,7 @@ func TestFlightShares(t *testing.T) {
 		v, _ := c.DoContext(ctx, "k", func(context.Context) (any, error) { <-unblock; return 7, nil })
 		results <- v
 	}()
-	for c.Len() == 0 {
+	for live(c) == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
 	go func() {

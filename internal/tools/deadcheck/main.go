@@ -19,9 +19,11 @@
 //   - every declaration of a module's root package when that package is
 //     a library: it is the public API, reviewed by hand;
 //   - the initializers of `var _ = ...` declarations;
-//   - each method of a reached type whose name is a method name of some
-//     interface in the program or its imports, which covers implicit
-//     String, Error, io.* and sort.Interface satisfaction;
+//   - each method of a reached type T that satisfies an interface: T or
+//     *T implements an interface in the program or its imports that
+//     declares the method, which covers implicit String, Error, io.*
+//     and sort.Interface satisfaction. A method that only shares its
+//     name with an interface method, such as a lone Len, is not kept;
 //   - declarations whose doc comment holds a `//deadcheck:keep REASON`
 //     line. The reason should name the test that needs the declaration.
 //
@@ -132,10 +134,11 @@ func run(root string, w io.Writer) (int, error) {
 		}
 	}
 	s := &scan{
-		fset:         token.NewFileSet(),
-		decls:        map[types.Object]*decl{},
-		ifaceMethods: map[string]bool{},
-		knobs:        map[*types.Var]*knob{},
+		fset:       token.NewFileSet(),
+		decls:      map[types.Object]*decl{},
+		ifaces:     map[string][]*types.Interface{},
+		seenIfaces: map[*types.Interface]bool{},
+		knobs:      map[*types.Var]*knob{},
 	}
 	if err := s.check(pkgs); err != nil {
 		return 0, err
@@ -198,10 +201,11 @@ type scan struct {
 	decls map[types.Object]*decl
 	// roots are reached no matter what, keep lines included.
 	roots []types.Object
-	// ifaceMethods holds every interface method name in the program and
-	// its imports.
-	ifaceMethods map[string]bool
-	knobs        map[*types.Var]*knob
+	// ifaces maps each method name to the interfaces in the program and
+	// its imports that declare it; seenIfaces dedupes them.
+	ifaces     map[string][]*types.Interface
+	seenIfaces map[*types.Interface]bool
+	knobs      map[*types.Var]*knob
 	// writes holds the field writes non-test code makes outside the
 	// field's package.
 	writes []write
@@ -261,7 +265,7 @@ func (s *scan) check(pkgs []*listedPackage) error {
 		s.addInterfaces(tp)
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
-				s.addMethodNames(it)
+				s.addInterface(it)
 			}
 		}
 		api := p.Name != "main" && p.ImportPath == p.Module.Path
@@ -280,23 +284,39 @@ type importerFunc func(path string) (*types.Package, error)
 // Import implements types.Importer.
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// addInterfaces records the method names of every named interface
-// declared in p.
+// addInterfaces records every named interface declared in p.
 func (s *scan) addInterfaces(p *types.Package) {
 	for _, name := range p.Scope().Names() {
 		if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				s.addMethodNames(it)
+				s.addInterface(it)
 			}
 		}
 	}
 }
 
-// addMethodNames records the names in an interface's method set.
-func (s *scan) addMethodNames(it *types.Interface) {
-	for i := 0; i < it.NumMethods(); i++ {
-		s.ifaceMethods[it.Method(i).Name()] = true
+// addInterface indexes an interface under each method name it declares.
+func (s *scan) addInterface(it *types.Interface) {
+	if s.seenIfaces[it] {
+		return
 	}
+	s.seenIfaces[it] = true
+	for i := 0; i < it.NumMethods(); i++ {
+		name := it.Method(i).Name()
+		s.ifaces[name] = append(s.ifaces[name], it)
+	}
+}
+
+// satisfies reports whether m, a method of t, is needed by an interface
+// that t or *t implements.
+func (s *scan) satisfies(t *types.Named, m *types.Func) bool {
+	ptr := types.NewPointer(t)
+	for _, it := range s.ifaces[m.Name()] {
+		if types.Implements(t, it) || types.Implements(ptr, it) {
+			return true
+		}
+	}
+	return false
 }
 
 // addFile records one file's package-level declarations and the roots
@@ -505,7 +525,7 @@ func recvName(t ast.Expr) string {
 }
 
 // reach returns everything reachable from the roots, following
-// references and the interface-method rule.
+// references and the interface-satisfaction rule.
 func (s *scan) reach() map[types.Object]bool {
 	marked := map[types.Object]bool{}
 	work := append([]types.Object(nil), s.roots...)
@@ -528,7 +548,7 @@ func (s *scan) reach() map[types.Object]bool {
 			continue
 		}
 		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); s.ifaceMethods[m.Name()] {
+			if m := named.Method(i); s.satisfies(named, m) {
 				work = append(work, m)
 			}
 		}

@@ -16,5 +16,5 @@ func main() {
 	var f flags
 	flag.IntVar(&f.n, "n", 0, "a flag-backed value")
 	flag.Parse()
-	fmt.Println(lib.Live{}, other.Twice(1), other.Derive(lib.Options{FromFlag: f.n}))
+	fmt.Println(lib.Live{}, lib.Sized{}, other.Twice(1), other.Derive(lib.Options{FromFlag: f.n}))
 }

@@ -39,3 +39,10 @@ type Options struct {
 	//deadcheck:keep other's TestUsesKept
 	KeptKnob int
 }
+
+// Sized is reached from main, but no interface it satisfies declares
+// Len, so Len is dead though imported interfaces declare a Len.
+type Sized struct{}
+
+// Len only shares its name with an interface method.
+func (Sized) Len() int { return 0 }

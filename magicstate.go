@@ -144,26 +144,28 @@ func (o Options) WithStrategy(s Strategy) Options {
 	return o
 }
 
-// Result reports an optimized factory.
+// Result reports an optimized factory. Its JSON encoding, in field
+// order and without the trace, is also the wire form of one point's
+// result in msfud's replies and in `paperbench preset` output.
 type Result struct {
+	// Strategy echoes the mapper used.
+	Strategy string `json:"strategy"`
 	// Latency is the simulated execution time in surface-code cycles.
-	Latency int
+	Latency int `json:"latency"`
 	// Area is the logical-qubit tile count.
-	Area int
+	Area int `json:"area"`
 	// Volume is Latency x Area, the paper's quantum volume metric.
-	Volume float64
+	Volume float64 `json:"volume"`
 	// CriticalLatency is the dependency-limited latency lower bound
 	// ("theoretical lower bound" in Fig. 7).
-	CriticalLatency int
+	CriticalLatency int `json:"critical_latency"`
 	// CriticalVolume is the volume at the dependency-limited bound.
-	CriticalVolume float64
+	CriticalVolume float64 `json:"critical_volume"`
 	// PermutationLatency is the inter-round permutation window for
 	// multi-level factories (Fig. 9d's metric).
-	PermutationLatency int
-	// Strategy echoes the mapper used.
-	Strategy string
+	PermutationLatency int `json:"permutation_latency,omitempty"`
 	// Trace is the utilization report (only with Options.Trace).
-	Trace string
+	Trace string `json:"-"`
 }
 
 // Optimize builds, maps and simulates the factory described by spec.
