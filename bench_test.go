@@ -407,8 +407,9 @@ func BenchmarkFactoryGeneration(b *testing.B) {
 
 // BenchmarkPlanDeepScan prices the planner's deepest candidate scan:
 // T = 1e7 prices three-level factories for every candidate K (critical
-// path, farm size and buffer simulation, with no factory built) before
-// choosing one, serially so the number is per CPU.
+// path and farm size, with no factory built), chooses one, and then
+// simulates only the chosen candidate's buffer, serially so the number
+// is per CPU.
 func BenchmarkPlanDeepScan(b *testing.B) {
 	b.ReportAllocs()
 	req := plan.Requirements{TCount: 1e7, ErrorBudget: 0.01, DemandRate: 0.02, Workers: 1}

@@ -48,19 +48,22 @@ type Requirements struct {
 	MaxModules int
 	// Workers bounds the candidate search's parallelism: each candidate
 	// block size K is priced on its own sweep-engine worker (zero means
-	// one worker per CPU; 1 reproduces the serial scan exactly).
+	// one worker per CPU; 1 reproduces the serial scan exactly). The
+	// buffer is sized after the reduction, on the caller's goroutine,
+	// by simulating only the chosen candidate's farm.
 	Workers int
 }
 
 func (r *Requirements) fill() error {
-	if r.TCount < 1 {
+	// The range tests are written so that NaN fails them.
+	if !(r.TCount >= 1) {
 		return fmt.Errorf("plan: TCount must be >= 1, got %g", r.TCount)
 	}
-	if r.ErrorBudget <= 0 || r.ErrorBudget >= 1 {
+	if !(r.ErrorBudget > 0 && r.ErrorBudget < 1) {
 		return fmt.Errorf("plan: ErrorBudget %g out of (0,1)", r.ErrorBudget)
 	}
-	if r.DemandRate <= 0 {
-		return fmt.Errorf("plan: DemandRate must be positive, got %g", r.DemandRate)
+	if !(r.DemandRate > 0 && r.DemandRate <= math.MaxFloat64) {
+		return fmt.Errorf("plan: DemandRate must be positive and finite, got %g", r.DemandRate)
 	}
 	if r.Errors == (resource.ErrorModel{}) {
 		r.Errors = resource.DefaultError()
@@ -74,8 +77,8 @@ func (r *Requirements) fill() error {
 	if r.Headroom == 0 {
 		r.Headroom = 1.2
 	}
-	if r.Headroom < 1 {
-		return fmt.Errorf("plan: Headroom %g below 1", r.Headroom)
+	if !(r.Headroom >= 1 && r.Headroom <= math.MaxFloat64) {
+		return fmt.Errorf("plan: Headroom %g out of [1,+Inf)", r.Headroom)
 	}
 	if r.MaxModules == 0 {
 		r.MaxModules = 4000
@@ -119,13 +122,14 @@ type Provision struct {
 // toward fewer factories. The candidate block sizes are priced
 // concurrently on the sweep engine's worker pool (Requirements.Workers);
 // the reduction walks them in submission order, so the winner — and
-// every tie-break — is identical to the serial scan's.
+// every tie-break — is identical to the serial scan's. Neither cost
+// depends on the buffer, so only the chosen candidate's buffer is
+// simulated, once, after the reduction.
 //
 // With no plan, the error tells a target no candidate's error reaches
 // from one that some candidate reaches only with a farm that cannot be
 // built: 1e17 or more runs per success, 2^53 or more factories, more
-// physical qubits or buffered states than an int counts, or more than
-// MaxModules modules.
+// physical qubits than an int counts, or more than MaxModules modules.
 func Plan(req Requirements) (*Provision, error) {
 	if err := req.fill(); err != nil {
 		return nil, err
@@ -152,6 +156,9 @@ func Plan(req Requirements) (*Provision, error) {
 	}
 	switch {
 	case best != nil:
+		if err := sizeBuffer(req, best); err != nil {
+			return nil, err
+		}
 		return best, nil
 	case reached:
 		return nil, fmt.Errorf("plan: candidates reach per-state error %g from inject error %g, but none is attainable "+
@@ -198,6 +205,9 @@ func planForK(req Requirements, k int, target float64) (kPlan, error) {
 	return res, nil
 }
 
+// provisionFor prices one candidate: every field but BufferSize, which
+// Plan sizes once it has chosen. The sizing simulation is validated
+// here, so a config it would reject fails this candidate.
 func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Provision, error) {
 	latency, err := resource.DefaultCost().FactoryCriticalPath(p)
 	if err != nil {
@@ -209,16 +219,12 @@ func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Prov
 	}
 	succ := 1 / runs
 
-	cfg := system.Config{
+	factories := system.FactoriesFor(system.Config{
 		FactoryLatency: latency,
 		BatchSize:      p.Capacity(),
 		SuccessProb:    succ,
 		DemandRate:     req.DemandRate,
-		Factories:      1,
-		Cycles:         1,
-		BufferSize:     1,
-	}
-	factories := system.FactoriesFor(cfg, req.Headroom)
+	}, req.Headroom)
 	perFactory := 0
 	for _, q := range req.Errors.PhysicalQubitsPerRound(p) {
 		perFactory += q
@@ -226,44 +232,6 @@ func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Prov
 	if factories == 0 || factories > math.MaxInt/perFactory {
 		return nil, nil // unattainable, or too many qubits to count
 	}
-	cfg.Factories = factories
-
-	// Smallest buffer with < 1% stalls over a representative horizon.
-	// Large farms are fluid-scaled down for the sizing simulation
-	// (factories, demand and buffer shrink together; the stall fraction
-	// is approximately scale-invariant in this aggregate model) so the
-	// planner stays fast for farm sizes in the thousands.
-	simCfg := cfg
-	scale := 1
-	if factories > 64 {
-		scale = (factories + 63) / 64
-		simCfg.Factories = (factories + scale - 1) / scale
-		simCfg.DemandRate = cfg.DemandRate / float64(scale)
-	}
-	simCfg.Cycles = 30 * latency
-	if simCfg.Cycles > 300_000 {
-		simCfg.Cycles = 300_000
-	}
-	if simCfg.Cycles < 10*latency {
-		simCfg.Cycles = 10 * latency
-	}
-	simCfg.Seed = 1
-	buffer := p.Capacity()
-	for ; buffer <= 64*p.Capacity(); buffer *= 2 {
-		c := simCfg
-		c.BufferSize = buffer
-		r, err := system.Simulate(c)
-		if err != nil {
-			return nil, err
-		}
-		if r.StallFraction() < 0.01 {
-			break
-		}
-	}
-	if buffer > math.MaxInt/scale {
-		return nil, nil // too many buffered states to count
-	}
-	buffer *= scale
 
 	prov := &Provision{
 		Params:         p,
@@ -272,12 +240,73 @@ func provisionFor(req Requirements, p bravyi.Params, target, out float64) (*Prov
 		BatchLatency:   latency,
 		SuccessProb:    succ,
 		Factories:      factories,
-		BufferSize:     buffer,
 		PhysicalQubits: factories * perFactory,
 		RunCycles:      req.TCount / req.DemandRate,
 		RawStates:      req.TCount / float64(p.Capacity()) * float64(p.Inputs()) * runs,
 	}
+	sim, _ := sizingSim(req, prov)
+	if err := sim.Validate(); err != nil {
+		return nil, err
+	}
 	return prov, nil
+}
+
+// sizingSim is the simulation that sizes prov's buffer, and the factor
+// its farm is scaled down by. Large farms are fluid-scaled down for the
+// sizing simulation (factories, demand and buffer shrink together; the
+// stall fraction is approximately scale-invariant in this aggregate
+// model) so the planner stays fast for farm sizes in the thousands.
+func sizingSim(req Requirements, prov *Provision) (system.Config, int) {
+	sim := system.Config{
+		FactoryLatency: prov.BatchLatency,
+		BatchSize:      prov.Params.Capacity(),
+		SuccessProb:    prov.SuccessProb,
+		DemandRate:     req.DemandRate,
+		Factories:      prov.Factories,
+		Seed:           1,
+	}
+	scale := 1
+	if prov.Factories > 64 {
+		scale = (prov.Factories + 63) / 64
+		sim.Factories = (prov.Factories + scale - 1) / scale
+		sim.DemandRate = req.DemandRate / float64(scale)
+	}
+	sim.Cycles = 30 * prov.BatchLatency
+	if sim.Cycles > 300_000 {
+		sim.Cycles = 300_000
+	}
+	if sim.Cycles < 10*prov.BatchLatency {
+		sim.Cycles = 10 * prov.BatchLatency
+	}
+	return sim, scale
+}
+
+// sizeBuffer sets prov.BufferSize to the smallest buffer with < 1%
+// stalls over a representative horizon.
+func sizeBuffer(req Requirements, prov *Provision) error {
+	sim, scale := sizingSim(req, prov)
+	buffer := prov.Params.Capacity()
+	for ; buffer <= 64*prov.Params.Capacity(); buffer *= 2 {
+		sim.BufferSize = buffer
+		r, err := system.Simulate(sim)
+		if err != nil {
+			return err
+		}
+		if r.StallFraction() < 0.01 {
+			break
+		}
+	}
+	// A safety check that pricing leaves unreachable: every code distance
+	// is at least 3, so a factory's qubit bill exceeds 45 batches, and a
+	// farm of over 64 factories whose bill an int counts also counts 128
+	// scaled batches. A smaller farm needs batches of over MaxInt/128
+	// states, far wider than any factory whose critical path is priced.
+	if buffer > math.MaxInt/scale {
+		return fmt.Errorf("plan: buffer of %d batches of %d states, scaled by %d, is more states than an int counts",
+			buffer/prov.Params.Capacity(), prov.Params.Capacity(), scale)
+	}
+	prov.BufferSize = buffer * scale
+	return nil
 }
 
 // String renders the provision as a short report.

@@ -238,8 +238,9 @@ func TestSimulateMatchesCountdown(t *testing.T) {
 			MaintenanceReserve: 6, Seed: 4},
 		{FactoryLatency: 720, BatchSize: 1, SuccessProb: 0.001051939548227095, Factories: 64, BufferSize: 4,
 			DemandRate: 0.0003, Cycles: 21600, Seed: 1},
-		// The two farms plan.Plan simulates for msfbench's applications:
-		// fluid-scaled rates with a few arrivals per horizon.
+		// The farms of msfbench's applications' K=2 and K=1 candidates
+		// (plan.Plan simulates only the winning K=1 one): fluid-scaled
+		// rates with a few arrivals per horizon.
 		{FactoryLatency: 840, BatchSize: 8, SuccessProb: 6.206168257965763e-07, Factories: 64, BufferSize: 8,
 			DemandRate: 3.1523192371621303e-07, Cycles: 25200, Seed: 1},
 		{FactoryLatency: 720, BatchSize: 1, SuccessProb: 0.001051939548227095, Factories: 64, BufferSize: 1,
